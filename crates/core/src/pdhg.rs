@@ -11,9 +11,10 @@
 //!
 //! is two sparse matrix–vector products plus two elementwise updates —
 //! `O(nnz)` work, no factorization, no basis — so on large sparse models a
-//! PDHG iteration costs orders of magnitude less than a simplex pivot, and
-//! the whole chain maps onto four GPU kernels that fuse into a single
-//! launch (see [`linalg::gpu::PdhgPrimalK`]). The P1 experiment measures
+//! PDHG iteration costs orders of magnitude less than a simplex pivot. The
+//! chain maps onto four GPU kernels (see [`linalg::gpu::PdhgPrimalK`]), and
+//! since no host decision falls between two residual checks, a whole check
+//! block of chains fuses into a single launch. The P1 experiment measures
 //! exactly this regime split.
 //!
 //! ## The iteration
@@ -82,7 +83,8 @@ pub struct PdhgOptions {
     pub max_iterations: Option<usize>,
     /// Residuals are evaluated (and restarts considered) every this many
     /// iterations; clamped to ≥ 1. Checks download the iterate, so on GPU
-    /// backends this is also the PCIe cadence.
+    /// backends this is also the PCIe cadence and the length of one fused
+    /// launch.
     pub check_interval: usize,
     /// Restart when the combined residual score falls below this fraction
     /// of the anchor's score.
@@ -95,8 +97,9 @@ pub struct PdhgOptions {
     pub presolve: bool,
     /// Apply geometric-mean scaling in the high-level pipeline.
     pub scale: bool,
-    /// Submit each iteration's four-kernel chain as one fused launch
-    /// (GPU backends only; accounting toggle, arithmetic is identical).
+    /// Submit each check block's four-kernel chains (`check_interval`
+    /// iterations) as one fused launch (GPU backends only; accounting
+    /// toggle, arithmetic is identical).
     pub fuse_launches: bool,
     /// Wall-clock deadline for one solve, in seconds.
     pub time_limit: Option<f64>,
@@ -321,11 +324,19 @@ fn residuals<T: Scalar>(prob: &PdhgProblem<T>, x: &[T], y: &[T]) -> Residuals {
 // Backend operations
 // ---------------------------------------------------------------------------
 
-/// What a backend must provide: one fused iteration, anchor rebasing, an
-/// iterate download, and its simulated clock. The driver owns everything
-/// else (step sizes, restart schedule, convergence checks).
+/// Halpern weight `λ = (k+1)/(k+2)` of iteration `k` since the last restart.
+fn halpern_lambda<T: Scalar>(k: u64) -> T {
+    T::from_f64((k + 1) as f64 / (k + 2) as f64)
+}
+
+/// What a backend must provide: one check block of iterations, anchor
+/// rebasing, an iterate download, and its simulated clock. The driver owns
+/// everything else (step sizes, restart schedule, convergence checks).
 trait FirstOrderOps<T: Scalar> {
-    fn step(&mut self, tau: T, sigma: T, lam: T) -> Result<(), SolveError>;
+    /// Run `count` iterations, the `i`-th with Halpern weight
+    /// [`halpern_lambda`]`(k0 + i)`. No host decision falls inside a block,
+    /// so GPU backends dispatch it as one fused launch.
+    fn block(&mut self, tau: T, sigma: T, k0: u64, count: usize) -> Result<(), SolveError>;
     fn rebase_anchor(&mut self) -> Result<(), SolveError>;
     fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError>;
     fn elapsed(&self) -> SimTime;
@@ -415,10 +426,9 @@ impl<T: Scalar> CpuOps<T> {
             model: CpuModel::core2_era(),
         }
     }
-}
 
-impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
-    fn step(&mut self, tau: T, sigma: T, lam: T) -> Result<(), SolveError> {
+    /// One iteration with Halpern weight `lam`, charged to the modeled core.
+    fn step(&mut self, tau: T, sigma: T, lam: T) {
         let mu = T::ONE - lam;
         self.mat.apply_t(&self.y, &mut self.g);
         for j in 0..self.x.len() {
@@ -441,6 +451,14 @@ impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
             2 * pb + (6 * n + 5 * m) * elem,
             T::IS_F64,
         ));
+    }
+}
+
+impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
+    fn block(&mut self, tau: T, sigma: T, k0: u64, count: usize) -> Result<(), SolveError> {
+        for k in k0..k0 + count as u64 {
+            self.step(tau, sigma, halpern_lambda(k));
+        }
         Ok(())
     }
 
@@ -464,23 +482,26 @@ impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
 
 /// GPU backend: the active matrix lives on the device in both CSR and CSC,
 /// and one iteration is the four-kernel chain `spmv_t → primal → spmv →
-/// dual` through a single [`Launcher`] (fused when requested, so the chain
-/// pays one launch overhead — same accounting story as the simplex pivot
-/// chain). Works over a fresh [`Gpu`] or a [`Stream`] (which derefs to its
-/// per-stream `Gpu`), so the shared-device backend reuses it unchanged.
+/// dual` through a [`Launcher`]. A whole check block goes through one
+/// launcher, so when fused it pays one launch overhead (and presents one
+/// fault roll) per block rather than per kernel — the same accounting
+/// story as the simplex pivot chain. The iterate lives in one buffer
+/// `x‖y` and the anchor in one buffer `x₀‖y₀`, so a check is one download
+/// and a restart one copy. Works over a fresh [`Gpu`] or a [`Stream`]
+/// (which derefs to its per-stream `Gpu`), so the shared-device backend
+/// reuses it unchanged.
 struct GpuOps<'g, T: Scalar> {
     gpu: &'g Gpu,
     dcsr: DeviceCsr<T>,
     dcsc: DeviceCsc<T>,
     db: DeviceBuffer<T>,
     dc: DeviceBuffer<T>,
-    x: DeviceBuffer<T>,
-    y: DeviceBuffer<T>,
-    x0: DeviceBuffer<T>,
-    y0: DeviceBuffer<T>,
+    xy: DeviceBuffer<T>,
+    xy0: DeviceBuffer<T>,
     g: DeviceBuffer<T>,
     xbar: DeviceBuffer<T>,
     ax: DeviceBuffer<T>,
+    n: usize,
     fuse: bool,
     t0: SimTime,
 }
@@ -495,13 +516,12 @@ impl<'g, T: Scalar> GpuOps<'g, T> {
             dcsc,
             db: gpu.htod(&prob.b),
             dc: gpu.htod(&prob.c),
-            x: gpu.alloc(prob.n, T::ZERO),
-            y: gpu.alloc(prob.m, T::ZERO),
-            x0: gpu.alloc(prob.n, T::ZERO),
-            y0: gpu.alloc(prob.m, T::ZERO),
+            xy: gpu.alloc(prob.n + prob.m, T::ZERO),
+            xy0: gpu.alloc(prob.n + prob.m, T::ZERO),
             g: gpu.alloc(prob.n, T::ZERO),
             xbar: gpu.alloc(prob.n, T::ZERO),
             ax: gpu.alloc(prob.m, T::ZERO),
+            n: prob.n,
             fuse,
             t0: gpu.elapsed(),
         }
@@ -514,58 +534,66 @@ impl<'g, T: Scalar> GpuOps<'g, T> {
         lam: T,
         l: &mut Launcher<'_, '_>,
     ) -> Result<(), SolveError> {
-        self.dcsc.spmv_t_on(l, self.y.view(), self.g.view_mut())?;
+        let (n, m) = (self.n, self.xy.len() - self.n);
+        let xy = self.xy.view_mut();
+        let (x, y) = (xy.subview_mut(0, n), xy.subview_mut(n, m));
+        let xy0 = self.xy0.view();
+        let (x0, y0) = (xy0.subview(0, n), xy0.subview(n, m));
+        self.dcsc.spmv_t_on(l, y.as_view(), self.g.view_mut())?;
         gblas::pdhg_primal_on(
             l,
-            self.x.view_mut(),
+            x,
             self.xbar.view_mut(),
             self.g.view(),
             self.dc.view(),
-            self.x0.view(),
+            x0,
             tau,
             lam,
         )?;
         self.dcsr.spmv_on(l, self.xbar.view(), self.ax.view_mut())?;
-        gblas::pdhg_dual_on(
-            l,
-            self.y.view_mut(),
-            self.ax.view(),
-            self.db.view(),
-            self.y0.view(),
-            sigma,
-            lam,
-        )?;
+        gblas::pdhg_dual_on(l, y, self.ax.view(), self.db.view(), y0, sigma, lam)?;
         Ok(())
     }
 }
 
 impl<T: Scalar> FirstOrderOps<T> for GpuOps<'_, T> {
-    fn step(&mut self, tau: T, sigma: T, lam: T) -> Result<(), SolveError> {
+    fn block(&mut self, tau: T, sigma: T, k0: u64, count: usize) -> Result<(), SolveError> {
+        if count == 0 {
+            return Ok(());
+        }
         let gpu = self.gpu;
-        if self.fuse {
-            let mut f = gpu.try_begin_fused("pdhg_step")?;
-            {
-                let mut l = Launcher::Fused(&mut f);
-                self.chain(tau, sigma, lam, &mut l)?;
-            }
-            f.finish();
+        let mut group = if self.fuse {
+            Some(gpu.try_begin_fused("pdhg_step")?)
         } else {
-            let mut l = Launcher::Direct(gpu);
-            self.chain(tau, sigma, lam, &mut l)?;
+            None
+        };
+        {
+            let mut l = match group.as_mut() {
+                Some(f) => Launcher::Fused(f),
+                None => Launcher::Direct(gpu),
+            };
+            for k in k0..k0 + count as u64 {
+                self.chain(tau, sigma, halpern_lambda(k), &mut l)?;
+            }
+        }
+        if let Some(f) = group {
+            f.finish();
         }
         Ok(())
     }
 
     fn rebase_anchor(&mut self) -> Result<(), SolveError> {
-        let mut l = Launcher::Direct(self.gpu);
-        gblas::copy_on(&mut l, self.x.view(), self.x0.view_mut())?;
-        gblas::copy_on(&mut l, self.y.view(), self.y0.view_mut())?;
+        gblas::copy_on(
+            &mut Launcher::Direct(self.gpu),
+            self.xy.view(),
+            self.xy0.view_mut(),
+        )?;
         Ok(())
     }
 
     fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError> {
-        let x = self.gpu.try_dtoh(&self.x)?;
-        let y = self.gpu.try_dtoh(&self.y)?;
+        let mut x = self.gpu.try_dtoh(&self.xy)?;
+        let y = x.split_off(self.n);
         Ok((x, y))
     }
 
@@ -654,12 +682,9 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
         let todo = check.min(max_iters - total);
         let block_sim0 = ops.elapsed();
         let block_wall = Instant::now();
-        for _ in 0..todo {
-            let lam = T::from_f64((k_inner + 1) as f64 / (k_inner + 2) as f64);
-            ops.step(tau, sigma, lam)?;
-            k_inner += 1;
-            total += 1;
-        }
+        ops.block(tau, sigma, k_inner, todo)?;
+        k_inner += todo as u64;
+        total += todo;
         let block_sim1 = ops.elapsed();
         stats.charge(Step::Update, block_sim1 - block_sim0);
         if R::ENABLED {
@@ -742,11 +767,21 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
                 tau = T::from_f64(step_scale * omega / a_norm);
                 sigma = T::from_f64(step_scale / (omega * a_norm));
             }
+            let rebase_sim0 = ops.elapsed();
+            let rebase_wall = Instant::now();
             ops.rebase_anchor()?;
-            let t = ops.elapsed();
+            let rebase_sim1 = ops.elapsed();
+            stats.charge(Step::Other, rebase_sim1 - rebase_sim0);
             if R::ENABLED {
                 if let Some(rr) = rec.as_deref_mut() {
-                    rr.span(StepKind::Refactorize, t, t, 0.0, total, 2);
+                    rr.span(
+                        StepKind::Refactorize,
+                        rebase_sim0,
+                        rebase_sim1,
+                        rebase_wall.elapsed().as_secs_f64(),
+                        total,
+                        2,
+                    );
                 }
             }
             fingerprint = fold_iterate(fingerprint, &x, &y);
@@ -941,6 +976,7 @@ mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
     use lp::generator::{self, fixtures};
+    use std::sync::Arc;
 
     fn all_kinds() -> Vec<BackendKind> {
         vec![
@@ -1047,23 +1083,108 @@ mod tests {
 
     #[test]
     fn fused_and_unfused_gpu_agree_bitwise() {
-        let (model, _) = fixtures::wyndor();
-        let kind = BackendKind::GpuDense(DeviceSpec::gtx280());
-        let fused = solve_on::<f64>(&model, &PdhgOptions::default(), &kind);
-        let unfused = solve_on::<f64>(
-            &model,
-            &PdhgOptions {
-                fuse_launches: false,
+        fn parity<T: Scalar>(model: &LinearProgram, kind: &BackendKind, min_restarts: u64) {
+            let run = |fuse_launches| {
+                let opts = PdhgOptions {
+                    fuse_launches,
+                    ..Default::default()
+                };
+                try_solve_on::<T>(model, &opts, kind).expect("fault-free solve")
+            };
+            let (fused, unfused) = (run(true), run(false));
+            let what = format!("{} f64={} on {kind:?}", model.name, T::IS_F64);
+            // Fusion is an accounting toggle: identical arithmetic.
+            assert_eq!(
+                fused.stats.pivot_fingerprint, unfused.stats.pivot_fingerprint,
+                "{what}"
+            );
+            assert_eq!(
+                fused.objective.to_bits(),
+                unfused.objective.to_bits(),
+                "{what}"
+            );
+            assert!(fused.stats.restarts >= min_restarts, "{what}");
+            assert!(
+                fused.stats.total_time() < unfused.stats.total_time(),
+                "{what}: fused {:?} vs unfused {:?}",
+                fused.stats.total_time(),
+                unfused.stats.total_time()
+            );
+        }
+        let (wyndor, _) = fixtures::wyndor();
+        let sparse = generator::sparse_random(300, 300, 0.01, 2);
+        let kinds = [
+            BackendKind::GpuDense(DeviceSpec::gtx280()),
+            BackendKind::GpuShared(Arc::new(Gpu::new(DeviceSpec::gtx280()))),
+        ];
+        for kind in &kinds {
+            parity::<f64>(&wyndor, kind, 0);
+            parity::<f64>(&sparse, kind, 2);
+            parity::<f32>(&sparse, kind, 2);
+        }
+    }
+
+    #[test]
+    fn gpu_launches_one_group_per_check_block() {
+        // A fresh device sees exactly one fused `pdhg_step` group and one
+        // download per check block, plus one anchor copy per restart.
+        let model = generator::dense_random(12, 16, 9);
+        for fuse_launches in [true, false] {
+            let device = Arc::new(Gpu::new(DeviceSpec::gtx280()));
+            let opts = PdhgOptions {
+                fuse_launches,
                 ..Default::default()
-            },
-            &kind,
-        );
-        // Fusion is an accounting toggle: identical arithmetic.
-        assert_eq!(
-            fused.stats.pivot_fingerprint,
-            unfused.stats.pivot_fingerprint
-        );
-        assert_eq!(fused.objective.to_bits(), unfused.objective.to_bits());
+            };
+            let sol = solve_on::<f64>(&model, &opts, &BackendKind::GpuShared(device.clone()));
+            let (iters, restarts) = (sol.stats.pdhg_iterations, sol.stats.restarts);
+            let blocks = iters.div_ceil(opts.check_interval as u64);
+            let c = device.counters();
+            assert!(restarts > 0, "no restart exercised");
+            assert_eq!(c.d2h_count, blocks, "fuse={fuse_launches}");
+            assert_eq!(c.per_kernel["copy"].launches, restarts);
+            if fuse_launches {
+                assert_eq!(c.fused_groups, blocks);
+                assert_eq!(c.per_kernel["pdhg_step"].launches, blocks);
+                assert_eq!(c.kernels_launched, blocks + restarts);
+            } else {
+                assert_eq!(c.fused_groups, 0);
+                assert_eq!(c.kernels_launched, 4 * iters + restarts);
+            }
+        }
+    }
+
+    #[test]
+    fn stats_charge_every_tick_of_the_backend_clock() {
+        // Blocks, downloads and restart rebases all advance the backend's
+        // clock; the driver must charge each of them to `SolveStats`.
+        let model = generator::dense_random(12, 16, 9);
+        let sf = match prepare::<f64>(&model, &Default::default()) {
+            Prepared::Ready { sf, .. } => sf,
+            Prepared::Early(_) => panic!("presolve decided the model"),
+        };
+        let prob = PdhgProblem::build(&sf);
+        fn check<O: FirstOrderOps<f64>>(label: &str, prob: &PdhgProblem<f64>, mut ops: O) {
+            let opts = PdhgOptions::default();
+            let mut stats = SolveStats::default();
+            drive(prob, &opts, &mut ops, &mut stats, None::<&mut NoopRecorder>)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(stats.restarts > 0, "{label}: no restart exercised");
+            // Equal up to f64 summation order (the stats add per-step
+            // differences of the clock).
+            let (charged, clock) = (stats.total_time().as_nanos(), ops.elapsed().as_nanos());
+            assert!(
+                (charged - clock).abs() <= 1e-12 * clock,
+                "{label}: charged {charged} ns, clock {clock} ns"
+            );
+        }
+        check("cpu-dense", &prob, CpuOps::new(&prob, true));
+        check("cpu-sparse", &prob, CpuOps::new(&prob, false));
+        let gpu = Gpu::new(DeviceSpec::gtx280());
+        let stream = Stream::on(&Arc::new(Gpu::new(DeviceSpec::gtx280())));
+        for fuse in [true, false] {
+            check("gpu-dense", &prob, GpuOps::new(&gpu, &prob, fuse));
+            check("gpu-shared", &prob, GpuOps::new(&stream, &prob, fuse));
+        }
     }
 
     #[test]

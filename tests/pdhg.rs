@@ -163,3 +163,35 @@ fn hosed_gpu_degrades_across_the_pdhg_ladder_and_verifies() {
         golden.objective
     );
 }
+
+#[test]
+fn a_faulted_check_block_is_retried_on_the_same_rung() {
+    // A fused group rolls its fault once, when it opens, so a whole PDHG
+    // check block is one fault surface: the block aborts before any of its
+    // iterations run, and a fresh attempt on the same GPU rung recovers.
+    let (model, _) = fixtures::wyndor();
+    let golden = solve::<f64>(&model, &SolverOptions::default());
+    let gpu = BackendKind::GpuDense(DeviceSpec::gtx280());
+    let clean = pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &gpu)
+        .expect("fault-free pdhg solves");
+    let solver = ResilientSolver::new(ResilienceOptions {
+        faults: Some(FaultConfig::uniform(6, 0.05).only(&["pdhg_step"])),
+        algorithm: AlgorithmChoice::Pdhg,
+        ..Default::default()
+    });
+    let out = solver.solve_job::<f64>(6, &model, &SolverOptions::default(), &gpu);
+    assert!(out.faults > 0, "no block faulted");
+    assert!(out.retries > 0, "no retry");
+    assert_eq!(out.final_backend, "pdhg-gpu-dense");
+    let sol = out.result.expect("a retry on the GPU rung succeeds");
+    assert_eq!(sol.status, Status::Optimal);
+    assert!(
+        rel_err(sol.objective, golden.objective) < 1e-6,
+        "retried pdhg {} vs simplex {}",
+        sol.objective,
+        golden.objective
+    );
+    // The successful attempt starts from scratch: same schedule, same bits.
+    assert_eq!(sol.stats.pdhg_iterations, clean.stats.pdhg_iterations);
+    assert_eq!(sol.objective.to_bits(), clean.objective.to_bits());
+}
