@@ -4,16 +4,19 @@
 //! Structure of a round (four kernel chains for the whole family, versus
 //! four-plus launches *per member* on the stream-per-job path):
 //!
-//! 1. host bookkeeping per lane — iteration limit, periodic reinversion,
-//!    convergence-mask assembly (`CTL_ACTIVE` | `CTL_BLAND`);
+//! 1. admit each live lane — iteration limit, periodic reinversion and
+//!    checkpoint cadence — and assemble the control mask (`CTL_ACTIVE` |
+//!    `CTL_BLAND`);
 //! 2. `mega_price` — fused BTRAN + reduced costs + entering selection for
 //!    every active lane, one launch, then one download of `(q, d_q)`;
-//! 3. per-lane transitions — converged lanes leave the block (phase-1
+//! 3. per-lane pricing transitions — converged lanes leave the block (phase-1
 //!    convergence runs the feasibility check, artificial drive-out and
 //!    phase-2 cost install through that lane's [`LaneView`]); corrupted
 //!    lanes run an emergency reinversion and sit the round out;
-//! 4. `mega_ftran` + `mega_ratio` for the pivoting lanes, one launch each;
-//! 5. `mega_update` — fused `B⁻¹`/β pivot + basis bookkeeping, one launch.
+//! 4. `mega_ftran` + `mega_ratio` for the pivoting lanes, one launch each,
+//!    then each lane's ratio transition;
+//! 5. `mega_update` — fused `B⁻¹`/β pivot + basis bookkeeping, one launch,
+//!    then each lane's pivot bookkeeping.
 //!
 //! Finished lanes idle without desynchronizing the block: their `ctl` bit is
 //! clear, so the batched kernels skip them (and the per-round idle count
@@ -21,10 +24,10 @@
 //!
 //! **Parity.** Each lane executes the CPU dense backend's arithmetic in the
 //! same serial order as a solo [`crate::RevisedSimplex`] drive — the batched
-//! kernels replicate it per lane, and the host control flow here mirrors
-//! `revised.rs` decision-for-decision (stall escalation, recovery budgets,
-//! refactor cadence, phase transitions). `tests/mega_batch.rs` pins every
-//! member's status, basis, objective bits and pivot fingerprint to the solo
+//! kernels replicate it per lane — and every host decision is made by the
+//! same `SimplexLane` transitions the solo driver calls, run here on the
+//! lane's [`LaneView`]. `tests/mega_batch.rs` pins every member's status,
+//! basis, objective bits, pivot fingerprint and counters to the solo
 //! `cpu-dense` solve.
 //!
 //! **Accounting.** Per-lane irregular work is charged to that lane alone.
@@ -34,35 +37,43 @@
 //! sums to (approximately) the device interval without double counting.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use gpu_sim::{Gpu, SimTime};
 use linalg::gpu::{CTL_ACTIVE, CTL_BLAND};
 use linalg::Scalar;
 use lp::StandardForm;
 
-use crate::backend::{Backend, RatioOutcome};
-use crate::backends::{BatchKernelBackend, BatchMember};
-use crate::checkpoint::SolveCheckpoint;
-use crate::error::{BackendError, SolveError};
+use crate::backend::RatioOutcome;
+use crate::backends::{BatchKernelBackend, BatchMember, LaneView};
+use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
+use crate::error::SolveError;
 use crate::options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
-use crate::result::{Status, StdResult};
-use crate::stats::{SolveStats, Step};
-use crate::trace::{NoopRecorder, Recorder, StepKind};
+use crate::result::StdResult;
+use crate::simplex_lane::{open_span, Flow, OpenSpan, SimplexLane};
+use crate::stats::Step;
+use crate::trace::{Recorder, StepKind};
 
-/// Consecutive emergency reinversions tolerated per lane before it gives up
-/// (same budget as the solo driver).
-const MAX_CONSECUTIVE_RECOVERIES: usize = 3;
-
-/// Whether this option set can run on the lockstep mega path at all.
-/// Partial pricing rotates a per-solve cursor (lanes would desynchronize)
-/// and wall-clock deadlines need the per-solve machinery of the stream
-/// path. The SoA kernels maintain one explicit per-lane `B⁻¹` and the
-/// control mask only encodes the Bland escalation, so the product-form
-/// representation and the perturbation policy also fall back to
-/// stream-per-job. Incompatible batches do exactly that. Fault injection
-/// *is* in scope: a mid-round device fault evacuates the live lanes as
-/// checkpointed stream-per-job resumes (see [`LaneOutcome::Evacuated`]).
+/// Whether this option set can run on the lockstep mega path at all. The
+/// accept set is exactly: no time limit, no partial pricing, the explicit
+/// inverse, and the Bland-fallback degeneracy policy. Everything else runs
+/// stream-per-job, and incompatible batches do exactly that:
+///
+/// * a wall-clock deadline needs the per-solve timeout machinery of the
+///   stream path;
+/// * [`PivotRule::PartialDantzig`] rotates a per-solve pricing cursor, while
+///   the fused pricing kernel prices every column of every lane;
+/// * the SoA kernels maintain one explicit per-lane `B⁻¹`, so neither
+///   [`BasisRepresentation::ProductForm`] nor
+///   [`BasisRepresentation::SparseLU`] has a per-lane eta file or factor to
+///   update;
+/// * the batched kernels' control mask carries only the Bland escalation:
+///   [`DegeneracyPolicy::BoundShift`] needs a shifted ratio test the
+///   batched ratio kernel does not have, and the per-lane cost re-installs
+///   of [`DegeneracyPolicy::Perturb`] are not covered by the parity suite.
+///
+/// Fault injection *is* in scope: a mid-round device fault evacuates the
+/// live lanes as checkpointed stream-per-job resumes (see
+/// [`LaneOutcome::Evacuated`]).
 pub fn mega_compatible(opts: &SolverOptions) -> bool {
     opts.time_limit.is_none()
         && !matches!(opts.pivot_rule, PivotRule::PartialDantzig { .. })
@@ -89,9 +100,9 @@ pub enum LaneOutcome<T: Scalar> {
     },
 }
 
-/// What a checkpointed mega family run produced: one [`LaneOutcome`] per
-/// member (order preserved), plus the device fault that interrupted the
-/// family when an evacuation occurred.
+/// What a mega family run produced: one [`LaneOutcome`] per member (order
+/// preserved), plus the device fault that interrupted the family when an
+/// evacuation occurred.
 pub struct MegaFamilyRun<T: Scalar> {
     /// Per-member outcomes, order preserved.
     pub lanes: Vec<LaneOutcome<T>>,
@@ -100,645 +111,203 @@ pub struct MegaFamilyRun<T: Scalar> {
     pub fault: Option<SolveError>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    One,
-    Two,
-}
-
-impl Phase {
-    fn index(self) -> usize {
-        match self {
-            Phase::One => 0,
-            Phase::Two => 1,
-        }
-    }
-}
-
-/// Per-lane driver state — the fields [`crate::RevisedSimplex`] keeps for a
-/// solo solve, replicated per member.
-struct Lane<T: Scalar> {
-    xb: Vec<usize>,
-    stats: SolveStats,
-    bland_mode: bool,
-    stall: usize,
-    iters_here: usize,
-    recoveries_left: usize,
-    phase: Phase,
-    phase_tag: u8,
-    live: bool,
-    outcome: Option<Result<StdResult<T>, SolveError>>,
-    /// Entering column selected this round (valid while the pivot mask bit
-    /// is set).
-    q: usize,
-    /// Snapshot of `bland_mode` at pricing time (the iteration is counted
-    /// under the rule that actually priced it).
-    use_bland_now: bool,
-    /// Latest reinversion-boundary snapshot, carried out on evacuation.
-    ckpt: Option<Box<SolveCheckpoint>>,
-    /// Solve-wide iteration count at the latest snapshot (checkpoint
-    /// cadence gate, mirrors `RevisedSimplex::last_ckpt_iter`).
-    last_ckpt_iter: usize,
-}
-
-/// An open span: simulated clock at entry, host clock when a recorder wants
-/// wall time.
-struct Span {
-    t0: SimTime,
-    w0: Option<Instant>,
-}
-
 /// Solve a same-shape family in lockstep on `gpu`. `warm[b]` optionally
 /// seeds lane `b` with a basis candidate (same validation and cold-fallback
-/// semantics as [`crate::RevisedSimplex::with_start_basis`]). Returns one
-/// result per member, order preserved; a lane that collapses numerically
-/// fails alone. The outer error covers device-level failures that
-/// invalidate the whole family — callers that want salvage instead of an
-/// error should use [`try_solve_family_mega_ckpt`], which evacuates the
-/// live lanes with their checkpoints.
-pub fn try_solve_family_mega<T: Scalar>(
-    gpu: &Gpu,
-    sfs: &[&StandardForm<T>],
-    opts: &SolverOptions,
-    warm: Vec<Option<Vec<usize>>>,
-) -> Result<Vec<Result<StdResult<T>, SolveError>>, SolveError> {
-    try_solve_family_mega_recorded::<T, NoopRecorder>(gpu, sfs, opts, warm, None)
-}
-
-/// [`try_solve_family_mega`] with per-lane span recorders (`recs[b]`
-/// receives lane `b`'s spans — fair-share for the shared round stages, solo
-/// for that lane's irregular work).
-pub fn try_solve_family_mega_recorded<T: Scalar, R: Recorder>(
-    gpu: &Gpu,
-    sfs: &[&StandardForm<T>],
-    opts: &SolverOptions,
-    warm: Vec<Option<Vec<usize>>>,
-    recs: Option<&mut [R]>,
-) -> Result<Vec<Result<StdResult<T>, SolveError>>, SolveError> {
-    let run = try_solve_family_mega_ckpt_recorded::<T, R>(gpu, sfs, opts, warm, recs)?;
-    if let Some(fault) = run.fault {
-        return Err(fault);
-    }
-    Ok(run
-        .lanes
-        .into_iter()
-        .map(|o| match o {
-            LaneOutcome::Done(r) => r.map(|b| *b),
-            LaneOutcome::Evacuated { .. } => {
-                unreachable!("evacuation only happens on a device fault")
-            }
-        })
-        .collect())
-}
-
-/// Fault-tolerant family solve: like [`try_solve_family_mega`], but a
-/// mid-round device fault does not discard the family. Lanes that already
-/// drained keep their outcomes; lanes still in flight come back as
+/// semantics as [`crate::RevisedSimplex::with_start_basis`]); `recs[b]`,
+/// when given, receives lane `b`'s spans — fair-share for the shared round
+/// stages, solo for that lane's irregular work.
+///
+/// A lane that collapses numerically or panics fails alone. A mid-round
+/// device fault does not discard the family: lanes that already drained
+/// keep their outcomes, and lanes still in flight come back as
 /// [`LaneOutcome::Evacuated`] carrying their latest reinversion-boundary
 /// checkpoint, ready for a resumed stream-per-job re-dispatch. The outer
 /// error is reserved for failures *before* any lane state exists (family
 /// upload / backend construction), where whole-group stream fallback is the
 /// right recovery.
-pub fn try_solve_family_mega_ckpt<T: Scalar>(
-    gpu: &Gpu,
-    sfs: &[&StandardForm<T>],
-    opts: &SolverOptions,
-    warm: Vec<Option<Vec<usize>>>,
-) -> Result<MegaFamilyRun<T>, SolveError> {
-    try_solve_family_mega_ckpt_recorded::<T, NoopRecorder>(gpu, sfs, opts, warm, None)
-}
-
-/// [`try_solve_family_mega_ckpt`] with per-lane span recorders.
-pub fn try_solve_family_mega_ckpt_recorded<T: Scalar, R: Recorder>(
+pub fn try_solve_family_mega<T: Scalar, R: Recorder>(
     gpu: &Gpu,
     sfs: &[&StandardForm<T>],
     opts: &SolverOptions,
     warm: Vec<Option<Vec<usize>>>,
     recs: Option<&mut [R]>,
 ) -> Result<MegaFamilyRun<T>, SolveError> {
-    assert!(!sfs.is_empty(), "empty mega family");
     assert_eq!(warm.len(), sfs.len(), "one warm slot per member");
-    assert!(
-        mega_compatible(opts),
-        "options are out of mega scope (caller must fall back to stream-per-job)"
-    );
-    let n_active = sfs[0].num_cols() - sfs[0].num_artificials;
-    let members: Vec<BatchMember<'_, T>> = sfs
-        .iter()
-        .map(|sf| {
-            assert_eq!(
-                sf.num_cols() - sf.num_artificials,
-                n_active,
-                "mega family members must agree on active columns"
-            );
-            BatchMember {
-                a: &sf.a,
-                b: &sf.b,
-                n_active,
-                basis0: &sf.basis0,
-            }
-        })
-        .collect();
-    let be = BatchKernelBackend::try_new(gpu, &members).map_err(SolveError::from)?;
-    let mut driver = MegaDriver {
-        be,
-        sfs,
-        opts,
-        lanes: sfs
-            .iter()
-            .map(|sf| Lane {
-                xb: sf.basis0.clone(),
-                stats: SolveStats::default(),
-                bland_mode: matches!(opts.pivot_rule, PivotRule::Bland),
-                stall: 0,
-                iters_here: 0,
-                recoveries_left: MAX_CONSECUTIVE_RECOVERIES,
-                phase: Phase::Two,
-                phase_tag: 0,
-                live: true,
-                outcome: None,
-                q: 0,
-                use_bland_now: false,
-                ckpt: None,
-                last_ckpt_iter: 0,
-            })
-            .collect(),
-        recs,
-        wall: Instant::now(),
-        max_iters: opts.max_iters_for(sfs[0].num_rows(), sfs[0].num_cols()),
-        n_active,
-    };
-    match driver.init(warm).and_then(|()| driver.run()) {
-        Ok(()) => Ok(MegaFamilyRun {
-            lanes: driver
-                .lanes
-                .into_iter()
-                .map(|l| LaneOutcome::Done(l.outcome.expect("every lane terminates").map(Box::new)))
-                .collect(),
-            fault: None,
-        }),
+    // Every lane always checkpoints: its slot is what an evacuation
+    // carries out.
+    let slots: Vec<CheckpointSlot> = sfs.iter().map(|_| CheckpointSlot::new()).collect();
+    let mut driver = MegaDriver::new(gpu, sfs, opts, recs, &slots)?;
+    let fault = match driver.init(warm).and_then(|()| driver.run()) {
+        Ok(()) => None,
         // Lane evacuation: a device fault mid-run loses no completed work.
         // Drained lanes keep their outcomes; live lanes leave with their
         // latest checkpoint for a resumed stream-per-job solve.
-        Err(fault @ SolveError::Device(_)) => Ok(MegaFamilyRun {
-            lanes: driver
-                .lanes
-                .into_iter()
-                .map(|l| match l.outcome {
-                    Some(r) => LaneOutcome::Done(r.map(Box::new)),
-                    None => LaneOutcome::Evacuated {
-                        died_at_iteration: l.stats.iterations,
-                        checkpoint: l.ckpt,
-                    },
-                })
-                .collect(),
-            fault: Some(fault),
-        }),
-        Err(e) => Err(e),
-    }
+        Err(fault @ SolveError::Device(_)) => Some(fault),
+        Err(e) => return Err(e),
+    };
+    let lanes = driver
+        .outcomes
+        .into_iter()
+        .zip(&driver.lanes)
+        .zip(&slots)
+        .map(|((outcome, lane), slot)| match outcome {
+            Some(r) => LaneOutcome::Done(r.map(Box::new)),
+            None => LaneOutcome::Evacuated {
+                checkpoint: slot.checkpoint().map(Box::new),
+                died_at_iteration: lane.stats.iterations,
+            },
+        })
+        .collect();
+    Ok(MegaFamilyRun { lanes, fault })
 }
 
 struct MegaDriver<'a, 'g, T: Scalar, R: Recorder> {
     be: BatchKernelBackend<'g, T>,
-    sfs: &'a [&'a StandardForm<T>],
-    opts: &'a SolverOptions,
-    lanes: Vec<Lane<T>>,
-    recs: Option<&'a mut [R]>,
-    wall: Instant,
-    max_iters: usize,
-    n_active: usize,
+    lanes: Vec<SimplexLane<'a, T, R>>,
+    /// Each lane's terminal result; `None` while the lane is live.
+    outcomes: Vec<Option<Result<StdResult<T>, SolveError>>>,
 }
 
-impl<T: Scalar, R: Recorder> MegaDriver<'_, '_, T, R> {
-    fn width(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn span_begin(&self) -> Span {
-        Span {
-            t0: self.be.gpu().elapsed(),
-            w0: if R::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Close a span against one lane (solo irregular work).
-    fn span_close(&mut self, b: usize, kind: StepKind, step: Step, span: Span) {
-        let t1 = self.be.gpu().elapsed();
-        let lane = &mut self.lanes[b];
-        lane.stats.charge(step, t1 - span.t0);
-        if R::ENABLED {
-            let wall = span.w0.map_or(0.0, |w| w.elapsed().as_secs_f64());
-            let (iteration, tag) = (lane.stats.iterations, lane.phase_tag);
-            if let Some(recs) = self.recs.as_deref_mut() {
-                recs[b].span(kind, span.t0, t1, wall, iteration, tag);
-            }
-        }
-    }
-
-    /// Close a span fair-share across the lanes that participated: each is
-    /// charged `dt / participants`, so members that idled this round accrue
-    /// nothing.
-    fn share_close(&mut self, participants: &[usize], kind: StepKind, step: Step, span: Span) {
-        if participants.is_empty() {
-            return;
-        }
-        let t1 = self.be.gpu().elapsed();
-        let n = participants.len() as f64;
-        let share = SimTime::from_ns((t1 - span.t0).as_nanos() / n);
-        let wall_share = span.w0.map_or(0.0, |w| w.elapsed().as_secs_f64()) / n;
-        let end = SimTime::from_ns(span.t0.as_nanos() + share.as_nanos());
-        for &b in participants {
-            let lane = &mut self.lanes[b];
-            lane.stats.charge(step, share);
-            if R::ENABLED {
-                let (iteration, tag) = (lane.stats.iterations, lane.phase_tag);
-                if let Some(recs) = self.recs.as_deref_mut() {
-                    recs[b].span(kind, span.t0, end, wall_share, iteration, tag);
+impl<'a, 'g, T: Scalar, R: Recorder> MegaDriver<'a, 'g, T, R> {
+    /// Upload the family and set up one lane per member, checkpointing
+    /// into `slots[b]`.
+    fn new(
+        gpu: &'g Gpu,
+        sfs: &[&'a StandardForm<T>],
+        opts: &'a SolverOptions,
+        recs: Option<&'a mut [R]>,
+        slots: &'a [CheckpointSlot],
+    ) -> Result<Self, SolveError> {
+        assert!(!sfs.is_empty(), "empty mega family");
+        assert!(
+            mega_compatible(opts),
+            "options are out of mega scope (caller must fall back to stream-per-job)"
+        );
+        let n_active = sfs[0].num_cols() - sfs[0].num_artificials;
+        let members: Vec<BatchMember<'_, T>> = sfs
+            .iter()
+            .map(|sf| {
+                assert_eq!(
+                    sf.num_cols() - sf.num_artificials,
+                    n_active,
+                    "mega family members must agree on active columns"
+                );
+                BatchMember {
+                    a: &sf.a,
+                    b: &sf.b,
+                    n_active,
+                    basis0: &sf.basis0,
                 }
-            }
-        }
+            })
+            .collect();
+        let be = BatchKernelBackend::try_new(gpu, &members).map_err(SolveError::from)?;
+        let mut recs = recs.map(|r| r.iter_mut());
+        let lanes = sfs
+            .iter()
+            .zip(slots)
+            .map(|(sf, slot)| {
+                let rec = recs
+                    .as_mut()
+                    .map(|it| it.next().expect("one recorder per lane"));
+                SimplexLane::new(sf, opts, rec, Some(slot))
+            })
+            .collect();
+        Ok(MegaDriver {
+            be,
+            lanes,
+            outcomes: sfs.iter().map(|_| None).collect(),
+        })
     }
 
     /// Per-lane setup: warm install (or its cold fallback) and the first
-    /// phase's objective — the same call sequence the solo driver makes. A
-    /// panic inside one lane's setup poisons that lane alone; device errors
-    /// still abort the family (init precedes any pivots, so there is no
-    /// completed work to salvage for the panicking lane's siblings — the
-    /// family-level caller evacuates whatever lanes did get set up).
-    fn init(&mut self, mut warm: Vec<Option<Vec<usize>>>) -> Result<(), SolveError> {
-        let feas_tol = self.opts.feas_tol_for::<T>().to_f64();
-        for b in 0..self.width() {
-            let seed = warm[b].take();
-            match catch_unwind(AssertUnwindSafe(|| self.init_lane(b, seed, feas_tol))) {
-                Ok(r) => r?,
-                Err(payload) => self.poison(b, payload.as_ref()),
-            }
+    /// phase's objective — the same call sequence the solo driver makes.
+    fn init(&mut self, warm: Vec<Option<Vec<usize>>>) -> Result<(), SolveError> {
+        for (b, seed) in warm.into_iter().enumerate() {
+            self.step(b, |lane, lv| lane.start(lv, seed).map(Flow::Go))?;
         }
         Ok(())
     }
 
-    fn init_lane(
+    /// Run one host transition of lane `b` on its [`LaneView`] and settle
+    /// the result: `Some(x)` when the lane goes on this round, `None` when
+    /// it sits the round out or has just terminated. A panic poisons the
+    /// lane alone (the stream path gets the same containment from the
+    /// worker-pool `catch_unwind`), and so does a numerical failure; a
+    /// device fault stops the whole family, which evacuates the live lanes.
+    fn step<X>(
         &mut self,
         b: usize,
-        seed: Option<Vec<usize>>,
-        feas_tol: f64,
-    ) -> Result<(), SolveError> {
-        let mut warm_ok = false;
-        if let Some(basis) = seed {
-            self.lanes[b].stats.warm_start_attempted = 1;
-            let valid =
-                basis.len() == self.sfs[b].num_rows() && basis.iter().all(|&j| j < self.n_active);
-            if !valid {
-                self.lanes[b].stats.warm_start_rejected = 1;
-            } else {
-                let span = self.span_begin();
-                let ok = crate::revised::warm_basis_feasible(self.sfs[b], &basis, feas_tol)
-                    && match self.be.lane(b).refactorize(&basis) {
-                        Ok(()) => true,
-                        Err(BackendError::Singular) => false,
-                        Err(e @ BackendError::Device(_)) => return Err(e.into()),
-                    };
-                if ok {
-                    let mut lv = self.be.lane(b);
-                    for (r, &j) in basis.iter().enumerate() {
-                        lv.set_basic_col(r, j)?;
-                    }
-                    self.lanes[b].xb = basis;
-                } else {
-                    match self.be.lane(b).refactorize(&self.sfs[b].basis0) {
-                        Ok(()) => {}
-                        Err(BackendError::Singular) => {
-                            unreachable!("identity start basis is never singular")
-                        }
-                        Err(e @ BackendError::Device(_)) => return Err(e.into()),
-                    }
-                    let mut lv = self.be.lane(b);
-                    for (r, &j) in self.sfs[b].basis0.iter().enumerate() {
-                        lv.set_basic_col(r, j)?;
-                    }
-                    self.lanes[b].xb = self.sfs[b].basis0.clone();
-                    self.lanes[b].stats.warm_start_rejected = 1;
-                }
-                self.span_close(b, StepKind::WarmStart, Step::Other, span);
-                warm_ok = ok;
+        f: impl FnOnce(
+            &mut SimplexLane<'a, T, R>,
+            &mut LaneView<'_, 'g, T>,
+        ) -> Result<Flow<X>, SolveError>,
+    ) -> Result<Option<X>, SolveError> {
+        let (lane, be) = (&mut self.lanes[b], &mut self.be);
+        let mut done = None;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let mut lv = be.lane(b);
+            match f(lane, &mut lv) {
+                Ok(Flow::Go(x)) => return Some(x),
+                Ok(Flow::Retry) => {}
+                Ok(Flow::End(status)) => done = Some(lane.finish(&mut lv, status)),
+                Err(e) => done = Some(Err(e)),
             }
-        }
-        if warm_ok || self.sfs[b].num_artificials == 0 {
-            self.enter_phase2(b)?;
-            // An accepted warm install is a reinversion boundary with
-            // `iters_here = 0` — snapshot it so a fault before the first
-            // periodic refactorize still resumes warm (same snapshot the
-            // solo driver takes after `try_warm_start`).
-            if warm_ok && self.opts.checkpoint_interval > 0 {
-                self.store_lane_checkpoint(b);
-            }
-        } else {
-            self.enter_phase1(b)?;
-        }
-        Ok(())
-    }
-
-    fn enter_phase1(&mut self, b: usize) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let zeros = vec![T::ZERO; self.n_active];
-        let sf = self.sfs[b];
-        let mut lv = self.be.lane(b);
-        lv.set_phase_costs(&zeros)?;
-        for r in 0..sf.num_rows() {
-            let cost = if sf.is_artificial(self.lanes[b].xb[r]) {
-                T::ONE
-            } else {
-                T::ZERO
-            };
-            self.be.lane(b).set_basic_cost(r, cost)?;
-        }
-        self.span_close(b, StepKind::Transfer, Step::Other, span);
-        let lane = &mut self.lanes[b];
-        lane.phase = Phase::One;
-        lane.phase_tag = 1;
-        lane.iters_here = 0;
-        lane.recoveries_left = MAX_CONSECUTIVE_RECOVERIES;
-        Ok(())
-    }
-
-    fn enter_phase2(&mut self, b: usize) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let sf = self.sfs[b];
-        self.be.lane(b).set_phase_costs(&sf.c)?;
-        for r in 0..sf.num_rows() {
-            let col = self.lanes[b].xb[r];
-            let cost = if col < self.n_active {
-                sf.c[col]
-            } else {
-                T::ZERO
-            };
-            self.be.lane(b).set_basic_cost(r, cost)?;
-        }
-        self.span_close(b, StepKind::Transfer, Step::Other, span);
-        let lane = &mut self.lanes[b];
-        lane.phase = Phase::Two;
-        lane.phase_tag = 2;
-        lane.iters_here = 0;
-        lane.recoveries_left = MAX_CONSECUTIVE_RECOVERIES;
-        Ok(())
-    }
-
-    /// Terminate lane `b`: download β, scatter the basic solution, close the
-    /// books — the solo driver's `finish`.
-    fn finish(&mut self, b: usize, status: Status) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let beta = self.be.lane(b).beta()?;
-        self.span_close(b, StepKind::Transfer, Step::Other, span);
-        let sf = self.sfs[b];
-        let lane = &mut self.lanes[b];
-        let mut x_std = vec![T::ZERO; sf.num_cols()];
-        for (r, &col) in lane.xb.iter().enumerate() {
-            x_std[col] = beta[r];
-        }
-        let z_std: f64 =
-            sf.c.iter()
-                .zip(&x_std)
-                .map(|(&cj, &xj)| cj.to_f64() * xj.to_f64())
-                .sum();
-        lane.stats.wall_seconds = self.wall.elapsed().as_secs_f64();
-        debug_assert!(
-            lane.stats.check_invariants().is_ok(),
-            "per-phase counters must partition the totals: {:?}",
-            lane.stats.check_invariants()
-        );
-        // Paranoid terminal validation under fault injection — same refusal
-        // as the solo driver's `finish`: corruption that slipped past
-        // pricing must not be certified as a mathematical outcome.
-        if self.opts.faults.is_some()
-            && matches!(status, Status::Optimal | Status::Unbounded)
-            && (!z_std.is_finite() || x_std.iter().any(|x| !x.to_f64().is_finite()))
-        {
-            lane.outcome = Some(Err(SolveError::Numerical(
-                "terminal solution contains non-finite values (undetected corruption)".into(),
-            )));
-            lane.live = false;
-            return Ok(());
-        }
-        lane.outcome = Some(Ok(StdResult {
-            status,
-            x_std,
-            z_std,
-            basis: lane.xb.clone(),
-            stats: lane.stats.clone(),
+            None
         }));
-        lane.live = false;
-        Ok(())
+        let done = match (ran, done) {
+            (Ok(Some(x)), _) => return Ok(Some(x)),
+            (Ok(None), None) => return Ok(None),
+            (Ok(None), Some(done)) => done,
+            (Err(payload), _) => Err(SolveError::Panicked(super::panic_message(payload.as_ref()))),
+        };
+        if let Err(e @ SolveError::Device(_)) = done {
+            return Err(e);
+        }
+        self.outcomes[b] = Some(done);
+        Ok(None)
     }
 
-    /// Fail lane `b` with a numerical error (its siblings keep running).
-    fn fail(&mut self, b: usize, message: String) {
-        let lane = &mut self.lanes[b];
-        lane.outcome = Some(Err(SolveError::Numerical(message)));
-        lane.live = false;
+    fn span_begin(&self) -> OpenSpan {
+        open_span::<R>(self.be.gpu().elapsed())
     }
 
-    /// A host transition for lane `b` panicked: poison that lane alone and
-    /// keep its siblings in the block (the stream path gets the same
-    /// containment from the worker-pool `catch_unwind`).
-    fn poison(&mut self, b: usize, payload: &(dyn std::any::Any + Send)) {
-        let lane = &mut self.lanes[b];
-        lane.outcome = Some(Err(SolveError::Panicked(super::panic_message(payload))));
-        lane.live = false;
-    }
-
-    /// Snapshot lane `b` right now. Callers only invoke this at a
-    /// reinversion boundary (periodic refactorize, accepted warm install) —
-    /// the one place `B⁻¹` is a pure function of the basis, which is what
-    /// makes the resumed solve bitwise-identical.
-    fn store_lane_checkpoint(&mut self, b: usize) {
-        let lane = &mut self.lanes[b];
-        // Counter parity with the resumed run: bump *before* cloning stats,
-        // so a resume restoring this snapshot reports the same total.
-        lane.stats.checkpoints_taken += 1;
-        lane.ckpt = Some(Box::new(SolveCheckpoint {
-            basis: lane.xb.clone(),
-            phase: lane.phase_tag,
-            iters_here: lane.iters_here,
-            stats: lane.stats.clone(),
-            bland_mode: lane.bland_mode,
-            stall: lane.stall,
-            price_cursor: 0,
-            representation: BasisRepresentation::ExplicitInverse,
-            eta_len: 0,
-        }));
-        lane.last_ckpt_iter = lane.stats.iterations;
-    }
-
-    /// Checkpoint lane `b` if the cadence says so — pure observation, the
-    /// caller just refactorized.
-    fn maybe_checkpoint(&mut self, b: usize) {
-        let interval = self.opts.checkpoint_interval;
-        if interval == 0 {
+    /// Close a shared-stage span fair-share across the lanes that
+    /// participated: each is charged `dt / participants`, so members that
+    /// idled this round accrue nothing.
+    fn share_close(&mut self, participants: &[usize], kind: StepKind, step: Step, span: OpenSpan) {
+        if participants.is_empty() {
             return;
         }
-        let lane = &self.lanes[b];
-        if lane.stats.iterations - lane.last_ckpt_iter < interval {
-            return;
+        let (t0, w0) = span;
+        let t1 = self.be.gpu().elapsed();
+        let n = participants.len() as f64;
+        let share = SimTime::from_ns((t1 - t0).as_nanos() / n);
+        let wall_share = w0.map_or(0.0, |w| w.elapsed().as_secs_f64()) / n;
+        let end = SimTime::from_ns(t0.as_nanos() + share.as_nanos());
+        for &b in participants {
+            self.lanes[b].charge(kind, step, t0, end, share, wall_share);
         }
-        self.store_lane_checkpoint(b);
-    }
-
-    /// Emergency reinversion for one lane — the solo driver's `recover`.
-    /// `Ok(true)`: rebuilt, lane sits this round out and re-prices next
-    /// round. `Ok(false)`: singular, the lane was finished.
-    fn recover(&mut self, b: usize) -> Result<bool, SolveError> {
-        let span = self.span_begin();
-        let basis = self.lanes[b].xb.clone();
-        match self.be.lane(b).refactorize(&basis) {
-            Ok(()) => {}
-            Err(BackendError::Singular) => {
-                self.finish(b, Status::SingularBasis)?;
-                return Ok(false);
-            }
-            Err(e @ BackendError::Device(_)) => return Err(e.into()),
-        }
-        let lane = &mut self.lanes[b];
-        lane.stats.refactorizations += 1;
-        lane.stats.nan_recoveries += 1;
-        // The stall streak was measured against the corrupted iterate; the
-        // rebuilt basis starts a fresh streak (parity with the solo
-        // driver's recover).
-        lane.stall = 0;
-        self.span_close(b, StepKind::Refactorize, Step::Refactor, span);
-        Ok(true)
-    }
-
-    /// Non-finite iterate detected (reduced cost or step length): spend a
-    /// recovery or fail the lane, exactly as the solo driver does.
-    fn recover_or_fail(&mut self, b: usize, what: &str) -> Result<(), SolveError> {
-        if self.lanes[b].recoveries_left == 0 {
-            self.fail(
-                b,
-                format!(
-                    "{what} stayed non-finite after \
-                     {MAX_CONSECUTIVE_RECOVERIES} emergency reinversions"
-                ),
-            );
-            return Ok(());
-        }
-        self.lanes[b].recoveries_left -= 1;
-        self.recover(b)?;
-        Ok(())
-    }
-
-    /// Stage-1 host transition for one live lane: iteration limit, periodic
-    /// reinversion (+ checkpoint cadence), convergence-mask assembly.
-    fn round_admit(&mut self, b: usize, ctl: &mut [u32]) -> Result<(), SolveError> {
-        if self.lanes[b].iters_here >= self.max_iters {
-            self.finish(b, Status::IterationLimit)?;
-            return Ok(());
-        }
-        if self.opts.refactor_period > 0
-            && self.lanes[b].iters_here > 0
-            && self.lanes[b]
-                .iters_here
-                .is_multiple_of(self.opts.refactor_period)
-        {
-            let span = self.span_begin();
-            let basis = self.lanes[b].xb.clone();
-            match self.be.lane(b).refactorize(&basis) {
-                Ok(()) => {}
-                Err(BackendError::Singular) => {
-                    self.finish(b, Status::SingularBasis)?;
-                    return Ok(());
-                }
-                Err(e @ BackendError::Device(_)) => return Err(e.into()),
-            }
-            self.lanes[b].stats.refactorizations += 1;
-            self.span_close(b, StepKind::Refactorize, Step::Refactor, span);
-            // `B⁻¹` is a pure function of the basis again — the one state a
-            // snapshot can resume bitwise (same cadence as the solo driver).
-            self.maybe_checkpoint(b);
-        }
-        ctl[b] = CTL_ACTIVE
-            | if self.lanes[b].bland_mode {
-                CTL_BLAND
-            } else {
-                0
-            };
-        self.lanes[b].use_bland_now = self.lanes[b].bland_mode;
-        Ok(())
-    }
-
-    /// Stage-3 host transition for one lane off the pricing result. Returns
-    /// whether the lane pivots this round.
-    fn round_transition(
-        &mut self,
-        b: usize,
-        q: u32,
-        dq: T,
-        feas_tol: T,
-    ) -> Result<bool, SolveError> {
-        if q == u32::MAX {
-            match self.lanes[b].phase {
-                Phase::One => {
-                    let span = self.span_begin();
-                    let z1 = self.be.lane(b).objective_now()?;
-                    self.span_close(b, StepKind::Transfer, Step::Other, span);
-                    if z1 > feas_tol {
-                        self.finish(b, Status::Infeasible)?;
-                        return Ok(false);
-                    }
-                    self.drive_out_artificials(b)?;
-                    self.enter_phase2(b)?;
-                    // Re-prices under the phase-2 objective next round.
-                }
-                Phase::Two => {
-                    let mut status = Status::Optimal;
-                    if self.sfs[b].num_artificials > 0 {
-                        let span = self.span_begin();
-                        let beta = self.be.lane(b).beta()?;
-                        self.span_close(b, StepKind::Transfer, Step::Other, span);
-                        for (r, &col) in self.lanes[b].xb.iter().enumerate() {
-                            if self.sfs[b].is_artificial(col) && beta[r] > feas_tol {
-                                status = Status::Infeasible;
-                                break;
-                            }
-                        }
-                    }
-                    self.finish(b, status)?;
-                }
-            }
-            return Ok(false);
-        }
-        if !dq.is_finite() {
-            self.recover_or_fail(b, &format!("reduced cost d[{q}]"))?;
-            return Ok(false);
-        }
-        self.lanes[b].q = q as usize;
-        Ok(true)
     }
 
     /// The lockstep round loop.
     fn run(&mut self) -> Result<(), SolveError> {
-        let opt_tol = self.opts.opt_tol_for::<T>();
-        let pivot_tol = self.opts.pivot_tol_for::<T>();
-        let feas_tol = self.opts.feas_tol_for::<T>();
-        let width = self.width();
-        let has_fallback = matches!(
-            self.opts.pivot_rule,
-            PivotRule::Hybrid | PivotRule::PartialDantzig { .. }
-        );
+        let opts = self.lanes[0].opts;
+        let opt_tol = opts.opt_tol_for::<T>();
+        let pivot_tol = opts.pivot_tol_for::<T>();
+        let width = self.lanes.len();
 
-        while self.lanes.iter().any(|l| l.live) {
+        while self.outcomes.iter().any(Option::is_none) {
             // ---- stage 1: limits, reinversion cadence, convergence mask --
             let mut ctl = vec![0u32; width];
             for b in 0..width {
-                if !self.lanes[b].live {
-                    continue;
-                }
-                match catch_unwind(AssertUnwindSafe(|| self.round_admit(b, &mut ctl))) {
-                    Ok(r) => r?,
-                    Err(payload) => self.poison(b, payload.as_ref()),
+                if self.outcomes[b].is_none() && self.step(b, |lane, lv| lane.admit(lv))?.is_some()
+                {
+                    ctl[b] = CTL_ACTIVE
+                        | if self.lanes[b].use_bland {
+                            CTL_BLAND
+                        } else {
+                            0
+                        };
                 }
             }
             let active: Vec<usize> = (0..width).filter(|&b| ctl[b] & CTL_ACTIVE != 0).collect();
@@ -756,20 +325,13 @@ impl<T: Scalar, R: Recorder> MegaDriver<'_, '_, T, R> {
             self.share_close(&active, StepKind::Pricing, Step::Pricing, span);
 
             // ---- stage 3: per-lane transitions off the pricing result ----
-            // Each lane's transition runs under `catch_unwind`: a panic in
-            // one lane's host bookkeeping poisons that lane alone.
             let mut mask = vec![0u32; width];
             for &b in &active {
-                let pivots = match catch_unwind(AssertUnwindSafe(|| {
-                    self.round_transition(b, q[b], dq[b], feas_tol)
-                })) {
-                    Ok(r) => r?,
-                    Err(payload) => {
-                        self.poison(b, payload.as_ref());
-                        false
-                    }
-                };
-                if pivots {
+                let entering = (q[b] != u32::MAX).then(|| (q[b] as usize, dq[b]));
+                if self
+                    .step(b, |lane, lv| lane.on_price(lv, entering))?
+                    .is_some()
+                {
                     mask[b] = 1;
                 }
             }
@@ -788,47 +350,22 @@ impl<T: Scalar, R: Recorder> MegaDriver<'_, '_, T, R> {
             let (mut p, mut theta) = self.be.mega_ratio(pivoting.len() as u64, pivot_tol)?;
             self.share_close(&pivoting, StepKind::RatioTest, Step::RatioTest, span);
 
-            let paranoid = self.opts.faults.is_some();
-            let mut upd = mask.clone();
+            let mut upd = mask;
             for &b in &pivoting {
-                if p[b] == u32::MAX && paranoid && self.lanes[b].recoveries_left > 0 {
-                    // A corrupted α (poisoned to NaN) makes every ratio
-                    // non-finite and masquerades as unboundedness. Rebuild
-                    // and retest through the lane view before believing it —
-                    // the solo driver's paranoid retest, lane-local here.
-                    self.lanes[b].recoveries_left -= 1;
-                    if !self.recover(b)? {
-                        upd[b] = 0;
-                        continue;
+                let outcome = if p[b] == u32::MAX {
+                    RatioOutcome::Unbounded
+                } else {
+                    RatioOutcome::Pivot {
+                        p: p[b] as usize,
+                        theta: theta[b],
                     }
-                    let span = self.span_begin();
-                    self.be.lane(b).compute_alpha(self.lanes[b].q)?;
-                    self.span_close(b, StepKind::Ftran, Step::Ftran, span);
-                    let span = self.span_begin();
-                    let outcome = self.be.lane(b).ratio_test(pivot_tol)?;
-                    self.span_close(b, StepKind::RatioTest, Step::RatioTest, span);
-                    if let RatioOutcome::Pivot { p: pv, theta: th } = outcome {
-                        // The lane's device-side α is fresh, so the fused
-                        // update below recomputes the same pivot.
-                        p[b] = pv as u32;
-                        theta[b] = th;
-                    }
-                }
-                if p[b] == u32::MAX {
-                    // A bounded-below phase-1 objective cannot be unbounded;
-                    // reaching this means the numerics collapsed (the solo
-                    // driver maps it the same way).
-                    let status = match self.lanes[b].phase {
-                        Phase::One => Status::SingularBasis,
-                        Phase::Two => Status::Unbounded,
-                    };
-                    self.finish(b, status)?;
-                    upd[b] = 0;
-                    continue;
-                }
-                if !theta[b].is_finite() {
-                    self.recover_or_fail(b, "step length")?;
-                    upd[b] = 0;
+                };
+                let qb = q[b] as usize;
+                match self.step(b, |lane, lv| lane.on_ratio(lv, qb, outcome))? {
+                    // A paranoid retest refreshed the lane's device-side α,
+                    // so the fused update below recomputes the same pivot.
+                    Some((pv, th)) => (p[b], theta[b]) = (pv as u32, th),
+                    None => upd[b] = 0,
                 }
             }
             let updating: Vec<usize> = (0..width).filter(|&b| upd[b] != 0).collect();
@@ -843,78 +380,10 @@ impl<T: Scalar, R: Recorder> MegaDriver<'_, '_, T, R> {
             self.share_close(&updating, StepKind::UpdateBasis, Step::Update, span);
 
             for &b in &updating {
-                let (qv, pv, th) = (self.lanes[b].q, p[b] as usize, theta[b]);
-                let pidx = self.lanes[b].phase.index();
-                let lane = &mut self.lanes[b];
-                lane.xb[pv] = qv;
-                lane.stats
-                    .record_pivot(lane.stats.iterations, pidx, qv, pv, th.to_f64());
-                lane.recoveries_left = MAX_CONSECUTIVE_RECOVERIES;
-                let degenerate = !(th > T::ZERO);
-                if degenerate {
-                    lane.stats.degenerate_steps += 1;
-                    lane.stats.phase[pidx].degenerate_steps += 1;
-                    lane.stall += 1;
-                } else {
-                    lane.stall = 0;
-                    if has_fallback && lane.bland_mode {
-                        lane.bland_mode = false;
-                    }
-                }
-                if has_fallback && lane.stall >= self.opts.stall_threshold {
-                    lane.bland_mode = true;
-                }
-                if lane.use_bland_now {
-                    lane.stats.bland_iterations += 1;
-                    lane.stats.phase[pidx].bland_iterations += 1;
-                }
-                lane.stats.iterations += 1;
-                lane.stats.phase[pidx].iterations += 1;
-                if lane.phase == Phase::One {
-                    lane.stats.phase1_iterations += 1;
-                }
-                lane.iters_here += 1;
+                let (pv, qv, th) = (p[b] as usize, q[b] as usize, theta[b]);
+                self.step(b, |lane, lv| lane.on_pivot(lv, pv, qv, th).map(Flow::Go))?;
             }
         }
-        Ok(())
-    }
-
-    /// Degenerate phase-1 cleanup for one lane — the solo driver's
-    /// `drive_out_artificials`, through the lane view.
-    fn drive_out_artificials(&mut self, b: usize) -> Result<(), SolveError> {
-        let pivot_tol = self.opts.pivot_tol_for::<T>();
-        let span = self.span_begin();
-        let sf = self.sfs[b];
-        let m = sf.num_rows();
-        let rows: Vec<usize> = (0..m)
-            .filter(|&r| sf.is_artificial(self.lanes[b].xb[r]))
-            .collect();
-        for r in rows {
-            let basic: Vec<bool> = {
-                let mut flags = vec![false; self.n_active];
-                for &col in &self.lanes[b].xb {
-                    if col < self.n_active {
-                        flags[col] = true;
-                    }
-                }
-                flags
-            };
-            for q in 0..self.n_active {
-                if basic[q] {
-                    continue;
-                }
-                self.be.lane(b).compute_alpha(q)?;
-                if self.be.lane(b).alpha_at(r)?.abs() > pivot_tol {
-                    let mut lv = self.be.lane(b);
-                    lv.update(r, T::ZERO)?;
-                    lv.set_basic_col(r, q)?;
-                    lv.set_basic_cost(r, T::ZERO)?;
-                    self.lanes[b].xb[r] = q;
-                    break;
-                }
-            }
-        }
-        self.span_close(b, StepKind::Transfer, Step::Other, span);
         Ok(())
     }
 }
@@ -924,8 +393,15 @@ mod tests {
     use super::*;
     use crate::solver::solve_standard;
     use crate::solver::BackendKind;
+    use crate::trace::NoopRecorder;
     use gpu_sim::DeviceSpec;
     use lp::generator;
+
+    fn standardize(jobs: &[lp::LinearProgram]) -> Vec<StandardForm<f64>> {
+        jobs.iter()
+            .map(|j| StandardForm::from_lp(j).expect("standardizes"))
+            .collect()
+    }
 
     /// Satellite regression (per-round containment): a host-transition
     /// panic in one lane mid-round — here a corrupted basis that makes the
@@ -937,10 +413,7 @@ mod tests {
         let jobs: Vec<_> = (0..4)
             .map(|s| generator::dense_random(8, 12, s + 60))
             .collect();
-        let sfs: Vec<StandardForm<f64>> = jobs
-            .iter()
-            .map(|j| StandardForm::from_lp(j).expect("standardizes"))
-            .collect();
+        let sfs = standardize(&jobs);
         let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
         let opts = SolverOptions {
             presolve: false,
@@ -948,46 +421,10 @@ mod tests {
             refactor_period: 2,
             ..Default::default()
         };
-        let n_active = refs[0].num_cols() - refs[0].num_artificials;
-        let members: Vec<BatchMember<'_, f64>> = refs
-            .iter()
-            .map(|sf| BatchMember {
-                a: &sf.a,
-                b: &sf.b,
-                n_active,
-                basis0: &sf.basis0,
-            })
-            .collect();
         let gpu = Gpu::new(DeviceSpec::gtx280());
-        let be = BatchKernelBackend::try_new(&gpu, &members).expect("fault-free construction");
-        let mut driver = MegaDriver::<f64, NoopRecorder> {
-            be,
-            sfs: &refs,
-            opts: &opts,
-            lanes: refs
-                .iter()
-                .map(|sf| Lane {
-                    xb: sf.basis0.clone(),
-                    stats: SolveStats::default(),
-                    bland_mode: false,
-                    stall: 0,
-                    iters_here: 0,
-                    recoveries_left: MAX_CONSECUTIVE_RECOVERIES,
-                    phase: Phase::Two,
-                    phase_tag: 0,
-                    live: true,
-                    outcome: None,
-                    q: 0,
-                    use_bland_now: false,
-                    ckpt: None,
-                    last_ckpt_iter: 0,
-                })
-                .collect(),
-            recs: None,
-            wall: Instant::now(),
-            max_iters: opts.max_iters_for(refs[0].num_rows(), refs[0].num_cols()),
-            n_active,
-        };
+        let slots: Vec<CheckpointSlot> = refs.iter().map(|_| CheckpointSlot::new()).collect();
+        let mut driver = MegaDriver::<f64, NoopRecorder>::new(&gpu, &refs, &opts, None, &slots)
+            .expect("fault-free construction");
         driver.init(vec![None; 4]).expect("init succeeds");
         // Corrupt lane 1's host basis mirror: the next periodic refactorize
         // (iters_here = 2) indexes column 10_000 of an 8-row matrix and
@@ -996,14 +433,13 @@ mod tests {
         driver
             .run()
             .expect("a lane panic must not fail the family run");
-        for (b, lane) in driver.lanes.iter().enumerate() {
-            let outcome = lane.outcome.as_ref().expect("every lane terminates");
+        for (b, outcome) in driver.outcomes.iter().enumerate() {
+            let outcome = outcome.as_ref().expect("every lane terminates");
             if b == 1 {
                 assert!(
                     matches!(outcome, Err(SolveError::Panicked(_))),
                     "lane 1 must be poisoned by its own panic"
                 );
-                assert!(!lane.live, "a poisoned lane leaves the round loop");
             } else {
                 let r = outcome.as_ref().expect("sibling lane solved");
                 let solo = solve_standard::<f64>(&sfs[b], &opts, &BackendKind::CpuDense);
@@ -1025,66 +461,29 @@ mod tests {
     /// reinversion restarts the degenerate-step streak, exactly like the
     /// solo driver's `recover` — the streak was measured against the
     /// corrupted iterate, so letting it survive recovery would trip the
-    /// Bland escalation on stale evidence.
+    /// Bland escalation on stale evidence. Recovery is lane-local.
     #[test]
     fn lane_recovery_resets_stall_counter() {
         let jobs: Vec<_> = (0..2)
             .map(|s| generator::dense_random(6, 9, s + 80))
             .collect();
-        let sfs: Vec<StandardForm<f64>> = jobs
-            .iter()
-            .map(|j| StandardForm::from_lp(j).expect("standardizes"))
-            .collect();
+        let sfs = standardize(&jobs);
         let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
         let opts = SolverOptions {
             presolve: false,
             scale: false,
             ..Default::default()
         };
-        let n_active = refs[0].num_cols() - refs[0].num_artificials;
-        let members: Vec<BatchMember<'_, f64>> = refs
-            .iter()
-            .map(|sf| BatchMember {
-                a: &sf.a,
-                b: &sf.b,
-                n_active,
-                basis0: &sf.basis0,
-            })
-            .collect();
         let gpu = Gpu::new(DeviceSpec::gtx280());
-        let be = BatchKernelBackend::try_new(&gpu, &members).expect("fault-free construction");
-        let mut driver = MegaDriver::<f64, NoopRecorder> {
-            be,
-            sfs: &refs,
-            opts: &opts,
-            lanes: refs
-                .iter()
-                .map(|sf| Lane {
-                    xb: sf.basis0.clone(),
-                    stats: SolveStats::default(),
-                    bland_mode: false,
-                    stall: 0,
-                    iters_here: 0,
-                    recoveries_left: MAX_CONSECUTIVE_RECOVERIES,
-                    phase: Phase::Two,
-                    phase_tag: 0,
-                    live: true,
-                    outcome: None,
-                    q: 0,
-                    use_bland_now: false,
-                    ckpt: None,
-                    last_ckpt_iter: 0,
-                })
-                .collect(),
-            recs: None,
-            wall: Instant::now(),
-            max_iters: opts.max_iters_for(refs[0].num_rows(), refs[0].num_cols()),
-            n_active,
-        };
+        let slots: Vec<CheckpointSlot> = refs.iter().map(|_| CheckpointSlot::new()).collect();
+        let mut driver = MegaDriver::<f64, NoopRecorder>::new(&gpu, &refs, &opts, None, &slots)
+            .expect("fault-free construction");
         driver.init(vec![None; 2]).expect("init succeeds");
         driver.lanes[0].stall = 7;
         driver.lanes[1].stall = 3;
-        let live = driver.recover(0).expect("reinversion from a sane basis");
+        let live = driver.lanes[0]
+            .recover(&mut driver.be.lane(0))
+            .expect("reinversion from a sane basis");
         assert!(live, "recovered lane stays in the round loop");
         assert_eq!(
             driver.lanes[0].stall, 0,

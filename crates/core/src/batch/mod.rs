@@ -71,6 +71,7 @@ use crate::solver::{
     finalize, prepare, settle_warm, solve_on_warm, try_solve_standard_ckpt, BackendKind, Prepared,
     WarmContext,
 };
+use crate::trace::NoopRecorder;
 
 use mega::LaneOutcome;
 
@@ -571,7 +572,7 @@ fn mega_prepass<T: Scalar>(
         let sfs: Vec<&StandardForm<T>> = members.iter().map(|&p| &ready[p].1).collect();
         let gt0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            mega::try_solve_family_mega_ckpt::<T>(gpu, &sfs, &opts.solver, warm_vec)
+            mega::try_solve_family_mega::<T, NoopRecorder>(gpu, &sfs, &opts.solver, warm_vec, None)
         }));
         match outcome {
             Ok(Ok(run)) => {

@@ -48,6 +48,7 @@ pub mod pdhg;
 pub mod resilient;
 pub mod result;
 pub mod revised;
+mod simplex_lane;
 pub mod solver;
 pub mod stats;
 pub mod tableau;
@@ -58,11 +59,7 @@ pub mod verify;
 pub use backend::{Backend, RatioOutcome};
 pub use backends::{BatchKernelBackend, BatchMember, LaneView};
 pub use basis::{Eta, EtaFile};
-pub use batch::mega::{
-    mega_compatible, try_solve_family_mega, try_solve_family_mega_ckpt,
-    try_solve_family_mega_ckpt_recorded, try_solve_family_mega_recorded, LaneOutcome,
-    MegaFamilyRun,
-};
+pub use batch::mega::{mega_compatible, try_solve_family_mega, LaneOutcome, MegaFamilyRun};
 pub use batch::{
     BasisCache, BatchOptions, BatchReport, BatchSolver, BatchStats, CacheStats, JobOutcome,
     JobResult, PlacementPolicy, WarmStartPolicy,

@@ -1,10 +1,13 @@
 //! The two-phase revised simplex driver.
 //!
-//! The driver owns basis bookkeeping, phase logic, pivot-rule selection
-//! (including the Dantzig→Bland stall fallback), periodic refactorization
-//! and termination; all linear algebra goes through a [`Backend`]. Time is
-//! sampled from the backend's modeled clock around every step, producing
-//! the per-step breakdown of experiment F2 for CPU and GPU uniformly.
+//! The driver runs one solve's backend calls — pricing (full or partial),
+//! FTRAN, ratio test and update — and leaves every host decision to a
+//! `SimplexLane`: basis bookkeeping, phase logic, the Dantzig→Bland stall
+//! fallback and the other degeneracy ladders, periodic refactorization,
+//! checkpoints and termination. The mega-batch driver runs the same lane
+//! transitions for each member of a lockstep family. Time is sampled from
+//! the backend's modeled clock around every step, producing the per-step
+//! breakdown of experiment F2 for CPU and GPU uniformly.
 //!
 //! Observability: the driver is generic over a [`Recorder`]. Every backend
 //! call is bracketed in a span carrying the step kind, the simulated
@@ -21,127 +24,25 @@
 //! reinversions — the same machinery periodic refactorization already
 //! uses — up to a small consecutive budget per phase.
 
-use std::time::Instant;
-
-use gpu_sim::SimTime;
 use linalg::Scalar;
 use lp::StandardForm;
 
-use crate::backend::{Backend, RatioOutcome};
+use crate::backend::Backend;
 use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
-use crate::error::{BackendError, SolveError};
-use crate::options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
+use crate::error::SolveError;
+use crate::options::{PivotRule, SolverOptions};
 use crate::result::{Status, StdResult};
-use crate::stats::{SolveStats, Step};
+use crate::simplex_lane::{Flow, SimplexLane};
+use crate::stats::Step;
 use crate::trace::{NoopRecorder, Recorder, StepKind};
-
-/// Consecutive emergency reinversions tolerated before a phase gives up
-/// and reports numerical failure.
-const MAX_CONSECUTIVE_RECOVERIES: usize = 3;
-
-/// Deterministic per-column jitter in `[0.5, 1.5)` for the cost
-/// perturbation (FNV-1a over the column index). Pure function of `j`, so
-/// the perturbed walk — and its deterministic reset — replays identically
-/// across runs and backends.
-fn column_jitter(j: usize) -> f64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in (j as u64).to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Host-side primal feasibility probe for a warm-start candidate: solve
-/// `B x_B = b` in f64 and require every component ≥ `-tol`. A singular or
-/// non-finite solve counts as infeasible. See [`RevisedSimplex::try_warm_start`]
-/// for why this cannot be delegated to the backend.
-pub(crate) fn warm_basis_feasible<T: Scalar>(
-    sf: &StandardForm<T>,
-    basis: &[usize],
-    tol: f64,
-) -> bool {
-    let m = sf.num_rows();
-    if m == 0 {
-        return true;
-    }
-    let mut bmat = linalg::DenseMatrix::<f64>::zeros(m, m);
-    for (col, &j) in basis.iter().enumerate() {
-        for i in 0..m {
-            bmat.set(i, col, sf.a.get(i, j).to_f64());
-        }
-    }
-    let rhs: Vec<f64> = sf.b.iter().map(|v| v.to_f64()).collect();
-    match linalg::blas::lu_solve(&bmat, &rhs) {
-        Some(xb) => xb.iter().all(|v| v.is_finite() && *v >= -tol),
-        None => false,
-    }
-}
-
-/// Which phase a simplex loop is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    One,
-    Two,
-}
-
-impl Phase {
-    /// Index into [`SolveStats::phase`].
-    fn index(self) -> usize {
-        match self {
-            Phase::One => 0,
-            Phase::Two => 1,
-        }
-    }
-}
-
-/// How a phase loop ended.
-enum PhaseEnd {
-    Converged,
-    Unbounded,
-    IterationLimit,
-    Singular,
-}
-
-/// An open span: the simulated clock at entry, plus the host clock when a
-/// live recorder wants wall time (None under [`NoopRecorder`]).
-type OpenSpan = (SimTime, Option<Instant>);
 
 /// Two-phase revised simplex over an abstract backend.
 pub struct RevisedSimplex<'a, T: Scalar, B: Backend<T>, R: Recorder = NoopRecorder> {
     backend: &'a mut B,
-    sf: &'a StandardForm<T>,
-    opts: &'a SolverOptions,
-    rec: Option<&'a mut R>,
-    xb: Vec<usize>,
-    stats: SolveStats,
-    bland_mode: bool,
-    stall: usize,
-    max_iters: usize,
+    lane: SimplexLane<'a, T, R>,
     warm_basis: Option<Vec<usize>>,
-    /// Rotating start column for partial pricing.
-    price_cursor: usize,
-    /// Phase tag for trace events: 0 = setup, 1/2 = simplex phases.
-    phase_tag: u8,
-    /// Caller-owned checkpoint mailbox; `None` disables checkpointing.
-    ckpt: Option<&'a CheckpointSlot>,
     /// Snapshot to resume from instead of a cold or warm start.
     resume: Option<SolveCheckpoint>,
-    /// In-phase iteration count restored by a resume; consumed by the next
-    /// `run_phase` so the reinversion cadence continues where it left off.
-    resume_iters_here: Option<usize>,
-    /// Solve-wide iteration count at the most recent stored checkpoint.
-    last_ckpt_iter: usize,
-    /// A degeneracy cost perturbation is currently installed.
-    perturbed: bool,
-    /// An EXPAND-style ratio-test bound shift is currently installed.
-    shifted: bool,
-    /// A bound shift has already been tried since the last genuine
-    /// (unshifted, nondegenerate) progress; the next stall escalates to
-    /// Bland instead of shifting again.
-    shift_spent: bool,
 }
 
 impl<'a, T: Scalar, B: Backend<T>> RevisedSimplex<'a, T, B> {
@@ -164,7 +65,7 @@ impl<'a, T: Scalar, B: Backend<T>> RevisedSimplex<'a, T, B> {
         basis: Vec<usize>,
     ) -> Self {
         let mut driver = Self::build(backend, sf, opts, None);
-        driver.set_warm_basis(basis);
+        driver.warm_basis = Some(basis);
         driver
     }
 }
@@ -192,7 +93,7 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
         rec: &'a mut R,
     ) -> Self {
         let mut driver = Self::build(backend, sf, opts, Some(rec));
-        driver.set_warm_basis(basis);
+        driver.warm_basis = Some(basis);
         driver
     }
 
@@ -202,31 +103,15 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
         opts: &'a SolverOptions,
         rec: Option<&'a mut R>,
     ) -> Self {
-        let max_iters = opts.max_iters_for(sf.num_rows(), sf.num_cols());
         // The representation must be chosen before the first pivot; routing
         // it through the driver covers every construction path (direct,
         // warm, resumed) with one call site.
         backend.set_representation(opts.basis_representation);
         RevisedSimplex {
             backend,
-            sf,
-            opts,
-            rec,
-            xb: sf.basis0.clone(),
-            stats: SolveStats::default(),
-            bland_mode: matches!(opts.pivot_rule, PivotRule::Bland),
-            stall: 0,
-            max_iters,
+            lane: SimplexLane::new(sf, opts, rec, None),
             warm_basis: None,
-            price_cursor: 0,
-            phase_tag: 0,
-            ckpt: None,
             resume: None,
-            resume_iters_here: None,
-            last_ckpt_iter: 0,
-            perturbed: false,
-            shifted: false,
-            shift_spent: false,
         }
     }
 
@@ -236,7 +121,7 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
     /// snapshot (0 disables), and reports per-iteration progress so the
     /// recovery layer can account wasted work after a fault.
     pub fn attach_checkpoint_slot(&mut self, slot: &'a CheckpointSlot) {
-        self.ckpt = Some(slot);
+        self.lane.ckpt = Some(slot);
     }
 
     /// Resume from `cp` instead of a cold or warm start: the basis is
@@ -249,261 +134,6 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
         self.resume = Some(cp);
     }
 
-    fn set_warm_basis(&mut self, basis: Vec<usize>) {
-        // Every supplied basis counts as an attempt; a malformed one (wrong
-        // length, or naming an artificial/out-of-range column) is rejected
-        // here, before it ever reaches the backend. The pre-fix code dropped
-        // it silently, so callers could not tell a warm solve from a cold
-        // fallback.
-        self.stats.warm_start_attempted = 1;
-        let n_active = self.sf.num_cols() - self.sf.num_artificials;
-        let valid = basis.len() == self.sf.num_rows() && basis.iter().all(|&j| j < n_active);
-        if valid {
-            self.warm_basis = Some(basis);
-        } else {
-            self.stats.warm_start_rejected = 1;
-        }
-    }
-
-    /// Open a span: sample the simulated clock, and the host clock only
-    /// when a live recorder will consume it.
-    #[inline]
-    fn span_begin(&self) -> OpenSpan {
-        let t0 = self.backend.clock();
-        let w0 = if R::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        (t0, w0)
-    }
-
-    /// Close a span: charge the legacy [`Step`] accounting (always, exactly
-    /// as before) and report the span to the recorder (compiled out under
-    /// [`NoopRecorder`]).
-    #[inline]
-    fn span_close(&mut self, kind: StepKind, step: Step, span: OpenSpan) {
-        let (t0, w0) = span;
-        let t1 = self.backend.clock();
-        self.stats.charge(step, t1 - t0);
-        if R::ENABLED {
-            let wall = w0.map_or(0.0, |w| w.elapsed().as_secs_f64());
-            if let Some(rec) = self.rec.as_deref_mut() {
-                rec.span(kind, t0, t1, wall, self.stats.iterations, self.phase_tag);
-            }
-        }
-    }
-
-    /// Deadline enforcement (wall clock: the deadline bounds *host*
-    /// resources, not modeled device time). Called between backend steps so
-    /// a stalled kernel or a long refactorize cannot overshoot `time_limit`
-    /// by a whole iteration.
-    #[inline]
-    fn check_deadline(&self, wall: Instant) -> Result<(), SolveError> {
-        if let Some(limit) = self.opts.time_limit {
-            let elapsed = wall.elapsed().as_secs_f64();
-            if elapsed > limit {
-                return Err(SolveError::Timeout {
-                    elapsed_seconds: elapsed,
-                    limit_seconds: limit,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Attempt to install the warm basis: probe primal feasibility, then
-    /// refactorize onto it. On success the solve skips phase 1. On a
-    /// *numerical* failure the backend is restored to the cold-start state
-    /// (a warm start is an optimization, never a correctness risk); a
-    /// device failure propagates.
-    ///
-    /// The probe runs on the host against an unclamped f64 LU solve of
-    /// `B x_B = b`. It cannot use the backend's post-`refactorize` β:
-    /// refactorization exists to purge accumulated error mid-solve, so
-    /// every backend clamps β at zero on that path — which would make a
-    /// genuinely infeasible basis (negative true β) look feasible and let
-    /// phase 2 "converge" at an infeasible point.
-    fn try_warm_start(&mut self) -> Result<bool, SolveError> {
-        let Some(basis) = self.warm_basis.take() else {
-            return Ok(false);
-        };
-        let span = self.span_begin();
-        let feas_tol = self.opts.feas_tol_for::<T>().to_f64();
-        let ok = warm_basis_feasible(self.sf, &basis, feas_tol)
-            && match self.backend.refactorize(&basis) {
-                Ok(()) => true,
-                Err(BackendError::Singular) => false,
-                Err(e @ BackendError::Device(_)) => return Err(e.into()),
-            };
-        if ok {
-            for (r, &j) in basis.iter().enumerate() {
-                self.backend.set_basic_col(r, j)?;
-            }
-            self.xb = basis;
-        } else {
-            // Restore the cold start (the identity basis always refactors).
-            match self.backend.refactorize(&self.sf.basis0) {
-                Ok(()) => {}
-                Err(BackendError::Singular) => {
-                    unreachable!("identity start basis is never singular")
-                }
-                Err(e @ BackendError::Device(_)) => return Err(e.into()),
-            }
-            for (r, &j) in self.sf.basis0.iter().enumerate() {
-                self.backend.set_basic_col(r, j)?;
-            }
-            self.xb = self.sf.basis0.clone();
-            self.stats.warm_start_rejected = 1;
-        }
-        // One span covers the attempt *and* the fallback restore, so the
-        // rejected path's device work lands on the ledger exactly once.
-        self.span_close(StepKind::WarmStart, Step::Other, span);
-        Ok(ok)
-    }
-
-    /// Store a snapshot of the current state into the attached slot.
-    /// Callers guarantee the backend sits at a refactorization boundary
-    /// (`B⁻¹` is a pure function of `xb`), the precondition for a bitwise
-    /// resume. The snapshot's own count is folded in *before* cloning the
-    /// stats so a resumed run's final counters match the solo run's.
-    fn store_checkpoint(&mut self, phase: u8, iters_here: usize) {
-        let Some(slot) = self.ckpt else { return };
-        let eta_len = self.backend.eta_chain_len();
-        debug_assert_eq!(
-            eta_len, 0,
-            "checkpoints are only taken at refactorization boundaries, \
-             where the eta chain has been folded into B₀⁻¹"
-        );
-        self.stats.checkpoints_taken += 1;
-        slot.store(SolveCheckpoint {
-            basis: self.xb.clone(),
-            phase,
-            iters_here,
-            stats: self.stats.clone(),
-            bland_mode: self.bland_mode,
-            stall: self.stall,
-            price_cursor: self.price_cursor,
-            representation: self.backend.representation(),
-            eta_len,
-        });
-        self.last_ckpt_iter = self.stats.iterations;
-    }
-
-    /// Checkpoint hook at a periodic-reinversion boundary: snapshot when a
-    /// slot is attached and at least `checkpoint_interval` iterations have
-    /// passed since the previous snapshot. Pure observation — it never
-    /// forces an extra refactorize.
-    fn maybe_checkpoint(&mut self, phase: Phase, iters_here: usize) {
-        let interval = self.opts.checkpoint_interval;
-        if self.ckpt.is_none()
-            || interval == 0
-            || self.stats.iterations - self.last_ckpt_iter < interval
-        {
-            return;
-        }
-        let tag = match phase {
-            Phase::One => 1,
-            Phase::Two => 2,
-        };
-        self.store_checkpoint(tag, iters_here);
-    }
-
-    /// Reinstall a checkpoint: refactorize onto its basis (the same host
-    /// f64 reinversion every backend's `refactorize` uses, so `B⁻¹` and the
-    /// clamped β come out bitwise-equal to the snapshot point), reinstall
-    /// the phase objective exactly as the live path did, and restore the
-    /// pricing/anti-cycling state and statistics. The reinversion is *not*
-    /// counted in `stats.refactorizations` — the snapshot already counted
-    /// the boundary reinversion this one mirrors.
-    fn install_checkpoint(&mut self, cp: SolveCheckpoint) -> Result<(), SolveError> {
-        // Restore the stats first so the install's device work is charged
-        // to the resumed ledger rather than thrown away.
-        self.stats = cp.stats;
-        self.stats.checkpoint_resumes += 1;
-        // Resume on the snapshotting run's representation (it may differ
-        // from this driver's options, e.g. evacuating to another backend).
-        // The chain is empty at a boundary, so the install is legal here.
-        debug_assert_eq!(cp.eta_len, 0, "snapshot taken off a boundary");
-        self.backend.set_representation(cp.representation);
-        let span = self.span_begin();
-        match self.backend.refactorize(&cp.basis) {
-            Ok(()) => {}
-            Err(BackendError::Singular) => {
-                return Err(SolveError::Numerical(
-                    "checkpoint basis is singular on resume".into(),
-                ));
-            }
-            Err(e @ BackendError::Device(_)) => return Err(e.into()),
-        }
-        for (r, &j) in cp.basis.iter().enumerate() {
-            self.backend.set_basic_col(r, j)?;
-        }
-        self.xb = cp.basis;
-        self.span_close(StepKind::WarmStart, Step::Other, span);
-        if cp.phase == 1 {
-            self.enter_phase1()?;
-        } else {
-            self.enter_phase2()?;
-        }
-        self.bland_mode = cp.bland_mode;
-        self.stall = cp.stall;
-        self.price_cursor = cp.price_cursor;
-        self.resume_iters_here = Some(cp.iters_here);
-        self.last_ckpt_iter = self.stats.iterations;
-        Ok(())
-    }
-
-    /// Phase-2 cost of a column (artificials price at zero).
-    fn cost_of(&self, col: usize) -> T {
-        if col < self.backend.n_active() {
-            self.sf.c[col]
-        } else {
-            T::ZERO
-        }
-    }
-
-    /// Install the phase-1 objective (minimize the sum of artificials).
-    fn enter_phase1(&mut self) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let m = self.sf.num_rows();
-        let zeros = vec![T::ZERO; self.backend.n_active()];
-        self.backend.set_phase_costs(&zeros)?;
-        for r in 0..m {
-            let cost = if self.sf.is_artificial(self.xb[r]) {
-                T::ONE
-            } else {
-                T::ZERO
-            };
-            self.backend.set_basic_cost(r, cost)?;
-        }
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        self.phase_tag = 1;
-        Ok(())
-    }
-
-    /// Install the phase-2 objective over the basis phase 1 left behind.
-    ///
-    /// The stall counter and any Bland-mode escalation deliberately *carry
-    /// across* the phase boundary: a degenerate phase-1 endgame is exactly
-    /// the state in which phase 2 would otherwise resume cycling, and the
-    /// in-loop de-escalation already returns to the fast rule on the first
-    /// non-degenerate step. (An earlier version reset both here, silently
-    /// discarding the phase-1 anti-cycling escalation; the regression tests
-    /// pin the carry.)
-    fn enter_phase2(&mut self) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let m = self.sf.num_rows();
-        self.backend.set_phase_costs(&self.sf.c)?;
-        for r in 0..m {
-            let cost = self.cost_of(self.xb[r]);
-            self.backend.set_basic_cost(r, cost)?;
-        }
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        self.phase_tag = 2;
-        Ok(())
-    }
-
     /// Run to completion, panicking on device failure (the historical
     /// contract; fault-free configurations never take that path).
     pub fn solve(self) -> StdResult<T> {
@@ -514,432 +144,61 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
     /// Mathematical outcomes (optimal/infeasible/unbounded/limits) are
     /// `Ok` with the corresponding [`Status`].
     pub fn try_solve(mut self) -> Result<StdResult<T>, SolveError> {
-        let wall = Instant::now();
-        let feas_tol = self.opts.feas_tol_for::<T>();
-
-        if let Some(cp) = self.resume.take() {
-            // ---- resumed solve: pick up at the checkpointed boundary -----
-            let in_phase1 = cp.phase == 1;
-            self.install_checkpoint(cp)?;
-            if in_phase1 {
-                if let Some(status) = self.run_phase1_tail(wall, feas_tol)? {
-                    return self.finish(status, wall);
-                }
-                self.enter_phase2()?;
-            }
-            return self.finish_phase2(wall, feas_tol);
-        }
-
-        let warm = self.try_warm_start()?;
-        if warm && self.opts.checkpoint_interval > 0 {
-            // An accepted warm install is itself a valid resume point
-            // (phase 2, zero in-phase iterations): snapshot it so a fault
-            // before the first reinversion still resumes warm.
-            self.store_checkpoint(2, 0);
-        }
-        if !warm && self.sf.num_artificials > 0 {
-            // ---- phase 1: minimize the sum of artificials ----------------
-            self.enter_phase1()?;
-            if let Some(status) = self.run_phase1_tail(wall, feas_tol)? {
-                return self.finish(status, wall);
-            }
-        }
-
-        // ---- phase 2 ------------------------------------------------------
-        self.enter_phase2()?;
-        self.finish_phase2(wall, feas_tol)
+        let status = self.run()?;
+        self.lane.finish(self.backend, status)
     }
 
-    /// Phase-1 loop tail shared by the cold and resumed paths: run the
-    /// already-installed phase-1 objective to its end, check feasibility,
-    /// and clean out degenerate artificials. `Some(status)` is terminal;
-    /// `None` means proceed to phase 2.
-    fn run_phase1_tail(
-        &mut self,
-        wall: Instant,
-        feas_tol: T,
-    ) -> Result<Option<Status>, SolveError> {
-        match self.run_phase(Phase::One, wall)? {
-            PhaseEnd::IterationLimit => return Ok(Some(Status::IterationLimit)),
-            PhaseEnd::Singular => return Ok(Some(Status::SingularBasis)),
-            // A bounded-below phase-1 objective cannot be unbounded;
-            // reaching this means the numerics collapsed.
-            PhaseEnd::Unbounded => return Ok(Some(Status::SingularBasis)),
-            PhaseEnd::Converged => {}
+    /// Start (resumed, warm or cold) and iterate until the lane reaches a
+    /// terminal status.
+    fn run(&mut self) -> Result<Status, SolveError> {
+        match self.resume.take() {
+            Some(cp) => self.lane.install_checkpoint(self.backend, cp)?,
+            None => self.lane.start(self.backend, self.warm_basis.take())?,
         }
-        let span = self.span_begin();
-        let z1 = self.backend.objective_now()?;
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        if z1 > feas_tol {
-            return Ok(Some(Status::Infeasible));
-        }
-        // Best-effort removal of degenerate artificials from the basis;
-        // any that remain sit at value ~0 with phase-2 cost 0 (their
-        // rows are linearly dependent) and stay there.
-        self.drive_out_artificials()?;
-        Ok(None)
-    }
-
-    /// Run phase 2 over the already-installed objective and produce the
-    /// terminal result.
-    fn finish_phase2(mut self, wall: Instant, feas_tol: T) -> Result<StdResult<T>, SolveError> {
-        let mut status = match self.run_phase(Phase::Two, wall)? {
-            PhaseEnd::Converged => Status::Optimal,
-            PhaseEnd::Unbounded => Status::Unbounded,
-            PhaseEnd::IterationLimit => Status::IterationLimit,
-            PhaseEnd::Singular => Status::SingularBasis,
-        };
-
-        // Guard: if artificials survived phase 2 with non-trivial value,
-        // the "redundant row" assumption failed — report infeasible rather
-        // than a wrong optimum.
-        if status == Status::Optimal && self.sf.num_artificials > 0 {
-            let span = self.span_begin();
-            let beta = self.backend.beta()?;
-            self.span_close(StepKind::Transfer, Step::Other, span);
-            for (r, &col) in self.xb.iter().enumerate() {
-                if self.sf.is_artificial(col) && beta[r] > feas_tol {
-                    status = Status::Infeasible;
-                    break;
-                }
-            }
-        }
-        self.finish(status, wall)
-    }
-
-    fn finish(mut self, status: Status, wall: Instant) -> Result<StdResult<T>, SolveError> {
-        // The terminal β download is device work like any other: charge it,
-        // so the per-step totals account for the whole solve.
-        let span = self.span_begin();
-        let beta = self.backend.beta()?;
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        let mut x_std = vec![T::ZERO; self.sf.num_cols()];
-        for (r, &col) in self.xb.iter().enumerate() {
-            x_std[col] = beta[r];
-        }
-        let z_std: f64 = self
-            .sf
-            .c
-            .iter()
-            .zip(&x_std)
-            .map(|(&cj, &xj)| cj.to_f64() * xj.to_f64())
-            .sum();
-        // Paranoid terminal validation under fault injection: a corrupted
-        // iterate can slip past pricing (NaN compares false everywhere, so
-        // a poisoned reduced-cost vector looks "converged"). Refuse to
-        // certify such a point as a mathematical outcome.
-        if self.opts.faults.is_some()
-            && matches!(status, Status::Optimal | Status::Unbounded)
-            && (!z_std.is_finite() || x_std.iter().any(|x| !x.is_finite()))
-        {
-            return Err(SolveError::Numerical(
-                "terminal solution contains non-finite values (undetected corruption)".into(),
-            ));
-        }
-        self.stats.wall_seconds = wall.elapsed().as_secs_f64();
-        debug_assert!(
-            self.stats.check_invariants().is_ok(),
-            "per-phase counters must partition the totals: {:?}",
-            self.stats.check_invariants()
-        );
-        Ok(StdResult {
-            status,
-            x_std,
-            z_std,
-            basis: self.xb,
-            stats: self.stats,
-        })
-    }
-
-    /// Emergency reinversion after detected corruption. `Ok(true)` means
-    /// the basis was rebuilt (iterate state is clean again); `Ok(false)`
-    /// means the basis is singular.
-    fn recover(&mut self) -> Result<bool, SolveError> {
-        let span = self.span_begin();
-        match self.backend.refactorize(&self.xb) {
-            Ok(()) => {}
-            Err(BackendError::Singular) => return Ok(false),
-            Err(e @ BackendError::Device(_)) => return Err(e.into()),
-        }
-        self.stats.refactorizations += 1;
-        self.stats.nan_recoveries += 1;
-        self.harvest_lu_stats();
-        // The stall streak was measured against the corrupted iterate; the
-        // rebuilt basis starts a fresh streak. (Leaving it hot leaked a
-        // premature Bland escalation into the repaired walk.)
-        self.stall = 0;
-        self.span_close(StepKind::Refactorize, Step::Refactor, span);
-        Ok(true)
-    }
-
-    fn run_phase(&mut self, phase: Phase, wall: Instant) -> Result<PhaseEnd, SolveError> {
-        let opt_tol = self.opts.opt_tol_for::<T>();
-        let pivot_tol = self.opts.pivot_tol_for::<T>();
-        let paranoid = self.opts.faults.is_some();
-        let pidx = phase.index();
-        // A resume re-enters the loop exactly where the snapshot was taken:
-        // `iters_here` continues the reinversion cadence, and the first pass
-        // skips the periodic reinversion (the resume install already rebuilt
-        // `B⁻¹` at this very boundary, and the snapshot counted it).
-        let resumed_here = self.resume_iters_here.take();
-        let mut just_resumed = resumed_here.is_some();
-        let mut iters_here = resumed_here.unwrap_or(0);
-        let mut recoveries_left = MAX_CONSECUTIVE_RECOVERIES;
-
+        let pivot_tol = self.lane.opts.pivot_tol_for::<T>();
         loop {
-            if iters_here >= self.max_iters {
-                return Ok(PhaseEnd::IterationLimit);
-            }
-            self.check_deadline(wall)?;
-            // Periodic reinversion.
-            let skip_periodic = std::mem::take(&mut just_resumed);
-            if !skip_periodic
-                && self.opts.refactor_period > 0
-                && iters_here > 0
-                && iters_here.is_multiple_of(self.opts.refactor_period)
-            {
-                let span = self.span_begin();
-                match self.backend.refactorize(&self.xb) {
-                    Ok(()) => {}
-                    Err(BackendError::Singular) => return Ok(PhaseEnd::Singular),
-                    Err(e @ BackendError::Device(_)) => return Err(e.into()),
-                }
-                self.stats.refactorizations += 1;
-                self.harvest_lu_stats();
-                self.span_close(StepKind::Refactorize, Step::Refactor, span);
-                // Deterministic perturbation reset: exact costs come back at
-                // every reinversion boundary, so a snapshot taken below
-                // never captures a perturbed objective.
-                self.clear_perturbation(phase)?;
-                // Bound-shift reset: the β = max(B⁻¹b, 0) clamp inside the
-                // reinversion just purged whatever bounded infeasibility
-                // the shifted steps accumulated, so the shift (like the
-                // perturbation) never outlives a boundary and a snapshot
-                // taken below never captures a shifted ratio test.
-                self.clear_bound_shift();
-                // `B⁻¹` is now a pure function of the basis — the one state
-                // a snapshot can resume bitwise. Pure observation: the
-                // checkpoint cadence never forces an extra reinversion.
-                self.maybe_checkpoint(phase, iters_here);
-                self.check_deadline(wall)?;
+            if let Flow::End(status) = self.lane.admit(self.backend)? {
+                return Ok(status);
             }
 
             // Pricing + entering-variable selection.
-            let use_bland = self.bland_mode;
-            let entering = self.price_and_select(opt_tol, use_bland)?;
-            self.check_deadline(wall)?;
-            let Some((q, dq)) = entering else {
-                if self.perturbed {
-                    // "Optimal" against perturbed costs is not a
-                    // certificate: restore the exact objective and re-price
-                    // before declaring convergence.
-                    self.clear_perturbation(phase)?;
-                    continue;
-                }
-                if self.shifted {
-                    // The pricing certificate is exact (shifts only touch
-                    // the ratio test), but β may carry the bounded
-                    // infeasibility the shifted steps accumulated. Withdraw
-                    // the shift, purge β through a reinversion's clamp, and
-                    // re-verify before certifying.
-                    self.clear_bound_shift();
-                    let span = self.span_begin();
-                    match self.backend.refactorize(&self.xb) {
-                        Ok(()) => {}
-                        Err(BackendError::Singular) => return Ok(PhaseEnd::Singular),
-                        Err(e @ BackendError::Device(_)) => return Err(e.into()),
-                    }
-                    self.stats.refactorizations += 1;
-                    self.harvest_lu_stats();
-                    self.span_close(StepKind::Refactorize, Step::Refactor, span);
-                    continue;
-                }
-                return Ok(PhaseEnd::Converged);
+            let entering = self.price_and_select()?;
+            self.lane.check_deadline()?;
+            let q = match self.lane.on_price(self.backend, entering)? {
+                Flow::Go(q) => q,
+                Flow::Retry => continue,
+                Flow::End(status) => return Ok(status),
             };
-            // Corruption check *before* the improvement assertion: a NaN
-            // reduced cost is a repairable fault, not a driver bug.
-            if !dq.is_finite() {
-                if recoveries_left == 0 {
-                    return Err(SolveError::Numerical(format!(
-                        "reduced cost d[{q}] stayed non-finite after \
-                         {MAX_CONSECUTIVE_RECOVERIES} emergency reinversions"
-                    )));
-                }
-                recoveries_left -= 1;
-                if !self.recover()? {
-                    return Ok(PhaseEnd::Singular);
-                }
-                continue;
-            }
-            debug_assert!(dq < T::ZERO, "entering column must improve");
 
             // FTRAN.
-            let span = self.span_begin();
+            let span = self.lane.span_begin(self.backend);
             self.backend.compute_alpha(q)?;
-            self.span_close(StepKind::Ftran, Step::Ftran, span);
-            self.check_deadline(wall)?;
+            self.lane
+                .span_close(self.backend, StepKind::Ftran, Step::Ftran, span);
+            self.lane.check_deadline()?;
 
             // Ratio test.
-            let span = self.span_begin();
-            let mut outcome = self.backend.ratio_test(pivot_tol)?;
-            self.span_close(StepKind::RatioTest, Step::RatioTest, span);
-            self.check_deadline(wall)?;
-            if paranoid && matches!(outcome, RatioOutcome::Unbounded) && recoveries_left > 0 {
-                // A corrupted α (poisoned to NaN) makes every ratio
-                // non-finite and masquerades as unboundedness. Rebuild and
-                // retest once before believing it.
-                recoveries_left -= 1;
-                if !self.recover()? {
-                    return Ok(PhaseEnd::Singular);
-                }
-                let span = self.span_begin();
-                self.backend.compute_alpha(q)?;
-                self.span_close(StepKind::Ftran, Step::Ftran, span);
-                let span = self.span_begin();
-                outcome = self.backend.ratio_test(pivot_tol)?;
-                self.span_close(StepKind::RatioTest, Step::RatioTest, span);
-                self.check_deadline(wall)?;
-            }
-            let (p, theta) = match outcome {
-                RatioOutcome::Unbounded => {
-                    if self.perturbed {
-                        // The ray was found for a column priced under
-                        // perturbed costs; certify against the exact
-                        // objective before declaring unboundedness.
-                        self.clear_perturbation(phase)?;
-                        continue;
-                    }
-                    if self.shifted {
-                        // Shifts cannot change ratio-test eligibility, so
-                        // the ray is almost surely genuine — but certify it
-                        // with the exact test before declaring.
-                        self.clear_bound_shift();
-                        continue;
-                    }
-                    return Ok(PhaseEnd::Unbounded);
-                }
-                RatioOutcome::Pivot { p, theta } => (p, theta),
+            let span = self.lane.span_begin(self.backend);
+            let outcome = self.backend.ratio_test(pivot_tol)?;
+            self.lane
+                .span_close(self.backend, StepKind::RatioTest, Step::RatioTest, span);
+            self.lane.check_deadline()?;
+            let (p, theta) = match self.lane.on_ratio(self.backend, q, outcome)? {
+                Flow::Go(pivot) => pivot,
+                Flow::Retry => continue,
+                Flow::End(status) => return Ok(status),
             };
-            if !theta.is_finite() {
-                if recoveries_left == 0 {
-                    return Err(SolveError::Numerical(format!(
-                        "step length stayed non-finite after \
-                         {MAX_CONSECUTIVE_RECOVERIES} emergency reinversions"
-                    )));
-                }
-                recoveries_left -= 1;
-                if !self.recover()? {
-                    return Ok(PhaseEnd::Singular);
-                }
-                continue;
-            }
 
             // Update.
-            let span = self.span_begin();
+            let span = self.lane.span_begin(self.backend);
             self.backend.update(p, theta)?;
             self.backend.set_basic_col(p, q)?;
-            let cost = match phase {
-                Phase::One => T::ZERO, // entering columns are never artificial
-                Phase::Two => self.cost_of(q),
-            };
+            let cost = self.lane.entering_cost(self.backend, q);
             self.backend.set_basic_cost(p, cost)?;
-            self.xb[p] = q;
-            self.stats
-                .record_pivot(self.stats.iterations, pidx, q, p, theta.to_f64());
-            self.span_close(StepKind::UpdateBasis, Step::Update, span);
-            self.check_deadline(wall)?;
-            recoveries_left = MAX_CONSECUTIVE_RECOVERIES;
-
-            // Degeneracy / stall bookkeeping. Each counter bumps its
-            // solve-wide total and exactly one per-phase entry, keeping the
-            // phase split disjoint by construction.
-            let degenerate = !(theta > T::ZERO);
-            if degenerate {
-                self.stats.degenerate_steps += 1;
-                self.stats.phase[pidx].degenerate_steps += 1;
-                self.stall += 1;
-            } else {
-                self.stall = 0;
-                if !self.shifted {
-                    // Genuine (unshifted) progress re-arms the one-shot
-                    // bound shift; progress under a shift proves nothing —
-                    // shifted steps are positive by construction.
-                    self.shift_spent = false;
-                }
-                let has_fallback = matches!(
-                    self.opts.pivot_rule,
-                    PivotRule::Hybrid | PivotRule::PartialDantzig { .. }
-                );
-                if has_fallback && self.bland_mode {
-                    // Progress resumed: go back to the fast rule.
-                    self.bland_mode = false;
-                }
-            }
-            match self.opts.degeneracy {
-                DegeneracyPolicy::BlandFallback => {
-                    // Legacy ladder: stall straight into Bland's rule.
-                    if matches!(
-                        self.opts.pivot_rule,
-                        PivotRule::Hybrid | PivotRule::PartialDantzig { .. }
-                    ) && self.stall >= self.opts.stall_threshold
-                    {
-                        self.bland_mode = true;
-                    }
-                }
-                DegeneracyPolicy::Perturb { scale } => {
-                    // Principled ladder: perturb first (cheap, keeps the
-                    // fast pricing rule), escalate to Bland only if the
-                    // stall outlives a full perturbed window.
-                    if self.stall >= self.opts.stall_threshold {
-                        if !self.perturbed {
-                            self.apply_perturbation(phase, scale)?;
-                            self.stall = 0;
-                        } else {
-                            self.bland_mode = true;
-                        }
-                    }
-                }
-                DegeneracyPolicy::BoundShift { delta } => {
-                    // EXPAND ladder: shift the ratio-test bounds so every
-                    // pivot takes a strictly positive step off the
-                    // degenerate vertex. One shot per stretch — a stall
-                    // that outlives (or re-trips after) a shifted stretch
-                    // escalates to Bland.
-                    if self.stall >= self.opts.stall_threshold {
-                        if !self.shifted && !self.shift_spent {
-                            self.apply_bound_shift(delta);
-                            self.stall = 0;
-                        } else {
-                            self.bland_mode = true;
-                        }
-                    }
-                }
-            }
-            if use_bland {
-                self.stats.bland_iterations += 1;
-                self.stats.phase[pidx].bland_iterations += 1;
-            }
-
-            if matches!(
-                self.backend.representation(),
-                BasisRepresentation::ProductForm | BasisRepresentation::SparseLU
-            ) {
-                self.stats.eta_pivots += 1;
-                let k = self.backend.eta_chain_len();
-                if k > self.stats.max_eta_chain {
-                    self.stats.max_eta_chain = k;
-                }
-            }
-            self.harvest_lu_stats();
-            self.stats.iterations += 1;
-            self.stats.phase[pidx].iterations += 1;
-            if phase == Phase::One {
-                self.stats.phase1_iterations += 1;
-            }
-            if let Some(slot) = self.ckpt {
-                slot.note_iteration(self.stats.iterations);
-            }
-            iters_here += 1;
+            self.lane
+                .span_close(self.backend, StepKind::UpdateBasis, Step::Update, span);
+            self.lane.check_deadline()?;
+            self.lane.on_pivot(self.backend, p, q, theta)?;
         }
     }
 
@@ -955,13 +214,13 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
     /// BTRAN runs before every pricing window — the multipliers must be
     /// current against the basis — and is traced as its own span; the
     /// selection scan is folded into the pricing step it serves.
-    fn price_and_select(
-        &mut self,
-        opt_tol: T,
-        use_bland: bool,
-    ) -> Result<Option<(usize, T)>, SolveError> {
-        let n = self.backend.n_active();
-        let window = match self.opts.pivot_rule {
+    fn price_and_select(&mut self) -> Result<Option<(usize, T)>, SolveError> {
+        let opt_tol = self.lane.opts.opt_tol_for::<T>();
+        let use_bland = self.lane.use_bland;
+        let be = &mut *self.backend;
+        let lane = &mut self.lane;
+        let n = be.n_active();
+        let window = match lane.opts.pivot_rule {
             PivotRule::PartialDantzig { window } if !use_bland && n > 0 => Some(window.clamp(1, n)),
             _ => None,
         };
@@ -969,163 +228,45 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
             Some(w) if w < n => {
                 let mut scanned = 0;
                 while scanned < n {
-                    let start = self.price_cursor % n;
+                    let start = lane.price_cursor % n;
                     let len = w.min(n - start);
-                    let span = self.span_begin();
-                    self.backend.compute_btran()?;
-                    self.span_close(StepKind::Btran, Step::Pricing, span);
-                    let span = self.span_begin();
-                    self.backend.compute_pricing_window(start, len)?;
-                    self.span_close(StepKind::Pricing, Step::Pricing, span);
+                    let span = lane.span_begin(be);
+                    be.compute_btran()?;
+                    lane.span_close(be, StepKind::Btran, Step::Pricing, span);
+                    let span = lane.span_begin(be);
+                    be.compute_pricing_window(start, len)?;
+                    lane.span_close(be, StepKind::Pricing, Step::Pricing, span);
 
-                    let span = self.span_begin();
-                    let hit = self.backend.entering_dantzig_window(opt_tol, start, len)?;
-                    self.span_close(StepKind::Pricing, Step::Selection, span);
+                    let span = lane.span_begin(be);
+                    let hit = be.entering_dantzig_window(opt_tol, start, len)?;
+                    lane.span_close(be, StepKind::Pricing, Step::Selection, span);
                     if hit.is_some() {
                         // Stay on this window: it likely has more candidates.
                         return Ok(hit);
                     }
-                    self.price_cursor = (start + len) % n;
+                    lane.price_cursor = (start + len) % n;
                     scanned += len;
                 }
                 Ok(None)
             }
             _ => {
-                let span = self.span_begin();
-                self.backend.compute_btran()?;
-                self.span_close(StepKind::Btran, Step::Pricing, span);
-                let span = self.span_begin();
-                self.backend.compute_pricing_window(0, n)?;
-                self.span_close(StepKind::Pricing, Step::Pricing, span);
+                let span = lane.span_begin(be);
+                be.compute_btran()?;
+                lane.span_close(be, StepKind::Btran, Step::Pricing, span);
+                let span = lane.span_begin(be);
+                be.compute_pricing_window(0, n)?;
+                lane.span_close(be, StepKind::Pricing, Step::Pricing, span);
 
-                let span = self.span_begin();
+                let span = lane.span_begin(be);
                 let entering = if use_bland {
-                    self.backend.entering_bland(opt_tol)?
+                    be.entering_bland(opt_tol)?
                 } else {
-                    self.backend.entering_dantzig(opt_tol)?
+                    be.entering_dantzig(opt_tol)?
                 };
-                self.span_close(StepKind::Pricing, Step::Selection, span);
+                lane.span_close(be, StepKind::Pricing, Step::Selection, span);
                 Ok(entering)
             }
         }
-    }
-
-    /// Install the bounded, deterministic cost perturbation: each active
-    /// column's phase cost gets `+ scale · jitter(j)` with jitter in
-    /// `[0.5, 1.5)`. The shifted reduced costs reorder Dantzig selection,
-    /// which is what breaks a degenerate cycle; the exact objective is
-    /// restored at the next reinversion boundary (and always before
-    /// optimality is declared), so the terminal certificate is exact.
-    fn apply_perturbation(&mut self, phase: Phase, scale: f64) -> Result<(), SolveError> {
-        let span = self.span_begin();
-        let n = self.backend.n_active();
-        let mut pert = vec![T::ZERO; n];
-        for (j, pj) in pert.iter_mut().enumerate() {
-            let base = match phase {
-                Phase::One => T::ZERO,
-                Phase::Two => self.sf.c[j],
-            };
-            *pj = base + T::from_f64(scale * column_jitter(j));
-        }
-        self.backend.set_phase_costs(&pert)?;
-        for r in 0..self.sf.num_rows() {
-            let col = self.xb[r];
-            let cost = if col < n {
-                pert[col]
-            } else if phase == Phase::One {
-                T::ONE // artificial under the phase-1 objective
-            } else {
-                T::ZERO
-            };
-            self.backend.set_basic_cost(r, cost)?;
-        }
-        self.perturbed = true;
-        self.stats.perturbations += 1;
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        Ok(())
-    }
-
-    /// Remove the perturbation by reinstalling the exact phase objective.
-    /// No-op when none is active.
-    fn clear_perturbation(&mut self, phase: Phase) -> Result<(), SolveError> {
-        if !self.perturbed {
-            return Ok(());
-        }
-        self.perturbed = false;
-        match phase {
-            Phase::One => self.enter_phase1(),
-            Phase::Two => self.enter_phase2(),
-        }
-    }
-
-    /// Install the EXPAND-style ratio-test shift: the backend minimizes
-    /// `(β_i + δ)/α_i` until the shift is withdrawn, so every pivot takes a
-    /// strictly positive step. Backends without support keep their no-op
-    /// default and the stall simply persists into the Bland escalation.
-    fn apply_bound_shift(&mut self, delta: f64) {
-        self.backend.set_ratio_shift(delta.abs().max(1e-12));
-        self.shifted = true;
-        self.shift_spent = true;
-        self.stats.bound_shifts += 1;
-    }
-
-    /// Withdraw the ratio-test shift. No-op when none is active.
-    fn clear_bound_shift(&mut self) {
-        if self.shifted {
-            self.backend.set_ratio_shift(0.0);
-            self.shifted = false;
-        }
-    }
-
-    /// Copy the backend's sparse-LU counters (peak fill-in, peak factor
-    /// size, cumulative threshold rejections) into the solve stats. No-op
-    /// for backends/representations without an LU engine.
-    fn harvest_lu_stats(&mut self) {
-        if let Some(r) = self.backend.lu_stats() {
-            self.stats.lu_fill_in = r.fill_in;
-            self.stats.lu_refactor_nnz = r.refactor_nnz;
-            self.stats.markowitz_rejections = r.markowitz_rejections;
-        }
-    }
-
-    /// Degenerate phase-1 cleanup: for each basic artificial, try to swap in
-    /// a nonbasic structural column with a nonzero entry in that row.
-    fn drive_out_artificials(&mut self) -> Result<(), SolveError> {
-        let pivot_tol = self.opts.pivot_tol_for::<T>();
-        let span = self.span_begin();
-        let m = self.backend.m();
-        let n_active = self.backend.n_active();
-        let rows: Vec<usize> = (0..m)
-            .filter(|&r| self.sf.is_artificial(self.xb[r]))
-            .collect();
-        for r in rows {
-            let basic: Vec<bool> = {
-                let mut b = vec![false; n_active];
-                for &col in &self.xb {
-                    if col < n_active {
-                        b[col] = true;
-                    }
-                }
-                b
-            };
-            for q in 0..n_active {
-                if basic[q] {
-                    continue;
-                }
-                self.backend.compute_alpha(q)?;
-                if self.backend.alpha_at(r)?.abs() > pivot_tol {
-                    // Degenerate pivot: θ = 0 keeps β unchanged, the basis
-                    // swap is what we're after.
-                    self.backend.update(r, T::ZERO)?;
-                    self.backend.set_basic_col(r, q)?;
-                    self.backend.set_basic_cost(r, T::ZERO)?;
-                    self.xb[r] = q;
-                    break;
-                }
-            }
-        }
-        self.span_close(StepKind::Transfer, Step::Other, span);
-        Ok(())
     }
 }
 
@@ -1147,56 +288,6 @@ mod tests {
         lp.add_constraint("c3", &[(x, 1.0), (y, 1.0)], Rel::Le, 4.0);
         lp.add_constraint("c4", &[(x, 1.0), (y, 1.0)], Rel::Ge, 1.0);
         lp
-    }
-
-    /// Satellite regression: a Bland escalation (and a live stall counter)
-    /// earned in phase 1 must survive the phase-2 objective install. The
-    /// pre-fix code reset both from the pivot rule at the phase boundary.
-    #[test]
-    fn phase2_entry_preserves_anti_cycling_state() {
-        let lp = degenerate_lp();
-        let sf = StandardForm::<f64>::from_lp(&lp).unwrap();
-        let opts = SolverOptions::default();
-        let n_active = sf.num_cols() - sf.num_artificials;
-        let mut be = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-        let mut driver = RevisedSimplex::new(&mut be, &sf, &opts);
-
-        // Simulate a phase-1 endgame that escalated to Bland with a hot
-        // stall counter.
-        driver.bland_mode = true;
-        driver.stall = 7;
-        driver.enter_phase2().unwrap();
-        assert!(
-            driver.bland_mode,
-            "phase-2 entry must not discard the Bland escalation"
-        );
-        assert_eq!(
-            driver.stall, 7,
-            "phase-2 entry must not reset the stall counter"
-        );
-        assert_eq!(driver.phase_tag, 2);
-    }
-
-    /// Satellite regression (failing pre-fix): an emergency reinversion
-    /// rebuilds the iterate from scratch, so the stall streak measured
-    /// against the corrupted state must not survive it. The pre-fix
-    /// `recover()` left the counter hot, leaking a premature Bland
-    /// escalation into the repaired walk.
-    #[test]
-    fn emergency_reinversion_resets_stall_counter() {
-        let lp = degenerate_lp();
-        let sf = StandardForm::<f64>::from_lp(&lp).unwrap();
-        let opts = SolverOptions::default();
-        let n_active = sf.num_cols() - sf.num_artificials;
-        let mut be = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-        let mut driver = RevisedSimplex::new(&mut be, &sf, &opts);
-        driver.stall = 9;
-        assert!(driver.recover().unwrap(), "identity basis refactors");
-        assert_eq!(
-            driver.stall, 0,
-            "corruption-triggered reinversion must reset the stall streak"
-        );
-        assert_eq!(driver.stats.nan_recoveries, 1);
     }
 
     /// The perturbation policy terminates at the same optimum as the Bland

@@ -5,8 +5,9 @@
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
 use gplex::{
-    mega_compatible, solve_on, solve_standard, try_solve_family_mega,
-    try_solve_family_mega_recorded, BackendKind, SolverOptions, Status, StepKind, TraceRecorder,
+    mega_compatible, solve_on, solve_standard, try_solve_family_mega, try_solve_standard_ckpt,
+    BackendKind, CheckpointSlot, LaneOutcome, NoopRecorder, Recorder, SolveError, SolverOptions,
+    Status, StdResult, StepKind, TraceRecorder,
 };
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
@@ -26,17 +27,54 @@ fn standardize(jobs: &[LinearProgram]) -> Vec<StandardForm<f64>> {
         .collect()
 }
 
+/// Lane results of a family run on a fault-free device, where no lane can
+/// be evacuated: a device fault surfaces as the outer error.
+fn solve_family<R: Recorder>(
+    gpu: &Gpu,
+    refs: &[&StandardForm<f64>],
+    opts: &SolverOptions,
+    warm: Vec<Option<Vec<usize>>>,
+    recs: Option<&mut [R]>,
+) -> Result<Vec<Result<StdResult<f64>, SolveError>>, SolveError> {
+    let run = try_solve_family_mega::<f64, R>(gpu, refs, opts, warm, recs)?;
+    if let Some(fault) = run.fault {
+        return Err(fault);
+    }
+    Ok(run
+        .lanes
+        .into_iter()
+        .map(|o| match o {
+            LaneOutcome::Done(r) => r.map(|b| *b),
+            LaneOutcome::Evacuated { .. } => {
+                unreachable!("evacuation only happens on a device fault")
+            }
+        })
+        .collect())
+}
+
 /// Core differential harness: solve `sfs` as one lockstep family and pin
-/// every lane bitwise to the solo `cpu-dense` solve of the same form.
+/// every lane bitwise to the solo `cpu-dense` solve of the same form —
+/// path, answer and every lane counter. The solo reference runs with a
+/// checkpoint slot attached, because a mega lane always snapshots.
 fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
     let warm = vec![None; sfs.len()];
-    let lanes = try_solve_family_mega::<f64>(&gpu, &refs, opts, warm).expect("family machinery ok");
+    let lanes =
+        solve_family::<NoopRecorder>(&gpu, &refs, opts, warm, None).expect("family machinery ok");
     assert_eq!(lanes.len(), sfs.len());
     for (b, lane) in lanes.into_iter().enumerate() {
         let mega = lane.unwrap_or_else(|e| panic!("lane {b} failed: {e}"));
-        let solo = solve_standard::<f64>(&sfs[b], opts, &BackendKind::CpuDense);
+        let slot = CheckpointSlot::new();
+        let solo = try_solve_standard_ckpt::<f64>(
+            &sfs[b],
+            opts,
+            &BackendKind::CpuDense,
+            None,
+            &slot,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("solo {b} failed: {e}"));
         assert_eq!(mega.status, solo.status, "lane {b} status");
         assert_eq!(mega.basis, solo.basis, "lane {b} terminal basis");
         assert_eq!(
@@ -58,6 +96,23 @@ fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
         for (j, (a, c)) in mega.x_std.iter().zip(&solo.x_std).enumerate() {
             assert_eq!(a.to_bits(), c.to_bits(), "lane {b} x_std[{j}]: {a} vs {c}");
         }
+        let (ms, ss) = (&mega.stats, &solo.stats);
+        let counters = |s: &gplex::SolveStats| {
+            [
+                ("refactorizations", s.refactorizations),
+                ("degenerate_steps", s.degenerate_steps),
+                ("bland_iterations", s.bland_iterations),
+                ("phase1_iterations", s.phase1_iterations),
+                ("nan_recoveries", s.nan_recoveries),
+                ("warm_start_attempted", s.warm_start_attempted),
+                ("warm_start_rejected", s.warm_start_rejected),
+                ("checkpoints_taken", s.checkpoints_taken),
+            ]
+        };
+        for ((name, m), (_, c)) in counters(ms).into_iter().zip(counters(ss)) {
+            assert_eq!(m, c, "lane {b} {name}");
+        }
+        assert_eq!(ms.phase, ss.phase, "lane {b} per-phase counters");
     }
 }
 
@@ -107,6 +162,29 @@ fn bland_rule_family_bitwise_parity() {
         .map(|s| generator::dense_random(6, 9, s + 50))
         .collect();
     assert_family_matches_solo(&standardize(&jobs), &opts);
+}
+
+/// Degenerate assignment lanes under a hair-trigger stall threshold and a
+/// short reinversion/checkpoint cadence: every lane escalates to Bland,
+/// reinverts and snapshots mid-walk, and still matches solo counter for
+/// counter.
+#[test]
+fn stalling_reinverting_family_matches_solo_counters() {
+    let opts = SolverOptions {
+        stall_threshold: 3,
+        refactor_period: 8,
+        checkpoint_interval: 8,
+        ..raw_opts()
+    };
+    let jobs: Vec<LinearProgram> = (1..=3).map(|s| generator::assignment(7, s)).collect();
+    let sfs = standardize(&jobs);
+    for sf in &sfs {
+        let solo = solve_standard::<f64>(sf, &opts, &BackendKind::CpuDense);
+        assert!(solo.stats.bland_iterations > 0, "fixture must escalate");
+        assert!(solo.stats.refactorizations > 0, "fixture must reinvert");
+        assert!(solo.stats.degenerate_steps > 0, "fixture must stall");
+    }
+    assert_family_matches_solo(&sfs, &opts);
 }
 
 /// End-to-end through [`BatchSolver`]: grouped jobs return the same
@@ -191,7 +269,7 @@ fn all_members_converge_same_round() {
     let sfs = standardize(&jobs);
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
-    let lanes = try_solve_family_mega::<f64>(&gpu, &refs, &raw_opts(), vec![None; 3])
+    let lanes = solve_family::<NoopRecorder>(&gpu, &refs, &raw_opts(), vec![None; 3], None)
         .expect("machinery ok");
     let results: Vec<_> = lanes.into_iter().map(|l| l.expect("solved")).collect();
     for r in &results {
@@ -243,14 +321,9 @@ fn iteration_limit_member_statuses_and_idle_lanes_accrue_nothing() {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs = vec![&sf_fast, &sf_slow];
     let mut recs = vec![TraceRecorder::default(), TraceRecorder::default()];
-    let lanes = try_solve_family_mega_recorded::<f64, TraceRecorder>(
-        &gpu,
-        &refs,
-        &opts,
-        vec![None, None],
-        Some(&mut recs),
-    )
-    .expect("machinery ok");
+    let lanes =
+        solve_family::<TraceRecorder>(&gpu, &refs, &opts, vec![None, None], Some(&mut recs))
+            .expect("machinery ok");
     let fast = lanes[0].as_ref().expect("fast lane solved");
     let slow = lanes[1].as_ref().expect("slow lane returned");
     assert_eq!(fast.status, Status::Optimal);
@@ -280,7 +353,7 @@ fn group_warm_seeding_from_single_family_basis() {
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
     let opts = raw_opts();
     let gpu = Gpu::new(DeviceSpec::gtx280());
-    let cold = try_solve_family_mega::<f64>(&gpu, &refs, &opts, vec![None; 5])
+    let cold = solve_family::<NoopRecorder>(&gpu, &refs, &opts, vec![None; 5], None)
         .expect("machinery ok")
         .into_iter()
         .map(|l| l.expect("solved"))
@@ -288,7 +361,7 @@ fn group_warm_seeding_from_single_family_basis() {
     let family_basis = cold[0].basis.clone();
     let warm = vec![Some(family_basis); 5];
     let gpu2 = Gpu::new(DeviceSpec::gtx280());
-    let warm_res = try_solve_family_mega::<f64>(&gpu2, &refs, &opts, warm)
+    let warm_res = solve_family::<NoopRecorder>(&gpu2, &refs, &opts, warm, None)
         .expect("machinery ok")
         .into_iter()
         .map(|l| l.expect("solved"))
