@@ -1,5 +1,5 @@
 //! Quick calibration probe (not part of the repro suite).
-use gplex::{solve_standard, BackendKind, PivotRule, SolverOptions};
+use gplex::{BackendKind, PivotRule, SolveRequest, SolverOptions};
 use gpu_sim::DeviceSpec;
 use lp::{generator, StandardForm};
 
@@ -8,15 +8,17 @@ fn main() {
         let model = generator::dense_random(m, m, 1);
         let sf64 = StandardForm::<f64>::from_lp(&model).unwrap();
         let sf32 = StandardForm::<f32>::from_lp(&model).unwrap();
-        let oracle = solve_standard::<f64>(
+        let oracle = SolveRequest::standard(
             &sf64,
             &SolverOptions {
                 presolve: false,
                 scale: false,
                 ..Default::default()
             },
-            &BackendKind::CpuDense,
-        );
+        )
+        .on(&BackendKind::CpuDense)
+        .run()
+        .unwrap();
         for period in [0usize, 256] {
             let opts = SolverOptions {
                 pivot_rule: PivotRule::Hybrid,
@@ -25,9 +27,14 @@ fn main() {
                 refactor_period: period,
                 ..Default::default()
             };
-            let c = solve_standard::<f32>(&sf32, &opts, &BackendKind::CpuDense);
-            let g =
-                solve_standard::<f32>(&sf32, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+            let c = SolveRequest::standard(&sf32, &opts)
+                .on(&BackendKind::CpuDense)
+                .run()
+                .unwrap();
+            let g = SolveRequest::standard(&sf32, &opts)
+                .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+                .run()
+                .unwrap();
             println!("m={m:4} p={period:3} cpu[{:?} it={} bland={} degen={} sim={:.2}s] gpu[{:?} it={} sim={:.2}s] spd={:.2} err32_64={:.1e} cpu_gpu_d={:.1e}",
                 c.status, c.stats.iterations, c.stats.bland_iterations, c.stats.degenerate_steps,
                 c.stats.total_time().as_secs_f64(),

@@ -29,7 +29,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
-use gplex::{solve_on, BackendKind, BatchOptions, BatchReport, BatchSolver, Status};
+use gplex::{
+    BackendKind, BatchOptions, BatchReport, BatchSolver, SolveRequest, SolverOptions, Status,
+};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator;
 
@@ -102,7 +104,12 @@ fn measure_cell(width: usize, m: usize, n: usize, seed: u64) -> CellPoint {
 
     let solo: Vec<_> = jobs
         .iter()
-        .map(|j| solve_on::<f64>(j, &Default::default(), &BackendKind::CpuDense))
+        .map(|j| {
+            SolveRequest::model(j, &SolverOptions::default())
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap()
+        })
         .collect();
 
     let stream_dev = Arc::new(Gpu::new(DeviceSpec::gtx280()));

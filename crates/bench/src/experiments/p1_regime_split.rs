@@ -29,8 +29,8 @@
 
 use std::fmt::Write as _;
 
-use gplex::pdhg::{self, PdhgOptions};
-use gplex::{try_solve_on, BackendKind, SolverOptions, Status};
+use gplex::pdhg::PdhgOptions;
+use gplex::{BackendKind, SolveRequest, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::generator;
 
@@ -100,7 +100,9 @@ pub fn run(quick: bool) -> ExpReport {
             let model = generator::sparse_random(m, n, density, 41);
             for (label, kind) in backends() {
                 let sx = {
-                    let sol = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind)
+                    let sol = SolveRequest::model(&model, &SolverOptions::default())
+                        .on(&kind)
+                        .run::<f64>()
                         .expect("simplex grid solve succeeds");
                     AlgoRow {
                         status: sol.status,
@@ -111,7 +113,9 @@ pub fn run(quick: bool) -> ExpReport {
                     }
                 };
                 let fo = {
-                    let sol = pdhg::try_solve_on::<f64>(&model, &popts, &kind)
+                    let sol = SolveRequest::model(&model, &popts)
+                        .on(&kind)
+                        .run::<f64>()
                         .expect("pdhg grid solve succeeds");
                     AlgoRow {
                         status: sol.status,

@@ -28,7 +28,10 @@
 use std::fmt::Write as _;
 
 use gplex::backends::GpuDenseBackend;
-use gplex::{BasisRepresentation, DegeneracyPolicy, RevisedSimplex, SolverOptions, Status, Step};
+use gplex::{
+    BasisRepresentation, DegeneracyPolicy, NoopRecorder, RevisedSimplex, SolverOptions, Start,
+    Status, Step,
+};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
 use lp::{LinearProgram, StandardForm};
@@ -72,7 +75,15 @@ fn timed_solve(
     };
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let mut be = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
-    let res = RevisedSimplex::new(&mut be, &sf, &opts).solve();
+    let res = RevisedSimplex::new(
+        &mut be,
+        &sf,
+        &opts,
+        Start::Cold,
+        None,
+        None::<&mut NoopRecorder>,
+    )
+    .solve();
     let c = gpu.counters();
     let iters = res.stats.iterations.max(1);
     let per_iter = |ns: f64| ns / iters as f64;

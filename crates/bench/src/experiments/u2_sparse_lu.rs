@@ -35,8 +35,8 @@ use std::fmt::Write as _;
 
 use gplex::backends::GpuDenseBackend;
 use gplex::{
-    try_solve_standard_ckpt, BackendKind, BasisRepresentation, CheckpointSlot, RevisedSimplex,
-    SolverOptions, Status, Step,
+    BackendKind, BasisRepresentation, CheckpointSlot, NoopRecorder, RevisedSimplex, SolveRequest,
+    SolverOptions, Start, Status, Step,
 };
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator;
@@ -76,7 +76,15 @@ fn timed_solve(sf: &StandardForm<f64>, rep: BasisRepresentation, max_iters: usiz
     };
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let mut be = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
-    let res = RevisedSimplex::new(&mut be, sf, &opts).solve();
+    let res = RevisedSimplex::new(
+        &mut be,
+        sf,
+        &opts,
+        Start::Cold,
+        None,
+        None::<&mut NoopRecorder>,
+    )
+    .solve();
     let iters = res.stats.iterations.max(1);
     let per_iter = |s: Step| res.stats.time(s).as_nanos() / iters as f64;
     let pivot_ns: f64 = [
@@ -227,9 +235,11 @@ pub fn run(quick: bool) -> ExpReport {
             ..Default::default()
         };
         let slot = CheckpointSlot::new();
-        let res =
-            try_solve_standard_ckpt::<f64>(&sf, &opts, &BackendKind::CpuSparse, None, &slot, None)
-                .expect("fill sweep solve succeeds");
+        let res = SolveRequest::standard(&sf, &opts)
+            .on(&BackendKind::CpuSparse)
+            .checkpoint(&slot)
+            .run()
+            .expect("fill sweep solve succeeds");
         let row = FillRow {
             density,
             iters: res.stats.iterations,
@@ -267,15 +277,21 @@ pub fn run(quick: bool) -> ExpReport {
         };
         let kind = BackendKind::CpuSparse;
         let slot = CheckpointSlot::new();
-        let solo = try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot, None)
+        let solo = SolveRequest::standard(&sf, &opts)
+            .on(&kind)
+            .checkpoint(&slot)
+            .run()
             .expect("uninterrupted solve succeeds");
         match slot.checkpoint() {
             None => false,
             Some(cp) => {
                 let slot2 = CheckpointSlot::new();
-                let resumed =
-                    try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot2, Some(cp))
-                        .expect("resumed solve succeeds");
+                let resumed = SolveRequest::standard(&sf, &opts)
+                    .on(&kind)
+                    .checkpoint(&slot2)
+                    .start(Start::Resume(Box::new(cp)))
+                    .run()
+                    .expect("resumed solve succeeds");
                 resumed.status == solo.status
                     && resumed.stats.pivot_fingerprint == solo.stats.pivot_fingerprint
                     && resumed.z_std.to_bits() == solo.z_std.to_bits()

@@ -6,7 +6,7 @@ use std::time::Instant;
 use gplex::backends::{CpuDenseBackend, CpuSparseBackend, GpuDenseBackend};
 use gplex::result::StdResult;
 use gplex::trace::{NoopRecorder, Recorder};
-use gplex::{RevisedSimplex, SolverOptions, Status, Step};
+use gplex::{RevisedSimplex, SolverOptions, Start, Status, Step};
 use gpu_sim::{DeviceSpec, Gpu, TimeCategory};
 use linalg::gpu::{GemvTStrategy, Layout};
 use linalg::{CpuModel, CsrMatrix, Scalar};
@@ -199,8 +199,9 @@ fn run_standard_impl<T: Scalar, R: Recorder>(
         rec: Option<&'a mut R>,
     ) -> StdResult<T> {
         match rec {
-            Some(r) => RevisedSimplex::with_recorder(be, sf, opts, r).solve(),
-            None => RevisedSimplex::new(be, sf, opts).solve(),
+            Some(r) => RevisedSimplex::new(be, sf, opts, Start::Cold, None, Some(r)).solve(),
+            None => RevisedSimplex::new(be, sf, opts, Start::Cold, None, None::<&mut NoopRecorder>)
+                .solve(),
         }
     }
 

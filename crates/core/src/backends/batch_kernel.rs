@@ -764,7 +764,15 @@ mod tests {
 
             let n_active = sf.num_cols() - sf.num_artificials;
             let mut cpu = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-            let cpu_res = RevisedSimplex::new(&mut cpu, &sf, &opts).solve();
+            let cpu_res = RevisedSimplex::new(
+                &mut cpu,
+                &sf,
+                &opts,
+                crate::Start::Cold,
+                None,
+                None::<&mut crate::NoopRecorder>,
+            )
+            .solve();
 
             let gpu = Gpu::new(DeviceSpec::gtx280());
             let members = [BatchMember {
@@ -775,7 +783,15 @@ mod tests {
             }];
             let mut batch = BatchKernelBackend::try_new(&gpu, &members).expect("builds");
             let mut lane = batch.lane(0);
-            let lane_res = RevisedSimplex::new(&mut lane, &sf, &opts).solve();
+            let lane_res = RevisedSimplex::new(
+                &mut lane,
+                &sf,
+                &opts,
+                crate::Start::Cold,
+                None,
+                None::<&mut crate::NoopRecorder>,
+            )
+            .solve();
 
             assert_eq!(cpu_res.status, lane_res.status);
             assert_eq!(cpu_res.basis, lane_res.basis);

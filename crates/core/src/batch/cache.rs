@@ -4,7 +4,7 @@
 //! batches are *families* of structurally related LPs: most of the simplex
 //! work for member k is re-derivable from member j's optimal basis. The
 //! [`BasisCache`] connects the per-solve warm-start machinery
-//! ([`crate::solve_standard_with_basis`]) to [`crate::BatchSolver`]:
+//! ([`crate::Start::Warm`]) to [`crate::BatchSolver`]:
 //!
 //! * **Keying.** Instances are keyed by a structural FNV-1a fingerprint of
 //!   the standardized form, computed by [`cache_key`] under a

@@ -113,7 +113,7 @@ pub struct MegaFamilyRun<T: Scalar> {
 
 /// Solve a same-shape family in lockstep on `gpu`. `warm[b]` optionally
 /// seeds lane `b` with a basis candidate (same validation and cold-fallback
-/// semantics as [`crate::RevisedSimplex::with_start_basis`]); `recs[b]`,
+/// semantics as [`crate::Start::Warm`]); `recs[b]`,
 /// when given, receives lane `b`'s spans — fair-share for the shared round
 /// stages, solo for that lane's irregular work.
 ///
@@ -391,8 +391,7 @@ impl<'a, 'g, T: Scalar, R: Recorder> MegaDriver<'a, 'g, T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve_standard;
-    use crate::solver::BackendKind;
+    use crate::solver::{BackendKind, SolveRequest};
     use crate::trace::NoopRecorder;
     use gpu_sim::DeviceSpec;
     use lp::generator;
@@ -442,7 +441,10 @@ mod tests {
                 );
             } else {
                 let r = outcome.as_ref().expect("sibling lane solved");
-                let solo = solve_standard::<f64>(&sfs[b], &opts, &BackendKind::CpuDense);
+                let solo = SolveRequest::standard(&sfs[b], &opts)
+                    .on(&BackendKind::CpuDense)
+                    .run()
+                    .unwrap();
                 assert_eq!(r.status, solo.status, "lane {b} status");
                 assert_eq!(
                     r.z_std.to_bits(),

@@ -3,7 +3,7 @@
 //! The paper solves one LP at a time; real deployments of the era
 //! (portfolio rebalancing, per-scenario planning, branch-and-bound nodes)
 //! solve *fleets* of independent LPs. This module adds that layer on top of
-//! [`crate::solve_on`]:
+//! [`crate::SolveRequest`]:
 //!
 //! * [`BatchSolver`] takes a slice of [`LinearProgram`]s plus one
 //!   [`SolverOptions`] for the batch and dispatches the solves across a
@@ -15,7 +15,8 @@
 //!   of (job index, shape), so *where* a job runs never depends on timing.
 //! * Each solve runs under `catch_unwind`: a panicking job is recorded as
 //!   [`JobOutcome::Panicked`] and the pool keeps draining the queue —
-//!   one poisoned model cannot take down the batch.
+//!   one poisoned model cannot take down the batch. A solve that returns a
+//!   [`SolveError`] is [`JobOutcome::Failed`].
 //! * With [`BatchOptions::resilience`] set, each job instead runs through
 //!   [`crate::ResilientSolver`]: seeded fault injection on GPU rungs,
 //!   bounded retries with recorded backoff, and graceful degradation down
@@ -57,7 +58,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use gpu_sim::{DeviceSpec, FaultPlan, Gpu, SimTime, Stream};
+use gpu_sim::{DeviceSpec, FaultPlan, Gpu, SimTime};
 use linalg::Scalar;
 use lp::presolve::Presolved;
 use lp::{LinearProgram, StandardForm};
@@ -67,8 +68,9 @@ use crate::checkpoint::CheckpointSlot;
 use crate::error::SolveError;
 use crate::options::SolverOptions;
 use crate::resilient::{ResilienceOptions, ResilientSolver};
+use crate::result::StdResult;
 use crate::solver::{
-    finalize, prepare, settle_warm, solve_on_warm, try_solve_standard_ckpt, BackendKind, Prepared,
+    finalize_simplex, prepare, settle_warm, BackendKind, Prepared, SimDevice, SolveRequest, Start,
     WarmContext,
 };
 use crate::trace::NoopRecorder;
@@ -271,9 +273,13 @@ impl BatchSolver {
                                 // leaves the job terminally Panicked — it is
                                 // never re-run).
                                 let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                                    solve_on_warm::<T>(job, &opts.solver, &kind, warm_ctx.as_ref())
+                                    SolveRequest::model(job, &opts.solver)
+                                        .on(&kind)
+                                        .warm(warm_ctx.as_ref())
+                                        .run::<T>()
                                 })) {
-                                    Ok(sol) => JobOutcome::Solved(Box::new(sol)),
+                                    Ok(Ok(sol)) => JobOutcome::Solved(Box::new(sol)),
+                                    Ok(Err(e)) => JobOutcome::Failed(e.to_string()),
                                     Err(payload) => JobOutcome::Panicked(panic_message(&*payload)),
                                 };
                                 let faults = outcome
@@ -294,12 +300,11 @@ impl BatchSolver {
                                     // itself be fault-quarantined.
                                     kind = BackendKind::CpuDense;
                                 }
-                                let out = solver.solve_job_warm::<T>(
+                                let out = solver.run::<T>(
                                     idx as u64,
-                                    job,
-                                    &opts.solver,
-                                    &kind,
-                                    warm_ctx.as_ref(),
+                                    SolveRequest::model(job, &opts.solver)
+                                        .on(&kind)
+                                        .warm(warm_ctx.as_ref()),
                                 );
                                 quarantine
                                     .lock()
@@ -313,51 +318,16 @@ impl BatchSolver {
                                 (outcome, out.faults, out.retries, out.degradations)
                             }
                         };
-                        let wall_seconds = t0.elapsed().as_secs_f64();
-                        let sim_time = outcome
-                            .solution()
-                            .map(|sol| sol.stats.total_time())
-                            .unwrap_or(SimTime::ZERO);
-                        executed += sim_time;
-                        // Warm accounting comes from the solve's own stats:
-                        // an accepted start has attempted > rejected (and
-                        // skipped phase 1); a rejected one fell back cold.
-                        let (warm_hit, warm_rejected, warm_iterations_saved) = outcome
-                            .solution()
-                            .map(|sol| {
-                                (
-                                    sol.stats.warm_start_attempted > sol.stats.warm_start_rejected,
-                                    sol.stats.warm_start_rejected > 0,
-                                    sol.stats.warm_iterations_saved,
-                                )
-                            })
-                            .unwrap_or((false, false, 0));
-                        let (resumed, wasted_iterations) = outcome
-                            .solution()
-                            .map(|sol| {
-                                (
-                                    sol.stats.checkpoint_resumes > 0,
-                                    sol.stats.wasted_iterations,
-                                )
-                            })
-                            .unwrap_or((false, 0));
-                        slots.lock()[idx] = Some(JobResult {
-                            index: idx,
-                            backend,
+                        let jr = JobResult {
                             worker,
-                            wall_seconds,
-                            sim_time,
+                            wall_seconds: t0.elapsed().as_secs_f64(),
                             faults,
                             retries,
                             degradations,
-                            warm_hit,
-                            warm_rejected,
-                            warm_iterations_saved,
-                            evacuated: false,
-                            resumed,
-                            wasted_iterations,
-                            outcome,
-                        });
+                            ..job_result(idx, backend, outcome)
+                        };
+                        executed += jr.sim_time;
+                        slots.lock()[idx] = Some(jr);
                         // Cooperative fairness: on hosts with fewer cores
                         // than workers, one thread can otherwise drain the
                         // queue before its siblings are ever scheduled,
@@ -409,11 +379,13 @@ struct MegaOutcome {
     faults: u64,
 }
 
-/// A job record with the zero/default accounting of a job that never
-/// reached a solver (panicked in prepare, decided by presolve, or a mega
-/// lane); callers override the fields they know better.
-fn pre_result(idx: usize, backend: &'static str, outcome: JobOutcome) -> JobResult {
-    JobResult {
+/// The record of job `idx` with `outcome` on `backend`: modeled time, warm
+/// and checkpoint accounting read from the solution's own stats (an
+/// accepted warm start has attempted > rejected; a rejected one fell back
+/// cold), zero without a solution. Callers override the fields they know
+/// better (worker, wall time, faults, retries, ...).
+fn job_result(idx: usize, backend: &'static str, outcome: JobOutcome) -> JobResult {
+    let mut jr = JobResult {
         index: idx,
         backend,
         worker: 0,
@@ -429,7 +401,17 @@ fn pre_result(idx: usize, backend: &'static str, outcome: JobOutcome) -> JobResu
         resumed: false,
         wasted_iterations: 0,
         outcome,
+    };
+    if let Some(sol) = jr.outcome.solution() {
+        let s = &sol.stats;
+        jr.sim_time = s.total_time();
+        jr.warm_hit = s.warm_start_attempted > s.warm_start_rejected;
+        jr.warm_rejected = s.warm_start_rejected > 0;
+        jr.warm_iterations_saved = s.warm_iterations_saved;
+        jr.resumed = s.checkpoint_resumes > 0;
+        jr.wasted_iterations = s.wasted_iterations;
     }
+    jr
 }
 
 /// Run presolve/standardize per job on the calling thread, group the
@@ -472,16 +454,18 @@ fn mega_prepass<T: Scalar>(
             .policy
             .place(idx, job.num_constraints(), job.num_vars())
             .label();
-        match catch_unwind(AssertUnwindSafe(|| prepare::<T>(job, &opts.solver))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            prepare::<T>(job, opts.solver.presolve, opts.solver.scale)
+        })) {
             Err(payload) => {
-                slots.lock()[idx] = Some(pre_result(
+                slots.lock()[idx] = Some(job_result(
                     idx,
                     placed,
                     JobOutcome::Panicked(panic_message(&*payload)),
                 ));
             }
             Ok(Prepared::Early(sol)) => {
-                slots.lock()[idx] = Some(pre_result(idx, placed, JobOutcome::Solved(sol)));
+                slots.lock()[idx] = Some(job_result(idx, placed, JobOutcome::Solved(sol)));
             }
             Ok(Prepared::Ready { sf, restore }) => ready.push((idx, *sf, restore)),
         }
@@ -506,22 +490,11 @@ fn mega_prepass<T: Scalar>(
         // One device per group, mirroring the stream path's placement:
         // a shared device gets a stream (counters fold into the device on
         // retirement), a fixed spec gets a fresh device of that spec.
-        let stream_holder;
-        let gpu_holder;
-        let gpu: &Gpu = match &opts.policy {
-            PlacementPolicy::Fixed(BackendKind::GpuShared(device)) => {
-                stream_holder = Stream::on(device);
-                &stream_holder
-            }
-            PlacementPolicy::Fixed(BackendKind::GpuDense(spec)) => {
-                gpu_holder = Gpu::new(spec.clone());
-                &gpu_holder
-            }
-            _ => {
-                gpu_holder = Gpu::new(DeviceSpec::gtx280());
-                &gpu_holder
-            }
+        let placed = match &opts.policy {
+            PlacementPolicy::Fixed(kind) => SimDevice::open(kind),
+            _ => None,
         };
+        let gpu = placed.unwrap_or_else(|| SimDevice::Fresh(Gpu::new(DeviceSpec::gtx280())));
         // Arm the group device with a per-group reseeded plan, mirroring
         // the stream path's per-solve arming (deterministic: groups walk in
         // BTreeMap shape order).
@@ -569,43 +542,36 @@ fn mega_prepass<T: Scalar>(
             })
             .collect();
 
+        // One member's record from its standard-form result on `backend`
+        // (the lockstep lane, or its dense-CPU salvage): warm accounting
+        // settled against the group's family lookup, then the pipeline's
+        // back half through the member's own presolve and scaling.
+        let member_result = |i: usize, backend, res: Result<StdResult<T>, SolveError>| {
+            let (idx, sf, restore) = &ready[members[i]];
+            let outcome = match res {
+                Ok(mut r) => {
+                    let offered_baseline = if offered[i] { baseline } else { None };
+                    settle_warm(warm_ctx.as_ref(), member_keys[i], offered_baseline, &mut r);
+                    let sol = finalize_simplex(&jobs[*idx], &opts.solver, sf, restore, r);
+                    JobOutcome::Solved(Box::new(sol))
+                }
+                Err(e) => JobOutcome::Failed(e.to_string()),
+            };
+            job_result(*idx, backend, outcome)
+        };
+
         let sfs: Vec<&StandardForm<T>> = members.iter().map(|&p| &ready[p].1).collect();
         let gt0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            mega::try_solve_family_mega::<T, NoopRecorder>(gpu, &sfs, &opts.solver, warm_vec, None)
+            mega::try_solve_family_mega::<T, NoopRecorder>(&gpu, &sfs, &opts.solver, warm_vec, None)
         }));
         match outcome {
             Ok(Ok(run)) => {
                 groups_run += 1;
                 let wall_share = gt0.elapsed().as_secs_f64() / members.len() as f64;
                 for (i, lane_out) in run.lanes.into_iter().enumerate() {
-                    let (idx, sf, restore) = &ready[members[i]];
                     let mut jr = match lane_out {
-                        LaneOutcome::Done(Ok(mut r)) => {
-                            settle_warm(
-                                warm_ctx.as_ref(),
-                                member_keys[i],
-                                if offered[i] { baseline } else { None },
-                                &mut r,
-                            );
-                            let lane_sim = r.stats.total_time();
-                            sim += lane_sim;
-                            let warm_hit =
-                                r.stats.warm_start_attempted > r.stats.warm_start_rejected;
-                            let warm_rejected = r.stats.warm_start_rejected > 0;
-                            let saved = r.stats.warm_iterations_saved;
-                            let sol = finalize(&jobs[*idx], &opts.solver, sf, restore, *r);
-                            let mut jr =
-                                pre_result(*idx, "batch-kernel", JobOutcome::Solved(Box::new(sol)));
-                            jr.sim_time = lane_sim;
-                            jr.warm_hit = warm_hit;
-                            jr.warm_rejected = warm_rejected;
-                            jr.warm_iterations_saved = saved;
-                            jr
-                        }
-                        LaneOutcome::Done(Err(e)) => {
-                            pre_result(*idx, "batch-kernel", JobOutcome::Failed(e.to_string()))
-                        }
+                        LaneOutcome::Done(res) => member_result(i, "batch-kernel", res.map(|r| *r)),
                         // Lane evacuation: the device fault stopped this
                         // lane mid-solve. Salvage it stream-per-job —
                         // resumed from its checkpoint when it has one, from
@@ -614,53 +580,30 @@ fn mega_prepass<T: Scalar>(
                             checkpoint,
                             died_at_iteration,
                         } => {
-                            let resume = checkpoint.map(|cp| *cp);
-                            let resumed = resume.is_some();
-                            let ckpt_iters = resume.as_ref().map_or(0, |cp| cp.stats.iterations);
+                            let resumed = checkpoint.is_some();
+                            let ckpt_iters =
+                                checkpoint.as_ref().map_or(0, |cp| cp.stats.iterations);
                             let wasted = died_at_iteration.saturating_sub(ckpt_iters) as u64;
+                            let start = checkpoint.map_or(Start::Cold, Start::Resume);
                             let slot = CheckpointSlot::new();
                             let salvage = catch_unwind(AssertUnwindSafe(|| {
-                                try_solve_standard_ckpt::<T>(
-                                    sf,
-                                    &salvage_opts,
-                                    &BackendKind::CpuDense,
-                                    None,
-                                    &slot,
-                                    resume,
-                                )
+                                SolveRequest::standard(&ready[members[i]].1, &salvage_opts)
+                                    .on(&BackendKind::CpuDense)
+                                    .start(start)
+                                    .checkpoint(&slot)
+                                    .run()
                             }));
                             let mut jr = match salvage {
-                                Ok(Ok(mut r)) => {
-                                    settle_warm(
-                                        warm_ctx.as_ref(),
-                                        member_keys[i],
-                                        if offered[i] { baseline } else { None },
-                                        &mut r,
-                                    );
-                                    let lane_sim = r.stats.total_time();
-                                    sim += lane_sim;
-                                    r.stats.wasted_iterations += wasted;
-                                    let warm_hit =
-                                        r.stats.warm_start_attempted > r.stats.warm_start_rejected;
-                                    let warm_rej = r.stats.warm_start_rejected > 0;
-                                    let saved = r.stats.warm_iterations_saved;
-                                    let sol = finalize(&jobs[*idx], &opts.solver, sf, restore, r);
-                                    let mut jr = pre_result(
-                                        *idx,
-                                        "cpu-dense",
-                                        JobOutcome::Solved(Box::new(sol)),
-                                    );
-                                    jr.sim_time = lane_sim;
-                                    jr.warm_hit = warm_hit;
-                                    jr.warm_rejected = warm_rej;
-                                    jr.warm_iterations_saved = saved;
-                                    jr
-                                }
-                                Ok(Err(e)) => {
-                                    pre_result(*idx, "cpu-dense", JobOutcome::Failed(e.to_string()))
-                                }
-                                Err(payload) => pre_result(
-                                    *idx,
+                                Ok(res) => member_result(
+                                    i,
+                                    "cpu-dense",
+                                    res.map(|mut r| {
+                                        r.stats.wasted_iterations += wasted;
+                                        r
+                                    }),
+                                ),
+                                Err(payload) => job_result(
+                                    ready[members[i]].0,
                                     "cpu-dense",
                                     JobOutcome::Panicked(panic_message(&*payload)),
                                 ),
@@ -671,8 +614,10 @@ fn mega_prepass<T: Scalar>(
                             jr
                         }
                     };
+                    sim += jr.sim_time;
                     jr.wall_seconds = wall_share;
-                    slots.lock()[*idx] = Some(jr);
+                    let idx = jr.index;
+                    slots.lock()[idx] = Some(jr);
                 }
             }
             // Family-level machinery failure before any lane state existed
@@ -771,7 +716,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::result::Status;
-    use crate::solver::solve_on;
+    use crate::solver::SolveRequest;
     use lp::generator::{self, fixtures};
 
     fn batch_of(n: usize) -> Vec<LinearProgram> {
@@ -791,7 +736,10 @@ mod tests {
         assert_eq!(report.results.len(), 12);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.index, i);
-            let seq = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+            let seq = SolveRequest::model(&jobs[i], &SolverOptions::default())
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap();
             let sol = r.outcome.solution().expect("no panic");
             assert_eq!(sol.status, seq.status);
             assert!((sol.objective - seq.objective).abs() < 1e-12);
@@ -938,7 +886,10 @@ mod tests {
         // Every faulted-then-recovered job still matches the CPU answer.
         for (i, r) in report.results.iter().enumerate() {
             let sol = r.outcome.solution().expect("terminal solution");
-            let seq = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+            let seq = SolveRequest::model(&jobs[i], &SolverOptions::default())
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, seq.status, "job {i}");
             assert!(
                 (sol.objective - seq.objective).abs() < 1e-6 * (1.0 + seq.objective.abs()),

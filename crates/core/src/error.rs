@@ -11,10 +11,10 @@
 //!   `SolveError` means the solve was cut short by machinery, not
 //!   mathematics.
 //!
-//! The fallible entry points (`try_solve*` in [`crate::solver`],
-//! [`crate::revised::RevisedSimplex::try_solve`]) return these; the
-//! infallible names keep their historical panic-on-device-failure behavior
-//! by unwrapping them. [`crate::resilient::ResilientSolver`] is the layer
+//! The fallible entry points ([`crate::SolveRequest`]'s `run`,
+//! [`crate::revised::RevisedSimplex::try_solve`]) return these;
+//! `RevisedSimplex::solve` keeps the historical panic-on-device-failure
+//! behavior by unwrapping them. [`crate::resilient::ResilientSolver`] is the layer
 //! that turns `SolveError`s into retries and backend degradation.
 
 use std::fmt;

@@ -19,12 +19,19 @@
 //!
 //! ## Quick start
 //!
+//! Every solve is one [`SolveRequest`]: a model (or a prepared standard
+//! form), an algorithm, a backend and where to start, run by one fallible
+//! `run`.
+//!
 //! ```
 //! use lp::generator;
-//! use gplex::{solve, SolverOptions};
+//! use gplex::{BackendKind, SolveRequest, SolverOptions};
 //!
 //! let (model, expected) = generator::fixtures::wyndor();
-//! let sol = solve::<f64>(&model, &SolverOptions::default());
+//! let sol = SolveRequest::model(&model, &SolverOptions::default())
+//!     .on(&BackendKind::CpuDense)
+//!     .run::<f64>()
+//!     .expect("fault-free solves never fail");
 //! assert_eq!(sol.status, gplex::Status::Optimal);
 //! assert!((sol.objective - expected).abs() < 1e-9);
 //! assert!((sol.x[0] - 2.0).abs() < 1e-9 && (sol.x[1] - 6.0).abs() < 1e-9);
@@ -68,17 +75,15 @@ pub use checkpoint::{CheckpointSlot, SolveCheckpoint};
 pub use error::{BackendError, SolveError};
 pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
-pub use pdhg::{crossover_prefers_pdhg, model_density, PdhgOptions, PdhgStdResult};
+pub use pdhg::{crossover_prefers_pdhg, model_density, PdhgOptions};
 pub use resilient::{
     AlgorithmChoice, ResilienceOptions, ResilientOutcome, ResilientSolver, RetryPolicy,
 };
 pub use result::{LpSolution, Status, StdResult};
 pub use revised::RevisedSimplex;
 pub use solver::{
-    solve, solve_on, solve_on_warm, solve_standard, solve_standard_with_basis, try_solve,
-    try_solve_on, try_solve_on_recorded, try_solve_on_warm, try_solve_on_warm_ckpt,
-    try_solve_standard, try_solve_standard_ckpt, try_solve_standard_recorded,
-    try_solve_standard_with_basis, BackendKind, RecoveryContext, WarmContext,
+    try_solve_on, try_solve_on_recorded, Algorithm, BackendKind, ModelInput, SolveRequest,
+    StandardInput, Start, WarmContext,
 };
 pub use stats::{PhaseCounters, SolveStats, Step};
 pub use trace::{

@@ -60,7 +60,7 @@
 
 use std::time::Instant;
 
-use gpu_sim::{DeviceBuffer, FaultConfig, FaultPlan, Gpu, Launcher, SimTime, Stream};
+use gpu_sim::{DeviceBuffer, FaultConfig, Gpu, Launcher, SimTime};
 use linalg::cpu_model::{CpuClock, CpuModel};
 use linalg::gpu as gblas;
 use linalg::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DeviceCsc, DeviceCsr, Scalar};
@@ -68,9 +68,9 @@ use lp::{LinearProgram, StandardForm};
 
 use crate::error::SolveError;
 use crate::result::{LpSolution, Status};
-use crate::solver::{prepare, BackendKind, Prepared};
+use crate::solver::{on_target, BackendKind, SolveRequest, Target};
 use crate::stats::{SolveStats, Step};
-use crate::trace::{NoopRecorder, Recorder, StepKind};
+use crate::trace::{Recorder, StepKind};
 
 /// Configuration for the PDHG solver family.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,21 +137,18 @@ impl PdhgOptions {
     }
 }
 
-/// Result of a standard-form PDHG solve (the bench entry point's output).
-#[derive(Debug, Clone)]
-pub struct PdhgStdResult<T: Scalar> {
+/// Result of a standard-form PDHG solve.
+pub(crate) struct PdhgStdResult<T: Scalar> {
     /// Termination status (`Optimal` or `IterationLimit`; PDHG cannot
     /// certify infeasibility — presolve catches the obvious cases).
-    pub status: Status,
+    pub(crate) status: Status,
     /// Standard-form point, full `num_cols` length (artificials zero).
-    pub x_std: Vec<T>,
+    pub(crate) x_std: Vec<T>,
     /// Standard-space duals (one per row), in f64.
-    pub y_std: Vec<f64>,
-    /// Standard-form objective `c̃ᵀx̃`.
-    pub z_std: f64,
+    pub(crate) y_std: Vec<f64>,
     /// Statistics (`pdhg_iterations`/`restarts`/`final_gap` populated;
     /// `iterations` stays 0 — there are no pivots).
-    pub stats: SolveStats,
+    pub(crate) stats: SolveStats,
 }
 
 /// Should the crossover picker route this shape to PDHG instead of the
@@ -340,9 +337,6 @@ trait FirstOrderOps<T: Scalar> {
     fn rebase_anchor(&mut self) -> Result<(), SolveError>;
     fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError>;
     fn elapsed(&self) -> SimTime;
-    fn device_faults(&self) -> u64 {
-        0
-    }
 }
 
 /// How the CPU backend stores the active matrix: dense mirrors the paper's
@@ -600,10 +594,6 @@ impl<T: Scalar> FirstOrderOps<T> for GpuOps<'_, T> {
     fn elapsed(&self) -> SimTime {
         self.gpu.elapsed() - self.t0
     }
-
-    fn device_faults(&self) -> u64 {
-        self.gpu.fault_counts().total()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -633,16 +623,16 @@ struct PdhgCore<T: Scalar> {
     status: Status,
     x: Vec<T>,
     y: Vec<T>,
+    stats: SolveStats,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     prob: &PdhgProblem<T>,
     opts: &PdhgOptions,
     ops: &mut O,
-    stats: &mut SolveStats,
     mut rec: Option<&mut R>,
 ) -> Result<PdhgCore<T>, SolveError> {
+    let mut stats = SolveStats::default();
     let tol = opts.tol_for::<T>();
     let max_iters = opts.max_iters();
     let check = opts.check_interval.max(1);
@@ -797,11 +787,11 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     stats.restarts = restarts;
     stats.wall_seconds = wall_start.elapsed().as_secs_f64();
     stats.pivot_fingerprint = fold_iterate(fingerprint, &last_x, &last_y);
-    stats.device_faults = ops.device_faults();
     Ok(PdhgCore {
         status,
         x: last_x,
         y: last_y,
+        stats,
     })
 }
 
@@ -809,172 +799,61 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Solve a prepared standard form with PDHG on the chosen backend
-/// (experiment entry point: no presolve/scaling, caller controls
-/// everything).
-pub fn try_solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-) -> Result<PdhgStdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None::<&mut NoopRecorder>)
-}
-
-/// [`try_solve_standard`] with step spans reported to `rec`.
-pub fn try_solve_standard_recorded<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-    rec: &mut R,
-) -> Result<PdhgStdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, Some(rec))
-}
-
-fn try_solve_standard_impl<T: Scalar, R: Recorder>(
+/// Solve a prepared standard form with PDHG on the chosen backend: the
+/// [`crate::SolveRequest`] pipeline's PDHG stage.
+pub(crate) fn solve_standard<T: Scalar, R: Recorder>(
     sf: &StandardForm<T>,
     opts: &PdhgOptions,
     kind: &BackendKind,
     rec: Option<&mut R>,
 ) -> Result<PdhgStdResult<T>, SolveError> {
     let prob = PdhgProblem::build(sf);
-    let mut stats = SolveStats::default();
-    let core = match kind {
-        BackendKind::CpuDense => {
-            let mut ops = CpuOps::new(&prob, true);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::CpuSparse => {
-            let mut ops = CpuOps::new(&prob, false);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::GpuDense(spec) => {
-            let gpu = Gpu::new(spec.clone());
-            if let Some(cfg) = &opts.faults {
-                gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
+    let core = on_target(
+        kind,
+        opts.faults.as_ref(),
+        |target| match target {
+            Target::CpuDense => drive(&prob, opts, &mut CpuOps::new(&prob, true), rec),
+            Target::CpuSparse => drive(&prob, opts, &mut CpuOps::new(&prob, false), rec),
+            Target::Gpu(gpu) => {
+                let mut ops = GpuOps::new(gpu, &prob, opts.fuse_launches);
+                drive(&prob, opts, &mut ops, rec)
             }
-            let mut ops = GpuOps::new(&gpu, &prob, opts.fuse_launches);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::GpuShared(device) => {
-            let stream = Stream::on(device);
-            if let Some(cfg) = &opts.faults {
-                stream.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            let mut ops = GpuOps::new(&stream, &prob, opts.fuse_launches);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-    };
+        },
+        |core| &mut core.stats,
+    )?;
     // Expand the active point to the full standard-form width (artificial
     // columns are identically zero in PDHG's formulation).
     let mut x_std = vec![T::ZERO; sf.num_cols()];
     x_std[..prob.n].copy_from_slice(&core.x);
-    let z_std: f64 = prob
-        .c64
-        .iter()
-        .zip(&core.x)
-        .map(|(c, x)| c * x.to_f64())
-        .sum();
     Ok(PdhgStdResult {
         status: core.status,
         x_std,
         y_std: core.y.iter().map(|v| v.to_f64()).collect(),
-        z_std,
-        stats,
+        stats: core.stats,
     })
 }
 
-/// Solve an LP with PDHG through the full pipeline on the sparse CPU
-/// backend (a first-order iteration is spmv-bound, so sparse is its
-/// natural home; [`solve_on`] picks any backend).
-///
-/// # Panics
-/// On machinery failure — see [`try_solve_on`] for the fallible form.
-pub fn solve<T: Scalar>(model: &LinearProgram, opts: &PdhgOptions) -> LpSolution {
-    solve_on::<T>(model, opts, &BackendKind::CpuSparse)
-}
-
-/// Solve an LP with PDHG on an explicit backend, panicking on machinery
-/// failure.
-pub fn solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-) -> LpSolution {
-    try_solve_on::<T>(model, opts, kind).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Solve an LP with PDHG through the full pipeline (presolve → standardize
-/// → scale → restarted PDHG → recover), surfacing device faults, timeouts
-/// and divergence as [`SolveError`]s.
-pub fn try_solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, None)
-}
-
-/// [`try_solve_on`] with step spans reported to `rec`.
+/// A PDHG model solve on `kind` with step spans reported to `rec`, kept for
+/// callers outside this workspace that call it by name:
+/// `SolveRequest::model(model, opts).on(kind).recorder(rec)`.
 pub fn try_solve_on_recorded<T: Scalar, R: Recorder>(
     model: &LinearProgram,
     opts: &PdhgOptions,
     kind: &BackendKind,
     rec: &mut R,
 ) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, R>(model, opts, kind, Some(rec))
-}
-
-fn try_solve_on_impl<T: Scalar, R: Recorder>(
-    model: &LinearProgram,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-    rec: Option<&mut R>,
-) -> Result<LpSolution, SolveError> {
-    let pipeline_opts = crate::options::SolverOptions {
-        presolve: opts.presolve,
-        scale: opts.scale,
-        ..Default::default()
-    };
-    let (sf, restore) = match prepare::<T>(model, &pipeline_opts) {
-        Prepared::Early(sol) => return Ok(*sol),
-        Prepared::Ready { sf, restore } => (sf, restore),
-    };
-    let res = try_solve_standard_impl(&sf, opts, kind, rec)?;
-    let x_red = sf.recover_x(&res.x_std);
-    let x = match &restore {
-        Some(p) => p.restore(&x_red),
-        None => x_red,
-    };
-    let objective = match res.status {
-        Status::Optimal | Status::IterationLimit => model.objective_value(&x),
-        _ => f64::NAN,
-    };
-    // PDHG's dual iterate lives in exactly the space `recover_duals`
-    // expects (scaled standard rows). As in the simplex pipeline, rows that
-    // presolve removed recover the multiplier their bound earned.
-    let duals = if res.status == Status::Optimal {
-        let y_red = sf.recover_duals(&res.y_std);
-        Some(match &restore {
-            Some(p) => p.restore_duals(model, &x, &y_red),
-            None => y_red,
-        })
-    } else {
-        None
-    };
-    Ok(LpSolution {
-        status: res.status,
-        x,
-        objective,
-        stats: res.stats,
-        duals,
-        reason: None,
-    })
+    SolveRequest::model(model, opts)
+        .on(kind)
+        .recorder(rec)
+        .run::<T>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceSpec;
+    use crate::solver::{prepare, Prepared};
+    use crate::trace::NoopRecorder;
+    use gpu_sim::{DeviceSpec, Stream};
     use lp::generator::{self, fixtures};
     use std::sync::Arc;
 
@@ -990,7 +869,10 @@ mod tests {
     fn wyndor_on_every_backend() {
         let (model, expected) = fixtures::wyndor();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &PdhgOptions::default(), &kind);
+            let sol = SolveRequest::model(&model, &PdhgOptions::default())
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() / expected.abs() < 1e-6,
@@ -1009,7 +891,10 @@ mod tests {
         // projects. The artificial columns are excluded from the active
         // matrix, so their presence in the standard form is invisible.
         let (model, expected) = fixtures::two_phase();
-        let sol = solve::<f64>(&model, &PdhgOptions::default());
+        let sol = SolveRequest::model(&model, &PdhgOptions::default())
+            .on(&BackendKind::CpuSparse)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(
             (sol.objective - expected).abs() / expected.abs().max(1.0) < 1e-6,
@@ -1023,7 +908,10 @@ mod tests {
     #[test]
     fn restarts_and_gap_are_reported() {
         let model = generator::dense_random(12, 16, 9);
-        let sol = solve::<f64>(&model, &PdhgOptions::default());
+        let sol = SolveRequest::model(&model, &PdhgOptions::default())
+            .on(&BackendKind::CpuSparse)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(sol.stats.final_gap <= 1e-8);
         assert!(sol.stats.restarts > 0, "restarted scheme should restart");
@@ -1036,7 +924,10 @@ mod tests {
             max_iterations: Some(8),
             ..Default::default()
         };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = SolveRequest::model(&model, &opts)
+            .on(&BackendKind::CpuSparse)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::IterationLimit);
         assert_eq!(sol.stats.pdhg_iterations, 8);
         assert!(sol.objective.is_finite());
@@ -1045,7 +936,10 @@ mod tests {
     #[test]
     fn f32_reaches_its_looser_tolerance() {
         let (model, expected) = fixtures::wyndor();
-        let sol = solve::<f32>(&model, &PdhgOptions::default());
+        let sol = SolveRequest::model(&model, &PdhgOptions::default())
+            .on(&BackendKind::CpuSparse)
+            .run::<f32>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(
             (sol.objective - expected).abs() / expected.abs() < 1e-3,
@@ -1060,20 +954,25 @@ mod tests {
         // Presolve off on both sides: wyndor has singleton rows, and the
         // presolved pipeline's dual recovery is exercised separately.
         let (model, _) = fixtures::wyndor();
-        let pdhg = solve::<f64>(
+        let pdhg = SolveRequest::model(
             &model,
             &PdhgOptions {
                 presolve: false,
                 ..Default::default()
             },
-        );
-        let simplex = crate::solver::solve::<f64>(
+        )
+        .on(&BackendKind::CpuSparse)
+        .run::<f64>()
+        .unwrap();
+        let simplex = SolveRequest::model(
             &model,
             &crate::options::SolverOptions {
                 presolve: false,
                 ..Default::default()
             },
-        );
+        )
+        .run::<f64>()
+        .unwrap();
         let (pd, sd) = (pdhg.duals.unwrap(), simplex.duals.unwrap());
         assert_eq!(pd.len(), sd.len());
         for (a, b) in pd.iter().zip(&sd) {
@@ -1089,7 +988,10 @@ mod tests {
                     fuse_launches,
                     ..Default::default()
                 };
-                try_solve_on::<T>(model, &opts, kind).expect("fault-free solve")
+                SolveRequest::model(model, &opts)
+                    .on(kind)
+                    .run::<T>()
+                    .expect("fault-free solve")
             };
             let (fused, unfused) = (run(true), run(false));
             let what = format!("{} f64={} on {kind:?}", model.name, T::IS_F64);
@@ -1135,7 +1037,10 @@ mod tests {
                 fuse_launches,
                 ..Default::default()
             };
-            let sol = solve_on::<f64>(&model, &opts, &BackendKind::GpuShared(device.clone()));
+            let sol = SolveRequest::model(&model, &opts)
+                .on(&BackendKind::GpuShared(device.clone()))
+                .run::<f64>()
+                .unwrap();
             let (iters, restarts) = (sol.stats.pdhg_iterations, sol.stats.restarts);
             let blocks = iters.div_ceil(opts.check_interval as u64);
             let c = device.counters();
@@ -1158,16 +1063,16 @@ mod tests {
         // Blocks, downloads and restart rebases all advance the backend's
         // clock; the driver must charge each of them to `SolveStats`.
         let model = generator::dense_random(12, 16, 9);
-        let sf = match prepare::<f64>(&model, &Default::default()) {
+        let sf = match prepare::<f64>(&model, true, true) {
             Prepared::Ready { sf, .. } => sf,
             Prepared::Early(_) => panic!("presolve decided the model"),
         };
         let prob = PdhgProblem::build(&sf);
         fn check<O: FirstOrderOps<f64>>(label: &str, prob: &PdhgProblem<f64>, mut ops: O) {
             let opts = PdhgOptions::default();
-            let mut stats = SolveStats::default();
-            drive(prob, &opts, &mut ops, &mut stats, None::<&mut NoopRecorder>)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let stats = drive(prob, &opts, &mut ops, None::<&mut NoopRecorder>)
+                .unwrap_or_else(|e| panic!("{label}: {e}"))
+                .stats;
             assert!(stats.restarts > 0, "{label}: no restart exercised");
             // Equal up to f64 summation order (the stats add per-step
             // differences of the clock).
@@ -1191,7 +1096,10 @@ mod tests {
     fn determinism_same_run_same_fingerprint() {
         let model = generator::sparse_random(24, 32, 0.2, 5);
         let run = || {
-            let sol = solve::<f64>(&model, &PdhgOptions::default());
+            let sol = SolveRequest::model(&model, &PdhgOptions::default())
+                .on(&BackendKind::CpuSparse)
+                .run::<f64>()
+                .unwrap();
             (sol.stats.pivot_fingerprint, sol.objective.to_bits())
         };
         assert_eq!(run(), run());
@@ -1219,7 +1127,10 @@ mod tests {
             time_limit: Some(0.0),
             ..Default::default()
         };
-        match try_solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse) {
+        match SolveRequest::model(&model, &opts)
+            .on(&BackendKind::CpuSparse)
+            .run::<f64>()
+        {
             Err(SolveError::Timeout { .. }) => {}
             other => panic!("expected timeout, got {other:?}"),
         }

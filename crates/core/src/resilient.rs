@@ -1,6 +1,6 @@
 //! Retry, backoff and graceful degradation around the solve pipeline.
 //!
-//! [`ResilientSolver`] wraps [`try_solve_on`] with a *degradation ladder*:
+//! [`ResilientSolver`] wraps a [`SolveRequest`] with a *degradation ladder*:
 //! each requested backend maps to an ordered list of rungs, from the backend
 //! itself down to the always-available dense CPU path
 //! (`GpuShared → GpuDense → CpuDense`). Every rung gets a bounded number of
@@ -26,7 +26,7 @@ use crate::error::SolveError;
 use crate::options::SolverOptions;
 use crate::pdhg::{self, PdhgOptions};
 use crate::result::LpSolution;
-use crate::solver::{try_solve_on_warm_ckpt, BackendKind, WarmContext};
+use crate::solver::{BackendKind, ModelInput, SolveRequest, Start};
 
 /// Which solver family the resilient ladder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -241,14 +241,8 @@ impl ResilientSolver {
         ResilientSolver { options }
     }
 
-    /// Solve `model` with retries and degradation. `salt` individualizes the
-    /// fault schedule per job (the batch layer passes the job index) so jobs
-    /// sharing one [`FaultConfig`] template still fault independently.
-    ///
-    /// Panics inside an attempt (device faults surfacing through the
-    /// infallible API, poisoned models, backend construction failures) are
-    /// caught and treated like any other attempt failure, so no panic
-    /// escapes to the caller.
+    /// Solve `model` on `placed` with retries and degradation:
+    /// `self.run(salt, SolveRequest::model(model, solver_opts).on(placed))`.
     pub fn solve_job<T: Scalar>(
         &self,
         salt: u64,
@@ -256,24 +250,35 @@ impl ResilientSolver {
         solver_opts: &SolverOptions,
         placed: &BackendKind,
     ) -> ResilientOutcome {
-        self.solve_job_warm::<T>(salt, model, solver_opts, placed, None)
+        self.run::<T>(salt, SolveRequest::model(model, solver_opts).on(placed))
     }
 
-    /// [`Self::solve_job`] with a shared [`WarmContext`]: *every* rung and
-    /// attempt re-consults the basis cache, so a warm start offered to the
-    /// placed GPU backend is re-supplied — not silently dropped — when the
-    /// job degrades to the dense CPU rung. (The cache lookup happens inside
-    /// the pipeline after presolve/scale, which are deterministic per model,
-    /// so each attempt sees the same key and the same candidate basis.)
-    pub fn solve_job_warm<T: Scalar>(
+    /// Run `job` with retries and degradation, its backend the top rung.
+    /// `salt` individualizes the fault schedule per job (the batch layer
+    /// passes the job index) so jobs sharing one [`FaultConfig`] template
+    /// still fault independently.
+    ///
+    /// Each attempt is a request of its own. A rung of the job's algorithm
+    /// family runs with the job's options, a rung of the other family with
+    /// the job's pipeline settings over that family's defaults. Simplex
+    /// attempts re-consult the job's warm context on every rung, so a warm
+    /// start offered to the placed GPU backend is re-supplied — not silently
+    /// dropped — when the job degrades to the dense CPU rung. They resume
+    /// from the latest checkpoint in the job's slot (a private one when the
+    /// job has none) and otherwise begin at the job's start; PDHG attempts
+    /// always start from scratch.
+    ///
+    /// Panics inside an attempt (poisoned models, backend construction
+    /// failures) are caught and treated like any other attempt failure, so
+    /// no panic escapes to the caller.
+    pub fn run<T: Scalar>(
         &self,
         salt: u64,
-        model: &LinearProgram,
-        solver_opts: &SolverOptions,
-        placed: &BackendKind,
-        warm: Option<&WarmContext<'_>>,
+        job: SolveRequest<'_, ModelInput<'_>>,
     ) -> ResilientOutcome {
-        let rungs = rungs_for(self.options.algorithm, placed, model);
+        let ModelInput { model, algorithm } = job.input;
+        let (simplex_opts, pdhg_opts) = (algorithm.simplex(), algorithm.pdhg());
+        let rungs = rungs_for(self.options.algorithm, job.backend, model);
         let mut attempts = 0usize;
         let mut retries = 0usize;
         let mut faults = 0u64;
@@ -285,8 +290,9 @@ impl ResilientSolver {
         // job: a snapshot taken on the GPU rung resumes on the CPU rung —
         // the checkpoint basis lives in standard-form space, which is
         // identical across backends.
-        let slot = CheckpointSlot::new();
-        let ckpt_enabled = solver_opts.checkpoint_interval > 0;
+        let own_slot = CheckpointSlot::new();
+        let slot = job.slot.unwrap_or(&own_slot);
+        let ckpt_enabled = simplex_opts.checkpoint_interval > 0;
         let mut checkpoint_resumes = 0usize;
         let mut wasted_iterations = 0u64;
 
@@ -306,10 +312,9 @@ impl ResilientSolver {
                     backoff_seconds += self.options.retry.backoff_base
                         * self.options.retry.backoff_factor.powi(attempt as i32 - 1);
                 }
-                let mut opts = solver_opts.clone();
                 // CPU rungs run fault-free: a fully degraded job must match
                 // the CPU-only golden result bit for bit.
-                opts.faults = if on_gpu {
+                let attempt_faults = if on_gpu {
                     self.options
                         .faults
                         .as_ref()
@@ -317,9 +322,8 @@ impl ResilientSolver {
                 } else {
                     None
                 };
-                if opts.time_limit.is_none() {
-                    opts.time_limit = self.options.deadline_seconds;
-                }
+                let fault_armed = attempt_faults.is_some();
+                let deadline = self.options.deadline_seconds;
 
                 let outcome = match rung {
                     Rung::Simplex(backend) => {
@@ -335,8 +339,20 @@ impl ResilientSolver {
                             checkpoint_resumes += 1;
                         }
                         slot.begin_attempt(resume.as_ref().map_or(0, |cp| cp.stats.iterations));
+                        let start = resume
+                            .map_or_else(|| job.start.clone(), |cp| Start::Resume(Box::new(cp)));
+                        let opts = SolverOptions {
+                            faults: attempt_faults,
+                            time_limit: simplex_opts.time_limit.or(deadline),
+                            ..simplex_opts.clone()
+                        };
                         catch_unwind(AssertUnwindSafe(|| {
-                            try_solve_on_warm_ckpt::<T>(model, &opts, backend, warm, &slot, resume)
+                            SolveRequest::model(model, &opts)
+                                .on(backend)
+                                .start(start)
+                                .warm(job.warm)
+                                .checkpoint(slot)
+                                .run::<T>()
                         }))
                     }
                     Rung::Pdhg(backend) => {
@@ -346,15 +362,13 @@ impl ResilientSolver {
                         // attempt doesn't re-bill the previous simplex
                         // attempt's lost iterations.
                         slot.begin_attempt(slot.checkpoint().map_or(0, |cp| cp.stats.iterations));
-                        let popts = PdhgOptions {
-                            presolve: opts.presolve,
-                            scale: opts.scale,
-                            time_limit: opts.time_limit,
-                            faults: opts.faults.clone(),
-                            ..PdhgOptions::default()
+                        let opts = PdhgOptions {
+                            faults: attempt_faults,
+                            time_limit: pdhg_opts.time_limit.or(deadline),
+                            ..pdhg_opts.clone()
                         };
                         catch_unwind(AssertUnwindSafe(|| {
-                            pdhg::try_solve_on::<T>(model, &popts, backend)
+                            SolveRequest::model(model, &opts).on(backend).run::<T>()
                         }))
                     }
                 }
@@ -393,7 +407,6 @@ impl ResilientSolver {
                     }
                     Err(e) => {
                         wasted_iterations += slot.wasted_on_failure();
-                        let fault_armed = on_gpu && opts.faults.is_some();
                         if matches!(e, SolveError::Device(_))
                             || (fault_armed && matches!(e, SolveError::Panicked(_)))
                         {
@@ -450,11 +463,10 @@ mod tests {
     fn fault_free_job_solves_without_retries() {
         let (model, expected) = fixtures::wyndor();
         let solver = ResilientSolver::default();
-        let out = solver.solve_job::<f64>(
+        let out = solver.run::<f64>(
             0,
-            &model,
-            &SolverOptions::default(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            SolveRequest::model(&model, &SolverOptions::default())
+                .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
         );
         let sol = out.result.expect("fault-free solve succeeds");
         assert_eq!(sol.status, Status::Optimal);
@@ -468,18 +480,19 @@ mod tests {
     #[test]
     fn certain_faults_degrade_to_cpu_and_match_golden() {
         let (model, _) = fixtures::wyndor();
-        let golden = crate::solver::solve::<f64>(&model, &SolverOptions::default());
+        let golden = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         let solver = ResilientSolver::new(ResilienceOptions {
             // p = 1: every checked op faults, so the GPU rung can never
             // finish and the job must walk the whole ladder down to CPU.
             faults: Some(FaultConfig::uniform(7, 1.0)),
             ..Default::default()
         });
-        let out = solver.solve_job::<f64>(
+        let out = solver.run::<f64>(
             3,
-            &model,
-            &SolverOptions::default(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            SolveRequest::model(&model, &SolverOptions::default())
+                .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
         );
         let sol = out.result.expect("CPU rung always succeeds");
         assert_eq!(out.final_backend, "cpu-dense");
@@ -501,11 +514,10 @@ mod tests {
             degrade: false,
             ..Default::default()
         });
-        let out = solver.solve_job::<f64>(
+        let out = solver.run::<f64>(
             3,
-            &model,
-            &SolverOptions::default(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            SolveRequest::model(&model, &SolverOptions::default())
+                .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
         );
         assert!(out.result.is_err());
         assert_eq!(out.final_backend, "gpu-dense");
@@ -523,11 +535,10 @@ mod tests {
             })
         };
         let run = |solver: &ResilientSolver| {
-            let out = solver.solve_job::<f64>(
+            let out = solver.run::<f64>(
                 11,
-                &model,
-                &SolverOptions::default(),
-                &BackendKind::GpuDense(DeviceSpec::gtx280()),
+                SolveRequest::model(&model, &SolverOptions::default())
+                    .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
             );
             (
                 out.attempts,
@@ -547,8 +558,10 @@ mod tests {
         // every rung instead of unwinding into the caller.
         let model = fixtures::poisoned();
         let solver = ResilientSolver::default();
-        let out =
-            solver.solve_job::<f64>(0, &model, &SolverOptions::default(), &BackendKind::CpuDense);
+        let out = solver.run::<f64>(
+            0,
+            SolveRequest::model(&model, &SolverOptions::default()).on(&BackendKind::CpuDense),
+        );
         match out.result {
             Err(SolveError::Panicked(_)) => {}
             other => panic!("expected Panicked, got {other:?}"),
@@ -563,11 +576,10 @@ mod tests {
             algorithm: AlgorithmChoice::Pdhg,
             ..Default::default()
         });
-        let out = solver.solve_job::<f64>(
+        let out = solver.run::<f64>(
             3,
-            &model,
-            &SolverOptions::default(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            SolveRequest::model(&model, &SolverOptions::default())
+                .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
         );
         let sol = out.result.expect("CPU PDHG rung runs fault-free");
         assert_eq!(out.final_backend, "pdhg-cpu-dense");
@@ -588,21 +600,64 @@ mod tests {
             algorithm: AlgorithmChoice::Auto,
             ..Default::default()
         });
-        let out = solver.solve_job::<f64>(
+        let out = solver.run::<f64>(
             0,
-            &small,
-            &SolverOptions::default(),
-            &BackendKind::CpuSparse,
+            SolveRequest::model(&small, &SolverOptions::default()).on(&BackendKind::CpuSparse),
         );
         assert_eq!(out.final_backend, "cpu-sparse");
         assert!(out.result.unwrap().stats.iterations > 0);
 
         // Large and sparse: Auto runs the PDHG ladder.
         let big = lp::generator::sparse_random(300, 360, 0.01, 17);
-        let out =
-            solver.solve_job::<f64>(0, &big, &SolverOptions::default(), &BackendKind::CpuSparse);
+        let out = solver.run::<f64>(
+            0,
+            SolveRequest::model(&big, &SolverOptions::default()).on(&BackendKind::CpuSparse),
+        );
         assert_eq!(out.final_backend, "pdhg-cpu-sparse");
         assert!(out.result.unwrap().stats.pdhg_iterations > 0);
+    }
+
+    #[test]
+    fn pdhg_job_runs_its_own_options_on_pdhg_rungs() {
+        let (model, _) = fixtures::wyndor();
+        let solver = ResilientSolver::new(ResilienceOptions {
+            algorithm: AlgorithmChoice::Pdhg,
+            ..Default::default()
+        });
+        let popts = PdhgOptions {
+            max_iterations: Some(8),
+            ..Default::default()
+        };
+        let out = solver.run::<f64>(0, SolveRequest::model(&model, &popts));
+        assert_eq!(out.final_backend, "pdhg-cpu-dense");
+        let sol = out.result.expect("a capped PDHG solve is an answer");
+        assert_eq!(sol.status, Status::IterationLimit);
+        assert_eq!(sol.stats.pdhg_iterations, 8);
+    }
+
+    #[test]
+    fn job_slot_and_start_reach_the_attempts() {
+        let model = lp::generator::dense_random(16, 20, 3);
+        let opts = SolverOptions {
+            presolve: false,
+            scale: false,
+            refactor_period: 3,
+            checkpoint_interval: 3,
+            ..Default::default()
+        };
+        let solver = ResilientSolver::default();
+        let slot = CheckpointSlot::new();
+        let cold = solver.run::<f64>(0, SolveRequest::model(&model, &opts).checkpoint(&slot));
+        let cp = slot
+            .checkpoint()
+            .expect("the job's own slot took the snapshot");
+        let warm = solver.run::<f64>(
+            0,
+            SolveRequest::model(&model, &opts).start(Start::Warm(cp.basis)),
+        );
+        let (cold, warm) = (cold.result.unwrap(), warm.result.unwrap());
+        assert_eq!(warm.stats.warm_start_attempted, 1);
+        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
     }
 
     #[test]

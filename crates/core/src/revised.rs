@@ -28,11 +28,12 @@ use linalg::Scalar;
 use lp::StandardForm;
 
 use crate::backend::Backend;
-use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
+use crate::checkpoint::CheckpointSlot;
 use crate::error::SolveError;
 use crate::options::{PivotRule, SolverOptions};
 use crate::result::{Status, StdResult};
 use crate::simplex_lane::{Flow, SimplexLane};
+use crate::solver::Start;
 use crate::stats::Step;
 use crate::trace::{NoopRecorder, Recorder, StepKind};
 
@@ -40,98 +41,35 @@ use crate::trace::{NoopRecorder, Recorder, StepKind};
 pub struct RevisedSimplex<'a, T: Scalar, B: Backend<T>, R: Recorder = NoopRecorder> {
     backend: &'a mut B,
     lane: SimplexLane<'a, T, R>,
-    warm_basis: Option<Vec<usize>>,
-    /// Snapshot to resume from instead of a cold or warm start.
-    resume: Option<SolveCheckpoint>,
-}
-
-impl<'a, T: Scalar, B: Backend<T>> RevisedSimplex<'a, T, B> {
-    /// Create a driver. The backend must have been constructed from the
-    /// same standard form (`sf.a`, `sf.b`, `sf.basis0`).
-    pub fn new(backend: &'a mut B, sf: &'a StandardForm<T>, opts: &'a SolverOptions) -> Self {
-        Self::build(backend, sf, opts, None)
-    }
-
-    /// Like [`RevisedSimplex::new`], but start phase 2 directly from a
-    /// caller-supplied basis (e.g. the final basis of a previous solve of a
-    /// perturbed model). The basis must have one non-artificial column per
-    /// row; if it turns out singular or primal-infeasible, the driver
-    /// silently falls back to the cold two-phase start — a warm start is an
-    /// optimization, never a correctness risk.
-    pub fn with_start_basis(
-        backend: &'a mut B,
-        sf: &'a StandardForm<T>,
-        opts: &'a SolverOptions,
-        basis: Vec<usize>,
-    ) -> Self {
-        let mut driver = Self::build(backend, sf, opts, None);
-        driver.warm_basis = Some(basis);
-        driver
-    }
+    start: Start,
 }
 
 impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
-    /// Like [`RevisedSimplex::new`], with spans reported to `rec`. The
-    /// caller keeps ownership of the recorder, so a solve that errors out
-    /// (device fault, timeout) leaves its partial trace available for
-    /// post-mortem.
-    pub fn with_recorder(
+    /// Create a driver. The backend must have been constructed from the
+    /// same standard form (`sf.a`, `sf.b`, `sf.basis0`). The solve begins
+    /// at `start` (see [`Start`]). With a `slot`, the driver stores a
+    /// [`crate::SolveCheckpoint`] into it at every refactorization boundary
+    /// at least `opts.checkpoint_interval` iterations past the previous
+    /// snapshot (0 disables) and reports per-iteration progress, so the
+    /// recovery layer can account wasted work after a fault. Spans go to
+    /// `rec`; the caller keeps the recorder, so a solve that errors out
+    /// leaves its partial trace available for post-mortem.
+    pub fn new(
         backend: &'a mut B,
         sf: &'a StandardForm<T>,
         opts: &'a SolverOptions,
-        rec: &'a mut R,
-    ) -> Self {
-        Self::build(backend, sf, opts, Some(rec))
-    }
-
-    /// [`RevisedSimplex::with_start_basis`] with spans reported to `rec`.
-    pub fn with_start_basis_and_recorder(
-        backend: &'a mut B,
-        sf: &'a StandardForm<T>,
-        opts: &'a SolverOptions,
-        basis: Vec<usize>,
-        rec: &'a mut R,
-    ) -> Self {
-        let mut driver = Self::build(backend, sf, opts, Some(rec));
-        driver.warm_basis = Some(basis);
-        driver
-    }
-
-    fn build(
-        backend: &'a mut B,
-        sf: &'a StandardForm<T>,
-        opts: &'a SolverOptions,
+        start: Start,
+        slot: Option<&'a CheckpointSlot>,
         rec: Option<&'a mut R>,
     ) -> Self {
-        // The representation must be chosen before the first pivot; routing
-        // it through the driver covers every construction path (direct,
-        // warm, resumed) with one call site.
+        // The representation must be chosen before the first pivot; a
+        // resumed start then switches to the snapshotting run's own.
         backend.set_representation(opts.basis_representation);
         RevisedSimplex {
             backend,
-            lane: SimplexLane::new(sf, opts, rec, None),
-            warm_basis: None,
-            resume: None,
+            lane: SimplexLane::new(sf, opts, rec, slot),
+            start,
         }
-    }
-
-    /// Attach a caller-owned checkpoint slot. The driver stores a
-    /// [`SolveCheckpoint`] into it at every refactorization boundary at
-    /// least `opts.checkpoint_interval` iterations past the previous
-    /// snapshot (0 disables), and reports per-iteration progress so the
-    /// recovery layer can account wasted work after a fault.
-    pub fn attach_checkpoint_slot(&mut self, slot: &'a CheckpointSlot) {
-        self.lane.ckpt = Some(slot);
-    }
-
-    /// Resume from `cp` instead of a cold or warm start: the basis is
-    /// reinstalled through the same host reinversion path a periodic
-    /// refactorize uses, so the continued pivot walk is bitwise-identical
-    /// to the uninterrupted solve from that boundary onward — on any
-    /// backend sharing that path, not just the one that took the snapshot.
-    /// Mutually exclusive with a warm-start basis (the checkpoint wins).
-    pub fn resume_from(&mut self, cp: SolveCheckpoint) {
-        self.resume = Some(cp);
     }
 
     /// Run to completion, panicking on device failure (the historical
@@ -151,9 +89,10 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
     /// Start (resumed, warm or cold) and iterate until the lane reaches a
     /// terminal status.
     fn run(&mut self) -> Result<Status, SolveError> {
-        match self.resume.take() {
-            Some(cp) => self.lane.install_checkpoint(self.backend, cp)?,
-            None => self.lane.start(self.backend, self.warm_basis.take())?,
+        match std::mem::take(&mut self.start) {
+            Start::Resume(cp) => self.lane.install_checkpoint(self.backend, *cp)?,
+            Start::Warm(basis) => self.lane.start(self.backend, Some(basis))?,
+            Start::Cold => self.lane.start(self.backend, None)?,
         }
         let pivot_tol = self.lane.opts.pivot_tol_for::<T>();
         loop {
@@ -305,9 +244,16 @@ mod tests {
                 ..SolverOptions::default()
             };
             let mut be = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-            RevisedSimplex::new(&mut be, &sf, &opts)
-                .try_solve()
-                .unwrap()
+            RevisedSimplex::new(
+                &mut be,
+                &sf,
+                &opts,
+                Start::Cold,
+                None,
+                None::<&mut NoopRecorder>,
+            )
+            .try_solve()
+            .unwrap()
         };
         let perturbed = {
             let opts = SolverOptions {
@@ -316,9 +262,16 @@ mod tests {
                 ..SolverOptions::default()
             };
             let mut be = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-            RevisedSimplex::new(&mut be, &sf, &opts)
-                .try_solve()
-                .unwrap()
+            RevisedSimplex::new(
+                &mut be,
+                &sf,
+                &opts,
+                Start::Cold,
+                None,
+                None::<&mut NoopRecorder>,
+            )
+            .try_solve()
+            .unwrap()
         };
         assert_eq!(baseline.status, Status::Optimal);
         assert_eq!(perturbed.status, Status::Optimal);
@@ -343,9 +296,16 @@ mod tests {
         };
         let n_active = sf.num_cols() - sf.num_artificials;
         let mut be = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-        let res = RevisedSimplex::new(&mut be, &sf, &opts)
-            .try_solve()
-            .unwrap();
+        let res = RevisedSimplex::new(
+            &mut be,
+            &sf,
+            &opts,
+            Start::Cold,
+            None,
+            None::<&mut NoopRecorder>,
+        )
+        .try_solve()
+        .unwrap();
         assert_eq!(res.status, Status::Optimal);
         res.stats.check_invariants().unwrap();
         assert!(res.stats.phase1_iterations > 0, "fixture needs a phase 1");

@@ -1,18 +1,44 @@
-//! High-level pipeline: presolve → standardize → scale → revised simplex →
-//! recover, over a chosen backend.
+//! High-level pipeline: presolve → standardize → scale → solve → recover,
+//! over a chosen backend, for either algorithm family.
 //!
-//! Every entry point has a fallible `try_*` twin returning
-//! `Result<_, SolveError>`; the infallible names keep the historical
-//! panic-on-machinery-failure behavior (and fault-free configurations
-//! never fail). When [`SolverOptions::faults`] is set, the GPU arms arm a
-//! fresh [`FaultPlan`] on the device/stream before the backend is built,
-//! and the observed fault count is folded into the result's stats.
+//! One [`SolveRequest`] describes one solve: its input (a model through the
+//! whole pipeline, or a prepared standard form straight to the simplex),
+//! the algorithm, the backend, where the simplex starts ([`Start`]), and an
+//! optional warm-start cache, checkpoint slot and recorder. Its `run` is
+//! fallible: device faults, timeouts and numerical collapse come back as
+//! [`SolveError`]s, and fault-free configurations never fail. When the
+//! options carry a fault plan, a GPU backend arms a fresh [`FaultPlan`] on
+//! its device or stream before the backend is built, and the observed fault
+//! count is folded into the result's stats.
+//!
+//! ```
+//! use gplex::{BackendKind, SolveRequest, SolverOptions, Start, Status};
+//! use lp::generator::fixtures;
+//!
+//! let (model, _) = fixtures::wyndor();
+//! let opts = SolverOptions::default();
+//! let first = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
+//! assert_eq!(first.status, Status::Optimal);
+//!
+//! // A prepared standard form goes straight to the simplex; here it is
+//! // warm-started from the basis of a cold solve.
+//! let sf = lp::StandardForm::<f64>::from_lp(&model).unwrap();
+//! let kind = BackendKind::CpuSparse;
+//! let cold = SolveRequest::standard(&sf, &opts).on(&kind).run().unwrap();
+//! let warm = SolveRequest::standard(&sf, &opts)
+//!     .on(&kind)
+//!     .start(Start::Warm(cold.basis.clone()))
+//!     .run()
+//!     .unwrap();
+//! assert_eq!(warm.stats.iterations, 0);
+//! ```
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use gpu_sim::{DeviceSpec, FaultPlan, Gpu, Stream};
+use gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, Gpu, Stream};
 use linalg::{CsrMatrix, Scalar};
-use lp::presolve::{presolve, PresolveResult};
+use lp::presolve::{presolve, PresolveResult, Presolved};
 use lp::scaling::{scale, ScalingKind};
 use lp::{LinearProgram, StandardForm};
 
@@ -22,6 +48,7 @@ use crate::batch::policy::WarmStartPolicy;
 use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
 use crate::error::SolveError;
 use crate::options::SolverOptions;
+use crate::pdhg::{self, PdhgOptions};
 use crate::result::{LpSolution, Status, StdResult};
 use crate::revised::RevisedSimplex;
 use crate::stats::SolveStats;
@@ -78,159 +105,398 @@ pub struct WarmContext<'a> {
     pub policy: WarmStartPolicy,
 }
 
-/// Solve an LP through the full pipeline on the dense CPU backend.
-///
-/// # Panics
-/// On models that cannot be standardized (infinite right-hand sides) —
-/// those are modeling errors, not solver outcomes — and on device failure
-/// (impossible without fault injection).
-pub fn solve<T: Scalar>(model: &LinearProgram, opts: &SolverOptions) -> LpSolution {
-    solve_on::<T>(model, opts, &BackendKind::CpuDense)
+/// Where a simplex solve starts.
+#[derive(Debug, Clone, Default)]
+pub enum Start {
+    /// The two-phase start from the slack/artificial basis (or, for a model
+    /// request with a [`WarmContext`], from the cache's family basis).
+    #[default]
+    Cold,
+    /// Phase 2 straight from a basis in the solved standard form's column
+    /// space, one non-artificial column per row (e.g. the final basis of a
+    /// solve of a perturbed model). A singular or primal-infeasible basis
+    /// falls back to the cold start: a warm start is an optimization, never
+    /// a correctness risk.
+    Warm(Vec<usize>),
+    /// Mid-flight from a checkpoint, taken on any backend kind: the basis
+    /// is reinstalled through the host reinversion a periodic refactorize
+    /// uses, so the continued pivot walk is bitwise-identical to the
+    /// uninterrupted solve from that boundary onward.
+    Resume(Box<SolveCheckpoint>),
 }
 
-/// Solve an LP through the full pipeline on an explicit backend, panicking
-/// on machinery failure (see [`try_solve_on`] for the fallible form).
-pub fn solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
+/// The algorithm family a model request runs, with its options.
+#[derive(Debug, Clone, Copy)]
+pub enum Algorithm<'a> {
+    /// The two-phase revised simplex.
+    Simplex(&'a SolverOptions),
+    /// Restarted PDHG (see [`crate::pdhg`]). It always starts from the
+    /// origin: the [`Start`], the warm context and the checkpoint slot of a
+    /// request are simplex settings it ignores.
+    Pdhg(&'a PdhgOptions),
+}
+
+impl<'a> From<&'a SolverOptions> for Algorithm<'a> {
+    fn from(opts: &'a SolverOptions) -> Self {
+        Algorithm::Simplex(opts)
+    }
+}
+
+impl<'a> From<&'a PdhgOptions> for Algorithm<'a> {
+    fn from(opts: &'a PdhgOptions) -> Self {
+        Algorithm::Pdhg(opts)
+    }
+}
+
+impl Algorithm<'_> {
+    /// Simplex options for this job: its own, or the PDHG options' pipeline
+    /// settings (presolve, scaling, launch fusion, deadline, faults) over
+    /// the simplex defaults.
+    pub(crate) fn simplex(&self) -> SolverOptions {
+        match *self {
+            Algorithm::Simplex(o) => o.clone(),
+            Algorithm::Pdhg(p) => SolverOptions {
+                presolve: p.presolve,
+                scale: p.scale,
+                fuse_launches: p.fuse_launches,
+                time_limit: p.time_limit,
+                faults: p.faults.clone(),
+                ..SolverOptions::default()
+            },
+        }
+    }
+
+    /// PDHG options for this job: its own, or the simplex options' pipeline
+    /// settings over the PDHG defaults.
+    pub(crate) fn pdhg(&self) -> PdhgOptions {
+        match *self {
+            Algorithm::Pdhg(p) => p.clone(),
+            Algorithm::Simplex(o) => PdhgOptions {
+                presolve: o.presolve,
+                scale: o.scale,
+                fuse_launches: o.fuse_launches,
+                time_limit: o.time_limit,
+                faults: o.faults.clone(),
+                ..PdhgOptions::default()
+            },
+        }
+    }
+}
+
+/// A model request's input: the whole pipeline, either algorithm family.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelInput<'a> {
+    pub(crate) model: &'a LinearProgram,
+    pub(crate) algorithm: Algorithm<'a>,
+}
+
+/// A standard-form request's input: the simplex alone, with no presolve,
+/// scaling or recovery around it.
+#[derive(Debug, Clone, Copy)]
+pub struct StandardInput<'a, T: Scalar> {
+    sf: &'a StandardForm<T>,
+    opts: &'a SolverOptions,
+}
+
+static CPU_DENSE: BackendKind = BackendKind::CpuDense;
+
+/// One solve: an input, an algorithm, a backend and where to start, run by
+/// one fallible `run`. Built with [`SolveRequest::model`] or
+/// [`SolveRequest::standard`]; every setting but the input defaults (dense
+/// CPU, cold start, no cache, no checkpoints, no recorder).
+pub struct SolveRequest<'a, I, R: Recorder = NoopRecorder> {
+    pub(crate) input: I,
+    pub(crate) backend: &'a BackendKind,
+    pub(crate) start: Start,
+    pub(crate) warm: Option<&'a WarmContext<'a>>,
+    pub(crate) slot: Option<&'a CheckpointSlot>,
+    rec: Option<&'a mut R>,
+}
+
+impl<'a> SolveRequest<'a, ModelInput<'a>> {
+    /// Solve `model` through the whole pipeline with `algorithm` — a
+    /// `&SolverOptions` for the simplex or a `&PdhgOptions` for PDHG.
+    /// [`SolveRequest::run`] returns an [`LpSolution`].
+    ///
+    /// # Panics
+    /// On models that cannot be standardized (infinite coefficients): those
+    /// are modeling errors, not solver outcomes.
+    pub fn model(model: &'a LinearProgram, algorithm: impl Into<Algorithm<'a>>) -> Self {
+        Self::with_input(ModelInput {
+            model,
+            algorithm: algorithm.into(),
+        })
+    }
+}
+
+impl<'a, T: Scalar> SolveRequest<'a, StandardInput<'a, T>> {
+    /// Run the simplex on a prepared standard form, with no presolve,
+    /// scaling or recovery: the experiment entry point, where the caller
+    /// controls everything. `run` returns a [`StdResult`].
+    pub fn standard(sf: &'a StandardForm<T>, opts: &'a SolverOptions) -> Self {
+        Self::with_input(StandardInput { sf, opts })
+    }
+}
+
+impl<'a, I> SolveRequest<'a, I> {
+    fn with_input(input: I) -> Self {
+        SolveRequest {
+            input,
+            backend: &CPU_DENSE,
+            start: Start::Cold,
+            warm: None,
+            slot: None,
+            rec: None,
+        }
+    }
+}
+
+impl<'a, I, R: Recorder> SolveRequest<'a, I, R> {
+    /// Run on `kind` instead of the dense CPU backend.
+    pub fn on(mut self, kind: &'a BackendKind) -> Self {
+        self.backend = kind;
+        self
+    }
+
+    /// Start the simplex from `start` instead of cold.
+    pub fn start(mut self, start: Start) -> Self {
+        self.start = start;
+        self
+    }
+
+    /// Snapshot into `slot` every [`SolverOptions::checkpoint_interval`]
+    /// iterations (at reinversion boundaries) and report per-iteration
+    /// progress to it. The checkpoint basis lives in the post-presolve,
+    /// post-scale standard-form space, which is deterministic per model, so
+    /// a later request — on any backend — can [`Start::Resume`] from it.
+    pub fn checkpoint(mut self, slot: &'a CheckpointSlot) -> Self {
+        self.slot = Some(slot);
+        self
+    }
+
+    /// Report step spans to `rec` (see [`crate::trace`]). The caller keeps
+    /// the recorder, so a solve that errors out leaves its partial trace
+    /// available for post-mortem.
+    pub fn recorder<R2: Recorder>(self, rec: &'a mut R2) -> SolveRequest<'a, I, R2> {
+        SolveRequest {
+            input: self.input,
+            backend: self.backend,
+            start: self.start,
+            warm: self.warm,
+            slot: self.slot,
+            rec: Some(rec),
+        }
+    }
+}
+
+impl<'a, R: Recorder> SolveRequest<'a, ModelInput<'a>, R> {
+    /// Consult (and feed) a shared [`BasisCache`]. The standardized
+    /// instance is keyed under the context's [`WarmStartPolicy`]; on a
+    /// [`Start::Cold`] request a cached family basis seeds the simplex, and
+    /// an `Optimal` terminal basis is written back for later family
+    /// members. A candidate that fails the solver-side validation is a
+    /// recorded cold fallback ([`crate::SolveStats::warm_start_rejected`]),
+    /// never a wrong answer.
+    pub fn warm(mut self, warm: Option<&'a WarmContext<'a>>) -> Self {
+        self.warm = warm;
+        self
+    }
+
+    /// Presolve, standardize and scale the model, solve it, and recover the
+    /// answer in the model's own variables, with duals on `Optimal`.
+    pub fn run<T: Scalar>(self) -> Result<LpSolution, SolveError> {
+        let ModelInput { model, algorithm } = self.input;
+        let (presolve_on, scale_on) = match algorithm {
+            Algorithm::Simplex(o) => (o.presolve, o.scale),
+            Algorithm::Pdhg(p) => (p.presolve, p.scale),
+        };
+        let (sf, restore) = match prepare::<T>(model, presolve_on, scale_on) {
+            Prepared::Early(sol) => return Ok(*sol),
+            Prepared::Ready { sf, restore } => (sf, restore),
+        };
+        let opts = match algorithm {
+            Algorithm::Simplex(opts) => opts,
+            Algorithm::Pdhg(opts) => {
+                let res = pdhg::solve_standard(&sf, opts, self.backend, self.rec)?;
+                // PDHG's dual iterate lives in exactly the space
+                // `recover_duals` expects (scaled standard rows).
+                let y_std = (res.status == Status::Optimal).then_some(res.y_std);
+                return Ok(finalize(
+                    model, &sf, &restore, res.status, &res.x_std, res.stats, y_std,
+                ));
+            }
+        };
+
+        // The cache key is computed on the *post-presolve, post-scale* form:
+        // that is the space the stored basis lives in, and geometric-mean
+        // scale factors derive from `A` alone, so family members (same `A`,
+        // perturbed `b`/`c`) still collapse onto one key after scaling.
+        let key = self.warm.and_then(|w| cache_key(&sf, &w.policy));
+        let cached = match (self.warm, key) {
+            (Some(w), Some(k)) => {
+                let n_active = sf.num_cols() - sf.num_artificials;
+                w.cache.lookup(k, sf.num_rows(), n_active)
+            }
+            _ => None,
+        };
+        let baseline = cached.as_ref().map(|c| c.cold_iterations);
+        // Only a cold request takes the cache's candidate: a checkpoint
+        // already encodes more progress than any family basis.
+        let start = match (self.start, cached) {
+            (Start::Cold, Some(c)) => Start::Warm(c.basis),
+            (start, _) => start,
+        };
+        let mut res = SolveRequest {
+            input: StandardInput { sf: &sf, opts },
+            backend: self.backend,
+            start,
+            warm: None,
+            slot: self.slot,
+            rec: self.rec,
+        }
+        .run()?;
+        settle_warm(self.warm, key, baseline, &mut res);
+        Ok(finalize_simplex(model, opts, &sf, &restore, res))
+    }
+}
+
+impl<'a, T: Scalar, R: Recorder> SolveRequest<'a, StandardInput<'a, T>, R> {
+    /// Run the revised simplex on the standard form.
+    pub fn run(self) -> Result<StdResult<T>, SolveError> {
+        let StandardInput { sf, opts } = self.input;
+        let (start, slot, rec) = (self.start, self.slot, self.rec);
+        let n_active = sf.num_cols() - sf.num_artificials;
+        on_target(
+            self.backend,
+            opts.faults.as_ref(),
+            |target| match target {
+                Target::CpuDense => {
+                    let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
+                    RevisedSimplex::new(&mut be, sf, opts, start, slot, rec).try_solve()
+                }
+                Target::CpuSparse => {
+                    let csr = CsrMatrix::from_dense(&sf.a, T::ZERO);
+                    let mut be = CpuSparseBackend::new(&csr, &sf.b, n_active, &sf.basis0);
+                    RevisedSimplex::new(&mut be, sf, opts, start, slot, rec).try_solve()
+                }
+                Target::Gpu(gpu) => {
+                    // Fallible construction: a device fault during the
+                    // initial uploads is a reportable device error.
+                    let mut be = GpuDenseBackend::try_new(gpu, &sf.a, &sf.b, n_active, &sf.basis0)?;
+                    be.set_fuse_launches(opts.fuse_launches);
+                    RevisedSimplex::new(&mut be, sf, opts, start, slot, rec).try_solve()
+                }
+            },
+            |res| &mut res.stats,
+        )
+    }
+}
+
+/// Where one standard-form solve runs, resolved from a [`BackendKind`].
+pub(crate) enum Target<'g> {
+    CpuDense,
+    CpuSparse,
+    Gpu(&'g Gpu),
+}
+
+/// The simulated device of one GPU solve: a fresh device of the spec, or a
+/// fresh stream of the shared device — the backend runs unchanged on either
+/// (`Stream` derefs to `Gpu`), and a stream's counters and fault plan stay
+/// per-solve, folding into the device when it drops.
+pub(crate) enum SimDevice {
+    Fresh(Gpu),
+    Stream(Stream),
+}
+
+impl SimDevice {
+    /// The device for a GPU `kind`; `None` for the CPU kinds.
+    pub(crate) fn open(kind: &BackendKind) -> Option<Self> {
+        match kind {
+            BackendKind::GpuDense(spec) => Some(SimDevice::Fresh(Gpu::new(spec.clone()))),
+            BackendKind::GpuShared(device) => Some(SimDevice::Stream(Stream::on(device))),
+            BackendKind::CpuDense | BackendKind::CpuSparse => None,
+        }
+    }
+}
+
+impl Deref for SimDevice {
+    type Target = Gpu;
+    fn deref(&self) -> &Gpu {
+        match self {
+            SimDevice::Fresh(gpu) => gpu,
+            SimDevice::Stream(stream) => stream,
+        }
+    }
+}
+
+/// Run `solve` on the target `kind` names. A GPU kind opens its own
+/// [`SimDevice`], arms it with `faults` before `solve` builds a backend,
+/// and folds the plan's fault count into the result's `stats`.
+pub(crate) fn on_target<X>(
     kind: &BackendKind,
-) -> LpSolution {
-    try_solve_on::<T>(model, opts, kind).unwrap_or_else(|e| panic!("{e}"))
+    faults: Option<&FaultConfig>,
+    solve: impl FnOnce(Target<'_>) -> Result<X, SolveError>,
+    stats: impl FnOnce(&mut X) -> &mut SolveStats,
+) -> Result<X, SolveError> {
+    let Some(gpu) = SimDevice::open(kind) else {
+        return solve(match kind {
+            BackendKind::CpuSparse => Target::CpuSparse,
+            _ => Target::CpuDense,
+        });
+    };
+    if let Some(cfg) = faults {
+        gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
+    }
+    let mut res = solve(Target::Gpu(&gpu))?;
+    stats(&mut res).device_faults = gpu.fault_counts().total();
+    Ok(res)
 }
 
-/// Fallible twin of [`solve`].
-pub fn try_solve<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on::<T>(model, opts, &BackendKind::CpuDense)
-}
-
-/// Solve an LP through the full pipeline on an explicit backend, surfacing
-/// device faults, timeouts and numerical collapse as [`SolveError`]s.
-pub fn try_solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, None, None, None)
-}
-
-/// [`try_solve_on`] consulting (and feeding) a shared [`BasisCache`]: the
-/// standardized instance is keyed under the context's [`WarmStartPolicy`],
-/// a cached family basis (if any) seeds the simplex, and an `Optimal`
-/// terminal basis is written back for later family members. A candidate
-/// that fails the solver-side validation is a recorded cold fallback
-/// ([`crate::SolveStats::warm_start_rejected`]), never a wrong answer.
-pub fn try_solve_on_warm<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, warm, None, None)
-}
-
-/// [`try_solve_on_warm`] with a checkpoint/resume context: the simplex
-/// snapshots into `rcv.slot` per [`SolverOptions::checkpoint_interval`] and
-/// resumes from `rcv.resume` when supplied. The checkpoint basis lives in
-/// the post-presolve/post-scale standard-form space, which is
-/// deterministic per model — so a checkpoint taken by one attempt resumes
-/// correctly in a later attempt, even on a different backend rung. On a
-/// resumed attempt the cache's warm candidate is *not* offered (the
-/// checkpoint supersedes it); the cache is still fed on success.
-pub fn try_solve_on_warm_ckpt<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-    slot: &CheckpointSlot,
-    resume: Option<SolveCheckpoint>,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(
-        model,
-        opts,
-        kind,
-        warm,
-        None,
-        Some(RecoveryContext { slot, resume }),
-    )
-}
-
-/// Panicking twin of [`try_solve_on_warm`].
-pub fn solve_on_warm<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-) -> LpSolution {
-    try_solve_on_warm::<T>(model, opts, kind, warm).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_solve_on`] with step spans reported to `rec` (see
-/// [`crate::trace`]). The caller keeps the recorder, so a solve that errors
-/// out leaves its partial trace available for post-mortem.
-pub fn try_solve_on_recorded<T: Scalar, R: Recorder>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    rec: &mut R,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, R>(model, opts, kind, None, Some(rec), None)
-}
-
-/// Outcome of the pre-simplex pipeline stages (presolve → standardize →
+/// Outcome of the pre-solve pipeline stages (presolve → standardize →
 /// scale), factored out so the batch mega path can run them per member
 /// *before* shape-grouping same-shape jobs into one SoA super-job.
 pub(crate) enum Prepared<T: Scalar> {
-    /// Presolve fully decided the model — no simplex needed.
+    /// Presolve fully decided the model — no solve needed.
     Early(Box<LpSolution>),
-    /// Standardized (and scaled, per options) form ready for the simplex,
-    /// plus the presolve restore context when presolve reduced the model.
+    /// Standardized (and scaled, if asked) form ready for a solver, plus
+    /// the presolve restore context when presolve reduced the model.
     Ready {
         sf: Box<StandardForm<T>>,
-        restore: Option<lp::presolve::Presolved>,
+        restore: Option<Presolved>,
     },
 }
 
-/// Presolve, standardize and scale `model` per `opts`.
+/// Presolve (if `presolve_on`), standardize and scale (if `scale_on`)
+/// `model`.
 ///
 /// # Panics
-/// On models that cannot be standardized (infinite coefficients) — same
-/// contract as the solve entry points.
-pub(crate) fn prepare<T: Scalar>(model: &LinearProgram, opts: &SolverOptions) -> Prepared<T> {
-    let (work, restore) = if opts.presolve {
+/// On models that cannot be standardized (infinite coefficients).
+pub(crate) fn prepare<T: Scalar>(
+    model: &LinearProgram,
+    presolve_on: bool,
+    scale_on: bool,
+) -> Prepared<T> {
+    let decided = |status, reason| {
+        Prepared::Early(Box::new(LpSolution {
+            status,
+            x: vec![0.0; model.num_vars()],
+            objective: f64::NAN,
+            stats: SolveStats::default(),
+            duals: None,
+            reason: Some(reason),
+        }))
+    };
+    let (work, restore) = if presolve_on {
         match presolve(model) {
-            PresolveResult::Infeasible(reason) => {
-                return Prepared::Early(Box::new(LpSolution {
-                    status: Status::Infeasible,
-                    x: vec![0.0; model.num_vars()],
-                    objective: f64::NAN,
-                    stats: SolveStats::default(),
-                    duals: None,
-                    reason: Some(reason),
-                }));
-            }
-            PresolveResult::Unbounded(reason) => {
-                return Prepared::Early(Box::new(LpSolution {
-                    status: Status::Unbounded,
-                    x: vec![0.0; model.num_vars()],
-                    objective: f64::NAN,
-                    stats: SolveStats::default(),
-                    duals: None,
-                    reason: Some(reason),
-                }));
-            }
-            PresolveResult::Reduced(p) => {
-                let lp = p.lp.clone();
-                (lp, Some(p))
-            }
+            PresolveResult::Infeasible(reason) => return decided(Status::Infeasible, reason),
+            PresolveResult::Unbounded(reason) => return decided(Status::Unbounded, reason),
+            PresolveResult::Reduced(p) => (p.lp.clone(), Some(p)),
         }
     } else {
         (model.clone(), None)
     };
     let mut sf = StandardForm::<T>::from_lp(&work).expect("model must standardize");
-    if opts.scale {
+    if scale_on {
         let _ = scale(&mut sf, ScalingKind::GeometricMean);
     }
     Prepared::Ready {
@@ -269,89 +535,65 @@ pub(crate) fn settle_warm<T: Scalar>(
     }
 }
 
-/// Post-simplex pipeline stages: polish, recover `x` through scaling and
-/// presolve, evaluate the objective on the original model, attach duals.
-pub(crate) fn finalize<T: Scalar>(
+/// The simplex's post-solve stages: polish an optimal point from its
+/// terminal basis, take the duals from a fresh f64 factorization of that
+/// basis (so they are backend-independent), then [`finalize`].
+pub(crate) fn finalize_simplex<T: Scalar>(
     model: &LinearProgram,
     opts: &SolverOptions,
     sf: &StandardForm<T>,
-    restore: &Option<lp::presolve::Presolved>,
+    restore: &Option<Presolved>,
     mut res: StdResult<T>,
 ) -> LpSolution {
-    if opts.polish && res.status == Status::Optimal {
+    let optimal = res.status == Status::Optimal;
+    if opts.polish && optimal {
         polish_x_std(sf, &res.basis, &mut res.x_std);
     }
-    let x_red = sf.recover_x(&res.x_std);
+    let y_std = if optimal {
+        basis_duals(sf, &res.basis)
+    } else {
+        None
+    };
+    finalize(model, sf, restore, res.status, &res.x_std, res.stats, y_std)
+}
+
+/// Post-solve pipeline stages shared by both families: recover `x` through
+/// scaling and presolve, evaluate the objective on the original model, and
+/// map the standard-space duals `y_std` (if any) back onto the original
+/// rows — rows presolve removed recover the multiplier their bound earned.
+fn finalize<T: Scalar>(
+    model: &LinearProgram,
+    sf: &StandardForm<T>,
+    restore: &Option<Presolved>,
+    status: Status,
+    x_std: &[T],
+    stats: SolveStats,
+    y_std: Option<Vec<f64>>,
+) -> LpSolution {
+    let x_red = sf.recover_x(x_std);
     let x = match restore {
         Some(p) => p.restore(&x_red),
         None => x_red,
     };
-    let objective = match res.status {
+    let objective = match status {
         Status::Optimal | Status::IterationLimit => model.objective_value(&x),
         _ => f64::NAN,
     };
-    // Duals from the final basis (fresh f64 factorization, so the values
-    // are backend-independent). When presolve reduced the model, the
-    // reduced-row multipliers are unwound back onto the original rows —
-    // removed rows recover the multiplier their bound earned.
-    let duals = if res.status == Status::Optimal {
-        compute_duals(sf, &res.basis).map(|y_red| match restore {
+    let duals = y_std.map(|y| {
+        let y_red = sf.recover_duals(&y);
+        match restore {
             Some(p) => p.restore_duals(model, &x, &y_red),
             None => y_red,
-        })
-    } else {
-        None
-    };
+        }
+    });
     LpSolution {
-        status: res.status,
+        status,
         x,
         objective,
-        stats: res.stats,
+        stats,
         duals,
         reason: None,
     }
-}
-
-fn try_solve_on_impl<T: Scalar, R: Recorder>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-    rec: Option<&mut R>,
-    rcv: Option<RecoveryContext<'_>>,
-) -> Result<LpSolution, SolveError> {
-    let (sf, restore) = match prepare::<T>(model, opts) {
-        Prepared::Early(sol) => return Ok(*sol),
-        Prepared::Ready { sf, restore } => (sf, restore),
-    };
-
-    // ---- consult the family basis cache -----------------------------------
-    // The key is computed on the *post-presolve, post-scale* form: that is
-    // the space the stored basis lives in, and geometric-mean scale factors
-    // derive from `A` alone, so family members (same `A`, perturbed `b`/`c`)
-    // still collapse onto one key after scaling.
-    let key = warm.and_then(|w| cache_key(&sf, &w.policy));
-    let cached = match (warm, key) {
-        (Some(w), Some(k)) => {
-            let n_active = sf.num_cols() - sf.num_artificials;
-            w.cache.lookup(k, sf.num_rows(), n_active)
-        }
-        _ => None,
-    };
-    let baseline = cached.as_ref().map(|c| c.cold_iterations);
-    // A resumed attempt must not also offer the cache's warm candidate:
-    // the checkpoint already encodes more progress than any family basis,
-    // and the driver's resume path supersedes the warm install anyway.
-    let resuming = rcv.as_ref().is_some_and(|r| r.resume.is_some());
-    let start = if resuming {
-        None
-    } else {
-        cached.map(|c| c.basis)
-    };
-
-    let mut res = try_solve_standard_impl::<T, R>(&sf, opts, kind, start, rec, rcv)?;
-    settle_warm(warm, key, baseline, &mut res);
-    Ok(finalize(model, opts, &sf, &restore, res))
 }
 
 /// Recompute the basic variables of an optimal point from a fresh f64
@@ -388,10 +630,9 @@ fn polish_x_std<T: Scalar>(sf: &StandardForm<T>, basis: &[usize], x_std: &mut [T
     }
 }
 
-/// Standard-space duals `y` with `yᵀB = c_Bᵀ`, mapped back through the
-/// standard-form transforms. `None` when the basis is singular (should not
-/// happen on an optimal result).
-fn compute_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec<f64>> {
+/// Standard-space duals `y` with `yᵀB = c_Bᵀ`. `None` when the basis is
+/// singular (should not happen on an optimal result).
+fn basis_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec<f64>> {
     let m = sf.num_rows();
     if m == 0 {
         return Some(Vec::new());
@@ -404,199 +645,32 @@ fn compute_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec
         }
     }
     let cb: Vec<f64> = basis.iter().map(|&j| sf.c[j].to_f64()).collect();
-    let y = linalg::blas::lu_solve(&bt, &cb)?;
-    Some(sf.recover_duals(&y))
+    linalg::blas::lu_solve(&bt, &cb)
 }
 
-/// Solve a prepared standard form on the chosen backend (experiment entry
-/// point: no presolve/scaling, caller controls everything).
-pub fn solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
+// Named entry points kept for callers outside this workspace that call them
+// by name; each is one request.
+
+/// A model solve on `kind`: `SolveRequest::model(model, opts).on(kind)`.
+pub fn try_solve_on<T: Scalar>(
+    model: &LinearProgram,
     opts: &SolverOptions,
     kind: &BackendKind,
-) -> StdResult<T> {
-    try_solve_standard_impl(sf, opts, kind, None, None::<&mut NoopRecorder>, None)
-        .unwrap_or_else(|e| panic!("{e}"))
+) -> Result<LpSolution, SolveError> {
+    SolveRequest::model(model, opts).on(kind).run::<T>()
 }
 
-/// Solve a prepared standard form warm-started from `basis` (e.g. the final
-/// basis of a previous solve of a perturbed model). Falls back to the cold
-/// two-phase start if the basis is singular or primal-infeasible.
-pub fn solve_standard_with_basis<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    basis: Vec<usize>,
-) -> StdResult<T> {
-    try_solve_standard_impl(sf, opts, kind, Some(basis), None::<&mut NoopRecorder>, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`solve_standard`].
-pub fn try_solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None, None::<&mut NoopRecorder>, None)
-}
-
-/// [`try_solve_standard`] with step spans reported to `rec` (see
-/// [`crate::trace`]): the experiment entry point for per-step profiling.
-pub fn try_solve_standard_recorded<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
+/// [`try_solve_on`] with step spans reported to `rec`.
+pub fn try_solve_on_recorded<T: Scalar, R: Recorder>(
+    model: &LinearProgram,
     opts: &SolverOptions,
     kind: &BackendKind,
     rec: &mut R,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None, Some(rec), None)
-}
-
-/// Fallible twin of [`solve_standard_with_basis`].
-pub fn try_solve_standard_with_basis<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    basis: Vec<usize>,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, Some(basis), None::<&mut NoopRecorder>, None)
-}
-
-/// Checkpoint/resume context threaded into a standard-form solve: the
-/// caller-owned slot the driver snapshots into (per
-/// [`SolverOptions::checkpoint_interval`]) plus an optional checkpoint to
-/// resume from instead of starting cold.
-pub struct RecoveryContext<'s> {
-    /// Mailbox for snapshots and per-iteration progress.
-    pub slot: &'s CheckpointSlot,
-    /// Resume point; `None` starts the solve normally.
-    pub resume: Option<SolveCheckpoint>,
-}
-
-/// [`try_solve_standard`] with checkpointing: snapshots land in `slot`
-/// every `opts.checkpoint_interval` iterations (at reinversion boundaries),
-/// and a supplied `resume` checkpoint restarts the solve mid-flight — on
-/// *any* backend kind, not just the one that took the snapshot. `start` is
-/// the optional warm-start basis for a scratch attempt; callers must pass
-/// `start = None` when resuming (the checkpoint supersedes it).
-pub fn try_solve_standard_ckpt<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    start: Option<Vec<usize>>,
-    slot: &CheckpointSlot,
-    resume: Option<SolveCheckpoint>,
-) -> Result<StdResult<T>, SolveError> {
-    debug_assert!(
-        start.is_none() || resume.is_none(),
-        "a resumed solve must not also offer a warm-start basis"
-    );
-    try_solve_standard_impl(
-        sf,
-        opts,
-        kind,
-        start,
-        None::<&mut NoopRecorder>,
-        Some(RecoveryContext { slot, resume }),
-    )
-}
-
-/// Wire a recovery context into a constructed driver (no-op without one).
-fn arm_recovery<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
-    driver: &mut RevisedSimplex<'a, T, B, R>,
-    rcv: Option<RecoveryContext<'a>>,
-) {
-    if let Some(rcv) = rcv {
-        driver.attach_checkpoint_slot(rcv.slot);
-        if let Some(cp) = rcv.resume {
-            driver.resume_from(cp);
-        }
-    }
-}
-
-fn drive<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
-    be: &'a mut B,
-    sf: &'a StandardForm<T>,
-    opts: &'a SolverOptions,
-    warm: Option<Vec<usize>>,
-    rec: Option<&'a mut R>,
-    rcv: Option<RecoveryContext<'a>>,
-) -> Result<StdResult<T>, SolveError> {
-    match (warm, rec) {
-        (Some(basis), Some(rec)) => {
-            let mut d = RevisedSimplex::with_start_basis_and_recorder(be, sf, opts, basis, rec);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-        (Some(basis), None) => {
-            let mut d = RevisedSimplex::with_start_basis(be, sf, opts, basis);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-        (None, Some(rec)) => {
-            let mut d = RevisedSimplex::with_recorder(be, sf, opts, rec);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-        (None, None) => {
-            let mut d = RevisedSimplex::new(be, sf, opts);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-    }
-}
-
-fn try_solve_standard_impl<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<Vec<usize>>,
-    rec: Option<&mut R>,
-    rcv: Option<RecoveryContext<'_>>,
-) -> Result<StdResult<T>, SolveError> {
-    let n_active = sf.num_cols() - sf.num_artificials;
-    match kind {
-        BackendKind::CpuDense => {
-            let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
-            drive(&mut be, sf, opts, warm, rec, rcv)
-        }
-        BackendKind::CpuSparse => {
-            let csr = CsrMatrix::from_dense(&sf.a, T::ZERO);
-            let mut be = CpuSparseBackend::new(&csr, &sf.b, n_active, &sf.basis0);
-            drive(&mut be, sf, opts, warm, rec, rcv)
-        }
-        BackendKind::GpuDense(spec) => {
-            let gpu = Gpu::new(spec.clone());
-            if let Some(cfg) = &opts.faults {
-                gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            // Fallible construction: a device fault during the initial
-            // uploads is a reportable device error, not a panic.
-            let mut be = GpuDenseBackend::try_new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0)
-                .map_err(SolveError::from)?;
-            be.set_fuse_launches(opts.fuse_launches);
-            let mut res = drive(&mut be, sf, opts, warm, rec, rcv)?;
-            res.stats.device_faults = gpu.fault_counts().total();
-            Ok(res)
-        }
-        BackendKind::GpuShared(device) => {
-            // One stream per solve: `Stream` derefs to `Gpu`, so the
-            // backend runs unchanged while its counters stay per-solve
-            // correct and fold into the shared device on retirement. The
-            // fault plan is armed on the *stream*, so injected faults stay
-            // per-solve too — other jobs on the device are untouched.
-            let stream = Stream::on(device);
-            if let Some(cfg) = &opts.faults {
-                stream.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            let mut be = GpuDenseBackend::try_new(&stream, &sf.a, &sf.b, n_active, &sf.basis0)
-                .map_err(SolveError::from)?;
-            be.set_fuse_launches(opts.fuse_launches);
-            let mut res = drive(&mut be, sf, opts, warm, rec, rcv)?;
-            res.stats.device_faults = stream.fault_counts().total();
-            Ok(res)
-        }
-    }
+) -> Result<LpSolution, SolveError> {
+    SolveRequest::model(model, opts)
+        .on(kind)
+        .recorder(rec)
+        .run::<T>()
 }
 
 #[cfg(test)]
@@ -617,7 +691,10 @@ mod tests {
     fn wyndor_on_every_backend() {
         let (model, expected) = fixtures::wyndor();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let sol = SolveRequest::model(&model, &SolverOptions::default())
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-8,
@@ -633,7 +710,10 @@ mod tests {
     fn two_phase_on_every_backend() {
         let (model, expected) = fixtures::two_phase();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let sol = SolveRequest::model(&model, &SolverOptions::default())
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-8,
@@ -647,7 +727,9 @@ mod tests {
 
     #[test]
     fn infeasible_and_unbounded_detected() {
-        let sol = solve::<f64>(&fixtures::infeasible(), &SolverOptions::default());
+        let sol = SolveRequest::model(&fixtures::infeasible(), &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Infeasible);
         // Presolve caught it; reason recorded.
         assert!(sol.reason.is_some());
@@ -657,9 +739,13 @@ mod tests {
             presolve: false,
             ..Default::default()
         };
-        let sol = solve::<f64>(&fixtures::infeasible(), &raw);
+        let sol = SolveRequest::model(&fixtures::infeasible(), &raw)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Infeasible);
-        let sol = solve::<f64>(&fixtures::unbounded(), &raw);
+        let sol = SolveRequest::model(&fixtures::unbounded(), &raw)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Unbounded);
     }
 
@@ -670,7 +756,9 @@ mod tests {
             fixtures::production(),
             fixtures::degenerate(),
         ] {
-            let sol = solve::<f64>(&model, &SolverOptions::default());
+            let sol = SolveRequest::model(&model, &SolverOptions::default())
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{}", model.name);
             assert!(
                 (sol.objective - expected).abs() < 1e-7,
@@ -691,7 +779,7 @@ mod tests {
                 pivot_rule: rule,
                 ..Default::default()
             };
-            let sol = solve::<f64>(&model, &opts);
+            let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
             assert_eq!(sol.status, Status::Optimal, "{rule:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-8,
@@ -705,12 +793,14 @@ mod tests {
     fn transportation_on_cpu_and_gpu() {
         // Equality rows + redundancy: the hard two-phase path.
         let model = generator::transportation(&[30.0, 70.0], &[40.0, 60.0], 3);
-        let cpu = solve_on::<f64>(&model, &SolverOptions::default(), &BackendKind::CpuDense);
-        let gpu = solve_on::<f64>(
-            &model,
-            &SolverOptions::default(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
-        );
+        let cpu = SolveRequest::model(&model, &SolverOptions::default())
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
+        let gpu = SolveRequest::model(&model, &SolverOptions::default())
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+            .run::<f64>()
+            .unwrap();
         assert_eq!(cpu.status, Status::Optimal);
         assert_eq!(gpu.status, Status::Optimal);
         assert!((cpu.objective - gpu.objective).abs() < 1e-6);
@@ -731,7 +821,10 @@ mod tests {
         );
         assert_eq!(tstatus, Status::Optimal);
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &opts, &kind);
+            let sol = SolveRequest::model(&model, &opts)
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - tobj).abs() / tobj.abs().max(1.0) < 1e-7,
@@ -745,8 +838,12 @@ mod tests {
     #[test]
     fn f32_pipeline_matches_f64_loosely() {
         let model = generator::dense_random(10, 12, 4);
-        let s64 = solve::<f64>(&model, &SolverOptions::default());
-        let s32 = solve::<f32>(&model, &SolverOptions::default());
+        let s64 = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
+        let s32 = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f32>()
+            .unwrap();
         assert_eq!(s64.status, Status::Optimal);
         assert_eq!(s32.status, Status::Optimal);
         assert!(
@@ -760,7 +857,9 @@ mod tests {
     #[test]
     fn max_flow_lp_solves() {
         let model = generator::max_flow(7, 2, 11);
-        let sol = solve::<f64>(&model, &SolverOptions::default());
+        let sol = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal);
         // Flow is positive (source always has a forward path).
         assert!(sol.objective > 0.0);
@@ -774,7 +873,7 @@ mod tests {
             max_iterations: Some(1),
             ..Default::default()
         };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
         assert_eq!(sol.status, Status::IterationLimit);
     }
 }

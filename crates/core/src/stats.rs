@@ -108,7 +108,7 @@ pub struct SolveStats {
     /// regression keys on this. 0 means "no pivots recorded".
     pub pivot_fingerprint: u64,
     /// Warm starts offered to this solve (0 or 1: a basis was supplied via
-    /// `with_start_basis` / the batch basis cache).
+    /// `Start::Warm` / the batch basis cache).
     pub warm_start_attempted: usize,
     /// Warm starts rejected and replaced by a cold start — the supplied
     /// basis was malformed, singular, or primal-infeasible. Always ≤

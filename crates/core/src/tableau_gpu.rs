@@ -395,7 +395,15 @@ mod tests {
         let n_active = sf.num_cols() - sf.num_artificials;
         let mut be =
             crate::backends::GpuDenseBackend::new(&gpu2, &sf.a, &sf.b, n_active, &sf.basis0);
-        let rev = crate::revised::RevisedSimplex::new(&mut be, &sf, &o).solve();
+        let rev = crate::revised::RevisedSimplex::new(
+            &mut be,
+            &sf,
+            &o,
+            crate::Start::Cold,
+            None,
+            None::<&mut crate::NoopRecorder>,
+        )
+        .solve();
         assert_eq!(rev.status, Status::Optimal);
 
         assert!(

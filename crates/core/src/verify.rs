@@ -276,7 +276,7 @@ pub fn check_complementary_slackness(
 mod tests {
     use super::*;
     use crate::options::SolverOptions;
-    use crate::solver::{solve, solve_standard, BackendKind};
+    use crate::solver::{BackendKind, SolveRequest};
     use lp::generator::{self, fixtures};
     use lp::scaling::{scale, ScalingKind};
 
@@ -290,7 +290,10 @@ mod tests {
         };
         let mut sf = StandardForm::<f64>::from_lp(&model).unwrap();
         let _ = scale(&mut sf, ScalingKind::None);
-        let res = solve_standard::<f64>(&sf, &opts, &BackendKind::CpuDense);
+        let res = SolveRequest::standard(&sf, &opts)
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         certify_optimal(&sf, &res, 1e-8).unwrap();
     }
 
@@ -309,7 +312,7 @@ mod tests {
                 BackendKind::CpuSparse,
                 BackendKind::GpuDense(gpu_sim::DeviceSpec::gtx280()),
             ] {
-                let res = solve_standard::<f64>(&sf, &opts, &kind);
+                let res = SolveRequest::standard(&sf, &opts).on(&kind).run().unwrap();
                 certify_optimal(&sf, &res, 1e-7)
                     .unwrap_or_else(|e| panic!("seed {seed} {kind:?}: {e}"));
             }
@@ -319,7 +322,9 @@ mod tests {
     #[test]
     fn check_solution_catches_bad_objective() {
         let (model, _) = fixtures::wyndor();
-        let mut sol = solve::<f64>(&model, &SolverOptions::default());
+        let mut sol = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         check_solution(&model, &sol, 1e-8).unwrap();
         sol.objective += 1.0;
         assert!(check_solution(&model, &sol, 1e-8).is_err());
@@ -328,7 +333,9 @@ mod tests {
     #[test]
     fn check_solution_catches_infeasible_point() {
         let (model, _) = fixtures::wyndor();
-        let mut sol = solve::<f64>(&model, &SolverOptions::default());
+        let mut sol = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         sol.x[0] = 100.0;
         assert!(check_solution(&model, &sol, 1e-8).is_err());
     }
@@ -343,7 +350,7 @@ mod tests {
             scale: false,
             ..Default::default()
         };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
         let duals = sol.duals.as_ref().expect("optimal solve reports duals");
         assert!((duals[0] - 0.0).abs() < 1e-8, "{duals:?}");
         assert!((duals[1] - 1.5).abs() < 1e-8, "{duals:?}");
@@ -360,7 +367,7 @@ mod tests {
                 scale: scale_on,
                 ..Default::default()
             };
-            let sol = solve::<f64>(&model, &opts);
+            let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
             let duals = sol.duals.as_ref().expect("duals present");
             // Strong duality at the original level: Σ y_i b_i == objective
             // (all variables have zero lower bounds here, no bound rows bind
@@ -388,7 +395,7 @@ mod tests {
             scale: false,
             ..Default::default()
         };
-        let mut sol = solve::<f64>(&model, &opts);
+        let mut sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
         // Claim a dual on the non-binding row x ≤ 4 (x* = 2).
         sol.duals.as_mut().unwrap()[0] = 5.0;
         assert!(check_complementary_slackness(&model, &sol, 1e-7).is_err());
@@ -448,7 +455,10 @@ mod tests {
             ..Default::default()
         };
         let sf = StandardForm::<f64>::from_lp(&model).unwrap();
-        let mut res = solve_standard::<f64>(&sf, &opts, &BackendKind::CpuDense);
+        let mut res = SolveRequest::standard(&sf, &opts)
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         res.status = Status::IterationLimit;
         assert_eq!(
             certify_optimal(&sf, &res, 1e-8),

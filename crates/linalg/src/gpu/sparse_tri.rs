@@ -202,8 +202,8 @@ fn tri_solve_cost<T: Scalar>(m: usize, nnz_l: usize, nnz_u: usize, depth: usize)
 ///
 /// Functional geometry: one host iteration replaying the host solve's exact
 /// arithmetic order (bitwise parity with
-/// [`SparseLu::ftran_in_place`]). Modeled geometry: see
-/// [`tri_solve_cost`].
+/// [`SparseLu::ftran_in_place`]). Modeled geometry: the level-scheduled
+/// triangular-solve pair's shared cost descriptor (`tri_solve_cost`).
 pub struct LuFtranK<T: Scalar> {
     pub l_col_ptr: DView<u32>,
     pub l_row_idx: DView<u32>,

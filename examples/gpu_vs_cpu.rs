@@ -7,7 +7,7 @@
 //! ```
 
 use gplex::backends::GpuDenseBackend;
-use gplex::{RevisedSimplex, Status};
+use gplex::{BackendKind, NoopRecorder, RevisedSimplex, SolveRequest, Start, Status};
 use gplex_suite::paper_opts;
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::{generator, StandardForm};
@@ -23,7 +23,10 @@ fn main() {
     let opts = paper_opts(m);
 
     // CPU baseline.
-    let cpu = gplex::solve_standard::<f32>(&sf, &opts, &gplex::BackendKind::CpuDense);
+    let cpu = SolveRequest::standard(&sf, &opts)
+        .on(&BackendKind::CpuDense)
+        .run()
+        .unwrap();
     assert_eq!(cpu.status, Status::Optimal);
     println!("CPU (modeled Core2-era single core)");
     println!("{}", cpu.stats);
@@ -32,7 +35,15 @@ fn main() {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let n_active = sf.num_cols() - sf.num_artificials;
     let mut backend = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
-    let gres = RevisedSimplex::new(&mut backend, &sf, &opts).solve();
+    let gres = RevisedSimplex::new(
+        &mut backend,
+        &sf,
+        &opts,
+        Start::Cold,
+        None,
+        None::<&mut NoopRecorder>,
+    )
+    .solve();
     assert_eq!(gres.status, Status::Optimal);
     println!("GPU (simulated GeForce GTX 280)");
     println!("{}", gres.stats);

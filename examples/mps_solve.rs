@@ -5,7 +5,7 @@
 //! cargo run --release --example mps_solve [path/to/model.mps]
 //! ```
 
-use gplex::{solve, SolverOptions, Status};
+use gplex::{SolveRequest, SolverOptions, Status};
 use lp::{generator, mps};
 
 fn main() {
@@ -26,8 +26,12 @@ fn main() {
             println!("  ... ({} lines total)\n", text.lines().count());
 
             let reparsed = mps::parse(&text).expect("round trip parses");
-            let a = solve::<f64>(&original, &SolverOptions::default());
-            let b = solve::<f64>(&reparsed, &SolverOptions::default());
+            let a = SolveRequest::model(&original, &SolverOptions::default())
+                .run::<f64>()
+                .unwrap();
+            let b = SolveRequest::model(&reparsed, &SolverOptions::default())
+                .run::<f64>()
+                .unwrap();
             assert_eq!(a.status, Status::Optimal);
             assert_eq!(b.status, Status::Optimal);
             assert!((a.objective - b.objective).abs() < 1e-9);
@@ -39,7 +43,9 @@ fn main() {
         }
     };
 
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     println!("model      : {}", model.name);
     println!("status     : {:?}", sol.status);
     if sol.status == Status::Optimal {

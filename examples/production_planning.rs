@@ -6,7 +6,7 @@
 //! cargo run --release --example production_planning
 //! ```
 
-use gplex::{solve, PivotRule, SolverOptions, Status};
+use gplex::{PivotRule, SolveRequest, SolverOptions, Status};
 use lp::{LinearProgram, Rel, Sense, VarId};
 
 fn build_model() -> (LinearProgram, Vec<VarId>) {
@@ -50,7 +50,7 @@ fn main() {
             pivot_rule: rule,
             ..Default::default()
         };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
         assert_eq!(sol.status, Status::Optimal);
         println!(
             "{rule:?}: profit = {:.2} in {} iterations ({} phase-1, {} degenerate)",
@@ -62,7 +62,9 @@ fn main() {
     }
 
     // Final plan under the default configuration.
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     println!("\noptimal plan:");
     for (&v, value) in vars.iter().zip(&sol.x) {
         println!("  {:<10} {:>8.2} units", model.var(v).name, value);

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gplex::{solve, SolverOptions, Status};
+use gplex::{SolveRequest, SolverOptions, Status};
 use lp::{LinearProgram, Rel, Sense};
 
 fn main() {
@@ -18,7 +18,9 @@ fn main() {
     model.add_constraint("plant2", &[(y, 2.0)], Rel::Le, 12.0);
     model.add_constraint("plant3", &[(x, 3.0), (y, 2.0)], Rel::Le, 18.0);
 
-    let solution = solve::<f64>(&model, &SolverOptions::default());
+    let solution = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
 
     assert_eq!(solution.status, Status::Optimal);
     println!("status     : {:?}", solution.status);

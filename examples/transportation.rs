@@ -7,7 +7,7 @@
 //! cargo run --release --example transportation
 //! ```
 
-use gplex::{solve_on, BackendKind, SolverOptions, Status};
+use gplex::{BackendKind, SolveRequest, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::generator;
 
@@ -23,8 +23,14 @@ fn main() {
     );
 
     let opts = SolverOptions::default();
-    let cpu = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-    let gpu = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let cpu = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
+    let gpu = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
 
     assert_eq!(cpu.status, Status::Optimal);
     assert_eq!(gpu.status, Status::Optimal);

@@ -2,7 +2,7 @@
 
 use crate::{Gen, Strategy};
 
-/// Accepted size arguments for [`vec`]: an exact `usize`, `a..b`, or
+/// Accepted size arguments for [`vec()`]: an exact `usize`, `a..b`, or
 /// `a..=b`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {

@@ -4,8 +4,8 @@
 
 use gplex::backends::CpuDenseBackend;
 use gplex::{
-    solve_on, try_solve_standard, verify, Backend, BackendKind, BasisRepresentation,
-    DegeneracyPolicy, RatioOutcome, SolverOptions, Status,
+    verify, Backend, BackendKind, BasisRepresentation, DegeneracyPolicy, RatioOutcome,
+    SolveRequest, SolverOptions, Start, Status,
 };
 use gpu_sim::DeviceSpec;
 use lp::generator;
@@ -98,10 +98,15 @@ proptest! {
     #[test]
     fn representation_swap_preserves_objective((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
-        let ex = solve_on::<f64>(&model, &opts_with(BasisRepresentation::ExplicitInverse),
-            &BackendKind::CpuDense);
+        let ex = SolveRequest::model(&model, &opts_with(BasisRepresentation::ExplicitInverse))
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         for rep in [BasisRepresentation::ProductForm, BasisRepresentation::SparseLU] {
-            let alt = solve_on::<f64>(&model, &opts_with(rep), &BackendKind::CpuDense);
+            let alt = SolveRequest::model(&model, &opts_with(rep))
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap();
             prop_assert_eq!(ex.status, alt.status, "{:?}", rep);
             if ex.status == Status::Optimal {
                 prop_assert!((ex.objective - alt.objective).abs()
@@ -192,7 +197,7 @@ proptest! {
     fn resume_is_bitwise_at_non_divisible_checkpoint_interval(
         (m, n, seed) in small_dims()
     ) {
-        use gplex::{try_solve_standard_ckpt, CheckpointSlot};
+        use gplex::CheckpointSlot;
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
         for rep in [
@@ -209,7 +214,7 @@ proptest! {
             };
             let kind = BackendKind::CpuDense;
             let slot = CheckpointSlot::new();
-            let solo = try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot, None)
+            let solo = SolveRequest::standard(&sf, &opts).on(&kind).checkpoint(&slot).run()
                 .expect("uninterrupted solve succeeds");
             let Some(cp) = slot.checkpoint() else { continue };
             prop_assert_eq!(cp.representation, rep);
@@ -220,7 +225,11 @@ proptest! {
 
             let slot2 = CheckpointSlot::new();
             let resumed =
-                try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot2, Some(cp))
+                SolveRequest::standard(&sf, &opts)
+                    .on(&kind)
+                    .checkpoint(&slot2)
+                    .start(Start::Resume(Box::new(cp)))
+                    .run()
                     .expect("resumed solve succeeds");
             prop_assert_eq!(resumed.status, solo.status);
             prop_assert_eq!(resumed.stats.iterations, solo.stats.iterations);
@@ -255,16 +264,19 @@ fn explicit_path_fingerprint_is_unchanged_by_plumbing() {
             BackendKind::CpuSparse,
             BackendKind::GpuDense(DeviceSpec::gtx280()),
         ] {
-            let default =
-                try_solve_standard::<f64>(&sf, &SolverOptions::default(), &kind).expect("solves");
-            let explicit = try_solve_standard::<f64>(
+            let default = SolveRequest::standard(&sf, &SolverOptions::default())
+                .on(&kind)
+                .run()
+                .expect("solves");
+            let explicit = SolveRequest::standard(
                 &sf,
                 &SolverOptions {
                     basis_representation: BasisRepresentation::ExplicitInverse,
                     ..Default::default()
                 },
-                &kind,
             )
+            .on(&kind)
+            .run()
             .expect("solves");
             assert_eq!(default.status, explicit.status, "{name} on {kind:?}");
             assert_eq!(
@@ -303,7 +315,10 @@ fn product_form_solves_fixture_suite_on_all_backends() {
                 refactor_period: 8,
                 ..opts_with(BasisRepresentation::ProductForm)
             };
-            let sol = solve_on::<f64>(model, &opts, &kind);
+            let sol = SolveRequest::model(model, &opts)
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{name} on {kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-6,
@@ -353,7 +368,10 @@ fn sparse_lu_solves_fixture_suite_on_all_backends() {
                 refactor_period: 8,
                 ..opts_with(BasisRepresentation::SparseLU)
             };
-            let sol = solve_on::<f64>(model, &opts, &kind);
+            let sol = SolveRequest::model(model, &opts)
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "{name} on {kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-6,
@@ -394,7 +412,7 @@ fn bound_shift_policy_terminates_on_degenerate_and_adversarial_fixtures() {
     ];
     let mut total_shifts = 0;
     for (model, expected) in &cases {
-        let shifted = solve_on::<f64>(
+        let shifted = SolveRequest::model(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -403,8 +421,10 @@ fn bound_shift_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 degeneracy: DegeneracyPolicy::BoundShift { delta: 1e-6 },
                 ..Default::default()
             },
-            &BackendKind::CpuDense,
-        );
+        )
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
         assert_eq!(shifted.status, Status::Optimal);
         assert!(
             (shifted.objective - expected).abs() < 1e-6,
@@ -431,7 +451,7 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
         (generator::klee_minty(6), generator::klee_minty_optimum(6)),
     ];
     for (model, expected) in &cases {
-        let bland = solve_on::<f64>(
+        let bland = SolveRequest::model(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -439,9 +459,11 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 scale: false,
                 ..Default::default()
             },
-            &BackendKind::CpuDense,
-        );
-        let pert = solve_on::<f64>(
+        )
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
+        let pert = SolveRequest::model(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -450,8 +472,10 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 degeneracy: DegeneracyPolicy::Perturb { scale: 1e-7 },
                 ..Default::default()
             },
-            &BackendKind::CpuDense,
-        );
+        )
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
         assert_eq!(bland.status, Status::Optimal);
         assert_eq!(pert.status, Status::Optimal);
         assert!(

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use gplex::batch::{BatchOptions, BatchSolver, JobOutcome, PlacementPolicy};
-use gplex::{solve_on, BackendKind, SolverOptions, Status};
-use gpu_sim::{DeviceSpec, Gpu};
+use gplex::{BackendKind, SolveRequest, SolverOptions, Status};
+use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
 use lp::generator::{self, fixtures};
 use lp::LinearProgram;
 
@@ -20,7 +20,10 @@ fn backends() -> Vec<BackendKind> {
 fn sequential(jobs: &[LinearProgram], kind: &BackendKind) -> Vec<(Status, f64)> {
     jobs.iter()
         .map(|lp| {
-            let sol = solve_on::<f64>(lp, &SolverOptions::default(), kind);
+            let sol = SolveRequest::model(lp, &SolverOptions::default())
+                .on(kind)
+                .run::<f64>()
+                .unwrap();
             (sol.status, sol.objective)
         })
         .collect()
@@ -28,7 +31,7 @@ fn sequential(jobs: &[LinearProgram], kind: &BackendKind) -> Vec<(Status, f64)> 
 
 /// The headline equivalence contract: 64 LPs through the pool at 1, 4, and
 /// 8 workers produce identical statuses and objectives within 1e-9 of the
-/// one-at-a-time `solve_on` baseline, on every backend.
+/// one-at-a-time `SolveRequest` baseline, on every backend.
 #[test]
 fn batch_matches_sequential_on_all_backends_and_worker_counts() {
     let jobs = generator::batch_dense(64, 8, 10, 2000);
@@ -290,4 +293,27 @@ fn per_backend_active_time_matches_job_records() {
     let share_sum =
         report.stats.active_utilization("cpu-dense") + report.stats.active_utilization("gpu-dense");
     assert!((share_sum - 1.0).abs() < 1e-12);
+}
+
+/// Regression: on the direct path (no resilience), a solve that returns a
+/// `SolveError` is reported as `Failed`, as on the resilient path, and is
+/// not relabelled `Panicked`.
+#[test]
+fn direct_path_reports_solve_errors_as_failed() {
+    let (model, _) = fixtures::wyndor();
+    let report = BatchSolver::new(BatchOptions {
+        policy: PlacementPolicy::Fixed(BackendKind::GpuDense(DeviceSpec::gtx280())),
+        solver: SolverOptions {
+            faults: Some(FaultConfig::uniform(3, 1.0)),
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .solve::<f64>(&[model]);
+    assert_eq!(report.stats.failed, 1);
+    assert_eq!(report.stats.panicked, 0);
+    match &report.results[0].outcome {
+        JobOutcome::Failed(msg) => assert!(msg.starts_with("device failure"), "{msg}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
 }

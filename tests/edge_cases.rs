@@ -1,6 +1,6 @@
 //! Edge cases and failure-injection tests across the stack.
 
-use gplex::{solve, solve_on, BackendKind, SolverOptions, Status};
+use gplex::{BackendKind, SolveRequest, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::{LinearProgram, Rel, Sense};
 
@@ -22,7 +22,10 @@ fn no_constraints_nonneg_costs_is_trivially_optimal() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = SolveRequest::model(&model, &raw_opts())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert_eq!(sol.objective, 0.0);
         assert_eq!(sol.x, vec![0.0, 0.0]);
@@ -37,11 +40,16 @@ fn no_constraints_negative_cost_is_unbounded() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = SolveRequest::model(&model, &raw_opts())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Unbounded, "{kind:?}");
     }
     // Presolve also catches it, with a reason.
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Unbounded);
     assert!(sol.reason.is_some());
 }
@@ -51,7 +59,9 @@ fn single_variable_single_constraint() {
     let mut model = LinearProgram::new("tiny").with_sense(Sense::Max);
     let x = model.add_var_nonneg("x", 1.0);
     model.add_constraint("cap", &[(x, 2.0)], Rel::Le, 10.0);
-    let sol = solve::<f64>(&model, &raw_opts());
+    let sol = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert_eq!(sol.objective, 5.0);
 }
@@ -68,7 +78,10 @@ fn equality_only_system_with_unique_point() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = SolveRequest::model(&model, &raw_opts())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert!((sol.x[0] - 2.0).abs() < 1e-8);
         assert!((sol.x[1] - 1.0).abs() < 1e-8);
@@ -88,7 +101,10 @@ fn redundant_equalities_leave_artificial_in_basis_harmlessly() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = SolveRequest::model(&model, &raw_opts())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         // min x + 2y on x + y = 4 → all weight on x.
         assert!(
@@ -107,7 +123,9 @@ fn conflicting_equalities_are_infeasible() {
     let y = model.add_var_nonneg("y", 1.0);
     model.add_constraint("r1", &[(x, 1.0), (y, 1.0)], Rel::Eq, 4.0);
     model.add_constraint("r2", &[(x, 1.0), (y, 1.0)], Rel::Eq, 5.0);
-    let sol = solve::<f64>(&model, &raw_opts());
+    let sol = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Infeasible);
 }
 
@@ -121,7 +139,9 @@ fn zero_rhs_degenerate_start_still_solves() {
     model.add_constraint("r1", &[(x, 1.0), (y, -1.0)], Rel::Le, 0.0);
     model.add_constraint("r2", &[(x, -1.0), (y, 1.0)], Rel::Le, 0.0);
     model.add_constraint("cap", &[(x, 1.0)], Rel::Le, 7.0);
-    let sol = solve::<f64>(&model, &raw_opts());
+    let sol = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     // x = y everywhere feasible → objective x − y = 0.
     assert!(sol.objective.abs() < 1e-9);
@@ -137,7 +157,7 @@ fn iteration_limit_in_phase_one_is_reported() {
         max_iterations: Some(0),
         ..raw_opts()
     };
-    let sol = solve::<f64>(&model, &opts);
+    let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
     assert_eq!(sol.status, Status::IterationLimit);
 }
 
@@ -154,8 +174,8 @@ fn huge_coefficient_spread_is_tamed_by_scaling() {
         presolve: false,
         ..Default::default()
     };
-    let sol64 = solve::<f64>(&model, &opts);
-    let sol32 = solve::<f32>(&model, &opts);
+    let sol64 = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
+    let sol32 = SolveRequest::model(&model, &opts).run::<f32>().unwrap();
     assert_eq!(sol64.status, Status::Optimal);
     assert_eq!(sol32.status, Status::Optimal);
     assert!(
@@ -175,13 +195,17 @@ fn duals_survive_presolve_rewrites() {
     let x = model.add_var("x", 2.0, 2.0, 1.0);
     let y = model.add_var_nonneg("y", 1.0);
     model.add_constraint("r", &[(x, 1.0), (y, 1.0)], Rel::Ge, 5.0);
-    let with = solve::<f64>(&model, &SolverOptions::default());
+    let with = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(with.status, Status::Optimal);
     let duals = with.duals.as_ref().expect("duals survive presolve");
     // y = 3 rides the row, so the row carries y's whole reduced cost.
     assert!((duals[0] - 1.0).abs() < 1e-9, "duals {duals:?}");
     // And they agree with the untouched-pipeline duals.
-    let raw = solve::<f64>(&model, &raw_opts());
+    let raw = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(raw.duals.as_ref().map(|d| d.len()), Some(duals.len()));
     for (a, b) in duals.iter().zip(raw.duals.as_ref().unwrap()) {
         assert!((a - b).abs() < 1e-9, "{duals:?} vs {:?}", raw.duals);
@@ -195,7 +219,9 @@ fn wyndor_duals_recover_through_presolve() {
     // [0, 1.5, 1] — the slack first row earns 0, the binding second row
     // earns 3/2 even though the reduced model never saw it.
     let (model, _) = lp::generator::fixtures::wyndor();
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     let duals = sol.duals.as_ref().expect("duals survive presolve");
     let expected = [0.0, 1.5, 1.0];
@@ -204,7 +230,9 @@ fn wyndor_duals_recover_through_presolve() {
         assert!((d - e).abs() < 1e-9, "duals {duals:?}");
     }
     // Same multipliers as the no-presolve pipeline.
-    let raw = solve::<f64>(&model, &raw_opts());
+    let raw = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     for (a, b) in duals.iter().zip(raw.duals.as_ref().unwrap()) {
         assert!((a - b).abs() < 1e-9, "{duals:?} vs {:?}", raw.duals);
     }
@@ -222,7 +250,9 @@ fn badly_scaled_duals_recover_through_presolve_and_scaling() {
     model.add_constraint("r1", &[(a, 1.0e6), (b, 2.0e6)], Rel::Ge, 3.0e6);
     model.add_constraint("r2", &[(a, 1.0)], Rel::Le, 10.0);
     model.add_constraint("r3", &[(a, 1.0e-3), (b, 1.0e-3)], Rel::Eq, 4.0e-3);
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!((sol.objective - 8.0).abs() < 1e-8);
     let duals = sol.duals.as_ref().expect("duals survive presolve");
@@ -237,12 +267,14 @@ fn badly_scaled_duals_recover_through_presolve_and_scaling() {
 fn gpu_and_cpu_agree_on_a_wide_problem() {
     // n ≫ m — the revised method's favorite shape.
     let model = lp::generator::dense_random(8, 200, 77);
-    let c = solve_on::<f64>(&model, &raw_opts(), &BackendKind::CpuDense);
-    let g = solve_on::<f64>(
-        &model,
-        &raw_opts(),
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    let c = SolveRequest::model(&model, &raw_opts())
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
+    let g = SolveRequest::model(&model, &raw_opts())
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(c.status, Status::Optimal);
     assert_eq!(g.status, Status::Optimal);
     assert!((c.objective - g.objective).abs() < 1e-8);
@@ -251,7 +283,9 @@ fn gpu_and_cpu_agree_on_a_wide_problem() {
 #[test]
 fn tall_problem_more_rows_than_columns() {
     let model = lp::generator::dense_random(60, 12, 5);
-    let sol = solve::<f64>(&model, &raw_opts());
+    let sol = SolveRequest::model(&model, &raw_opts())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!(model.check_feasible(&sol.x, 1e-7).is_none());
 }

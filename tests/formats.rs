@@ -1,7 +1,7 @@
 //! The shipped sample model files must parse and solve to their documented
 //! optima — keeps `data/` and the examples honest.
 
-use gplex::{solve, solve_on, BackendKind, SolverOptions, Status};
+use gplex::{BackendKind, SolveRequest, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 
 /// The three standard backends, for golden cross-backend regressions.
@@ -18,7 +18,9 @@ fn sample_mps_solves_to_documented_optimum() {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.mps"))
         .expect("sample.mps present");
     let model = lp::mps::parse(&text).expect("sample.mps parses");
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!((sol.objective + 36.0).abs() < 1e-9, "{}", sol.objective);
     let doors = model.var_by_name("DOORS").unwrap();
@@ -32,7 +34,9 @@ fn sample_lp_solves_to_documented_optimum() {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/sample.lp"))
         .expect("sample.lp present");
     let model = lp::lpformat::parse(&text).expect("sample.lp parses");
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!((sol.objective - 13.0).abs() < 1e-9, "{}", sol.objective);
 }
@@ -54,7 +58,10 @@ fn sample_files_pin_objectives_on_all_backends() {
     )
     .expect("sample.lp parses");
     for kind in all_backends() {
-        let a = solve_on::<f64>(&mps, &SolverOptions::default(), &kind);
+        let a = SolveRequest::model(&mps, &SolverOptions::default())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(a.status, Status::Optimal, "sample.mps on {kind:?}");
         assert!(
             (a.objective + 36.0).abs() < 1e-9,
@@ -62,7 +69,10 @@ fn sample_files_pin_objectives_on_all_backends() {
             a.objective
         );
 
-        let b = solve_on::<f64>(&lpf, &SolverOptions::default(), &kind);
+        let b = SolveRequest::model(&lpf, &SolverOptions::default())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(b.status, Status::Optimal, "sample.lp on {kind:?}");
         assert!(
             (b.objective - 13.0).abs() < 1e-9,
@@ -78,8 +88,12 @@ fn lp_and_mps_writers_cross_round_trip() {
     let original = lp::generator::dense_random(7, 10, 31);
     let via_lp = lp::lpformat::parse(&lp::lpformat::write(&original)).expect("lp round trip");
     let via_both = lp::mps::parse(&lp::mps::write(&via_lp)).expect("mps round trip");
-    let a = solve::<f64>(&original, &SolverOptions::default());
-    let b = solve::<f64>(&via_both, &SolverOptions::default());
+    let a = SolveRequest::model(&original, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
+    let b = SolveRequest::model(&via_both, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(a.status, Status::Optimal);
     assert_eq!(b.status, Status::Optimal);
     assert!((a.objective - b.objective).abs() < 1e-9);

@@ -7,7 +7,7 @@
 
 use gplex::backends::GpuDenseBackend;
 use gplex::trace::TraceRecorder;
-use gplex::{try_solve_standard_recorded, BackendKind, RevisedSimplex, SolverOptions, Status};
+use gplex::{BackendKind, RevisedSimplex, SolveRequest, SolverOptions, Start, Status};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator;
 use lp::StandardForm;
@@ -38,7 +38,7 @@ fn gpu_solve(
     // Measure the solve, not the (identical-in-both-modes) setup uploads.
     gpu.reset_counters();
     let mut rec = TraceRecorder::with_events(1 << 16);
-    let res = RevisedSimplex::with_recorder(&mut be, sf, &opts(fuse), &mut rec)
+    let res = RevisedSimplex::new(&mut be, sf, &opts(fuse), Start::Cold, None, Some(&mut rec))
         .try_solve()
         .unwrap();
     (res, gpu.counters(), rec)
@@ -54,11 +54,17 @@ fn fused_and_unfused_walk_identical_pivot_paths() {
         let kind = BackendKind::GpuDense(DeviceSpec::gtx280());
 
         let mut rec_f = TraceRecorder::with_events(1 << 16);
-        let fused =
-            try_solve_standard_recorded::<f64, _>(&sf, &opts(true), &kind, &mut rec_f).unwrap();
+        let fused = SolveRequest::standard(&sf, &opts(true))
+            .on(&kind)
+            .recorder(&mut rec_f)
+            .run()
+            .unwrap();
         let mut rec_u = TraceRecorder::with_events(1 << 16);
-        let unfused =
-            try_solve_standard_recorded::<f64, _>(&sf, &opts(false), &kind, &mut rec_u).unwrap();
+        let unfused = SolveRequest::standard(&sf, &opts(false))
+            .on(&kind)
+            .recorder(&mut rec_u)
+            .run()
+            .unwrap();
 
         assert_eq!(fused.status, Status::Optimal, "m={m} seed={seed}");
         assert_eq!(fused.status, unfused.status, "m={m} seed={seed}");

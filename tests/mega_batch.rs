@@ -5,9 +5,8 @@
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
 use gplex::{
-    mega_compatible, solve_on, solve_standard, try_solve_family_mega, try_solve_standard_ckpt,
-    BackendKind, CheckpointSlot, LaneOutcome, NoopRecorder, Recorder, SolveError, SolverOptions,
-    Status, StdResult, StepKind, TraceRecorder,
+    mega_compatible, try_solve_family_mega, BackendKind, CheckpointSlot, LaneOutcome, NoopRecorder,
+    Recorder, SolveError, SolveRequest, SolverOptions, Status, StdResult, StepKind, TraceRecorder,
 };
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
@@ -66,15 +65,11 @@ fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
     for (b, lane) in lanes.into_iter().enumerate() {
         let mega = lane.unwrap_or_else(|e| panic!("lane {b} failed: {e}"));
         let slot = CheckpointSlot::new();
-        let solo = try_solve_standard_ckpt::<f64>(
-            &sfs[b],
-            opts,
-            &BackendKind::CpuDense,
-            None,
-            &slot,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("solo {b} failed: {e}"));
+        let solo = SolveRequest::standard(&sfs[b], opts)
+            .on(&BackendKind::CpuDense)
+            .checkpoint(&slot)
+            .run()
+            .unwrap_or_else(|e| panic!("solo {b} failed: {e}"));
         assert_eq!(mega.status, solo.status, "lane {b} status");
         assert_eq!(mega.basis, solo.basis, "lane {b} terminal basis");
         assert_eq!(
@@ -179,7 +174,10 @@ fn stalling_reinverting_family_matches_solo_counters() {
     let jobs: Vec<LinearProgram> = (1..=3).map(|s| generator::assignment(7, s)).collect();
     let sfs = standardize(&jobs);
     for sf in &sfs {
-        let solo = solve_standard::<f64>(sf, &opts, &BackendKind::CpuDense);
+        let solo = SolveRequest::standard(sf, &opts)
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         assert!(solo.stats.bland_iterations > 0, "fixture must escalate");
         assert!(solo.stats.refactorizations > 0, "fixture must reinvert");
         assert!(solo.stats.degenerate_steps > 0, "fixture must stall");
@@ -205,7 +203,10 @@ fn batch_solver_mega_matches_solo_pipeline_bitwise() {
     for (i, r) in report.results.iter().enumerate() {
         assert_eq!(r.backend, "batch-kernel", "job {i} must be grouped");
         let sol = r.outcome.solution().expect("solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = SolveRequest::model(&jobs[i], &SolverOptions::default())
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert_eq!(
             sol.objective.to_bits(),
@@ -250,7 +251,10 @@ fn poisoned_member_fails_alone_without_corrupting_neighbors() {
             .outcome
             .solution()
             .expect("neighbor solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = SolveRequest::model(&jobs[i], &SolverOptions::default())
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert_eq!(sol.objective.to_bits(), solo.objective.to_bits(), "job {i}");
         assert_eq!(
@@ -298,10 +302,16 @@ fn iteration_limit_member_statuses_and_idle_lanes_accrue_nothing() {
             }
             let a = standardize(&[generator::dense_random(8, 12, sa)]).remove(0);
             let b = standardize(&[generator::dense_random(8, 12, sb)]).remove(0);
-            let ia = solve_standard::<f64>(&a, &raw_opts(), &BackendKind::CpuDense)
+            let ia = SolveRequest::standard(&a, &raw_opts())
+                .on(&BackendKind::CpuDense)
+                .run()
+                .unwrap()
                 .stats
                 .iterations;
-            let ib = solve_standard::<f64>(&b, &raw_opts(), &BackendKind::CpuDense)
+            let ib = SolveRequest::standard(&b, &raw_opts())
+                .on(&BackendKind::CpuDense)
+                .run()
+                .unwrap()
                 .stats
                 .iterations;
             if ib >= ia + 2 {
@@ -412,7 +422,10 @@ fn mixed_shape_batch_drains_fully_with_disjoint_grouping_counters() {
     assert_ne!(singleton.backend, "batch-kernel", "singleton streams");
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = SolveRequest::model(&jobs[i], &SolverOptions::default())
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert!(
             (sol.objective - solo.objective).abs() <= 1e-9 * solo.objective.abs().max(1.0),
@@ -517,7 +530,10 @@ fn mid_round_fault_evacuates_lanes_and_loses_zero_work() {
     let mut resumed_seen = 0usize;
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");
-        let solo = solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense);
+        let solo = SolveRequest::model(&jobs[i], &clean)
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i} status");
         assert_eq!(
             sol.objective.to_bits(),
@@ -719,7 +735,10 @@ fn silent_corruption_is_absorbed_by_lane_recovery() {
     );
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");
-        let solo = solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense);
+        let solo = SolveRequest::model(&jobs[i], &clean)
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i} status");
         assert_eq!(sol.status, Status::Optimal, "job {i} optimal");
         // The off-cadence reinversion reorders the lane's floating point,

@@ -7,9 +7,8 @@ use std::time::{Duration, Instant};
 use gplex::backends::CpuDenseBackend;
 use gplex::trace::{StepKind, TraceRecorder};
 use gplex::{
-    try_solve_standard, try_solve_standard_recorded, Backend, BackendError, BackendKind,
-    MetricValue, MetricsRegistry, RatioOutcome, RevisedSimplex, SolveError, SolverOptions, Status,
-    Step,
+    Backend, BackendError, BackendKind, MetricValue, MetricsRegistry, NoopRecorder, RatioOutcome,
+    RevisedSimplex, SolveError, SolveRequest, SolverOptions, Start, Status, Step,
 };
 use gpu_sim::{DeviceSpec, SimTime};
 use lp::generator::{self, fixtures};
@@ -136,7 +135,15 @@ fn time_limit_fires_between_steps_not_once_per_iteration() {
         ..no_pipeline()
     };
     let wall = Instant::now();
-    let res = RevisedSimplex::new(&mut be, &sf, &opts).try_solve();
+    let res = RevisedSimplex::new(
+        &mut be,
+        &sf,
+        &opts,
+        Start::Cold,
+        None,
+        None::<&mut NoopRecorder>,
+    )
+    .try_solve();
     let elapsed = wall.elapsed().as_secs_f64();
     match res {
         Err(SolveError::Timeout { limit_seconds, .. }) => {
@@ -168,7 +175,10 @@ fn phase_counters_partition_totals_on_every_backend() {
     for kind in backends() {
         for model in &models {
             let sf = StandardForm::<f64>::from_lp(model).unwrap();
-            let res = try_solve_standard::<f64>(&sf, &no_pipeline(), &kind).unwrap();
+            let res = SolveRequest::standard(&sf, &no_pipeline())
+                .on(&kind)
+                .run()
+                .unwrap();
             res.stats
                 .check_invariants()
                 .unwrap_or_else(|e| panic!("{kind:?} on {}: {e}", model.name));
@@ -184,7 +194,10 @@ fn phase_counters_partition_totals_on_every_backend() {
     // trivially all-phase-1 or all-phase-2 would not test the partition).
     let both_phases = models.iter().any(|model| {
         let sf = StandardForm::<f64>::from_lp(model).unwrap();
-        let res = try_solve_standard::<f64>(&sf, &no_pipeline(), &BackendKind::CpuDense).unwrap();
+        let res = SolveRequest::standard(&sf, &no_pipeline())
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         res.stats.phase1_iterations > 0 && res.stats.phase2_iterations() > 0
     });
     assert!(both_phases, "no fixture iterated in both phases");
@@ -205,9 +218,16 @@ fn cpu_step_totals_equal_backend_clock() {
     let sf = StandardForm::<f64>::from_lp(&model).unwrap();
     let n_active = sf.num_cols() - sf.num_artificials;
     let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
-    let res = RevisedSimplex::new(&mut be, &sf, &no_pipeline())
-        .try_solve()
-        .unwrap();
+    let res = RevisedSimplex::new(
+        &mut be,
+        &sf,
+        &no_pipeline(),
+        Start::Cold,
+        None,
+        None::<&mut NoopRecorder>,
+    )
+    .try_solve()
+    .unwrap();
     assert_eq!(res.status, Status::Optimal);
     let clock = be.clock().as_nanos();
     let charged = res.stats.total_time().as_nanos();
@@ -226,10 +246,16 @@ fn trace_spans_match_legacy_step_accounting() {
     let model = generator::dense_random(16, 24, 5);
     let sf = StandardForm::<f64>::from_lp(&model).unwrap();
     for kind in backends() {
-        let plain = try_solve_standard::<f64>(&sf, &no_pipeline(), &kind).unwrap();
+        let plain = SolveRequest::standard(&sf, &no_pipeline())
+            .on(&kind)
+            .run()
+            .unwrap();
         let mut rec = TraceRecorder::new();
-        let traced =
-            try_solve_standard_recorded::<f64, _>(&sf, &no_pipeline(), &kind, &mut rec).unwrap();
+        let traced = SolveRequest::standard(&sf, &no_pipeline())
+            .on(&kind)
+            .recorder(&mut rec)
+            .run()
+            .unwrap();
 
         // Recording is invisible to the solve itself.
         assert_eq!(traced.status, plain.status, "{kind:?}");
@@ -301,13 +327,11 @@ fn same_seed_solves_produce_identical_event_traces() {
         let model = generator::dense_random(20, 28, 11);
         let sf = StandardForm::<f32>::from_lp(&model).unwrap();
         let mut rec = TraceRecorder::with_events(1 << 14);
-        try_solve_standard_recorded::<f32, _>(
-            &sf,
-            &no_pipeline(),
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
-            &mut rec,
-        )
-        .unwrap();
+        SolveRequest::standard(&sf, &no_pipeline())
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+            .recorder(&mut rec)
+            .run()
+            .unwrap();
         rec
     };
     let (a, b) = (run(), run());
@@ -338,7 +362,8 @@ fn failed_solve_leaves_partial_trace_for_post_mortem() {
         ..no_pipeline()
     };
     let mut rec = TraceRecorder::with_events(256);
-    let res = RevisedSimplex::with_recorder(&mut be, &sf, &opts, &mut rec).try_solve();
+    let res =
+        RevisedSimplex::new(&mut be, &sf, &opts, Start::Cold, None, Some(&mut rec)).try_solve();
     assert!(matches!(res, Err(SolveError::Timeout { .. })));
     assert!(
         rec.timings.spans() > 0,
@@ -359,13 +384,11 @@ fn metrics_snapshot_agrees_with_solve_stats() {
     let model = generator::transportation(&[30.0, 70.0], &[40.0, 60.0], 3);
     let sf = StandardForm::<f64>::from_lp(&model).unwrap();
     let mut rec = TraceRecorder::new();
-    let res = try_solve_standard_recorded::<f64, _>(
-        &sf,
-        &no_pipeline(),
-        &BackendKind::CpuDense,
-        &mut rec,
-    )
-    .unwrap();
+    let res = SolveRequest::standard(&sf, &no_pipeline())
+        .on(&BackendKind::CpuDense)
+        .recorder(&mut rec)
+        .run()
+        .unwrap();
 
     let mut reg = MetricsRegistry::new();
     reg.observe_solve(&res.stats);

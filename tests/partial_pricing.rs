@@ -1,7 +1,7 @@
 //! Partial (windowed) pricing: same optimum as full Dantzig on every
 //! backend, with O(m·window) pricing instead of O(m·n).
 
-use gplex::{solve_standard, BackendKind, PivotRule, SolverOptions, Status, Step};
+use gplex::{BackendKind, PivotRule, SolveRequest, SolverOptions, Status, Step};
 use gpu_sim::DeviceSpec;
 use lp::{generator, StandardForm};
 
@@ -27,16 +27,18 @@ fn partial_pricing_reaches_the_same_optimum_on_every_backend() {
     for (m, n, seed) in [(16usize, 64usize, 1u64), (24, 96, 2), (12, 30, 3)] {
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-        let full =
-            solve_standard::<f64>(&sf, &opts_with(PivotRule::Dantzig), &BackendKind::CpuDense);
+        let full = SolveRequest::standard(&sf, &opts_with(PivotRule::Dantzig))
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         assert_eq!(full.status, Status::Optimal);
         for window in [1usize, 7, 16, 1000] {
             for kind in backends() {
-                let partial = solve_standard::<f64>(
-                    &sf,
-                    &opts_with(PivotRule::PartialDantzig { window }),
-                    &kind,
-                );
+                let partial =
+                    SolveRequest::standard(&sf, &opts_with(PivotRule::PartialDantzig { window }))
+                        .on(&kind)
+                        .run()
+                        .unwrap();
                 assert_eq!(partial.status, Status::Optimal, "{kind:?} w={window}");
                 assert!(
                     (partial.z_std - full.z_std).abs() / full.z_std.abs().max(1.0) < 1e-9,
@@ -60,12 +62,14 @@ fn partial_pricing_cuts_modeled_pricing_time_when_columns_dominate() {
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
     let cpu = BackendKind::CpuDense;
 
-    let full = solve_standard::<f64>(&sf, &opts_with(PivotRule::Dantzig), &cpu);
-    let partial = solve_standard::<f64>(
-        &sf,
-        &opts_with(PivotRule::PartialDantzig { window: 96 }),
-        &cpu,
-    );
+    let full = SolveRequest::standard(&sf, &opts_with(PivotRule::Dantzig))
+        .on(&cpu)
+        .run()
+        .unwrap();
+    let partial = SolveRequest::standard(&sf, &opts_with(PivotRule::PartialDantzig { window: 96 }))
+        .on(&cpu)
+        .run()
+        .unwrap();
     assert_eq!(full.status, Status::Optimal);
     assert_eq!(partial.status, Status::Optimal);
     assert!((full.z_std - partial.z_std).abs() / full.z_std.abs().max(1.0) < 1e-9);
@@ -83,11 +87,13 @@ fn partial_pricing_cuts_modeled_pricing_time_when_columns_dominate() {
     // GPU at launch-bound sizes: windowed pricing must still be *correct*
     // (the performance claim is size-dependent and made in experiment T1b).
     let gpu = BackendKind::GpuDense(DeviceSpec::gtx280());
-    let gfull = solve_standard::<f32>(
+    let gfull = SolveRequest::standard(
         &StandardForm::<f32>::from_lp(&model).expect("standardizes"),
         &opts_with(PivotRule::PartialDantzig { window: 96 }),
-        &gpu,
-    );
+    )
+    .on(&gpu)
+    .run()
+    .unwrap();
     assert_eq!(gfull.status, Status::Optimal);
 }
 
@@ -95,11 +101,10 @@ fn partial_pricing_cuts_modeled_pricing_time_when_columns_dominate() {
 fn window_of_one_is_effectively_blandlike_and_still_terminates() {
     let (model, expected) = generator::fixtures::degenerate();
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-    let res = solve_standard::<f64>(
-        &sf,
-        &opts_with(PivotRule::PartialDantzig { window: 1 }),
-        &BackendKind::CpuDense,
-    );
+    let res = SolveRequest::standard(&sf, &opts_with(PivotRule::PartialDantzig { window: 1 }))
+        .on(&BackendKind::CpuDense)
+        .run()
+        .unwrap();
     assert_eq!(res.status, Status::Optimal);
     assert!((sf.objective_from_std(res.z_std) - expected).abs() < 1e-9);
 }
@@ -109,11 +114,10 @@ fn partial_pricing_solves_two_phase_problems() {
     let (model, expected) = generator::fixtures::two_phase();
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
     for kind in backends() {
-        let res = solve_standard::<f64>(
-            &sf,
-            &opts_with(PivotRule::PartialDantzig { window: 2 }),
-            &kind,
-        );
+        let res = SolveRequest::standard(&sf, &opts_with(PivotRule::PartialDantzig { window: 2 }))
+            .on(&kind)
+            .run()
+            .unwrap();
         assert_eq!(res.status, Status::Optimal, "{kind:?}");
         assert!(
             (sf.objective_from_std(res.z_std) - expected).abs() < 1e-8,
@@ -126,12 +130,17 @@ fn partial_pricing_solves_two_phase_problems() {
 fn oversized_window_matches_full_dantzig_iteration_count() {
     let model = generator::dense_random(14, 20, 6);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-    let full = solve_standard::<f64>(&sf, &opts_with(PivotRule::Dantzig), &BackendKind::CpuDense);
-    let huge = solve_standard::<f64>(
+    let full = SolveRequest::standard(&sf, &opts_with(PivotRule::Dantzig))
+        .on(&BackendKind::CpuDense)
+        .run()
+        .unwrap();
+    let huge = SolveRequest::standard(
         &sf,
         &opts_with(PivotRule::PartialDantzig { window: usize::MAX }),
-        &BackendKind::CpuDense,
-    );
+    )
+    .on(&BackendKind::CpuDense)
+    .run()
+    .unwrap();
     assert_eq!(full.stats.iterations, huge.stats.iterations);
     assert!((full.z_std - huge.z_std).abs() < 1e-12);
 }
@@ -157,21 +166,19 @@ proptest! {
     ) {
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-        let full = solve_standard::<f64>(
-            &sf,
-            &opts_with(PivotRule::Dantzig),
-            &BackendKind::CpuDense,
-        );
+        let full = SolveRequest::standard(&sf, &opts_with(PivotRule::Dantzig))
+            .on(&BackendKind::CpuDense)
+            .run()
+            .unwrap();
         prop_assert_eq!(full.status, Status::Optimal);
         for kind in [
             BackendKind::CpuDense,
             BackendKind::GpuDense(DeviceSpec::gtx280()),
         ] {
-            let part = solve_standard::<f64>(
-                &sf,
-                &opts_with(PivotRule::PartialDantzig { window }),
-                &kind,
-            );
+            let part = SolveRequest::standard(&sf, &opts_with(PivotRule::PartialDantzig { window }))
+                .on(&kind)
+                .run()
+                .unwrap();
             prop_assert_eq!(part.status, Status::Optimal);
             prop_assert!(
                 (part.z_std - full.z_std).abs() / full.z_std.abs().max(1.0) < 1e-7,

@@ -4,9 +4,10 @@
 //! deterministic, and the resilient ladder must degrade *across* algorithm
 //! families when a backend is hosed.
 
-use gplex::pdhg::{self, PdhgOptions};
+use gplex::pdhg::PdhgOptions;
 use gplex::{
-    solve, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolverOptions, Status,
+    AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveRequest, SolverOptions,
+    Status,
 };
 use gplex_suite::rel_err;
 use gpu_sim::{DeviceSpec, FaultConfig};
@@ -31,10 +32,14 @@ fn pdhg_matches_simplex_on_the_shared_suite_across_backends() {
         fixtures::beale_cycling(),
     ];
     for (model, expected) in &cases {
-        let golden = solve::<f64>(model, &SolverOptions::default());
+        let golden = SolveRequest::model(model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         assert_eq!(golden.status, Status::Optimal, "{}", model.name);
         for (label, kind) in backends() {
-            let sol = pdhg::try_solve_on::<f64>(model, &PdhgOptions::default(), &kind)
+            let sol = SolveRequest::model(model, &PdhgOptions::default())
+                .on(&kind)
+                .run::<f64>()
                 .unwrap_or_else(|e| panic!("{} on {label}: {e}", model.name));
             assert_eq!(sol.status, Status::Optimal, "{} on {label}", model.name);
             assert!(
@@ -61,9 +66,13 @@ fn pdhg_matches_simplex_on_the_shared_suite_across_backends() {
 fn random_sparse_models_agree_on_every_backend() {
     for seed in [3u64, 11] {
         let model = generator::sparse_random(48, 64, 0.1, seed);
-        let golden = solve::<f64>(&model, &SolverOptions::default());
+        let golden = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         for (label, kind) in backends() {
-            let sol = pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &kind)
+            let sol = SolveRequest::model(&model, &PdhgOptions::default())
+                .on(&kind)
+                .run::<f64>()
                 .unwrap_or_else(|e| panic!("seed {seed} on {label}: {e}"));
             assert_eq!(sol.status, Status::Optimal, "seed {seed} on {label}");
             assert!(
@@ -79,9 +88,13 @@ fn random_sparse_models_agree_on_every_backend() {
 #[test]
 fn f32_tracks_f64_to_its_looser_tolerance() {
     let (model, _) = fixtures::wyndor();
-    let s64 = pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse)
+    let s64 = SolveRequest::model(&model, &PdhgOptions::default())
+        .on(&BackendKind::CpuSparse)
+        .run::<f64>()
         .expect("f64 solves");
-    let s32 = pdhg::try_solve_on::<f32>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse)
+    let s32 = SolveRequest::model(&model, &PdhgOptions::default())
+        .on(&BackendKind::CpuSparse)
+        .run::<f32>()
         .expect("f32 solves");
     assert_eq!(s64.status, Status::Optimal);
     assert_eq!(s32.status, Status::Optimal);
@@ -100,7 +113,9 @@ fn restarts_are_deterministic_bitwise() {
     let model = generator::sparse_random(24, 32, 0.2, 5);
     for (label, kind) in backends() {
         let run = || {
-            pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &kind)
+            SolveRequest::model(&model, &PdhgOptions::default())
+                .on(&kind)
+                .run::<f64>()
                 .unwrap_or_else(|e| panic!("{label}: {e}"))
         };
         let a = run();
@@ -123,7 +138,9 @@ fn duals_match_simplex_through_the_default_pipeline() {
     // Wyndor's singleton rows presolve into bounds; PDHG's recovered duals
     // must still land on the textbook shadow prices, same as simplex.
     let (model, _) = fixtures::wyndor();
-    let sol = pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse)
+    let sol = SolveRequest::model(&model, &PdhgOptions::default())
+        .on(&BackendKind::CpuSparse)
+        .run::<f64>()
         .expect("pdhg solves");
     let duals = sol.duals.as_ref().expect("duals survive presolve");
     let expected = [0.0, 1.5, 1.0];
@@ -138,17 +155,18 @@ fn hosed_gpu_degrades_across_the_pdhg_ladder_and_verifies() {
     // Every checked op faults on the GPU, so the PDHG ladder must walk down
     // to the fault-free CPU rung and still match the simplex golden result.
     let (model, _) = fixtures::wyndor();
-    let golden = solve::<f64>(&model, &SolverOptions::default());
+    let golden = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig::uniform(9, 1.0)),
         algorithm: AlgorithmChoice::Pdhg,
         ..Default::default()
     });
-    let out = solver.solve_job::<f64>(
+    let out = solver.run::<f64>(
         5,
-        &model,
-        &SolverOptions::default(),
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        SolveRequest::model(&model, &SolverOptions::default())
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
     );
     let sol = out.result.expect("CPU PDHG rung succeeds");
     assert_eq!(out.final_backend, "pdhg-cpu-dense");
@@ -170,16 +188,23 @@ fn a_faulted_check_block_is_retried_on_the_same_rung() {
     // check block is one fault surface: the block aborts before any of its
     // iterations run, and a fresh attempt on the same GPU rung recovers.
     let (model, _) = fixtures::wyndor();
-    let golden = solve::<f64>(&model, &SolverOptions::default());
+    let golden = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     let gpu = BackendKind::GpuDense(DeviceSpec::gtx280());
-    let clean = pdhg::try_solve_on::<f64>(&model, &PdhgOptions::default(), &gpu)
+    let clean = SolveRequest::model(&model, &PdhgOptions::default())
+        .on(&gpu)
+        .run::<f64>()
         .expect("fault-free pdhg solves");
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig::uniform(6, 0.05).only(&["pdhg_step"])),
         algorithm: AlgorithmChoice::Pdhg,
         ..Default::default()
     });
-    let out = solver.solve_job::<f64>(6, &model, &SolverOptions::default(), &gpu);
+    let out = solver.run::<f64>(
+        6,
+        SolveRequest::model(&model, &SolverOptions::default()).on(&gpu),
+    );
     assert!(out.faults > 0, "no block faulted");
     assert!(out.retries > 0, "no retry");
     assert_eq!(out.final_backend, "pdhg-gpu-dense");

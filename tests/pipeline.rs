@@ -2,9 +2,15 @@
 //! standard form → scaling → revised simplex (all backends) → recovery →
 //! independent verification.
 
-use gplex::{solve, solve_on, tableau, verify, BackendKind, PivotRule, SolverOptions, Status};
+use std::sync::Arc;
+
+use gplex::pdhg::PdhgOptions;
+use gplex::{
+    tableau, verify, BackendKind, CheckpointSlot, ModelInput, PivotRule, SolveRequest,
+    SolverOptions, Start, Status, TraceRecorder,
+};
 use gplex_suite::{paper_opts, rel_err};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
 use lp::{LinearProgram, Rel, Sense, StandardForm};
 
@@ -28,7 +34,10 @@ fn fixtures_solve_identically_on_every_backend_and_precision() {
     ];
     for (model, expected) in cases {
         for kind in backends() {
-            let s64 = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let s64 = SolveRequest::model(&model, &SolverOptions::default())
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(s64.status, Status::Optimal, "{} {kind:?} f64", model.name);
             assert!(
                 rel_err(s64.objective, expected) < 1e-7,
@@ -38,7 +47,10 @@ fn fixtures_solve_identically_on_every_backend_and_precision() {
             );
             verify::check_solution(&model, &s64, 1e-7).expect("f64 solution verifies");
 
-            let s32 = solve_on::<f32>(&model, &SolverOptions::default(), &kind);
+            let s32 = SolveRequest::model(&model, &SolverOptions::default())
+                .on(&kind)
+                .run::<f32>()
+                .unwrap();
             assert_eq!(s32.status, Status::Optimal, "{} {kind:?} f32", model.name);
             assert!(
                 rel_err(s32.objective, expected) < 1e-3,
@@ -53,7 +65,9 @@ fn fixtures_solve_identically_on_every_backend_and_precision() {
 #[test]
 fn pipeline_toggles_do_not_change_the_optimum() {
     let model = generator::dense_random(20, 28, 11);
-    let reference = solve::<f64>(&model, &SolverOptions::default());
+    let reference = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(reference.status, Status::Optimal);
     for presolve in [false, true] {
         for scale in [false, true] {
@@ -64,7 +78,7 @@ fn pipeline_toggles_do_not_change_the_optimum() {
                     pivot_rule: rule,
                     ..Default::default()
                 };
-                let sol = solve::<f64>(&model, &opts);
+                let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
                 assert_eq!(
                     sol.status,
                     Status::Optimal,
@@ -90,7 +104,10 @@ fn revised_simplex_agrees_with_tableau_oracle_on_random_instances() {
         let oracle = tableau::solve_standard(&sf, &paper_opts(m));
         assert_eq!(oracle.status, Status::Optimal);
         for kind in backends() {
-            let sol = solve_on::<f64>(&model, &paper_opts(m), &kind);
+            let sol = SolveRequest::model(&model, &paper_opts(m))
+                .on(&kind)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, Status::Optimal, "seed {seed} {kind:?}");
             assert!(
                 rel_err(sol.objective, sf.objective_from_std(oracle.z_std)) < 1e-7,
@@ -108,9 +125,15 @@ fn infeasible_and_unbounded_agree_across_backends_without_presolve() {
         ..Default::default()
     };
     for kind in backends() {
-        let inf = solve_on::<f64>(&fixtures::infeasible(), &opts, &kind);
+        let inf = SolveRequest::model(&fixtures::infeasible(), &opts)
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(inf.status, Status::Infeasible, "{kind:?}");
-        let unb = solve_on::<f64>(&fixtures::unbounded(), &opts, &kind);
+        let unb = SolveRequest::model(&fixtures::unbounded(), &opts)
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(unb.status, Status::Unbounded, "{kind:?}");
     }
 }
@@ -120,22 +143,20 @@ fn degenerate_network_problems_solve_on_gpu() {
     // Assignment problems are massively degenerate; transportation adds a
     // redundant row. Both must survive the GPU path end to end.
     let assign = generator::assignment(6, 3);
-    let sol = solve_on::<f64>(
-        &assign,
-        &SolverOptions::default(),
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    let sol = SolveRequest::model(&assign, &SolverOptions::default())
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     verify::check_solution(&assign, &sol, 1e-6).expect("assignment verifies");
     // Integral optimum (total assignment cost is a sum of integer costs).
     assert!((sol.objective - sol.objective.round()).abs() < 1e-6);
 
     let transport = generator::transportation(&[5.0, 9.0, 6.0], &[7.0, 5.0, 8.0], 13);
-    let sol = solve_on::<f64>(
-        &transport,
-        &SolverOptions::default(),
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    let sol = SolveRequest::model(&transport, &SolverOptions::default())
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     verify::check_solution(&transport, &sol, 1e-6).expect("transportation verifies");
 }
@@ -145,7 +166,10 @@ fn multi_period_staircase_solves_and_verifies_on_all_backends() {
     let model = generator::multi_period_production(10, 7);
     let mut objectives = Vec::new();
     for kind in backends() {
-        let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+        let sol = SolveRequest::model(&model, &SolverOptions::default())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         verify::check_solution(&model, &sol, 1e-6).expect("verifies");
         objectives.push(sol.objective);
@@ -169,7 +193,10 @@ fn bounded_variables_and_free_variables_round_trip() {
     model.add_constraint("cap", &[(x, 1.0), (y, 1.0), (z, 1.0)], Rel::Le, 10.0);
     model.add_constraint("ycap", &[(y, 1.0)], Rel::Le, 4.0);
     for kind in backends() {
-        let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+        let sol = SolveRequest::model(&model, &SolverOptions::default())
+            .on(&kind)
+            .run::<f64>()
+            .unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert!(
             rel_err(sol.objective, -10.0) < 1e-8,
@@ -191,7 +218,9 @@ fn maximization_sign_handling_is_consistent() {
     model.add_constraint("c2", &[(x, 3.0), (y, -1.0)], Rel::Ge, 0.0);
     model.add_constraint("c3", &[(x, 1.0), (y, -1.0)], Rel::Le, 2.0);
     // Known optimum: x = 6, y = 4 → 24.
-    let sol = solve::<f64>(&model, &SolverOptions::default());
+    let sol = SolveRequest::model(&model, &SolverOptions::default())
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!(rel_err(sol.objective, 24.0) < 1e-8, "{}", sol.objective);
 }
@@ -202,8 +231,12 @@ fn mps_round_trip_preserves_the_optimum() {
         let model = generator::dense_random(9, 13, seed);
         let text = lp::mps::write(&model);
         let reparsed = lp::mps::parse(&text).expect("round trip parses");
-        let a = solve::<f64>(&model, &SolverOptions::default());
-        let b = solve::<f64>(&reparsed, &SolverOptions::default());
+        let a = SolveRequest::model(&model, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
+        let b = SolveRequest::model(&reparsed, &SolverOptions::default())
+            .run::<f64>()
+            .unwrap();
         assert_eq!(a.status, Status::Optimal);
         assert_eq!(b.status, Status::Optimal);
         assert!(rel_err(a.objective, b.objective) < 1e-9);
@@ -220,7 +253,7 @@ fn klee_minty_is_exponential_under_dantzig_linear_under_bland() {
     };
     for n in [4usize, 6, 8] {
         let model = generator::klee_minty(n);
-        let sol = solve::<f64>(&model, &opts_d);
+        let sol = SolveRequest::model(&model, &opts_d).run::<f64>().unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert_eq!(sol.stats.iterations, (1 << n) - 1, "KM({n}) under Dantzig");
         assert!(rel_err(sol.objective, generator::klee_minty_optimum(n)) < 1e-9);
@@ -229,7 +262,7 @@ fn klee_minty_is_exponential_under_dantzig_linear_under_bland() {
             pivot_rule: PivotRule::Bland,
             ..opts_d.clone()
         };
-        let bl = solve::<f64>(&model, &opts_b);
+        let bl = SolveRequest::model(&model, &opts_b).run::<f64>().unwrap();
         assert_eq!(bl.status, Status::Optimal);
         assert!(
             bl.stats.iterations < (1 << n) - 1 || n <= 4,
@@ -243,12 +276,104 @@ fn klee_minty_is_exponential_under_dantzig_linear_under_bland() {
 fn gpu_sparse_and_dense_cpu_agree_on_sparse_instances() {
     let model = generator::sparse_random(40, 60, 0.1, 5);
     let opts = SolverOptions::default();
-    let dense = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-    let sparse = solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse);
-    let gpu = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let dense = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
+    let sparse = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuSparse)
+        .run::<f64>()
+        .unwrap();
+    let gpu = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(dense.status, Status::Optimal);
     assert_eq!(sparse.status, Status::Optimal);
     assert_eq!(gpu.status, Status::Optimal);
     assert!(rel_err(dense.objective, sparse.objective) < 1e-8);
     assert!(rel_err(dense.objective, gpu.objective) < 1e-8);
+}
+
+/// Run one request with and without a recorder: the two runs must agree
+/// bitwise on status, objective and pivot fingerprint, and the recorded
+/// run's spans must cover the modeled time it added to the `carried`
+/// seconds its start brought in (a resumed run's ledger starts from the
+/// checkpoint's).
+fn recorder_parity<'a>(
+    what: &str,
+    carried: f64,
+    request: impl Fn() -> SolveRequest<'a, ModelInput<'a>>,
+) {
+    let plain = request().run::<f64>().expect(what);
+    let mut rec = TraceRecorder::new();
+    let traced = request().recorder(&mut rec).run::<f64>().expect(what);
+    assert_eq!(plain.status, traced.status, "{what}");
+    assert_eq!(
+        plain.objective.to_bits(),
+        traced.objective.to_bits(),
+        "{what}"
+    );
+    assert_eq!(
+        plain.stats.pivot_fingerprint, traced.stats.pivot_fingerprint,
+        "{what}"
+    );
+    let total = traced.stats.total_time().as_secs_f64() - carried;
+    let spans = rec.timings.total_time().as_secs_f64();
+    assert!(
+        total > 0.0 && spans >= 0.995 * total,
+        "{what}: spans cover {spans} of {total} s"
+    );
+}
+
+/// Every request shape on every backend: the simplex from a cold, warm and
+/// resumed start, and PDHG cold.
+#[test]
+fn request_parity_matrix() {
+    let model = generator::dense_random(16, 20, 3);
+    // Presolve and scaling off keep the solved form equal to the model's
+    // own standard form, so a checkpoint's basis is a valid warm start; a
+    // short reinversion period leaves a checkpoint to resume from.
+    let opts = SolverOptions {
+        presolve: false,
+        scale: false,
+        refactor_period: 3,
+        checkpoint_interval: 3,
+        ..Default::default()
+    };
+    let (wyndor, _) = fixtures::wyndor();
+    let pdhg_opts = PdhgOptions::default();
+    let kinds = [
+        BackendKind::CpuDense,
+        BackendKind::CpuSparse,
+        BackendKind::GpuDense(DeviceSpec::gtx280()),
+        BackendKind::GpuShared(Arc::new(Gpu::new(DeviceSpec::gtx280()))),
+    ];
+    for kind in &kinds {
+        let slot = CheckpointSlot::new();
+        SolveRequest::model(&model, &opts)
+            .on(kind)
+            .checkpoint(&slot)
+            .run::<f64>()
+            .expect("cold solve");
+        let cp = slot.checkpoint().expect("the cold solve took a checkpoint");
+        let carried = cp.stats.total_time().as_secs_f64();
+        let starts = [
+            ("cold", 0.0, Start::Cold),
+            ("warm", 0.0, Start::Warm(cp.basis.clone())),
+            ("resume", carried, Start::Resume(Box::new(cp))),
+        ];
+        for (label, carried, start) in &starts {
+            recorder_parity(&format!("simplex {label} on {kind:?}"), *carried, || {
+                SolveRequest::model(&model, &opts)
+                    .on(kind)
+                    .start(start.clone())
+            });
+        }
+        // PDHG needs thousands of iterations on the random model; the
+        // small fixture keeps the matrix quick.
+        recorder_parity(&format!("pdhg cold on {kind:?}"), 0.0, || {
+            SolveRequest::model(&wyndor, &pdhg_opts).on(kind)
+        });
+    }
 }

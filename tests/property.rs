@@ -2,7 +2,7 @@
 //! checks, cross-backend equivalence.
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
-use gplex::{solve, solve_on, verify, BackendKind, SolverOptions, Status};
+use gplex::{verify, BackendKind, SolveRequest, SolverOptions, Start, Status};
 use gpu_sim::DeviceSpec;
 use lp::generator;
 use lp::presolve::{presolve, PresolveResult};
@@ -24,7 +24,7 @@ proptest! {
     fn dense_random_always_solves_optimally((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
         let opts = SolverOptions { presolve: false, scale: false, ..Default::default() };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = SolveRequest::model(&model, &opts).run::<f64>().unwrap();
         prop_assert_eq!(sol.status, Status::Optimal);
         prop_assert!(sol.objective <= 1e-9, "origin scores 0, optimum {}", sol.objective);
         prop_assert!(model.check_feasible(&sol.x, 1e-7).is_none());
@@ -38,8 +38,11 @@ proptest! {
     fn cpu_gpu_equivalence((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
         let opts = SolverOptions { presolve: false, scale: false, ..Default::default() };
-        let c = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-        let g = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+        let c = SolveRequest::model(&model, &opts).on(&BackendKind::CpuDense).run::<f64>().unwrap();
+        let g = SolveRequest::model(&model, &opts)
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(c.status, g.status);
         prop_assert!((c.objective - g.objective).abs() / c.objective.abs().max(1.0) < 1e-7,
             "cpu {} vs gpu {}", c.objective, g.objective);
@@ -49,8 +52,12 @@ proptest! {
     #[test]
     fn presolve_preserves_optimum((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
-        let with = solve::<f64>(&model, &SolverOptions { presolve: true, ..Default::default() });
-        let without = solve::<f64>(&model, &SolverOptions { presolve: false, ..Default::default() });
+        let with = SolveRequest::model(&model, &SolverOptions { presolve: true, ..Default::default() })
+            .run::<f64>()
+            .unwrap();
+        let without = SolveRequest::model(&model, &SolverOptions { presolve: false, ..Default::default() })
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(with.status, without.status);
         prop_assert!((with.objective - without.objective).abs()
             / without.objective.abs().max(1.0) < 1e-7);
@@ -60,8 +67,12 @@ proptest! {
     #[test]
     fn scaling_preserves_optimum((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
-        let with = solve::<f64>(&model, &SolverOptions { scale: true, ..Default::default() });
-        let without = solve::<f64>(&model, &SolverOptions { scale: false, ..Default::default() });
+        let with = SolveRequest::model(&model, &SolverOptions { scale: true, ..Default::default() })
+            .run::<f64>()
+            .unwrap();
+        let without = SolveRequest::model(&model, &SolverOptions { scale: false, ..Default::default() })
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(with.status, without.status);
         prop_assert!((with.objective - without.objective).abs()
             / without.objective.abs().max(1.0) < 1e-7);
@@ -73,8 +84,8 @@ proptest! {
         let model = generator::dense_random(m, n, seed);
         match presolve(&model) {
             PresolveResult::Reduced(p) => {
-                let sol = solve::<f64>(&p.lp, &SolverOptions {
-                    presolve: false, ..Default::default() });
+                let sol = SolveRequest::model(&p.lp, &SolverOptions {
+                    presolve: false, ..Default::default() }).run::<f64>().unwrap();
                 prop_assume!(sol.status == Status::Optimal);
                 let full = p.restore(&sol.x);
                 prop_assert!(model.check_feasible(&full, 1e-6).is_none());
@@ -89,9 +100,9 @@ proptest! {
     fn standard_form_solutions_recover_feasible((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-        let res = gplex::solve_standard::<f64>(&sf, &SolverOptions {
+        let res = SolveRequest::standard(&sf, &SolverOptions {
             presolve: false, scale: false, ..Default::default()
-        }, &BackendKind::CpuDense);
+        }).on(&BackendKind::CpuDense).run().unwrap();
         prop_assume!(res.status == Status::Optimal);
         let x = sf.recover_x(&res.x_std);
         prop_assert!(model.check_feasible(&x, 1e-6).is_none());
@@ -113,8 +124,8 @@ proptest! {
         let reparsed = lp::mps::parse(&lp::mps::write(&model)).expect("parses");
         prop_assert_eq!(model.num_vars(), reparsed.num_vars());
         prop_assert_eq!(model.num_constraints(), reparsed.num_constraints());
-        let a = solve::<f64>(&model, &SolverOptions::default());
-        let b = solve::<f64>(&reparsed, &SolverOptions::default());
+        let a = SolveRequest::model(&model, &SolverOptions::default()).run::<f64>().unwrap();
+        let b = SolveRequest::model(&reparsed, &SolverOptions::default()).run::<f64>().unwrap();
         prop_assert!((a.objective - b.objective).abs() / a.objective.abs().max(1.0) < 1e-9);
     }
 
@@ -168,8 +179,11 @@ proptest! {
         let n = m + 4;
         let model = generator::sparse_random(m, n, 0.3, seed);
         let opts = SolverOptions { presolve: false, scale: false, ..Default::default() };
-        let d = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-        let s = solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse);
+        let d = SolveRequest::model(&model, &opts).on(&BackendKind::CpuDense).run::<f64>().unwrap();
+        let s = SolveRequest::model(&model, &opts)
+            .on(&BackendKind::CpuSparse)
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(d.status, s.status);
         if d.status == Status::Optimal {
             prop_assert!((d.objective - s.objective).abs() / d.objective.abs().max(1.0) < 1e-8);
@@ -183,18 +197,26 @@ proptest! {
     /// terminal basis, not of the pivot path that reached it.
     #[test]
     fn warm_restart_is_bitwise_equal_to_cold((m, n, seed) in small_dims()) {
-        use gplex::{solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
+        use gplex::{BasisCache, WarmContext, WarmStartPolicy};
         let model = generator::dense_random(m, n, seed);
         let opts = SolverOptions::default();
         for kind in [BackendKind::CpuDense, BackendKind::CpuSparse,
                      BackendKind::GpuDense(DeviceSpec::gtx280())] {
             let cache = BasisCache::new(4);
             let ctx = WarmContext { cache: &cache, policy: WarmStartPolicy::Family { tol: 1e-6 } };
-            let cold = solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx));
+            let cold = SolveRequest::model(&model, &opts)
+                .on(&kind)
+                .warm(Some(&ctx))
+                .run::<f64>()
+                .unwrap();
             prop_assert_eq!(cold.status, Status::Optimal);
             prop_assert_eq!(cold.stats.warm_start_attempted, 0);
 
-            let warm = solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx));
+            let warm = SolveRequest::model(&model, &opts)
+                .on(&kind)
+                .warm(Some(&ctx))
+                .run::<f64>()
+                .unwrap();
             prop_assert_eq!(warm.status, Status::Optimal);
             prop_assert_eq!(warm.stats.warm_start_attempted, 1);
             prop_assert_eq!(warm.stats.warm_start_rejected, 0);
@@ -214,7 +236,7 @@ proptest! {
     /// checkpoint iteration onward.
     #[test]
     fn resume_from_checkpoint_is_bitwise_identical((m, n, seed) in small_dims()) {
-        use gplex::{try_solve_standard_ckpt, CheckpointSlot};
+        use gplex::CheckpointSlot;
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
         // Tight cadence so even small instances cross a snapshot boundary.
@@ -226,7 +248,7 @@ proptest! {
         for kind in [BackendKind::CpuDense, BackendKind::CpuSparse,
                      BackendKind::GpuDense(DeviceSpec::gtx280())] {
             let slot = CheckpointSlot::new();
-            let solo = try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot, None)
+            let solo = SolveRequest::standard(&sf, &opts).on(&kind).checkpoint(&slot).run()
                 .expect("uninterrupted solve succeeds");
             let Some(cp) = slot.checkpoint() else {
                 // Converged before the first boundary: nothing to resume.
@@ -239,7 +261,11 @@ proptest! {
 
             let slot2 = CheckpointSlot::new();
             let resumed =
-                try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot2, Some(cp))
+                SolveRequest::standard(&sf, &opts)
+                    .on(&kind)
+                    .checkpoint(&slot2)
+                    .start(Start::Resume(Box::new(cp)))
+                    .run()
                     .expect("resumed solve succeeds");
             prop_assert_eq!(resumed.status, solo.status);
             prop_assert_eq!(resumed.basis.clone(), solo.basis.clone());
@@ -261,16 +287,27 @@ proptest! {
     /// reaches the same answer as its own cold solve, in no more pivots.
     #[test]
     fn family_warm_start_matches_cold_answer((m, n, seed) in small_dims()) {
-        use gplex::{solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
+        use gplex::{BasisCache, WarmContext, WarmStartPolicy};
         let family = generator::perturbed_family(2, m, n, seed, 1e-3);
         let opts = SolverOptions::default();
         let cache = BasisCache::new(4);
         let ctx = WarmContext { cache: &cache, policy: WarmStartPolicy::Family { tol: 1e-6 } };
-        let seed_sol = solve_on_warm::<f64>(&family[0], &opts, &BackendKind::CpuDense, Some(&ctx));
+        let seed_sol = SolveRequest::model(&family[0], &opts)
+            .on(&BackendKind::CpuDense)
+            .warm(Some(&ctx))
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(seed_sol.status, Status::Optimal);
 
-        let warm = solve_on_warm::<f64>(&family[1], &opts, &BackendKind::CpuDense, Some(&ctx));
-        let cold = solve_on::<f64>(&family[1], &opts, &BackendKind::CpuDense);
+        let warm = SolveRequest::model(&family[1], &opts)
+            .on(&BackendKind::CpuDense)
+            .warm(Some(&ctx))
+            .run::<f64>()
+            .unwrap();
+        let cold = SolveRequest::model(&family[1], &opts)
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
         prop_assert_eq!(warm.status, cold.status);
         prop_assert_eq!(cache.stats().hits, 1, "siblings share a family key");
         prop_assert!(warm.stats.iterations <= cold.stats.iterations,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
 use gplex::{
-    solve_on, verify, BackendKind, BatchOptions, BatchSolver, ResilienceOptions, SolveError,
+    verify, BackendKind, BatchOptions, BatchSolver, ResilienceOptions, SolveError, SolveRequest,
     SolverOptions, Status,
 };
 use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
@@ -68,8 +68,10 @@ fn faulted_batch_drains_with_terminal_jobs_and_bitwise_cpu_answers() {
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");
         if r.backend == "cpu-dense" {
-            let golden =
-                solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+            let golden = SolveRequest::model(&jobs[i], &SolverOptions::default())
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap();
             assert_eq!(sol.status, golden.status, "job {i}");
             assert_eq!(
                 sol.objective.to_bits(),
@@ -124,7 +126,7 @@ fn deadline_is_enforced_as_timeout_error() {
         time_limit: Some(0.0),
         ..Default::default()
     };
-    match gplex::try_solve::<f64>(&model, &opts) {
+    match SolveRequest::model(&model, &opts).run::<f64>() {
         Err(e @ SolveError::Timeout { .. }) => assert_eq!(e.tag(), "timeout"),
         other => panic!("expected Timeout, got {other:?}"),
     }
@@ -144,7 +146,10 @@ fn iteration_limit_best_effort_never_passes_as_optimal() {
         max_iterations: Some(1),
         ..Default::default()
     };
-    let mut sol = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let mut sol = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
     assert_eq!(sol.status, Status::IterationLimit);
     // Honest status: nothing is certified, nothing errors.
     verify::check_solution(&model, &sol, 1e-8).expect("IterationLimit is not certified");
@@ -165,7 +170,10 @@ fn iteration_limit_best_effort_never_passes_as_optimal() {
         max_iterations: Some(1),
         ..Default::default()
     };
-    let mut res = gplex::solve_standard::<f64>(&sf, &raw, &BackendKind::CpuDense);
+    let mut res = SolveRequest::standard(&sf, &raw)
+        .on(&BackendKind::CpuDense)
+        .run()
+        .unwrap();
     assert_eq!(res.status, Status::IterationLimit);
     assert_eq!(
         verify::certify_optimal(&sf, &res, 1e-8),
@@ -236,9 +244,10 @@ fn setup_fault_surfaces_as_device_error_not_panic() {
         }),
         ..Default::default()
     };
-    let err =
-        gplex::try_solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()))
-            .expect_err("a certain transfer fault cannot produce a solution");
+    let err = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .expect_err("a certain transfer fault cannot produce a solution");
     assert!(
         matches!(err, SolveError::Device(_)),
         "setup fault must be a device error, got: {err}"
@@ -252,7 +261,7 @@ fn setup_fault_surfaces_as_device_error_not_panic() {
 /// and still warm-starts — zero iterations from the family's optimal basis.
 #[test]
 fn degraded_job_keeps_its_warm_start() {
-    use gplex::{solve_on_warm, BasisCache, ResilientSolver, WarmContext, WarmStartPolicy};
+    use gplex::{BasisCache, ResilientSolver, WarmContext, WarmStartPolicy};
 
     let model = generator::dense_random(10, 14, 5);
     let opts = SolverOptions::default();
@@ -262,7 +271,11 @@ fn degraded_job_keeps_its_warm_start() {
         policy: WarmStartPolicy::Family { tol: 1e-6 },
     };
     // Seed the cache with the model's optimal basis via a cold CPU solve.
-    let seed = solve_on_warm::<f64>(&model, &opts, &BackendKind::CpuDense, Some(&ctx));
+    let seed = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .warm(Some(&ctx))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(seed.status, Status::Optimal);
     assert_eq!(cache.stats().insertions, 1);
 
@@ -271,12 +284,11 @@ fn degraded_job_keeps_its_warm_start() {
         faults: Some(FaultConfig::uniform(7, 1.0)),
         ..Default::default()
     });
-    let out = solver.solve_job_warm::<f64>(
+    let out = solver.run::<f64>(
         3,
-        &model,
-        &opts,
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
-        Some(&ctx),
+        SolveRequest::model(&model, &opts)
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+            .warm(Some(&ctx)),
     );
     let sol = out.result.expect("CPU rung always succeeds");
     assert_eq!(out.final_backend, "cpu-dense");
@@ -295,14 +307,12 @@ fn degraded_job_keeps_its_warm_start() {
     assert!(sol.stats.warm_iterations_saved > 0);
     assert_eq!(sol.objective.to_bits(), seed.objective.to_bits());
 
-    // And `solve_job` (no context) still cold-starts — the warm path is
+    // And a job without a context still cold-starts — the warm path is
     // strictly opt-in.
     let cold = solver
-        .solve_job::<f64>(
+        .run::<f64>(
             3,
-            &model,
-            &opts,
-            &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            SolveRequest::model(&model, &opts).on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
         )
         .result
         .expect("CPU rung always succeeds");
@@ -330,7 +340,10 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
     // on every pivot and on the final answer bitwise, but the fingerprint
     // folds theta bits, which can differ in reduction order across
     // backends mid-path.
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let golden = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .run::<f64>()
+        .unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
     // A certain kernel fault past a 300-op warmup: the scratch attempt dies
@@ -344,11 +357,9 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
         }),
         ..Default::default()
     });
-    let out = solver.solve_job::<f64>(
+    let out = solver.run::<f64>(
         0,
-        &model,
-        &opts,
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        SolveRequest::model(&model, &opts).on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
     );
     let sol = out.result.expect("resumed attempt finishes");
     assert_eq!(out.final_backend, "gpu-dense", "no degradation needed");
@@ -390,7 +401,10 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         checkpoint_interval: 4,
         ..Default::default()
     };
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let golden = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
 
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig {
@@ -404,11 +418,9 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         },
         ..Default::default()
     });
-    let out = solver.solve_job::<f64>(
+    let out = solver.run::<f64>(
         1,
-        &model,
-        &opts,
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        SolveRequest::model(&model, &opts).on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
     );
     let sol = out.result.expect("CPU rung always completes");
     assert_eq!(out.final_backend, "cpu-dense");
@@ -450,7 +462,10 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
         checkpoint_interval: 2,
         ..Default::default()
     };
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let golden = SolveRequest::model(&model, &opts)
+        .on(&BackendKind::CpuDense)
+        .run::<f64>()
+        .unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
     // 600 warmup ops ≈ four iterations of device work at m = 24: every GPU
@@ -468,11 +483,9 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
         },
         ..Default::default()
     });
-    let out = solver.solve_job::<f64>(
+    let out = solver.run::<f64>(
         5,
-        &model,
-        &opts,
-        &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        SolveRequest::model(&model, &opts).on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
     );
     let sol = out.result.expect("CPU rung finishes after the ladder");
     assert_eq!(out.final_backend, "cpu-dense");
@@ -492,4 +505,35 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
     assert_eq!(sol.objective.to_bits(), golden.objective.to_bits());
     assert_eq!(sol.stats.iterations, golden.stats.iterations);
     assert_eq!(sol.stats.pivot_fingerprint, golden.stats.pivot_fingerprint);
+}
+
+/// Regression: the ladder's PDHG rungs take launch fusion from the job's
+/// options. Unfused, the job's device shows one launch per kernel — four
+/// per PDHG iteration plus one anchor copy per restart — and no fused
+/// group, the count a direct unfused PDHG solve shows.
+#[test]
+fn pdhg_rungs_keep_the_jobs_launch_fusion_setting() {
+    use gplex::{AlgorithmChoice, ResilientSolver};
+
+    let (model, _) = fixtures::wyndor();
+    let device = Arc::new(Gpu::new(DeviceSpec::gtx280()));
+    let solver = ResilientSolver::new(ResilienceOptions {
+        algorithm: AlgorithmChoice::Pdhg,
+        ..Default::default()
+    });
+    let opts = SolverOptions {
+        fuse_launches: false,
+        ..Default::default()
+    };
+    let out = solver.run::<f64>(
+        0,
+        SolveRequest::model(&model, &opts).on(&BackendKind::GpuShared(device.clone())),
+    );
+    assert_eq!(out.final_backend, "pdhg-gpu-shared");
+    let sol = out.result.expect("fault-free PDHG solve");
+    let (iters, restarts) = (sol.stats.pdhg_iterations, sol.stats.restarts);
+    assert!(iters > 0);
+    let c = device.counters();
+    assert_eq!(c.fused_groups, 0);
+    assert_eq!(c.kernels_launched, 4 * iters + restarts);
 }
