@@ -4,9 +4,12 @@
 //! repro [--exp <id>[,<id>…]|all] [--quick] [--out <dir>]
 //! ```
 //!
-//! Experiment ids (DESIGN.md §3): t1 f1 f2 t2 t3 f3 f4 t4 f5 t5.
-//! `--quick` shrinks the grids for smoke runs; `--out` defaults to
-//! `results/`.
+//! Experiment ids are listed by `experiments::all_ids()` (DESIGN.md §3 and
+//! EXPERIMENTS.md); with no `--exp`, every one runs. `--quick` shrinks the
+//! grids for smoke runs; `--out` defaults to `results/`.
+//!
+//! Each experiment prints one line per guard it checks on its own rows.
+//! The exit code is 1 if any guard failed, 2 on a usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -57,11 +60,13 @@ fn main() -> ExitCode {
         if quick { "quick" } else { "full" },
         out.display()
     );
+    let mut failed = 0;
     for id in &exps {
         let started = std::time::Instant::now();
         match experiments::run(id, quick) {
             Some(report) => {
                 report.print_and_save(&out);
+                failed += report.failed_guards();
                 println!("[{} done in {:.1}s]\n", id, started.elapsed().as_secs_f64());
             }
             None => {
@@ -69,6 +74,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
+    }
+    if failed > 0 {
+        eprintln!("{failed} guard(s) failed");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -76,6 +76,7 @@ pub fn run(quick: bool) -> ExpReport {
 
     ExpReport {
         id: "b1",
+        guards: Vec::new(),
         tables: vec![(
             "B1 (extension): batch throughput — batch × workers × backend".into(),
             "b1_batch_throughput".into(),

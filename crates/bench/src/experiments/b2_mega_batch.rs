@@ -20,12 +20,11 @@
 //! Width 1 is kept in the sweep as a negative control: shape singletons
 //! fall back to stream-per-job (`grouped = 0`), so both columns coincide.
 //!
-//! Writes `results/b2_mega_batch.csv` and `BENCH_b2.json`; the CI
-//! guardrail parses the JSON and fails if, at width ≥ 16, the SoA path
-//! does not charge strictly fewer launches/iter than stream-per-job, any
-//! member goes unsolved, or bitwise parity with the solo solve breaks.
+//! Writes `results/b2_mega_batch.csv`. Its guards fail the run if any
+//! member goes unsolved or bitwise parity with the solo solve breaks, or
+//! if, at width ≥ 16, the family does not group whole or the SoA path
+//! does not charge strictly fewer launches/iter than stream-per-job.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
@@ -37,7 +36,7 @@ use lp::generator;
 
 use crate::table::{fmt_secs, Table};
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// One (batch width × LP size) cell: stream-per-job vs mega-batch.
 struct CellPoint {
@@ -159,6 +158,45 @@ fn measure_cell(width: usize, m: usize, n: usize, seed: u64) -> CellPoint {
     }
 }
 
+/// Width from which the SoA path must group the whole family and beat
+/// stream-per-job on launches/iteration.
+const GUARD_WIDTH: usize = 16;
+
+/// Per cell: every member solved and bit-identical to the solo solve; at
+/// width ≥ 16 also the whole family grouped and fewer launches/iter.
+fn guards(points: &[CellPoint]) -> Vec<Guard> {
+    let mut out = Vec::new();
+    for p in points {
+        let tag = format!("width {} on {}x{}", p.width, p.m, p.n);
+        out.push(Guard::new(
+            format!("{tag}: all solved"),
+            p.all_solved,
+            format!("{} jobs", p.width),
+        ));
+        out.push(Guard::new(
+            format!("{tag}: mega bitwise with solo cpu-dense"),
+            p.mega_bitwise,
+            format!("stream max rel {:.1e}", p.stream_max_rel),
+        ));
+        if p.width >= GUARD_WIDTH {
+            out.push(Guard::new(
+                format!("{tag}: grouped == width"),
+                p.grouped == p.width,
+                format!(
+                    "grouped {}/{} in {} groups",
+                    p.grouped, p.width, p.mega_groups
+                ),
+            ));
+            out.push(Guard::new(
+                format!("{tag}: mega launches/iter < stream"),
+                p.mega_lpi() < p.stream_lpi(),
+                format!("mega {:.2} vs stream {:.2}", p.mega_lpi(), p.stream_lpi()),
+            ));
+        }
+    }
+    out
+}
+
 pub fn run(quick: bool) -> ExpReport {
     let widths: &[usize] = if quick { &[4, 16] } else { &[1, 4, 16, 64] };
     let sizes: &[(usize, usize)] = if quick {
@@ -180,6 +218,7 @@ pub fn run(quick: bool) -> ExpReport {
         "winner",
         "bitwise",
         "stream-max-rel",
+        "all-solved",
     ]);
 
     let mut points: Vec<CellPoint> = Vec::new();
@@ -204,24 +243,15 @@ pub fn run(quick: bool) -> ExpReport {
                 .into(),
                 p.mega_bitwise.to_string(),
                 format!("{:.1e}", p.stream_max_rel),
+                p.all_solved.to_string(),
             ]);
             points.push(p);
         }
     }
 
-    for p in &points {
-        if !p.all_solved || !p.mega_bitwise {
-            eprintln!(
-                "   !! {}x({}x{}): all_solved={} mega_bitwise={}",
-                p.width, p.m, p.n, p.all_solved, p.mega_bitwise
-            );
-        }
-    }
-
-    write_bench_json(&points);
-
     ExpReport {
         id: "b2",
+        guards: guards(&points),
         tables: vec![(
             "B2: SoA mega-batch vs stream-per-job — launches per iteration and \
              sim-time crossover over batch width × LP size (dense perturbed \
@@ -233,70 +263,66 @@ pub fn run(quick: bool) -> ExpReport {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree), written to `BENCH_b2.json`.
-/// CI parses `cells[].{width,stream_launches_per_iter,mega_launches_per_iter,
-/// all_solved,mega_bitwise,grouped}` as the anti-regression guardrail.
-fn write_bench_json(points: &[CellPoint]) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"b2\",");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"width\": {}, \"m\": {}, \"n\": {}, \
-             \"stream_launches\": {}, \"mega_launches\": {}, \
-             \"stream_iters\": {}, \"mega_iters\": {}, \
-             \"stream_launches_per_iter\": {:.4}, \"mega_launches_per_iter\": {:.4}, \
-             \"stream_sim_seconds\": {:.6e}, \"mega_sim_seconds\": {:.6e}, \
-             \"sim_speedup\": {:.4}, \"grouped\": {}, \"mega_groups\": {}, \
-             \"all_solved\": {}, \"mega_bitwise\": {}, \"stream_max_rel\": {:.6e}}}{comma}",
-            p.width,
-            p.m,
-            p.n,
-            p.stream_launches,
-            p.mega_launches,
-            p.stream_iters,
-            p.mega_iters,
-            p.stream_lpi(),
-            p.mega_lpi(),
-            p.stream_sim,
-            p.mega_sim,
-            p.sim_speedup(),
-            p.grouped,
-            p.mega_groups,
-            p.all_solved,
-            p.mega_bitwise,
-            p.stream_max_rel
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_b2.json", &s) {
-        Ok(()) => println!("   -> BENCH_b2.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_b2.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::failed_names;
 
     #[test]
     fn width_16_cell_meets_the_guardrail() {
         let p = measure_cell(16, 4, 6, 2025);
-        assert!(p.all_solved);
-        assert!(p.mega_bitwise);
-        assert_eq!(p.grouped, 16);
         assert_eq!(p.mega_groups, 1);
-        assert!(
-            p.mega_lpi() < p.stream_lpi(),
-            "SoA must charge strictly fewer launches/iter at width 16: \
-             mega {:.3} vs stream {:.3}",
-            p.mega_lpi(),
-            p.stream_lpi()
+        let failed = failed_names(guards(&[p]));
+        assert!(failed.is_empty(), "{failed:?}");
+    }
+
+    #[test]
+    fn guards_fail_on_each_synthetic_regression() {
+        let healthy = || CellPoint {
+            width: 16,
+            m: 4,
+            n: 6,
+            stream_launches: 1600,
+            mega_launches: 100,
+            stream_iters: 80,
+            mega_iters: 80,
+            stream_sim: 2.0,
+            mega_sim: 1.0,
+            grouped: 16,
+            mega_groups: 1,
+            all_solved: true,
+            mega_bitwise: true,
+            stream_max_rel: 0.0,
+        };
+        let failed = |p: CellPoint| failed_names(guards(&[p]));
+        assert!(failed(healthy()).is_empty());
+
+        let mut p = healthy();
+        p.all_solved = false;
+        assert_eq!(failed(p), ["width 16 on 4x6: all solved"]);
+
+        let mut p = healthy();
+        p.mega_bitwise = false;
+        assert_eq!(
+            failed(p),
+            ["width 16 on 4x6: mega bitwise with solo cpu-dense"]
         );
+
+        let mut p = healthy();
+        p.grouped = 15;
+        assert_eq!(failed(p), ["width 16 on 4x6: grouped == width"]);
+
+        let mut p = healthy();
+        p.mega_launches = 1600;
+        assert_eq!(failed(p), ["width 16 on 4x6: mega launches/iter < stream"]);
+
+        // Below the guard width only solvedness and parity are checked.
+        let narrow = CellPoint {
+            width: 4,
+            grouped: 0,
+            ..healthy()
+        };
+        assert_eq!(guards(&[narrow]).len(), 2);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub fn run_f2(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "f2",
+        guards: Vec::new(),
         tables: vec![(
             "F2: per-step share of solve time (dense random, f32)".into(),
             "f2_step_breakdown".into(),
@@ -92,6 +93,7 @@ pub fn run_f3(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "f3",
+        guards: Vec::new(),
         tables: vec![(
             "F3: GPU time by hardware category and per-iteration launch/transfer counts".into(),
             "f3_overheads".into(),

@@ -70,6 +70,7 @@ pub fn run(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "f4",
+        guards: Vec::new(),
         tables: vec![(
             "F4: memory-layout / coalescing ablation (simulated GTX 280, f32)".into(),
             "f4_coalescing".into(),

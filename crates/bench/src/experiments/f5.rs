@@ -43,6 +43,7 @@ pub fn run(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "f5",
+        guards: Vec::new(),
         tables: vec![(
             "F5 (extension): sparse instances across backends (f32)".into(),
             "f5_sparse".into(),

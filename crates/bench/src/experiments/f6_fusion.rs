@@ -11,11 +11,9 @@
 //!   the headline claim is that fusion moves it left (the GPU starts
 //!   paying off on smaller LPs) without changing a single pivot.
 //!
-//! Writes `results/f6_fusion.csv` and `BENCH_f6.json`; the CI guardrail
-//! parses the JSON and fails if fused launches/iteration ever reaches the
-//! unfused count on the 256-row instance.
-
-use std::fmt::Write as _;
+//! Writes `results/f6_fusion.csv`. Its guards fail the run if fused
+//! launches/iteration ever reaches the unfused count on the 256-row
+//! instance, or if fusion stops moving the crossover left.
 
 use gplex::{SolverOptions, Status};
 use lp::generator;
@@ -24,15 +22,13 @@ use crate::measure::{run_model, Target};
 use crate::table::{fmt_secs, Table};
 use crate::workload::{paper_options_for, seeds};
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// Per-mode means over the seed set at one size.
 struct ModePoint {
     sim: f64,
     launches_per_iter: f64,
     transfers_per_iter: f64,
-    d2h_per_iter: f64,
-    frac_launch: f64,
 }
 
 struct SizePoint {
@@ -61,7 +57,7 @@ fn mean(xs: &[f64]) -> f64 {
 
 /// The F6 grid reaches below the T1 grid: the crossover lives among the
 /// small sizes where launch overhead dominates, so those must be sampled.
-/// Both grids include m = 256, the size the CI guardrail keys on.
+/// Both grids include m = 256, the size the launch-rate guard keys on.
 fn fusion_grid(quick: bool) -> Vec<usize> {
     if quick {
         vec![32, 64, 128, 256]
@@ -83,8 +79,6 @@ fn measure_size(m: usize, quick: bool) -> SizePoint {
     let mut sim = [Vec::new(), Vec::new()];
     let mut lpi = [Vec::new(), Vec::new()];
     let mut tpi = [Vec::new(), Vec::new()];
-    let mut dpi = [Vec::new(), Vec::new()];
-    let mut fl = [Vec::new(), Vec::new()];
     let seed_list = seeds(quick, m);
     for &seed in &seed_list {
         let model = generator::dense_random(m, m, seed);
@@ -114,16 +108,12 @@ fn measure_size(m: usize, quick: bool) -> SizePoint {
             sim[slot].push(g.sim_seconds);
             lpi[slot].push(gr.launches as f64 / it);
             tpi[slot].push((gr.h2d.0 + gr.d2h.0) as f64 / it);
-            dpi[slot].push(gr.d2h.0 as f64 / it);
-            fl[slot].push(gr.frac_launch);
         }
     }
     let mode = |slot: usize| ModePoint {
         sim: mean(&sim[slot]),
         launches_per_iter: mean(&lpi[slot]),
         transfers_per_iter: mean(&tpi[slot]),
-        d2h_per_iter: mean(&dpi[slot]),
-        frac_launch: mean(&fl[slot]),
     };
     SizePoint {
         m,
@@ -169,6 +159,49 @@ fn speedup_curve(points: &[SizePoint], fused: bool) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// The guardrail size: fusion must cut the launch rate here.
+const GUARD_M: usize = 256;
+
+/// Fused launches/iteration below unfused at `GUARD_M`, and the CPU-GPU
+/// crossover moved left by fusion.
+fn guards(points: &[SizePoint]) -> Vec<Guard> {
+    let name = format!("m={GUARD_M}: fused launches/iter < unfused");
+    let launches = match points.iter().find(|p| p.m == GUARD_M) {
+        Some(p) => Guard::new(
+            name,
+            p.fused.launches_per_iter < p.unfused.launches_per_iter,
+            format!(
+                "fused {:.1} vs unfused {:.1}",
+                p.fused.launches_per_iter, p.unfused.launches_per_iter
+            ),
+        ),
+        None => Guard::new(name, false, "grid lost its m=256 row"),
+    };
+    let cross_f = crossover_m(&speedup_curve(points, true));
+    let cross_u = crossover_m(&speedup_curve(points, false));
+    let moved_left = match (cross_f, cross_u) {
+        (Some(f), Some(u)) => f < u,
+        (Some(_), None) => true, // fused reaches parity, unfused never does
+        _ => false,
+    };
+    let fmt_cross = |c: Option<f64>| match c {
+        Some(x) => format!("m ≈ {x:.0}"),
+        None => "never".into(),
+    };
+    vec![
+        launches,
+        Guard::new(
+            "fusion moves the CPU-GPU crossover left",
+            moved_left,
+            format!(
+                "fused {} vs unfused {}",
+                fmt_cross(cross_f),
+                fmt_cross(cross_u)
+            ),
+        ),
+    ]
+}
+
 pub fn run(quick: bool) -> ExpReport {
     let points: Vec<SizePoint> = fusion_grid(quick)
         .into_iter()
@@ -206,31 +239,9 @@ pub fn run(quick: bool) -> ExpReport {
         ]);
     }
 
-    let cross_f = crossover_m(&speedup_curve(&points, true));
-    let cross_u = crossover_m(&speedup_curve(&points, false));
-    let moved_left = match (cross_f, cross_u) {
-        (Some(f), Some(u)) => f < u,
-        (Some(_), None) => true, // fused reaches parity, unfused never does
-        _ => false,
-    };
-    let fmt_cross = |c: Option<f64>| match c {
-        Some(x) => format!("m ≈ {x:.0}"),
-        None => "never".into(),
-    };
-    println!(
-        "   CPU-GPU crossover: fused {} vs unfused {} -> moved left: {}",
-        fmt_cross(cross_f),
-        fmt_cross(cross_u),
-        moved_left
-    );
-    if !moved_left {
-        eprintln!("   !! fusion FAILED to move the crossover left");
-    }
-
-    write_bench_json(&points, cross_f, cross_u, moved_left);
-
     ExpReport {
         id: "f6",
+        guards: guards(&points),
         tables: vec![(
             "F6: launch fusion ablation — launches, transfers, and the CPU-GPU crossover \
              (dense square, f32)"
@@ -241,75 +252,10 @@ pub fn run(quick: bool) -> ExpReport {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree): per-size fused/unfused launch
-/// and transfer rates plus the crossover shift, written to `BENCH_f6.json`.
-/// CI parses `sizes[m=256].{fused,unfused}.launches_per_iter` as the
-/// anti-regression guardrail.
-fn write_bench_json(
-    points: &[SizePoint],
-    cross_f: Option<f64>,
-    cross_u: Option<f64>,
-    moved_left: bool,
-) {
-    fn mode_json(p: &ModePoint, speedup: f64) -> String {
-        format!(
-            "{{\"sim_seconds\": {:.6e}, \"launches_per_iter\": {:.3}, \
-             \"transfers_per_iter\": {:.3}, \"d2h_per_iter\": {:.3}, \
-             \"frac_launch\": {:.4}, \"speedup_vs_cpu\": {:.4}}}",
-            p.sim,
-            p.launches_per_iter,
-            p.transfers_per_iter,
-            p.d2h_per_iter,
-            p.frac_launch,
-            speedup
-        )
-    }
-    fn opt_json(c: Option<f64>) -> String {
-        match c {
-            Some(x) => format!("{x:.1}"),
-            None => "null".into(),
-        }
-    }
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"f6\",");
-    let _ = writeln!(s, "  \"sizes\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"m\": {}, \"seeds\": {}, \"iters\": {:.1}, \"cpu_sim_seconds\": {:.6e},",
-            p.m, p.seeds, p.iters, p.cpu_sim
-        );
-        let _ = writeln!(
-            s,
-            "     \"fused\": {},",
-            mode_json(&p.fused, p.speedup(true))
-        );
-        let _ = writeln!(
-            s,
-            "     \"unfused\": {}}}{comma}",
-            mode_json(&p.unfused, p.speedup(false))
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"crossover\": {{\"fused_m\": {}, \"unfused_m\": {}, \"moved_left\": {}}}",
-        opt_json(cross_f),
-        opt_json(cross_u),
-        moved_left
-    );
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_f6.json", &s) {
-        Ok(()) => println!("   -> BENCH_f6.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_f6.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::failed_names;
 
     #[test]
     fn crossover_interpolates_brackets_and_extrapolates() {
@@ -328,7 +274,46 @@ mod tests {
 
     #[test]
     fn quick_grid_includes_the_guardrail_size() {
-        assert!(fusion_grid(true).contains(&256));
-        assert!(fusion_grid(false).contains(&256));
+        assert!(fusion_grid(true).contains(&GUARD_M));
+        assert!(fusion_grid(false).contains(&GUARD_M));
+    }
+
+    fn point(m: usize, cpu_sim: f64, fused: (f64, f64), unfused: (f64, f64)) -> SizePoint {
+        let mode = |(sim, launches_per_iter): (f64, f64)| ModePoint {
+            sim,
+            launches_per_iter,
+            transfers_per_iter: 0.0,
+        };
+        SizePoint {
+            m,
+            seeds: 1,
+            iters: 10.0,
+            cpu_sim,
+            fused: mode(fused),
+            unfused: mode(unfused),
+        }
+    }
+
+    #[test]
+    fn guards_fail_on_a_launch_regression_and_a_stuck_crossover() {
+        // Fused charges as many launches as unfused, and both modes have
+        // the same speedup curve, so the crossover does not move.
+        let rows = [
+            point(128, 1.0, (2.0, 19.0), (2.0, 19.0)),
+            point(256, 4.0, (2.0, 19.0), (2.0, 19.0)),
+        ];
+        assert_eq!(
+            failed_names(guards(&rows)),
+            [
+                "m=256: fused launches/iter < unfused",
+                "fusion moves the CPU-GPU crossover left"
+            ]
+        );
+        // A healthy pair passes both.
+        let rows = [
+            point(128, 1.0, (0.8, 9.0), (2.0, 19.0)),
+            point(256, 4.0, (2.0, 9.0), (3.0, 19.0)),
+        ];
+        assert!(failed_names(guards(&rows)).is_empty());
     }
 }

@@ -23,16 +23,40 @@ use std::path::Path;
 
 use crate::table::Table;
 
-/// Output of one experiment: titled tables, printed and saved as CSV.
+/// One named pass/fail check an experiment runs over its own rows.
+pub(crate) struct Guard {
+    /// What is checked, e.g. `m=256: fused launches/iter < unfused`.
+    pub(crate) name: String,
+    /// Whether the check held.
+    pub(crate) pass: bool,
+    /// The numbers behind the verdict, on one line.
+    pub(crate) detail: String,
+}
+
+impl Guard {
+    pub(crate) fn new(name: impl Into<String>, pass: bool, detail: impl Into<String>) -> Self {
+        Guard {
+            name: name.into(),
+            pass,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// Output of one experiment: titled tables, printed and saved as CSV,
+/// plus the guards that check the experiment's claims on those rows.
 pub struct ExpReport {
     /// Experiment id (`t1`, `f1`, …).
     pub id: &'static str,
     /// Tables in presentation order: `(title, file stem, table)`.
     pub tables: Vec<(String, String, Table)>,
+    /// Guards in check order; empty for unguarded experiments.
+    pub(crate) guards: Vec<Guard>,
 }
 
 impl ExpReport {
-    /// Print every table and write CSVs under `results_dir`.
+    /// Print every table, write CSVs under `results_dir`, then print one
+    /// line per guard.
     pub fn print_and_save(&self, results_dir: &Path) {
         for (title, stem, table) in &self.tables {
             println!("{}", table.render(title));
@@ -42,6 +66,15 @@ impl ExpReport {
                 Err(e) => eprintln!("   !! could not write {}: {e}\n", path.display()),
             }
         }
+        for g in &self.guards {
+            let verdict = if g.pass { "pass" } else { "FAIL" };
+            println!("   guard {verdict} {} {}: {}", self.id, g.name, g.detail);
+        }
+    }
+
+    /// Number of guards that failed.
+    pub fn failed_guards(&self) -> usize {
+        self.guards.iter().filter(|g| !g.pass).count()
     }
 }
 
@@ -78,4 +111,14 @@ pub fn run(id: &str, quick: bool) -> Option<ExpReport> {
         "p1" => Some(p1_regime_split::run(quick)),
         _ => None,
     }
+}
+
+/// Names of the failed guards, for tests that feed a guard a failing row.
+#[cfg(test)]
+fn failed_names(guards: Vec<Guard>) -> Vec<String> {
+    guards
+        .into_iter()
+        .filter(|g| !g.pass)
+        .map(|g| g.name)
+        .collect()
 }

@@ -17,12 +17,10 @@
 //! * **consistency** — summed per-span simulated time vs the legacy
 //!   [`gplex::Step`] accounting (byte-identical clock sampling);
 //! * **determinism** — two same-seed GPU solves must produce bitwise-equal
-//!   event-trace fingerprints.
+//!   event-trace fingerprints; a guard fails the run otherwise.
 //!
-//! Writes `results/o1_step_breakdown.csv` (+ a GPU supplement CSV) and
-//! `BENCH_o1.json` in the working directory for trend tracking.
-
-use std::fmt::Write as _;
+//! Writes `results/o1_step_breakdown.csv`, a GPU supplement CSV and
+//! `results/o1_determinism.csv`.
 
 use gplex::trace::{StepKind, TraceRecorder};
 use lp::{generator, StandardForm};
@@ -31,7 +29,7 @@ use crate::measure::{run_standard_traced, Measurement, Target};
 use crate::table::Table;
 use crate::workload;
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// One profiled solve: the measurement plus its recorder.
 struct Profile {
@@ -87,20 +85,23 @@ fn wall_coverage(p: &Profile) -> f64 {
     p.rec.timings.total_wall_seconds() / p.solve_wall
 }
 
-fn headers() -> Vec<&'static str> {
-    let mut h = vec!["m", "n", "iters", "sim-s"];
-    h.extend([
-        "pricing-%",
-        "btran-%",
-        "ftran-%",
-        "ratio-%",
-        "update-%",
-        "refactor-%",
-        "transfer-%",
-    ]);
-    h.push("top-2");
-    h.push("wall-cover-%");
+/// Column headers for [`share_row`]: one share column per
+/// [`StepKind::ALL`] entry, in the same order.
+fn headers() -> Vec<String> {
+    let mut h: Vec<String> = ["m", "n", "iters", "sim-s"].map(String::from).to_vec();
+    h.extend(StepKind::ALL.iter().map(|k| format!("{}-%", k.name())));
+    h.push("top-2".into());
+    h.push("wall-cover-%".into());
     h
+}
+
+/// Same-seed GPU traces must fingerprint bitwise-equal.
+fn guards(fingerprints: (u64, u64)) -> Vec<Guard> {
+    vec![Guard::new(
+        "same-seed GPU trace fingerprints equal",
+        fingerprints.0 == fingerprints.1,
+        format!("{:016x} vs {:016x}", fingerprints.0, fingerprints.1),
+    )]
 }
 
 pub fn run(quick: bool) -> ExpReport {
@@ -137,17 +138,24 @@ pub fn run(quick: bool) -> ExpReport {
     let fp_a = profile(fp_m, 3 * fp_m, seed, &Target::gpu());
     let fp_b = profile(fp_m, 3 * fp_m, seed, &Target::gpu());
     let fp = (fp_a.rec.events.fingerprint(), fp_b.rec.events.fingerprint());
-    if fp.0 != fp.1 {
-        eprintln!(
-            "   !! determinism check FAILED: fingerprints {:016x} != {:016x}",
-            fp.0, fp.1
-        );
-    }
-
-    write_bench_json(&cpu_profiles, &gpu_profiles, fp);
+    let mut td = Table::new(vec![
+        "m",
+        "n",
+        "fingerprint-a",
+        "fingerprint-b",
+        "determinism",
+    ]);
+    td.push(vec![
+        fp_m.to_string(),
+        (3 * fp_m).to_string(),
+        format!("{:016x}", fp.0),
+        format!("{:016x}", fp.1),
+        if fp.0 == fp.1 { "equal" } else { "DIFFERENT" }.to_string(),
+    ]);
 
     ExpReport {
         id: "o1",
+        guards: guards(fp),
         tables: vec![
             (
                 "O1: per-step profile, CPU reference model (n = 3m dense) — update + pricing \
@@ -163,66 +171,27 @@ pub fn run(quick: bool) -> ExpReport {
                 "o1_gpu_supplement".into(),
                 tg,
             ),
+            (
+                "O1c: trace determinism — two same-seed GPU solves".into(),
+                "o1_determinism".into(),
+                td,
+            ),
         ],
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree): per-size share objects plus the
-/// trace-validation numbers, written to `BENCH_o1.json` for trend tracking.
-fn write_bench_json(cpu: &[Profile], gpu: &[Profile], fingerprints: (u64, u64)) {
-    fn profile_json(p: &Profile) -> String {
-        let t = &p.rec.timings;
-        let shares: Vec<String> = StepKind::ALL
-            .iter()
-            .map(|k| format!("\"{}\": {:.4}", k.name(), t.fraction(*k)))
-            .collect();
-        let ranked = t.ranked();
-        format!(
-            "{{\"m\": {}, \"n\": {}, \"iterations\": {}, \"sim_seconds\": {:.9}, \
-             \"wall_seconds\": {:.6}, \"wall_coverage\": {:.4}, \"spans\": {}, \
-             \"events_seen\": {}, \"events_dropped\": {}, \"top2\": [\"{}\", \"{}\"], \
-             \"shares\": {{{}}}}}",
-            p.m,
-            p.n,
-            p.meas.iterations,
-            p.meas.sim_seconds,
-            p.solve_wall,
-            wall_coverage(p),
-            t.spans(),
-            p.rec.events.seen(),
-            p.rec.events.dropped(),
-            ranked[0].name(),
-            ranked[1].name(),
-            shares.join(", "),
-        )
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn headers_cover_every_step_kind() {
+        assert_eq!(headers().len(), 4 + StepKind::ALL.len() + 2);
     }
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"o1\",");
-    let _ = writeln!(s, "  \"cpu\": [");
-    for (i, p) in cpu.iter().enumerate() {
-        let comma = if i + 1 < cpu.len() { "," } else { "" };
-        let _ = writeln!(s, "    {}{comma}", profile_json(p));
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"gpu\": [");
-    for (i, p) in gpu.iter().enumerate() {
-        let comma = if i + 1 < gpu.len() { "," } else { "" };
-        let _ = writeln!(s, "    {}{comma}", profile_json(p));
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"determinism\": {{\"fingerprint_a\": \"{:016x}\", \"fingerprint_b\": \"{:016x}\", \
-         \"equal\": {}}}",
-        fingerprints.0,
-        fingerprints.1,
-        fingerprints.0 == fingerprints.1,
-    );
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_o1.json", &s) {
-        Ok(()) => println!("   -> BENCH_o1.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_o1.json: {e}"),
+    #[test]
+    fn determinism_guard_fails_on_a_fingerprint_mismatch() {
+        assert!(guards((7, 7))[0].pass);
+        assert!(!guards((7, 8))[0].pass);
     }
 }

@@ -23,11 +23,7 @@
 //!   simulated clock (kernel-launch overhead dominates tiny LPs). Recovery
 //!   overhead is therefore a wall-clock phenomenon here, not a
 //!   simulated-time one.
-//!
-//! Alongside the CSV, the run emits `BENCH_r2.json` in the working
-//! directory so the perf trajectory can be tracked across commits.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
@@ -173,8 +169,6 @@ pub fn run(quick: bool) -> ExpReport {
         ]);
     }
 
-    write_bench_json(&rows, count, workers, baseline_wall);
-
     // Quarantine: at a saturated fault rate, benching the dying device
     // after K consecutive faulted jobs converts most per-job ladder walks
     // into direct CPU placements — same answers, less wasted work.
@@ -209,6 +203,7 @@ pub fn run(quick: bool) -> ExpReport {
 
     ExpReport {
         id: "r2",
+        guards: Vec::new(),
         tables: vec![
             (
                 "R2 (extension): resilience — fault rate vs recovery cost and throughput".into(),
@@ -221,45 +216,5 @@ pub fn run(quick: bool) -> ExpReport {
                 tq,
             ),
         ],
-    }
-}
-
-/// Hand-rolled JSON (no serde in the tree): one object per fault rate plus
-/// the derived overhead, written to `BENCH_r2.json` for trend tracking.
-fn write_bench_json(rows: &[RunRow], jobs: usize, workers: usize, baseline_wall: f64) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"r2\",");
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"workers\": {workers},");
-    let _ = writeln!(s, "  \"runs\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"fault_p\": {:.3}, \"solved\": {}, \"failed\": {}, \"panicked\": {}, \
-             \"device_faults\": {}, \"retries\": {}, \"degradations\": {}, \
-             \"backoff_seconds\": {:.6}, \"wall_seconds\": {:.6}, \
-             \"wall_overhead_vs_fault_free\": {:.4}, \"sim_makespan_seconds\": {:.9}, \
-             \"sim_lps_per_second\": {:.3}}}{comma}",
-            r.fault_p,
-            r.solved,
-            r.failed,
-            r.panicked,
-            r.faults,
-            r.retries,
-            r.degradations,
-            r.backoff_s,
-            r.wall_s,
-            r.wall_s / baseline_wall,
-            r.makespan_s,
-            r.lps_per_sim_s,
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_r2.json", &s) {
-        Ok(()) => println!("   -> BENCH_r2.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_r2.json: {e}"),
     }
 }

@@ -22,12 +22,8 @@
 //! headline **wasted-iteration ratio** — re-done pivots over total pivots
 //! spent, `wasted / (wasted + useful)`. Checkpointing bounds the work a
 //! fault can destroy by one checkpoint interval, so its ratio must sit
-//! strictly below retry-from-scratch at every nonzero fault rate.
-//!
-//! Alongside the CSVs the run emits `BENCH_r3.json` for the CI guardrail
-//! and trend tracking.
-
-use std::fmt::Write as _;
+//! strictly below retry-from-scratch at every nonzero fault rate. The
+//! experiment's guards check both claims on the rows it reports.
 
 use gplex::batch::PlacementPolicy;
 use gplex::{BackendKind, BatchOptions, BatchSolver, ResilienceOptions, SolverOptions};
@@ -36,7 +32,7 @@ use lp::{generator, LinearProgram};
 
 use crate::table::Table;
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// Reinversion cadence shared by every run: checkpoints ride the periodic
 /// refactorize, so this is also the max iterations one fault can waste on
@@ -102,7 +98,7 @@ impl RunRow {
     }
 
     /// Solved jobs over submitted jobs; 0 (not NaN) for an empty run, so
-    /// the JSON guardrail never has to parse a NaN literal.
+    /// the completion guard fails it instead of comparing against NaN.
     fn completion(&self) -> f64 {
         if self.jobs == 0 {
             0.0
@@ -186,6 +182,69 @@ fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// Every run completes; for each path at each nonzero fault rate, faults
+/// actually fired and the checkpointed run wasted a strictly smaller share
+/// of its pivots than retry-from-scratch.
+fn guards(rows: &[RunRow]) -> Vec<Guard> {
+    let tag = |r: &RunRow| {
+        format!(
+            "{} ckpt={} p={}",
+            r.path,
+            if r.ckpt { "on" } else { "off" },
+            r.fault_p
+        )
+    };
+    let mut out: Vec<Guard> = rows
+        .iter()
+        .map(|r| {
+            Guard::new(
+                format!("{}: completion == 1", tag(r)),
+                r.completion() == 1.0,
+                format!("{}/{} solved", r.solved, r.jobs),
+            )
+        })
+        .collect();
+    let mut rates: Vec<f64> = rows
+        .iter()
+        .map(|r| r.fault_p)
+        .filter(|&p| p > 0.0)
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    rates.dedup();
+    for path in ["stream", "mega"] {
+        for &p in &rates {
+            let pick = |ckpt: bool| {
+                rows.iter()
+                    .find(|r| r.path == path && r.fault_p == p && r.ckpt == ckpt)
+            };
+            let name = format!("{path} p={p}");
+            let (Some(ck), Some(scratch)) = (pick(true), pick(false)) else {
+                out.push(Guard::new(
+                    format!("{name}: checkpointed and scratch runs present"),
+                    false,
+                    "sweep lost a run",
+                ));
+                continue;
+            };
+            out.push(Guard::new(
+                format!("{name}: faults fired"),
+                ck.faults > 0,
+                format!("{} device faults", ck.faults),
+            ));
+            out.push(Guard::new(
+                format!("{name}: checkpointed wasted ratio < scratch"),
+                ck.wasted_ratio() < scratch.wasted_ratio(),
+                format!(
+                    "checkpointed {:.4} vs scratch {:.4}",
+                    ck.wasted_ratio(),
+                    scratch.wasted_ratio()
+                ),
+            ));
+        }
+    }
+    out
+}
+
 pub fn run(quick: bool) -> ExpReport {
     let families = if quick { 2 } else { 4 };
     let fault_rates: &[f64] = if quick {
@@ -220,6 +279,7 @@ pub fn run(quick: bool) -> ExpReport {
         "wasted-iters",
         "useful-iters",
         "wasted-ratio",
+        "completion",
         "wall-s",
     ]);
     for r in &rows {
@@ -237,14 +297,14 @@ pub fn run(quick: bool) -> ExpReport {
             r.wasted.to_string(),
             r.useful.to_string(),
             format!("{:.4}", r.wasted_ratio()),
+            format!("{:.4}", r.completion()),
             format!("{:.4}", r.wall_s),
         ]);
     }
 
-    write_bench_json(&rows);
-
     ExpReport {
         id: "r3",
+        guards: guards(&rows),
         tables: vec![(
             "R3: chaos soak — checkpointed recovery vs retry-from-scratch, stream and mega paths"
                 .into(),
@@ -254,72 +314,80 @@ pub fn run(quick: bool) -> ExpReport {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree): one object per run, written to
-/// `BENCH_r3.json` for the CI guardrail.
-fn write_bench_json(rows: &[RunRow]) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"r3\",");
-    let _ = writeln!(s, "  \"runs\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"path\": \"{}\", \"checkpointed\": {}, \"fault_p\": {:.3}, \
-             \"jobs\": {}, \"solved\": {}, \"failed\": {}, \"panicked\": {}, \
-             \"completion\": {:.4}, \"device_faults\": {}, \"resumed_jobs\": {}, \
-             \"evacuated_jobs\": {}, \"wasted_iterations\": {}, \
-             \"useful_iterations\": {}, \"wasted_ratio\": {:.6}, \
-             \"wall_seconds\": {:.6}}}{comma}",
-            r.path,
-            r.ckpt,
-            r.fault_p,
-            r.jobs,
-            r.solved,
-            r.failed,
-            r.panicked,
-            r.completion(),
-            r.faults,
-            r.resumed,
-            r.evacuated,
-            r.wasted,
-            r.useful,
-            r.wasted_ratio(),
-            r.wall_s,
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_r3.json", &s) {
-        Ok(()) => println!("   -> BENCH_r3.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_r3.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::RunRow;
+    use super::{guards, RunRow};
+    use crate::experiments::failed_names;
+
+    fn row(path: &'static str, ckpt: bool, fault_p: f64, wasted: u64) -> RunRow {
+        RunRow {
+            path,
+            ckpt,
+            fault_p,
+            jobs: 16,
+            solved: 16,
+            failed: 0,
+            panicked: 0,
+            faults: if fault_p > 0.0 { 12 } else { 0 },
+            resumed: 0,
+            evacuated: 0,
+            wasted,
+            useful: 100,
+            wall_s: 0.0,
+        }
+    }
 
     #[test]
     fn rates_stay_finite_on_empty_runs() {
-        // Regression: an empty run used to emit `completion: NaN` into
-        // BENCH_r3.json (0/0), which is not parseable JSON.
+        // Regression: an empty run used to report completion NaN (0/0).
+        // A NaN makes a `completion < 1.0` failure test silently pass, so
+        // a run that solved nothing would slip past the completion guard.
         let r = RunRow {
-            path: "stream",
-            ckpt: false,
-            fault_p: 0.0,
             jobs: 0,
             solved: 0,
-            failed: 0,
-            panicked: 0,
-            faults: 0,
-            resumed: 0,
-            evacuated: 0,
-            wasted: 0,
             useful: 0,
-            wall_s: 0.0,
+            ..row("stream", false, 0.0, 0)
         };
         assert_eq!(r.completion(), 0.0);
         assert_eq!(r.wasted_ratio(), 0.0);
+        assert!(!guards(&[r])[0].pass);
+    }
+
+    #[test]
+    fn guards_fail_on_each_synthetic_regression() {
+        let healthy = || {
+            let mut rows = Vec::new();
+            for path in ["stream", "mega"] {
+                rows.push(row(path, true, 0.0, 0));
+                rows.push(row(path, false, 0.0, 0));
+                rows.push(row(path, true, 0.25, 5));
+                rows.push(row(path, false, 0.25, 40));
+            }
+            rows
+        };
+        let failed = |rows: &[RunRow]| failed_names(guards(rows));
+        assert!(failed(&healthy()).is_empty());
+
+        let mut rows = healthy();
+        rows[2].solved = 15;
+        assert_eq!(failed(&rows), ["stream ckpt=on p=0.25: completion == 1"]);
+
+        let mut rows = healthy();
+        rows[6].faults = 0;
+        assert_eq!(failed(&rows), ["mega p=0.25: faults fired"]);
+
+        let mut rows = healthy();
+        rows[6].wasted = 40;
+        assert_eq!(
+            failed(&rows),
+            ["mega p=0.25: checkpointed wasted ratio < scratch"]
+        );
+
+        let mut rows = healthy();
+        rows.remove(3);
+        assert_eq!(
+            failed(&rows),
+            ["stream p=0.25: checkpointed and scratch runs present"]
+        );
     }
 }

@@ -138,6 +138,7 @@ fn tableau_series(quick: bool) -> Table {
 pub fn run_t1b(quick: bool) -> ExpReport {
     ExpReport {
         id: "t1b",
+        guards: Vec::new(),
         tables: vec![(
             "T1b: revised vs full-tableau on GPU, fixed m, growing n (f32)".into(),
             "t1b_revised_vs_tableau".into(),
@@ -183,6 +184,7 @@ pub fn run(f1: bool, quick: bool) -> ExpReport {
     if f1 {
         ExpReport {
             id: "f1",
+            guards: Vec::new(),
             tables: vec![(
                 "F1: speedup (CPU time / GPU time) vs problem size, dense f32".into(),
                 "f1_speedup".into(),
@@ -192,6 +194,7 @@ pub fn run(f1: bool, quick: bool) -> ExpReport {
     } else {
         ExpReport {
             id: "t1",
+            guards: Vec::new(),
             tables: vec![
                 (
                     "T1: total solve time, CPU vs GPU revised simplex (dense random, f32)".into(),

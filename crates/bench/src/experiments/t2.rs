@@ -77,6 +77,7 @@ pub fn run(quick: bool) -> ExpReport {
 
     ExpReport {
         id: "t2",
+        guards: Vec::new(),
         tables: vec![
             (
                 "T2a: pivot-rule iteration counts on dense random LPs (f64, CPU)".into(),

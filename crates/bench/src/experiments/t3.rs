@@ -56,6 +56,7 @@ pub fn run(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "t3",
+        guards: Vec::new(),
         tables: vec![(
             "T3: f32 objective error vs f64 oracle, with/without basis refactorization".into(),
             "t3_precision".into(),

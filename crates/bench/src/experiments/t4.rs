@@ -154,6 +154,7 @@ pub fn run(quick: bool) -> ExpReport {
 
     ExpReport {
         id: "t4",
+        guards: Vec::new(),
         tables: vec![
             (
                 "T4: correctness vs oracle and certificate, all backends (f64)".into(),

@@ -43,6 +43,7 @@ pub fn run(quick: bool) -> ExpReport {
     }
     ExpReport {
         id: "t5",
+        guards: Vec::new(),
         tables: vec![(
             "T5 (ablation): device-generation sensitivity (f32, vs Core2-era CPU)".into(),
             "t5_devices".into(),

@@ -21,11 +21,10 @@
 //!   bounded cost perturbation resolves stalls in no more iterations than
 //!   the Bland-fallback escalation, without tripping the cycling guard.
 //!
-//! Alongside the CSVs, the run emits `BENCH_u1.json` so CI can assert the
-//! headline (eta cheaper per iteration at m ≥ 1024; perturbation no worse
-//! than Bland on the degenerate suite) and track the trend across commits.
-
-use std::fmt::Write as _;
+//! The experiment's guards assert the headline on those rows: eta cheaper
+//! per iteration at m ≥ 1024, chains capped by the refactor period, the
+//! pool recycling, and perturbation no worse than Bland on the degenerate
+//! suite.
 
 use gplex::backends::GpuDenseBackend;
 use gplex::{
@@ -39,7 +38,7 @@ use lp::{LinearProgram, StandardForm};
 use crate::measure::{run_model, Target};
 use crate::table::Table;
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// One timed solve on the simulated GPU with an explicit representation
 /// choice; returns per-step simulated times plus the eta/pool counters.
@@ -177,6 +176,59 @@ fn degeneracy_sweep(quick: bool) -> Vec<DegenRow> {
         .collect()
 }
 
+/// Size from which the eta path must beat the explicit update per pivot.
+const GUARD_M: usize = 1024;
+
+/// U1a: eta chains capped by the refactor period and, at m ≥ 1024, the
+/// eta path cheaper per pivot; U1b: the device pool recycles; U1c: every
+/// fixture optimal and correct, perturbation needing no more iterations
+/// than Bland.
+fn guards(
+    cost: &[(usize, usize, CostRow, CostRow)],
+    chain: &[(usize, CostRow)],
+    degen: &[DegenRow],
+    refactor_period: usize,
+) -> Vec<Guard> {
+    let mut out = Vec::new();
+    for (m, _, ex, pf) in cost {
+        out.push(Guard::new(
+            format!("m={m}: eta chain <= refactor period"),
+            pf.max_eta_chain <= refactor_period,
+            format!("chain {} vs period {refactor_period}", pf.max_eta_chain),
+        ));
+        if *m >= GUARD_M {
+            let ratio = pf.ns_per_iter / ex.ns_per_iter;
+            out.push(Guard::new(
+                format!("m={m}: eta/explicit < 1"),
+                ratio < 1.0,
+                format!("ratio {ratio:.3}"),
+            ));
+        }
+    }
+    let recycles: u64 = chain.iter().map(|(_, r)| r.pool_recycles).sum();
+    out.push(Guard::new(
+        "eta pool recycles > 0",
+        recycles > 0,
+        format!("{recycles} recycles"),
+    ));
+    for d in degen {
+        out.push(Guard::new(
+            format!("{}: optimal and objective ok", d.fixture),
+            d.both_optimal && d.objective_ok,
+            format!(
+                "optimal {}, objective ok {}",
+                d.both_optimal, d.objective_ok
+            ),
+        ));
+        out.push(Guard::new(
+            format!("{}: perturb iters <= bland iters", d.fixture),
+            d.perturb_iters <= d.bland_iters,
+            format!("perturb {} vs bland {}", d.perturb_iters, d.bland_iters),
+        ));
+    }
+    out
+}
+
 pub fn run(quick: bool) -> ExpReport {
     // U1a: per-iteration cost vs m, both representations on one pivot path.
     // The iteration budget keeps the m = 2048 point affordable while still
@@ -202,7 +254,7 @@ pub fn run(quick: bool) -> ExpReport {
         "max-eta",
         "eta/explicit",
     ]);
-    let mut cost_json: Vec<(usize, usize, CostRow, CostRow)> = Vec::new();
+    let mut cost: Vec<(usize, usize, CostRow, CostRow)> = Vec::new();
     for &m in sizes {
         let n = m / 2;
         let model = generator::dense_random(m, n, 1);
@@ -246,7 +298,7 @@ pub fn run(quick: bool) -> ExpReport {
             ex.iters,
             pf.iters
         );
-        cost_json.push((m, n, ex, pf));
+        cost.push((m, n, ex, pf));
     }
 
     // U1b: eta chain length and device pool behaviour vs refactor period,
@@ -262,7 +314,7 @@ pub fn run(quick: bool) -> ExpReport {
         "pool-recycles",
     ]);
     let chain_model = generator::dense_random(chain_m, chain_m / 2, 2);
-    let mut chain_json: Vec<(usize, CostRow)> = Vec::new();
+    let mut chain: Vec<(usize, CostRow)> = Vec::new();
     for &rp in &[4usize, 8, 16, 32] {
         let r = timed_solve(&chain_model, BasisRepresentation::ProductForm, 64, rp);
         tb.push(vec![
@@ -274,7 +326,7 @@ pub fn run(quick: bool) -> ExpReport {
             r.pool_allocs.to_string(),
             r.pool_recycles.to_string(),
         ]);
-        chain_json.push((rp, r));
+        chain.push((rp, r));
     }
 
     // U1c: degeneracy policies on the stall/cycling suite.
@@ -298,10 +350,9 @@ pub fn run(quick: bool) -> ExpReport {
         ]);
     }
 
-    write_bench_json(&cost_json, &chain_json, &degen, max_iters, refactor_period);
-
     ExpReport {
         id: "u1",
+        guards: guards(&cost, &chain, &degen, refactor_period),
         tables: vec![
             (
                 "U1a: per-iteration cost vs m — explicit B⁻¹ vs product-form eta (GPU, f64)".into(),
@@ -322,70 +373,74 @@ pub fn run(quick: bool) -> ExpReport {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree), written to `BENCH_u1.json` for
-/// the CI guardrail and trend tracking.
-fn write_bench_json(
-    cost: &[(usize, usize, CostRow, CostRow)],
-    chain: &[(usize, CostRow)],
-    degen: &[DegenRow],
-    max_iters: usize,
-    refactor_period: usize,
-) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"u1\",");
-    let _ = writeln!(s, "  \"max_iterations\": {max_iters},");
-    let _ = writeln!(s, "  \"refactor_period\": {refactor_period},");
-    let _ = writeln!(s, "  \"iteration_cost\": [");
-    for (i, (m, n, ex, pf)) in cost.iter().enumerate() {
-        let comma = if i + 1 < cost.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"m\": {m}, \"n\": {n}, \"iters\": {}, \
-             \"explicit_ns_per_iter\": {:.3}, \"eta_ns_per_iter\": {:.3}, \
-             \"eta_over_explicit\": {:.6}, \"explicit_update_ns\": {:.3}, \
-             \"eta_update_ns\": {:.3}, \"max_eta_chain\": {}}}{comma}",
-            ex.iters,
-            ex.ns_per_iter,
-            pf.ns_per_iter,
-            pf.ns_per_iter / ex.ns_per_iter,
-            ex.update_ns,
-            pf.update_ns,
-            pf.max_eta_chain,
-        );
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::failed_names;
+
+    fn cost_row(ns_per_iter: f64, max_eta_chain: usize, pool_recycles: u64) -> CostRow {
+        CostRow {
+            status: Status::Optimal,
+            iters: 24,
+            ns_per_iter,
+            pricing_ns: 0.0,
+            ftran_ns: 0.0,
+            update_ns: 0.0,
+            z_std: 0.0,
+            max_eta_chain,
+            eta_pivots: 0,
+            pool_allocs: 0,
+            pool_recycles,
+        }
     }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"eta_chain\": [");
-    for (i, (rp, r)) in chain.iter().enumerate() {
-        let comma = if i + 1 < chain.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"refactor_period\": {rp}, \"iters\": {}, \"eta_pivots\": {}, \
-             \"max_eta_chain\": {}, \"ns_per_iter\": {:.3}, \
-             \"pool_allocs\": {}, \"pool_recycles\": {}}}{comma}",
-            r.iters, r.eta_pivots, r.max_eta_chain, r.ns_per_iter, r.pool_allocs, r.pool_recycles,
-        );
+
+    fn degen_row(perturb_iters: usize, objective_ok: bool) -> DegenRow {
+        DegenRow {
+            fixture: "beale-cycling",
+            bland_iters: 6,
+            perturb_iters,
+            perturbations: 1,
+            both_optimal: true,
+            objective_ok,
+        }
     }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"degeneracy\": [");
-    for (i, d) in degen.iter().enumerate() {
-        let comma = if i + 1 < degen.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"fixture\": \"{}\", \"bland_iters\": {}, \"perturb_iters\": {}, \
-             \"perturbations\": {}, \"both_optimal\": {}, \"objective_ok\": {}}}{comma}",
-            d.fixture,
-            d.bland_iters,
-            d.perturb_iters,
-            d.perturbations,
-            d.both_optimal,
-            d.objective_ok,
-        );
+
+    fn failed(
+        cost: &[(usize, usize, CostRow, CostRow)],
+        chain: &[(usize, CostRow)],
+        degen: &[DegenRow],
+    ) -> Vec<String> {
+        failed_names(guards(cost, chain, degen, 16))
     }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_u1.json", &s) {
-        Ok(()) => println!("   -> BENCH_u1.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_u1.json: {e}"),
+
+    #[test]
+    fn guards_fail_on_each_synthetic_regression() {
+        let cost = |eta_ns: f64, chain: usize| {
+            vec![(1024, 512, cost_row(100.0, 0, 0), cost_row(eta_ns, chain, 0))]
+        };
+        let chain = |recycles: u64| vec![(4, cost_row(1.0, 4, recycles))];
+        let degen = |iters: usize, ok: bool| vec![degen_row(iters, ok)];
+        assert!(failed(&cost(50.0, 16), &chain(3), &degen(6, true)).is_empty());
+
+        assert_eq!(
+            failed(&cost(50.0, 17), &chain(3), &degen(6, true)),
+            ["m=1024: eta chain <= refactor period"]
+        );
+        assert_eq!(
+            failed(&cost(100.0, 16), &chain(3), &degen(6, true)),
+            ["m=1024: eta/explicit < 1"]
+        );
+        assert_eq!(
+            failed(&cost(50.0, 16), &chain(0), &degen(6, true)),
+            ["eta pool recycles > 0"]
+        );
+        assert_eq!(
+            failed(&cost(50.0, 16), &chain(3), &degen(6, false)),
+            ["beale-cycling: optimal and objective ok"]
+        );
+        assert_eq!(
+            failed(&cost(50.0, 16), &chain(3), &degen(7, true)),
+            ["beale-cycling: perturb iters <= bland iters"]
+        );
     }
 }

@@ -26,12 +26,9 @@
 //!   a solve resumed from a mid-solve checkpoint must replay the tail
 //!   pivot-for-pivot and land on bitwise-identical `z` and `x`.
 //!
-//! Alongside the CSVs, the run emits `BENCH_u2.json` so CI can assert the
-//! headline (SparseLU < product-form and < explicit on the sparse
-//! m ≥ 1024 rows; factors bounded well under dense; resume bitwise) and
-//! track the trend across commits.
-
-use std::fmt::Write as _;
+//! The experiment's guards assert the headline on those rows: SparseLU
+//! below product-form and explicit on the sparse m ≥ 1024 rows, factors
+//! bounded well under dense, resume bitwise.
 
 use gplex::backends::GpuDenseBackend;
 use gplex::{
@@ -44,7 +41,7 @@ use lp::StandardForm;
 
 use crate::table::Table;
 
-use super::ExpReport;
+use super::{ExpReport, Guard};
 
 /// One timed solve on the simulated GPU under a chosen representation,
 /// reduced to per-pivot step costs plus the LU counters.
@@ -59,8 +56,6 @@ struct RepRow {
     pivot_ns: f64,
     max_eta_chain: usize,
     lu_refactor_nnz: u64,
-    lu_fill_in: u64,
-    markowitz_rejections: u64,
     z_std: f64,
 }
 
@@ -107,8 +102,6 @@ fn timed_solve(sf: &StandardForm<f64>, rep: BasisRepresentation, max_iters: usiz
         pivot_ns,
         max_eta_chain: res.stats.max_eta_chain,
         lu_refactor_nnz: res.stats.lu_refactor_nnz,
-        lu_fill_in: res.stats.lu_fill_in,
-        markowitz_rejections: res.stats.markowitz_rejections,
         z_std: res.z_std,
     }
 }
@@ -116,7 +109,6 @@ fn timed_solve(sf: &StandardForm<f64>, rep: BasisRepresentation, max_iters: usiz
 /// One (m, density) sweep point: all three representations on one model.
 struct SweepPoint {
     m: usize,
-    n: usize,
     density: f64,
     explicit: RepRow,
     eta: RepRow,
@@ -134,11 +126,60 @@ struct FillRow {
     dense_fraction: f64,
 }
 
+/// Markowitz cap: peak factor nnz as a share of the dense m² ceiling.
+const MAX_DENSE_FRACTION: f64 = 0.2;
+
+/// Factors stay under the Markowitz cap on both sweeps; on every sparse
+/// (d ≤ 0.05) m ≥ 1024 row, of which there is at least one, SparseLU
+/// beats both dense representations; the resumed solve is bitwise.
+fn guards(sweep: &[SweepPoint], fill: &[FillRow], resume_bitwise: bool) -> Vec<Guard> {
+    let mut out = Vec::new();
+    let mut big_sparse_rows = 0;
+    for p in sweep {
+        let tag = format!("m={} d={}", p.m, p.density);
+        let nnz = p.sparse_lu.lu_refactor_nnz;
+        out.push(Guard::new(
+            format!("{tag}: nnz(L+U) <= 0.2 m^2"),
+            nnz as f64 <= MAX_DENSE_FRACTION * (p.m * p.m) as f64,
+            format!("nnz {nnz}"),
+        ));
+        if p.m >= 1024 && p.density <= 0.05 {
+            big_sparse_rows += 1;
+            for (rep, other) in [("explicit", &p.explicit), ("eta", &p.eta)] {
+                let ratio = p.sparse_lu.basis_ns / other.basis_ns;
+                out.push(Guard::new(
+                    format!("{tag}: sparse-lu/{rep} < 1"),
+                    ratio < 1.0,
+                    format!("ratio {ratio:.3}"),
+                ));
+            }
+        }
+    }
+    out.push(Guard::new(
+        "sweep has a sparse m >= 1024 row",
+        big_sparse_rows > 0,
+        format!("{big_sparse_rows} rows"),
+    ));
+    for r in fill {
+        out.push(Guard::new(
+            format!("fill d={}: nnz(L+U) <= 0.2 m^2", r.density),
+            r.dense_fraction <= MAX_DENSE_FRACTION,
+            format!("{:.4} of m^2", r.dense_fraction),
+        ));
+    }
+    out.push(Guard::new(
+        "resume bitwise",
+        resume_bitwise,
+        format!("resumed solve bitwise: {resume_bitwise}"),
+    ));
+    out
+}
+
 pub fn run(quick: bool) -> ExpReport {
     // U2a: the crossover sweep. The iteration budget crosses a
     // reinversion boundary (period 16) while keeping the 2048-row dense
     // baselines affordable; quick mode still includes the m = 1024
-    // sparse row the CI guardrail pins.
+    // sparse row the guards pin.
     let sizes: &[usize] = if quick {
         &[256, 1024]
     } else {
@@ -200,7 +241,6 @@ pub fn run(quick: bool) -> ExpReport {
             );
             sweep.push(SweepPoint {
                 m,
-                n,
                 density,
                 explicit: ex,
                 eta: pf,
@@ -310,10 +350,9 @@ pub fn run(quick: bool) -> ExpReport {
         if resume_bitwise { "yes" } else { "NO" }.to_string(),
     ]);
 
-    write_bench_json(&sweep, &fill, fill_m, resume_m, resume_bitwise, max_iters);
-
     ExpReport {
         id: "u2",
+        guards: guards(&sweep, &fill, resume_bitwise),
         tables: vec![
             (
                 "U2a: basis-op cost vs m × density — explicit vs eta vs sparse LU (GPU, f64)"
@@ -335,72 +374,83 @@ pub fn run(quick: bool) -> ExpReport {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree), written to `BENCH_u2.json` for
-/// the CI guardrail and trend tracking.
-fn write_bench_json(
-    sweep: &[SweepPoint],
-    fill: &[FillRow],
-    fill_m: usize,
-    resume_m: usize,
-    resume_bitwise: bool,
-    max_iters: usize,
-) {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"u2\",");
-    let _ = writeln!(s, "  \"max_iterations\": {max_iters},");
-    let _ = writeln!(s, "  \"crossover\": [");
-    for (i, p) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"m\": {}, \"n\": {}, \"density\": {}, \
-             \"explicit_basis_ns_per_iter\": {:.3}, \"eta_basis_ns_per_iter\": {:.3}, \
-             \"sparse_lu_basis_ns_per_iter\": {:.3}, \"sparse_lu_over_explicit\": {:.6}, \
-             \"sparse_lu_over_eta\": {:.6}, \"lu_refactor_nnz\": {}, \"lu_fill_in\": {}, \
-             \"markowitz_rejections\": {}}}{comma}",
-            p.m,
-            p.n,
-            p.density,
-            p.explicit.basis_ns,
-            p.eta.basis_ns,
-            p.sparse_lu.basis_ns,
-            p.sparse_lu.basis_ns / p.explicit.basis_ns,
-            p.sparse_lu.basis_ns / p.eta.basis_ns,
-            p.sparse_lu.lu_refactor_nnz,
-            p.sparse_lu.lu_fill_in,
-            p.sparse_lu.markowitz_rejections,
-        );
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::failed_names;
+
+    fn rep_row(basis_ns: f64, lu_refactor_nnz: u64) -> RepRow {
+        RepRow {
+            status: Status::Optimal,
+            iters: 24,
+            basis_ns,
+            ftran_ns: 0.0,
+            update_ns: 0.0,
+            pricing_ns: 0.0,
+            pivot_ns: 0.0,
+            max_eta_chain: 0,
+            lu_refactor_nnz,
+            z_std: 0.0,
+        }
     }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"fill_in\": {{");
-    let _ = writeln!(s, "    \"m\": {fill_m},");
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, r) in fill.iter().enumerate() {
-        let comma = if i + 1 < fill.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"density\": {}, \"iters\": {}, \"refactorizations\": {}, \
-             \"lu_refactor_nnz\": {}, \"lu_fill_in\": {}, \"markowitz_rejections\": {}, \
-             \"dense_fraction\": {:.6}}}{comma}",
-            r.density,
-            r.iters,
-            r.refactorizations,
-            r.lu_refactor_nnz,
-            r.lu_fill_in,
-            r.markowitz_rejections,
-            r.dense_fraction,
-        );
+
+    fn point(m: usize, density: f64, lu_ns: f64, lu_nnz: u64) -> SweepPoint {
+        SweepPoint {
+            m,
+            density,
+            explicit: rep_row(100.0, 0),
+            eta: rep_row(80.0, 0),
+            sparse_lu: rep_row(lu_ns, lu_nnz),
+        }
     }
-    let _ = writeln!(s, "    ]");
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(
-        s,
-        "  \"resume\": {{\"m\": {resume_m}, \"density\": 0.05, \"bitwise\": {resume_bitwise}}}"
-    );
-    let _ = writeln!(s, "}}");
-    match std::fs::write("BENCH_u2.json", &s) {
-        Ok(()) => println!("   -> BENCH_u2.json"),
-        Err(e) => eprintln!("   !! could not write BENCH_u2.json: {e}"),
+
+    fn fill_row(dense_fraction: f64) -> FillRow {
+        FillRow {
+            density: 0.02,
+            iters: 96,
+            refactorizations: 12,
+            lu_refactor_nnz: 0,
+            lu_fill_in: 0,
+            markowitz_rejections: 0,
+            dense_fraction,
+        }
+    }
+
+    fn failed(sweep: &[SweepPoint], fill: &[FillRow], resume: bool) -> Vec<String> {
+        failed_names(guards(sweep, fill, resume))
+    }
+
+    #[test]
+    fn guards_fail_on_each_synthetic_regression() {
+        let ok_fill = [fill_row(0.01)];
+        assert!(failed(&[point(1024, 0.02, 50.0, 5000)], &ok_fill, true).is_empty());
+
+        assert_eq!(
+            failed(&[point(1024, 0.02, 50.0, 300_000)], &ok_fill, true),
+            ["m=1024 d=0.02: nnz(L+U) <= 0.2 m^2"]
+        );
+        assert_eq!(
+            failed(&[point(1024, 0.02, 90.0, 5000)], &ok_fill, true),
+            ["m=1024 d=0.02: sparse-lu/eta < 1"]
+        );
+        assert_eq!(
+            failed(&[point(1024, 0.02, 100.0, 5000)], &ok_fill, true),
+            [
+                "m=1024 d=0.02: sparse-lu/explicit < 1",
+                "m=1024 d=0.02: sparse-lu/eta < 1"
+            ]
+        );
+        assert_eq!(
+            failed(&[point(256, 0.02, 50.0, 5000)], &ok_fill, true),
+            ["sweep has a sparse m >= 1024 row"]
+        );
+        assert_eq!(
+            failed(&[point(1024, 0.02, 50.0, 5000)], &[fill_row(0.21)], true),
+            ["fill d=0.02: nnz(L+U) <= 0.2 m^2"]
+        );
+        assert_eq!(
+            failed(&[point(1024, 0.02, 50.0, 5000)], &ok_fill, false),
+            ["resume bitwise"]
+        );
     }
 }
