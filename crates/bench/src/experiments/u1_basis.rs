@@ -1,75 +1,321 @@
-//! U1 (extension): basis-representation ablation — explicit dense `B⁻¹`
-//! versus the product-form eta file, plus the degeneracy-policy sweep.
+//! U1 (extension): the arm-ablation matrix — every basis representation
+//! and every degeneracy policy the solver offers, run on a grid of cells,
+//! and each required to win at least one of them.
 //!
-//! Three questions, three tables:
+//! Three tables:
 //!
-//! * **U1a — iteration cost vs m.** The explicit update kernel rewrites all
-//!   of `B⁻¹` every pivot (O(m²)); the product form appends one eta column
-//!   (O(m)) and pays O(m) per eta inside FTRAN/BTRAN instead. With the
-//!   chain capped by `refactor_period`, the eta path's per-iteration cost
-//!   bends below the explicit curve as m grows — per-eta kernel-launch
-//!   overhead makes it *lose* at small m, and the crossover is well before
-//!   m = 2048 on the paper's card. Runs are capped at a fixed iteration
-//!   budget so both representations time the same pivot path; the reported
-//!   cost is the steady-state pivot cost (setup transfers and amortized
-//!   reinversion excluded — they are representation-independent).
-//! * **U1b — eta memory vs refactor period.** Chain length tracks the
+//! * **U1a — representation matrix.** Models × targets (gpu-dense f64 and
+//!   f32, cpu-dense, cpu-sparse) × [`REPS`]. Full solves through the
+//!   pipeline with default options; the metric is modeled solve time
+//!   (`SolveStats::total_time`). Cells whose run ends short of `Optimal`
+//!   keep their row and status, but neither win nor enter the objective
+//!   comparison.
+//! * **U1b — eta chain vs refactor period.** SparseLU keeps the pivots
+//!   since the last factorization as an eta chain: its length tracks the
 //!   reinversion cadence, and the device eta pool recycles buffers across
-//!   refactorizations instead of re-allocating (`pool_recycles` counts
-//!   climb while `pool_allocs` stay flat at the steady-state chain length).
-//! * **U1c — degeneracy policy.** On degenerate/cycling fixtures the
-//!   bounded cost perturbation resolves stalls in no more iterations than
-//!   the Bland-fallback escalation, without tripping the cycling guard.
+//!   refactorizations instead of re-allocating (`pool_recycles` climbs
+//!   while `pool_allocs` stays at the steady-state chain length).
+//! * **U1c — degeneracy matrix.** The stall and cycling suite on
+//!   cpu-dense × [`POLICIES`], with a 2-iteration stall threshold so every
+//!   policy engages.
 //!
-//! The experiment's guards assert the headline on those rows: eta cheaper
-//! per iteration at m ≥ 1024, chains capped by the refactor period, the
-//! pool recycling, and perturbation no worse than Bland on the degenerate
-//! suite.
+//! Guards: every arm of both axes is strictly fastest in at least one
+//! cell, so an arm that no cell favours cannot come back unnoticed; all
+//! `Optimal` runs of a model agree on its objective; the SparseLU chain
+//! stays within the period and the pool recycles; and on the three
+//! classic degenerate fixtures perturbation needs no more iterations than
+//! the Bland fallback.
 
 use gplex::backends::GpuDenseBackend;
 use gplex::{
-    BasisRepresentation, DegeneracyPolicy, NoopRecorder, RevisedSimplex, SolverOptions, Start,
-    Status, Step,
+    BackendKind, BasisRepresentation, DegeneracyPolicy, NoopRecorder, RevisedSimplex, SolveRequest,
+    SolverOptions, Start, Status,
 };
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
 use lp::{LinearProgram, StandardForm};
 
-use crate::measure::{run_model, Target};
+use crate::measure::{run_standard_full, Target};
 use crate::table::Table;
 
 use super::{ExpReport, Guard};
 
-/// One timed solve on the simulated GPU with an explicit representation
-/// choice; returns per-step simulated times plus the eta/pool counters.
-struct CostRow {
+/// The basis representations U1a compares.
+const REPS: [(&str, BasisRepresentation); 2] = [
+    ("explicit", BasisRepresentation::ExplicitInverse),
+    ("sparse-lu", BasisRepresentation::SparseLU),
+];
+
+/// The degeneracy policies U1c compares.
+const POLICIES: [(&str, DegeneracyPolicy); 2] = [
+    ("bland", DegeneracyPolicy::BlandFallback),
+    ("perturb", DegeneracyPolicy::Perturb { scale: 1e-7 }),
+];
+
+/// Fixtures on which perturbation must need no more iterations than Bland.
+const PERTURB_NO_WORSE: [&str; 3] = ["degenerate", "beale-cycling", "klee-minty"];
+
+/// Relative objective agreement required between `Optimal` runs.
+const OBJ_TOL: f64 = 1e-6;
+
+/// One arm's full solve in one cell of a matrix.
+struct ArmRun {
+    /// Model (U1a) or fixture (U1c) the cell solves.
+    model: String,
+    /// Backend and precision.
+    target: &'static str,
+    arm: &'static str,
     status: Status,
     iters: usize,
-    ns_per_iter: f64,
-    pricing_ns: f64,
-    ftran_ns: f64,
-    update_ns: f64,
-    z_std: f64,
-    max_eta_chain: usize,
+    /// Modeled solve time in ms.
+    ms: f64,
+    objective: f64,
+}
+
+/// The runs of one cell: consecutive rows with the same model and target.
+fn cells(runs: &[ArmRun]) -> impl Iterator<Item = &[ArmRun]> {
+    runs.chunk_by(|a, b| a.model == b.model && a.target == b.target)
+}
+
+/// The arm strictly fastest among a cell's `Optimal` runs; `None` on a tie
+/// or when no run is optimal.
+fn cell_winner(cell: &[ArmRun]) -> Option<&'static str> {
+    let mut optimal: Vec<&ArmRun> = cell
+        .iter()
+        .filter(|r| r.status == Status::Optimal)
+        .collect();
+    optimal.sort_by(|a, b| a.ms.total_cmp(&b.ms));
+    match optimal.as_slice() {
+        [best] => Some(best.arm),
+        [best, next, ..] if best.ms < next.ms => Some(best.arm),
+        _ => None,
+    }
+}
+
+fn rel_gap(z: f64, reference: f64) -> f64 {
+    (z - reference).abs() / reference.abs().max(1.0)
+}
+
+/// One `<arm> wins a cell` guard per arm, naming the cells it wins.
+fn win_guards(axis: &str, arms: &[&'static str], runs: &[ArmRun]) -> Vec<Guard> {
+    let won: Vec<(&'static str, String)> = cells(runs)
+        .filter_map(|c| cell_winner(c).map(|a| (a, format!("{} {}", c[0].model, c[0].target))))
+        .collect();
+    arms.iter()
+        .map(|arm| {
+            let mine: Vec<&str> = won
+                .iter()
+                .filter(|(a, _)| a == arm)
+                .map(|(_, cell)| cell.as_str())
+                .collect();
+            Guard::new(
+                format!("{axis} {arm}: strictly fastest in >= 1 cell"),
+                !mine.is_empty(),
+                format!("{} cells: {}", mine.len(), mine.join("; ")),
+            )
+        })
+        .collect()
+}
+
+/// One row per arm run, the winner of each cell marked.
+fn matrix_table(runs: &[ArmRun], arm_header: &str) -> Table {
+    let mut t = Table::new(vec![
+        "model",
+        "target",
+        arm_header,
+        "status",
+        "iters",
+        "modeled-ms",
+        "objective",
+        "fastest",
+    ]);
+    for cell in cells(runs) {
+        let winner = cell_winner(cell);
+        for r in cell {
+            t.push(vec![
+                r.model.clone(),
+                r.target.to_string(),
+                r.arm.to_string(),
+                r.status.tag().to_string(),
+                r.iters.to_string(),
+                format!("{:.3}", r.ms),
+                format!("{:.9e}", r.objective),
+                if winner == Some(r.arm) { "yes" } else { "" }.to_string(),
+            ]);
+        }
+    }
+    t
+}
+
+/// U1a targets: label, backend, and whether the solve runs in f32.
+fn targets() -> [(&'static str, BackendKind, bool); 4] {
+    let gpu = BackendKind::GpuDense(DeviceSpec::gtx280());
+    [
+        ("gpu-dense f64", gpu.clone(), false),
+        ("gpu-dense f32", gpu, true),
+        ("cpu-dense", BackendKind::CpuDense, false),
+        ("cpu-sparse", BackendKind::CpuSparse, false),
+    ]
+}
+
+fn rep_models(quick: bool) -> Vec<(String, LinearProgram)> {
+    let mut models = vec![
+        (
+            "dense_random(64,64,7)".into(),
+            generator::dense_random(64, 64, 7),
+        ),
+        ("max_flow(60,4,5)".into(), generator::max_flow(60, 4, 5)),
+        (
+            "sparse_random(512,512,0.01,7)".into(),
+            generator::sparse_random(512, 512, 0.01, 7),
+        ),
+    ];
+    if !quick {
+        models.extend([
+            (
+                "dense_random(256,256,7)".into(),
+                generator::dense_random(256, 256, 7),
+            ),
+            (
+                "dense_random(512,512,7)".into(),
+                generator::dense_random(512, 512, 7),
+            ),
+            (
+                "sparse_random(1024,1024,0.005,7)".into(),
+                generator::sparse_random(1024, 1024, 0.005, 7),
+            ),
+            ("assignment(20,2)".into(), generator::assignment(20, 2)),
+            (
+                "multi_period_production(24,5)".into(),
+                generator::multi_period_production(24, 5),
+            ),
+        ]);
+    }
+    models
+}
+
+/// U1a: every representation on every (model, target) cell.
+fn representation_matrix(quick: bool) -> Vec<ArmRun> {
+    let mut runs = Vec::new();
+    for (name, model) in rep_models(quick) {
+        for (target, kind, f32_run) in targets() {
+            for (arm, rep) in REPS {
+                let opts = SolverOptions {
+                    basis_representation: rep,
+                    ..Default::default()
+                };
+                let req = SolveRequest::model(&model, &opts).on(&kind);
+                let sol = if f32_run {
+                    req.run::<f32>()
+                } else {
+                    req.run::<f64>()
+                }
+                .expect("matrix solve runs");
+                runs.push(ArmRun {
+                    model: name.clone(),
+                    target,
+                    arm,
+                    status: sol.status,
+                    iters: sol.stats.iterations,
+                    ms: sol.stats.total_time().as_secs_f64() * 1e3,
+                    objective: sol.objective,
+                });
+            }
+        }
+    }
+    runs
+}
+
+/// Fixtures of the degeneracy matrix, with their optimum when known.
+fn degenerate_suite(quick: bool) -> Vec<(&'static str, LinearProgram, Option<f64>)> {
+    let km_n = if quick { 5 } else { 7 };
+    let (dg, z_dg) = fixtures::degenerate();
+    let (bl, z_bl) = fixtures::beale_cycling();
+    let mut suite = vec![
+        ("degenerate", dg, Some(z_dg)),
+        ("beale-cycling", bl, Some(z_bl)),
+        (
+            "klee-minty",
+            generator::klee_minty(km_n),
+            Some(generator::klee_minty_optimum(km_n)),
+        ),
+        ("assignment(12,1)", generator::assignment(12, 1), None),
+        ("max_flow(60,4,5)", generator::max_flow(60, 4, 5), None),
+    ];
+    if !quick {
+        suite.extend([
+            ("assignment(20,2)", generator::assignment(20, 2), None),
+            (
+                "transportation(6x7,3)",
+                generator::transportation(
+                    &[20.0, 30.0, 25.0, 15.0, 35.0, 25.0],
+                    &[10.0, 25.0, 20.0, 30.0, 15.0, 30.0, 20.0],
+                    3,
+                ),
+                None,
+            ),
+            (
+                "multi_period_production(24,5)",
+                generator::multi_period_production(24, 5),
+                None,
+            ),
+        ]);
+    }
+    suite
+}
+
+/// U1c: every policy on every fixture, cpu-dense, no presolve or scaling.
+/// Returns the runs and each fixture's known optimum.
+fn degeneracy_matrix(quick: bool) -> (Vec<ArmRun>, Vec<(&'static str, Option<f64>)>) {
+    let mut runs = Vec::new();
+    let mut optima = Vec::new();
+    for (name, model, optimum) in degenerate_suite(quick) {
+        let sf = StandardForm::<f64>::from_lp(&model).expect("fixture standardizes");
+        for (arm, policy) in POLICIES {
+            let opts = SolverOptions {
+                presolve: false,
+                scale: false,
+                stall_threshold: 2,
+                degeneracy: policy,
+                ..Default::default()
+            };
+            let (m, _) = run_standard_full::<f64>(&sf, &Target::cpu(), &opts);
+            runs.push(ArmRun {
+                model: name.to_string(),
+                target: "cpu-dense",
+                arm,
+                status: m.status,
+                iters: m.iterations,
+                ms: m.sim_seconds * 1e3,
+                objective: m.objective,
+            });
+        }
+        optima.push((name, optimum));
+    }
+    (runs, optima)
+}
+
+/// One SparseLU solve on the simulated GPU, reduced to the eta and pool
+/// counters U1b reports.
+struct ChainRow {
+    refactor_period: usize,
+    iters: usize,
     eta_pivots: usize,
+    max_eta_chain: usize,
+    us_per_iter: f64,
     pool_allocs: u64,
     pool_recycles: u64,
 }
 
-fn timed_solve(
-    model: &LinearProgram,
-    rep: BasisRepresentation,
-    max_iters: usize,
-    refactor_period: usize,
-) -> CostRow {
+fn chain_solve(model: &LinearProgram, refactor_period: usize) -> ChainRow {
     let sf = StandardForm::<f64>::from_lp(model).expect("bench model standardizes");
     let n_active = sf.num_cols() - sf.num_artificials;
     let opts = SolverOptions {
         presolve: false,
         scale: false,
-        basis_representation: rep,
+        basis_representation: BasisRepresentation::SparseLU,
         refactor_period,
-        max_iterations: Some(max_iters),
+        max_iterations: Some(64),
         ..Default::default()
     };
     let gpu = Gpu::new(DeviceSpec::gtx280());
@@ -84,226 +330,94 @@ fn timed_solve(
     )
     .solve();
     let c = gpu.counters();
-    let iters = res.stats.iterations.max(1);
-    let per_iter = |ns: f64| ns / iters as f64;
-    // Steady-state pivot cost: the five per-pivot steps only. Setup
-    // transfers and the amortized O(m³) reinversion are identical across
-    // representations and would drown the O(m²)-vs-O(m) update delta.
-    let pivot_ns: f64 = [
-        Step::Pricing,
-        Step::Selection,
-        Step::Ftran,
-        Step::RatioTest,
-        Step::Update,
-    ]
-    .iter()
-    .map(|s| res.stats.time(*s).as_nanos())
-    .sum();
-    CostRow {
-        status: res.status,
+    ChainRow {
+        refactor_period,
         iters: res.stats.iterations,
-        ns_per_iter: per_iter(pivot_ns),
-        pricing_ns: per_iter(res.stats.time(Step::Pricing).as_nanos()),
-        ftran_ns: per_iter(res.stats.time(Step::Ftran).as_nanos()),
-        update_ns: per_iter(res.stats.time(Step::Update).as_nanos()),
-        z_std: res.z_std,
-        max_eta_chain: res.stats.max_eta_chain,
         eta_pivots: res.stats.eta_pivots,
+        max_eta_chain: res.stats.max_eta_chain,
+        us_per_iter: res.stats.time_per_iteration().as_nanos() / 1e3,
         pool_allocs: c.pool_allocs,
         pool_recycles: c.pool_recycles,
     }
 }
 
-struct DegenRow {
-    fixture: &'static str,
-    bland_iters: usize,
-    perturb_iters: usize,
-    perturbations: usize,
-    both_optimal: bool,
-    objective_ok: bool,
-}
-
-fn degeneracy_sweep(quick: bool) -> Vec<DegenRow> {
-    let km_n = if quick { 5 } else { 7 };
-    let suite: Vec<(&'static str, LinearProgram, f64)> = vec![
-        (
-            "degenerate",
-            fixtures::degenerate().0,
-            fixtures::degenerate().1,
-        ),
-        (
-            "beale-cycling",
-            fixtures::beale_cycling().0,
-            fixtures::beale_cycling().1,
-        ),
-        (
-            "klee-minty",
-            generator::klee_minty(km_n),
-            generator::klee_minty_optimum(km_n),
-        ),
-    ];
-    let opts_for = |policy: DegeneracyPolicy| SolverOptions {
-        presolve: false,
-        scale: false,
-        stall_threshold: 2,
-        degeneracy: policy,
-        ..Default::default()
-    };
-    suite
-        .into_iter()
-        .map(|(name, model, expected)| {
-            let bland = run_model::<f64>(
-                &model,
-                &Target::cpu(),
-                &opts_for(DegeneracyPolicy::BlandFallback),
-            );
-            let opts_p = opts_for(DegeneracyPolicy::Perturb { scale: 1e-7 });
-            let (pert, pert_res) = crate::measure::run_standard_full::<f64>(
-                &StandardForm::<f64>::from_lp(&model).expect("fixture standardizes"),
-                &Target::cpu(),
-                &opts_p,
-            );
-            let rel = |z: f64| (z - expected).abs() / expected.abs().max(1.0);
-            DegenRow {
-                fixture: name,
-                bland_iters: bland.iterations,
-                perturb_iters: pert.iterations,
-                perturbations: pert_res.stats.perturbations,
-                both_optimal: bland.status == Status::Optimal && pert.status == Status::Optimal,
-                objective_ok: rel(bland.objective) < 1e-6 && rel(pert.objective) < 1e-6,
-            }
-        })
-        .collect()
-}
-
-/// Size from which the eta path must beat the explicit update per pivot.
-const GUARD_M: usize = 1024;
-
-/// U1a: eta chains capped by the refactor period and, at m ≥ 1024, the
-/// eta path cheaper per pivot; U1b: the device pool recycles; U1c: every
-/// fixture optimal and correct, perturbation needing no more iterations
-/// than Bland.
+/// Every arm wins a cell on both axes; U1a's `Optimal` runs agree per
+/// model; U1b's chains respect the period and the pool recycles; U1c's
+/// fixtures solve to their optimum under every policy, and perturbation
+/// needs no more iterations than Bland on the classic three.
 fn guards(
-    cost: &[(usize, usize, CostRow, CostRow)],
-    chain: &[(usize, CostRow)],
-    degen: &[DegenRow],
-    refactor_period: usize,
+    reps: &[ArmRun],
+    chain: &[ChainRow],
+    degen: &[ArmRun],
+    optima: &[(&str, Option<f64>)],
 ) -> Vec<Guard> {
-    let mut out = Vec::new();
-    for (m, _, ex, pf) in cost {
+    let mut out = win_guards("rep", &REPS.map(|(a, _)| a), reps);
+    let mut models: Vec<&str> = reps.iter().map(|r| r.model.as_str()).collect();
+    models.dedup();
+    for model in models {
+        let optimal: Vec<&ArmRun> = reps
+            .iter()
+            .filter(|r| r.model == model && r.status == Status::Optimal)
+            .collect();
+        let gap = optimal
+            .iter()
+            .map(|r| rel_gap(r.objective, optimal[0].objective))
+            .fold(0.0, f64::max);
         out.push(Guard::new(
-            format!("m={m}: eta chain <= refactor period"),
-            pf.max_eta_chain <= refactor_period,
-            format!("chain {} vs period {refactor_period}", pf.max_eta_chain),
+            format!("{model}: optimal objectives agree to 1e-6"),
+            !optimal.is_empty() && gap <= OBJ_TOL,
+            format!("{} optimal runs, max rel gap {gap:.2e}", optimal.len()),
         ));
-        if *m >= GUARD_M {
-            let ratio = pf.ns_per_iter / ex.ns_per_iter;
-            out.push(Guard::new(
-                format!("m={m}: eta/explicit < 1"),
-                ratio < 1.0,
-                format!("ratio {ratio:.3}"),
-            ));
-        }
     }
-    let recycles: u64 = chain.iter().map(|(_, r)| r.pool_recycles).sum();
+    for r in chain {
+        out.push(Guard::new(
+            format!("period={}: eta chain <= refactor period", r.refactor_period),
+            r.max_eta_chain <= r.refactor_period,
+            format!("chain {}", r.max_eta_chain),
+        ));
+    }
+    let recycles: u64 = chain.iter().map(|r| r.pool_recycles).sum();
     out.push(Guard::new(
         "eta pool recycles > 0",
         recycles > 0,
         format!("{recycles} recycles"),
     ));
-    for d in degen {
+    out.extend(win_guards("policy", &POLICIES.map(|(a, _)| a), degen));
+    for (cell, &(fixture, optimum)) in cells(degen).zip(optima) {
+        let all_optimal = cell.iter().all(|r| r.status == Status::Optimal);
+        let reference = optimum.unwrap_or(cell[0].objective);
+        let objective_ok = cell
+            .iter()
+            .all(|r| rel_gap(r.objective, reference) < OBJ_TOL);
         out.push(Guard::new(
-            format!("{}: optimal and objective ok", d.fixture),
-            d.both_optimal && d.objective_ok,
-            format!(
-                "optimal {}, objective ok {}",
-                d.both_optimal, d.objective_ok
-            ),
+            format!("{fixture}: optimal and objective ok"),
+            all_optimal && objective_ok,
+            format!("optimal {all_optimal}, objective ok {objective_ok}"),
         ));
-        out.push(Guard::new(
-            format!("{}: perturb iters <= bland iters", d.fixture),
-            d.perturb_iters <= d.bland_iters,
-            format!("perturb {} vs bland {}", d.perturb_iters, d.bland_iters),
-        ));
+        if PERTURB_NO_WORSE.contains(&fixture) {
+            let iters = |arm| cell.iter().find(|r| r.arm == arm).map_or(0, |r| r.iters);
+            let (bland_iters, perturb_iters) = (iters("bland"), iters("perturb"));
+            out.push(Guard::new(
+                format!("{fixture}: perturb iters <= bland iters"),
+                perturb_iters <= bland_iters,
+                format!("perturb {perturb_iters} vs bland {bland_iters}"),
+            ));
+        }
     }
     out
 }
 
 pub fn run(quick: bool) -> ExpReport {
-    // U1a: per-iteration cost vs m, both representations on one pivot path.
-    // The iteration budget keeps the m = 2048 point affordable while still
-    // crossing several reinversion boundaries (refactor period 16).
-    let sizes: &[usize] = if quick {
-        &[64, 256, 1024]
-    } else {
-        &[64, 128, 256, 512, 1024, 2048]
-    };
-    let max_iters = 24;
-    let refactor_period = 16;
+    let reps = representation_matrix(quick);
 
-    let mut ta = Table::new(vec![
-        "m",
-        "n",
-        "rep",
-        "status",
-        "iters",
-        "pivot-us/iter",
-        "pricing-us",
-        "ftran-us",
-        "update-us",
-        "max-eta",
-        "eta/explicit",
-    ]);
-    let mut cost: Vec<(usize, usize, CostRow, CostRow)> = Vec::new();
-    for &m in sizes {
-        let n = m / 2;
-        let model = generator::dense_random(m, n, 1);
-        let ex = timed_solve(
-            &model,
-            BasisRepresentation::ExplicitInverse,
-            max_iters,
-            refactor_period,
-        );
-        let pf = timed_solve(
-            &model,
-            BasisRepresentation::ProductForm,
-            max_iters,
-            refactor_period,
-        );
-        let ratio = pf.ns_per_iter / ex.ns_per_iter;
-        for (label, r, ratio_cell) in [
-            ("explicit", &ex, "-".to_string()),
-            ("eta", &pf, format!("{ratio:.3}")),
-        ] {
-            ta.push(vec![
-                m.to_string(),
-                n.to_string(),
-                label.to_string(),
-                r.status.tag().to_string(),
-                r.iters.to_string(),
-                format!("{:.2}", r.ns_per_iter / 1e3),
-                format!("{:.2}", r.pricing_ns / 1e3),
-                format!("{:.2}", r.ftran_ns / 1e3),
-                format!("{:.2}", r.update_ns / 1e3),
-                r.max_eta_chain.to_string(),
-                ratio_cell,
-            ]);
-        }
-        // Same iteration budget must mean the same pivot path: a diverging
-        // objective here would invalidate the per-iteration comparison.
-        let dz = (ex.z_std - pf.z_std).abs() / ex.z_std.abs().max(1.0);
-        assert!(
-            ex.iters == pf.iters && dz < 1e-6,
-            "representations diverged at m={m}: iters {} vs {}, dz {dz:.2e}",
-            ex.iters,
-            pf.iters
-        );
-        cost.push((m, n, ex, pf));
-    }
-
-    // U1b: eta chain length and device pool behaviour vs refactor period,
-    // at a fixed size big enough for several chains per solve.
+    // U1b: SparseLU's eta chain and the device pool vs refactor period, at
+    // a fixed size big enough for several chains per solve.
     let chain_m = if quick { 96 } else { 192 };
+    let chain_model = generator::dense_random(chain_m, chain_m / 2, 2);
+    let chain: Vec<ChainRow> = [4usize, 8, 16, 32]
+        .iter()
+        .map(|&rp| chain_solve(&chain_model, rp))
+        .collect();
     let mut tb = Table::new(vec![
         "refactor-period",
         "iters",
@@ -313,61 +427,40 @@ pub fn run(quick: bool) -> ExpReport {
         "pool-allocs",
         "pool-recycles",
     ]);
-    let chain_model = generator::dense_random(chain_m, chain_m / 2, 2);
-    let mut chain: Vec<(usize, CostRow)> = Vec::new();
-    for &rp in &[4usize, 8, 16, 32] {
-        let r = timed_solve(&chain_model, BasisRepresentation::ProductForm, 64, rp);
+    for r in &chain {
         tb.push(vec![
-            rp.to_string(),
+            r.refactor_period.to_string(),
             r.iters.to_string(),
             r.eta_pivots.to_string(),
             r.max_eta_chain.to_string(),
-            format!("{:.2}", r.ns_per_iter / 1e3),
+            format!("{:.2}", r.us_per_iter),
             r.pool_allocs.to_string(),
             r.pool_recycles.to_string(),
         ]);
-        chain.push((rp, r));
     }
 
-    // U1c: degeneracy policies on the stall/cycling suite.
-    let degen = degeneracy_sweep(quick);
-    let mut tc = Table::new(vec![
-        "fixture",
-        "bland-iters",
-        "perturb-iters",
-        "perturbations",
-        "both-optimal",
-        "objective-ok",
-    ]);
-    for d in &degen {
-        tc.push(vec![
-            d.fixture.to_string(),
-            d.bland_iters.to_string(),
-            d.perturb_iters.to_string(),
-            d.perturbations.to_string(),
-            if d.both_optimal { "yes" } else { "NO" }.to_string(),
-            if d.objective_ok { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    let (degen, optima) = degeneracy_matrix(quick);
 
     ExpReport {
         id: "u1",
-        guards: guards(&cost, &chain, &degen, refactor_period),
+        guards: guards(&reps, &chain, &degen, &optima),
         tables: vec![
             (
-                "U1a: per-iteration cost vs m — explicit B⁻¹ vs product-form eta (GPU, f64)".into(),
-                "u1_iteration_cost".into(),
-                ta,
+                "U1a: representation matrix — modeled solve time per cell".into(),
+                "u1_rep_matrix".into(),
+                matrix_table(&reps, "rep"),
             ),
             (
-                format!("U1b: eta chain and device pool vs refactor period (m={chain_m})"),
+                format!(
+                    "U1b: SparseLU eta chain and device pool vs refactor period (GPU, m={chain_m})"
+                ),
                 "u1_eta_chain".into(),
                 tb,
             ),
             (
-                "U1c: degeneracy policy — Bland fallback vs bounded perturbation".into(),
+                "U1c: degeneracy matrix — policies on the stall suite (cpu-dense)".into(),
                 "u1_degeneracy".into(),
-                tc,
+                matrix_table(&degen, "policy"),
             ),
         ],
     }
@@ -378,69 +471,99 @@ mod tests {
     use super::*;
     use crate::experiments::failed_names;
 
-    fn cost_row(ns_per_iter: f64, max_eta_chain: usize, pool_recycles: u64) -> CostRow {
-        CostRow {
+    fn run(model: &str, arm: &'static str, iters: usize, ms: f64, objective: f64) -> ArmRun {
+        ArmRun {
+            model: model.into(),
+            target: "cpu-dense",
+            arm,
             status: Status::Optimal,
-            iters: 24,
-            ns_per_iter,
-            pricing_ns: 0.0,
-            ftran_ns: 0.0,
-            update_ns: 0.0,
-            z_std: 0.0,
+            iters,
+            ms,
+            objective,
+        }
+    }
+
+    /// Two cells, each arm winning one.
+    fn reps(lu_ms: f64, lu_objective: f64) -> Vec<ArmRun> {
+        vec![
+            run("a", "explicit", 10, 1.0, 5.0),
+            run("a", "sparse-lu", 10, 2.0, 5.0),
+            run("b", "explicit", 10, 2.0, 7.0),
+            run("b", "sparse-lu", 10, lu_ms, lu_objective),
+        ]
+    }
+
+    fn chain(max_eta_chain: usize, pool_recycles: u64) -> Vec<ChainRow> {
+        vec![ChainRow {
+            refactor_period: 4,
+            iters: 64,
+            eta_pivots: 64,
             max_eta_chain,
-            eta_pivots: 0,
-            pool_allocs: 0,
+            us_per_iter: 1.0,
+            pool_allocs: 4,
             pool_recycles,
-        }
+        }]
     }
 
-    fn degen_row(perturb_iters: usize, objective_ok: bool) -> DegenRow {
-        DegenRow {
-            fixture: "beale-cycling",
-            bland_iters: 6,
-            perturb_iters,
-            perturbations: 1,
-            both_optimal: true,
-            objective_ok,
-        }
+    /// Bland wins `beale-cycling`, perturbation wins `assignment`.
+    fn degen(perturb_iters: usize, perturb_objective: f64) -> Vec<ArmRun> {
+        vec![
+            run("beale-cycling", "bland", 6, 1.0, -0.05),
+            run(
+                "beale-cycling",
+                "perturb",
+                perturb_iters,
+                2.0,
+                perturb_objective,
+            ),
+            run("assignment", "bland", 9, 2.0, 3.0),
+            run("assignment", "perturb", 5, 1.0, 3.0),
+        ]
     }
 
-    fn failed(
-        cost: &[(usize, usize, CostRow, CostRow)],
-        chain: &[(usize, CostRow)],
-        degen: &[DegenRow],
-    ) -> Vec<String> {
-        failed_names(guards(cost, chain, degen, 16))
+    fn optima() -> Vec<(&'static str, Option<f64>)> {
+        vec![("beale-cycling", Some(-0.05)), ("assignment", None)]
+    }
+
+    fn failed(reps: &[ArmRun], chain: &[ChainRow], degen: &[ArmRun]) -> Vec<String> {
+        failed_names(guards(reps, chain, degen, &optima()))
     }
 
     #[test]
     fn guards_fail_on_each_synthetic_regression() {
-        let cost = |eta_ns: f64, chain: usize| {
-            vec![(1024, 512, cost_row(100.0, 0, 0), cost_row(eta_ns, chain, 0))]
-        };
-        let chain = |recycles: u64| vec![(4, cost_row(1.0, 4, recycles))];
-        let degen = |iters: usize, ok: bool| vec![degen_row(iters, ok)];
-        assert!(failed(&cost(50.0, 16), &chain(3), &degen(6, true)).is_empty());
+        assert!(failed(&reps(1.0, 7.0), &chain(4, 3), &degen(6, -0.05)).is_empty());
 
         assert_eq!(
-            failed(&cost(50.0, 17), &chain(3), &degen(6, true)),
-            ["m=1024: eta chain <= refactor period"]
+            failed(&reps(2.0, 7.0), &chain(4, 3), &degen(6, -0.05)),
+            ["rep sparse-lu: strictly fastest in >= 1 cell"]
         );
         assert_eq!(
-            failed(&cost(100.0, 16), &chain(3), &degen(6, true)),
-            ["m=1024: eta/explicit < 1"]
+            failed(&reps(1.0, 7.1), &chain(4, 3), &degen(6, -0.05)),
+            ["b: optimal objectives agree to 1e-6"]
         );
         assert_eq!(
-            failed(&cost(50.0, 16), &chain(0), &degen(6, true)),
+            failed(&reps(1.0, 7.0), &chain(5, 3), &degen(6, -0.05)),
+            ["period=4: eta chain <= refactor period"]
+        );
+        assert_eq!(
+            failed(&reps(1.0, 7.0), &chain(4, 0), &degen(6, -0.05)),
             ["eta pool recycles > 0"]
         );
         assert_eq!(
-            failed(&cost(50.0, 16), &chain(3), &degen(6, false)),
+            failed(&reps(1.0, 7.0), &chain(4, 3), &degen(6, -0.04)),
             ["beale-cycling: optimal and objective ok"]
         );
         assert_eq!(
-            failed(&cost(50.0, 16), &chain(3), &degen(7, true)),
+            failed(&reps(1.0, 7.0), &chain(4, 3), &degen(7, -0.05)),
             ["beale-cycling: perturb iters <= bland iters"]
         );
+    }
+
+    #[test]
+    fn a_tie_or_a_non_optimal_run_wins_nothing() {
+        let mut tie = reps(2.0, 7.0);
+        assert_eq!(cell_winner(&tie[2..]), None);
+        tie[2].status = Status::IterationLimit;
+        assert_eq!(cell_winner(&tie[2..]), Some("sparse-lu"));
     }
 }

@@ -1,18 +1,16 @@
 //! U2 (extension): sparse-LU basis representation — the m × density sweep
-//! against the explicit dense `B⁻¹` and the product-form eta file.
+//! against the explicit dense `B⁻¹`.
 //!
 //! Three questions, three tables:
 //!
 //! * **U2a — basis-operation cost vs (m, density).** Per pivot, the
 //!   explicit representation pays two dense O(m²) kernels (FTRAN gemv +
-//!   inverse update); the product form still pays a dense O(m²) FTRAN
-//!   against `B₀⁻¹` and an O(m) eta append; SparseLU pays
-//!   O(nnz(L+U) + m·k) level-scheduled triangular solves plus the same
-//!   O(m) eta append. On sparse models the factors stay near the basis
-//!   nnz, so the LU path's cost curve detaches from both dense curves as
-//!   m grows — the headline crossover is SparseLU winning the
-//!   basis-operation cost (FTRAN + update) on every sparse m ≥ 1024
-//!   configuration. Runs share one iteration budget so all three
+//!   inverse update); SparseLU pays O(nnz(L+U) + m·k) level-scheduled
+//!   triangular solves plus an O(m) eta append. On sparse models the
+//!   factors stay near the basis nnz, so the LU path's cost curve detaches
+//!   from the dense curve as m grows — the headline crossover is SparseLU
+//!   winning the basis-operation cost (FTRAN + update) on every sparse
+//!   m ≥ 1024 configuration. Runs share one iteration budget so both
 //!   representations price the same workload; reported costs are
 //!   per-pivot (reinversion and setup excluded — amortized identically).
 //! * **U2b — Markowitz fill-in control vs density.** The threshold-pivot
@@ -27,8 +25,8 @@
 //!   pivot-for-pivot and land on bitwise-identical `z` and `x`.
 //!
 //! The experiment's guards assert the headline on those rows: SparseLU
-//! below product-form and explicit on the sparse m ≥ 1024 rows, factors
-//! bounded well under dense, resume bitwise.
+//! below explicit on the sparse m ≥ 1024 rows, factors bounded well under
+//! dense, resume bitwise.
 
 use gplex::backends::GpuDenseBackend;
 use gplex::{
@@ -106,12 +104,11 @@ fn timed_solve(sf: &StandardForm<f64>, rep: BasisRepresentation, max_iters: usiz
     }
 }
 
-/// One (m, density) sweep point: all three representations on one model.
+/// One (m, density) sweep point: both representations on one model.
 struct SweepPoint {
     m: usize,
     density: f64,
     explicit: RepRow,
-    eta: RepRow,
     sparse_lu: RepRow,
 }
 
@@ -131,7 +128,7 @@ const MAX_DENSE_FRACTION: f64 = 0.2;
 
 /// Factors stay under the Markowitz cap on both sweeps; on every sparse
 /// (d ≤ 0.05) m ≥ 1024 row, of which there is at least one, SparseLU
-/// beats both dense representations; the resumed solve is bitwise.
+/// beats the explicit inverse; the resumed solve is bitwise.
 fn guards(sweep: &[SweepPoint], fill: &[FillRow], resume_bitwise: bool) -> Vec<Guard> {
     let mut out = Vec::new();
     let mut big_sparse_rows = 0;
@@ -145,14 +142,12 @@ fn guards(sweep: &[SweepPoint], fill: &[FillRow], resume_bitwise: bool) -> Vec<G
         ));
         if p.m >= 1024 && p.density <= 0.05 {
             big_sparse_rows += 1;
-            for (rep, other) in [("explicit", &p.explicit), ("eta", &p.eta)] {
-                let ratio = p.sparse_lu.basis_ns / other.basis_ns;
-                out.push(Guard::new(
-                    format!("{tag}: sparse-lu/{rep} < 1"),
-                    ratio < 1.0,
-                    format!("ratio {ratio:.3}"),
-                ));
-            }
+            let ratio = p.sparse_lu.basis_ns / p.explicit.basis_ns;
+            out.push(Guard::new(
+                format!("{tag}: sparse-lu/explicit < 1"),
+                ratio < 1.0,
+                format!("ratio {ratio:.3}"),
+            ));
         }
     }
     out.push(Guard::new(
@@ -211,9 +206,8 @@ pub fn run(quick: bool) -> ExpReport {
             let model = generator::sparse_random(m, n, density, 1);
             let sf = StandardForm::<f64>::from_lp(&model).expect("bench model standardizes");
             let ex = timed_solve(&sf, BasisRepresentation::ExplicitInverse, max_iters);
-            let pf = timed_solve(&sf, BasisRepresentation::ProductForm, max_iters);
             let lu = timed_solve(&sf, BasisRepresentation::SparseLU, max_iters);
-            for (label, r) in [("explicit", &ex), ("eta", &pf), ("sparse-lu", &lu)] {
+            for (label, r) in [("explicit", &ex), ("sparse-lu", &lu)] {
                 ta.push(vec![
                     m.to_string(),
                     n.to_string(),
@@ -243,7 +237,6 @@ pub fn run(quick: bool) -> ExpReport {
                 m,
                 density,
                 explicit: ex,
-                eta: pf,
                 sparse_lu: lu,
             });
         }
@@ -355,8 +348,7 @@ pub fn run(quick: bool) -> ExpReport {
         guards: guards(&sweep, &fill, resume_bitwise),
         tables: vec![
             (
-                "U2a: basis-op cost vs m × density — explicit vs eta vs sparse LU (GPU, f64)"
-                    .into(),
+                "U2a: basis-op cost vs m × density — explicit vs sparse LU (GPU, f64)".into(),
                 "u2_crossover".into(),
                 ta,
             ),
@@ -399,7 +391,6 @@ mod tests {
             m,
             density,
             explicit: rep_row(100.0, 0),
-            eta: rep_row(80.0, 0),
             sparse_lu: rep_row(lu_ns, lu_nnz),
         }
     }
@@ -430,15 +421,8 @@ mod tests {
             ["m=1024 d=0.02: nnz(L+U) <= 0.2 m^2"]
         );
         assert_eq!(
-            failed(&[point(1024, 0.02, 90.0, 5000)], &ok_fill, true),
-            ["m=1024 d=0.02: sparse-lu/eta < 1"]
-        );
-        assert_eq!(
             failed(&[point(1024, 0.02, 100.0, 5000)], &ok_fill, true),
-            [
-                "m=1024 d=0.02: sparse-lu/explicit < 1",
-                "m=1024 d=0.02: sparse-lu/eta < 1"
-            ]
+            ["m=1024 d=0.02: sparse-lu/explicit < 1"]
         );
         assert_eq!(
             failed(&[point(256, 0.02, 50.0, 5000)], &ok_fill, true),

@@ -146,7 +146,7 @@ pub trait Backend<T: Scalar> {
         BasisRepresentation::ExplicitInverse
     }
 
-    /// Length of the product-form eta chain since the last reinversion
+    /// Length of the SparseLU eta chain since the last reinversion
     /// (always 0 under the explicit inverse).
     fn eta_chain_len(&self) -> usize {
         0
@@ -159,13 +159,6 @@ pub trait Backend<T: Scalar> {
     fn lu_stats(&self) -> Option<LuReport> {
         None
     }
-
-    /// Install the EXPAND-style ratio-test shift `δ ≥ 0`: until withdrawn
-    /// (set back to 0), [`Backend::ratio_test`] minimizes `(β_i + δ)/α_i`
-    /// so every eligible row yields a strictly positive step. Backends
-    /// without bound-shifting support keep the default no-op — the driver
-    /// then sees the stall persist and escalates to Bland as usual.
-    fn set_ratio_shift(&mut self, _delta: f64) {}
 }
 
 /// Cumulative sparse-LU counters a backend reports to the driver.

@@ -39,9 +39,8 @@ pub struct CpuDenseBackend<T: Scalar> {
     /// Scratch for the in-place eta update.
     rowp: Vec<T>,
     eta: Vec<T>,
-    /// How `binv` relates to the current basis: under the explicit inverse
-    /// it *is* `B⁻¹`; under the product form it is the `B₀⁻¹` of the last
-    /// refactorization and `etas` carries the pivots since.
+    /// How the basis is held: the explicit inverse `binv`, or SparseLU's
+    /// factors of `B₀` with `etas` carrying the pivots since.
     rep: BasisRepresentation,
     etas: EtaFile<T>,
     /// Sparse LU of `B₀` (SparseLU representation only); `None` until the
@@ -49,8 +48,6 @@ pub struct CpuDenseBackend<T: Scalar> {
     lu: Option<SparseLu<T>>,
     lu_scratch: Vec<T>,
     lu_report: LuReport,
-    /// EXPAND-style ratio-test shift δ (0 = legacy exact test).
-    ratio_shift: T,
 }
 
 impl<T: Scalar> CpuDenseBackend<T> {
@@ -97,7 +94,6 @@ impl<T: Scalar> CpuDenseBackend<T> {
             lu: None,
             lu_scratch: vec![T::ZERO; m],
             lu_report: LuReport::default(),
-            ratio_shift: T::ZERO,
         }
     }
 
@@ -159,14 +155,6 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
             BasisRepresentation::ExplicitInverse => {
                 // π = c_Bᵀ B⁻¹  (a transposed gemv over B⁻¹).
                 blas::gemv_t(T::ONE, &self.binv, &self.cb, T::ZERO, &mut self.pi);
-                self.charge(2 * m * m, m * m * T::BYTES);
-            }
-            BasisRepresentation::ProductForm => {
-                // yᵀ = c_Bᵀ E_k … E_1 (newest eta first), then π = yᵀ B₀⁻¹.
-                self.rowp.copy_from_slice(&self.cb);
-                self.etas.btran_in_place(&mut self.rowp);
-                blas::gemv_t(T::ONE, &self.binv, &self.rowp, T::ZERO, &mut self.pi);
-                self.charge_eta_chain();
                 self.charge(2 * m * m, m * m * T::BYTES);
             }
             BasisRepresentation::SparseLU => {
@@ -252,29 +240,15 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
             return Ok(());
         }
         blas::gemv_n(T::ONE, &self.binv, self.a.col(q), T::ZERO, &mut self.alpha);
-        if self.rep == BasisRepresentation::ProductForm {
-            // α = E_k … E_1 (B₀⁻¹ a_q), oldest eta first.
-            self.etas.ftran_in_place(&mut self.alpha);
-            self.charge_eta_chain();
-        }
         self.charge(2 * m * m, m * m * T::BYTES);
         Ok(())
     }
 
     fn ratio_test(&mut self, pivot_tol: T) -> Result<RatioOutcome<T>, BackendError> {
-        let shift = self.ratio_shift;
         let mut best: Option<(usize, T)> = None;
         for (i, (&a, &b)) in self.alpha.iter().zip(&self.beta).enumerate() {
             if a > pivot_tol {
-                // δ = 0 is the legacy exact test (bitwise); under an
-                // EXPAND shift every eligible ratio is strictly positive.
-                let r = if shift > T::ZERO {
-                    (b.maxs(T::ZERO) + shift) / a
-                } else if b > T::ZERO {
-                    b / a
-                } else {
-                    T::ZERO
-                };
+                let r = if b > T::ZERO { b / a } else { T::ZERO };
                 match best {
                     Some((_, br)) if !(r < br) => {}
                     _ => best = Some((i, r)),
@@ -299,10 +273,7 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
                 self.beta[i] = (self.beta[i] - theta * self.alpha[i]).maxs(T::ZERO);
             }
         }
-        if matches!(
-            self.rep,
-            BasisRepresentation::ProductForm | BasisRepresentation::SparseLU
-        ) {
+        if self.rep == BasisRepresentation::SparseLU {
             // Eta-style update: append the eta, leave B₀ untouched — O(m).
             self.etas.push_pivot(p, &self.alpha);
             let mu = m as u64;
@@ -401,8 +372,6 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
         for v in self.beta.iter_mut() {
             *v = v.maxs(T::ZERO);
         }
-        // The fresh B⁻¹ folds the whole eta chain in; the chain restarts.
-        self.etas.clear();
         // The reinversion itself runs in f64 whatever T is; charge it as
         // such so CPU and GPU backends price refactorization identically.
         let m3 = (m as u64).pow(3);
@@ -435,10 +404,6 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
 
     fn lu_stats(&self) -> Option<LuReport> {
         (self.rep == BasisRepresentation::SparseLU && self.lu.is_some()).then_some(self.lu_report)
-    }
-
-    fn set_ratio_shift(&mut self, delta: f64) {
-        self.ratio_shift = T::from_f64(delta.max(0.0));
     }
 }
 

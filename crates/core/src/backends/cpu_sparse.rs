@@ -50,8 +50,6 @@ pub struct CpuSparseBackend<T: Scalar> {
     lu: Option<SparseLu<T>>,
     lu_scratch: Vec<T>,
     lu_report: LuReport,
-    /// EXPAND-style ratio-test shift δ (0 = legacy exact test).
-    ratio_shift: T,
 }
 
 impl<T: Scalar> CpuSparseBackend<T> {
@@ -86,7 +84,6 @@ impl<T: Scalar> CpuSparseBackend<T> {
             lu: None,
             lu_scratch: vec![T::ZERO; m],
             lu_report: LuReport::default(),
-            ratio_shift: T::ZERO,
         }
     }
 
@@ -148,14 +145,6 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
             BasisRepresentation::ExplicitInverse => {
                 // π = c_Bᵀ B⁻¹ — dense, B⁻¹ fills in regardless of A's sparsity.
                 blas::gemv_t(T::ONE, &self.binv, &self.cb, T::ZERO, &mut self.pi);
-                self.charge(2 * m * m, m * m * T::BYTES);
-            }
-            BasisRepresentation::ProductForm => {
-                // π = (c_Bᵀ E_k…E_1) B₀⁻¹ — etas newest-first, then the matvec.
-                self.rowp.copy_from_slice(&self.cb);
-                self.etas.btran_in_place(&mut self.rowp);
-                blas::gemv_t(T::ONE, &self.binv, &self.rowp, T::ZERO, &mut self.pi);
-                self.charge_eta_chain();
                 self.charge(2 * m * m, m * m * T::BYTES);
             }
             BasisRepresentation::SparseLU => {
@@ -255,27 +244,14 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
         }
         let m = self.m() as u64;
         self.charge(2 * nnz_q * m, nnz_q * m * T::BYTES);
-        if self.rep == BasisRepresentation::ProductForm {
-            self.etas.ftran_in_place(&mut self.alpha);
-            self.charge_eta_chain();
-        }
         Ok(())
     }
 
     fn ratio_test(&mut self, pivot_tol: T) -> Result<RatioOutcome<T>, BackendError> {
-        let shift = self.ratio_shift;
         let mut best: Option<(usize, T)> = None;
         for (i, (&a, &b)) in self.alpha.iter().zip(&self.beta).enumerate() {
             if a > pivot_tol {
-                // δ = 0 is the legacy exact test (bitwise); under an
-                // EXPAND shift every eligible ratio is strictly positive.
-                let r = if shift > T::ZERO {
-                    (b.maxs(T::ZERO) + shift) / a
-                } else if b > T::ZERO {
-                    b / a
-                } else {
-                    T::ZERO
-                };
+                let r = if b > T::ZERO { b / a } else { T::ZERO };
                 match best {
                     Some((_, br)) if !(r < br) => {}
                     _ => best = Some((i, r)),
@@ -299,10 +275,7 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
                 self.beta[i] = (self.beta[i] - theta * self.alpha[i]).maxs(T::ZERO);
             }
         }
-        if matches!(
-            self.rep,
-            BasisRepresentation::ProductForm | BasisRepresentation::SparseLU
-        ) {
+        if self.rep == BasisRepresentation::SparseLU {
             // Append to the eta file instead of the O(m²) in-place update.
             self.etas.push_pivot(p, &self.alpha);
             let mu = m as u64;
@@ -420,10 +393,6 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
 
     fn lu_stats(&self) -> Option<LuReport> {
         (self.rep == BasisRepresentation::SparseLU && self.lu.is_some()).then_some(self.lu_report)
-    }
-
-    fn set_ratio_shift(&mut self, delta: f64) {
-        self.ratio_shift = T::from_f64(delta.max(0.0));
     }
 }
 

@@ -75,8 +75,6 @@ pub struct GpuDenseBackend<'g, T: Scalar> {
     lu_scratch: DeviceBuffer<T>,
     /// Cumulative LU counters reported through `Backend::lu_stats`.
     lu_report: crate::backend::LuReport,
-    /// EXPAND ratio-test shift (0 = legacy bitwise ratios).
-    shift: T,
 }
 
 impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
@@ -197,7 +195,6 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
             lu_dev: None,
             lu_scratch,
             lu_report: crate::backend::LuReport::default(),
-            shift: T::ZERO,
         })
     }
 
@@ -269,60 +266,6 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                     .map_err(BackendError::Device)?;
             }
             gblas::copy(self.gpu, self.work.view(), self.pi.view_mut())?;
-            return Ok(());
-        }
-        if self.rep == BasisRepresentation::ProductForm {
-            // π = ((c_Bᵀ E_k…E_1) B₀⁻¹)ᵀ: copy c_B into the work buffer,
-            // sweep the eta chain newest-first (each touches one entry),
-            // then one transposed gemv against the frozen B₀⁻¹.
-            if self.fuse {
-                let mut fl = self.gpu.try_begin_fused("btran_eta_fused")?;
-                let mut l = Launcher::Fused(&mut fl);
-                gblas::copy_on(&mut l, self.cb.view(), self.work.view_mut())?;
-                for (p, eta) in self.etas.iter().rev() {
-                    l.try_launch(
-                        LaunchConfig::for_elems(self.m, BLOCK),
-                        &EtaBtranK {
-                            y: self.work.view_mut(),
-                            eta: eta.view(),
-                            p: *p,
-                            m: self.m,
-                        },
-                    )?;
-                }
-                gblas::gemv_t_on(
-                    &mut l,
-                    T::ONE,
-                    &self.binv,
-                    self.work.view(),
-                    T::ZERO,
-                    self.pi.view_mut(),
-                    self.gemv_t_strategy,
-                )?;
-                fl.finish();
-            } else {
-                gblas::copy(self.gpu, self.cb.view(), self.work.view_mut())?;
-                for (p, eta) in self.etas.iter().rev() {
-                    self.gpu.try_launch(
-                        LaunchConfig::for_elems(self.m, BLOCK),
-                        &EtaBtranK {
-                            y: self.work.view_mut(),
-                            eta: eta.view(),
-                            p: *p,
-                            m: self.m,
-                        },
-                    )?;
-                }
-                gblas::gemv_t(
-                    self.gpu,
-                    T::ONE,
-                    &self.binv,
-                    self.work.view(),
-                    T::ZERO,
-                    self.pi.view_mut(),
-                    self.gemv_t_strategy,
-                )?;
-            }
             return Ok(());
         }
         // π = c_Bᵀ B⁻¹  ⇔  π = (B⁻¹)ᵀ c_B.
@@ -600,23 +543,6 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                 )?;
             }
         }
-        if self.rep == BasisRepresentation::ProductForm {
-            // FTRAN tail: α ← E_k…E_1 α, oldest-first, ping-ponging between
-            // α and its scratch partner so row p is never read after write.
-            for (p, eta) in &self.etas {
-                self.gpu.try_launch(
-                    LaunchConfig::for_elems(self.m, BLOCK),
-                    &EtaFtranK {
-                        x: self.alpha.view(),
-                        eta: eta.view(),
-                        p: *p,
-                        out: self.alpha_tmp.view_mut(),
-                        m: self.m,
-                    },
-                )?;
-                std::mem::swap(&mut self.alpha, &mut self.alpha_tmp);
-            }
-        }
         Ok(())
     }
 
@@ -629,7 +555,6 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             alpha: self.alpha.view(),
             beta: self.beta.view(),
             tol: pivot_tol,
-            shift: self.shift,
             out: self.ratios.view_mut(),
             m: self.m,
         };
@@ -664,13 +589,9 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             p,
             m: self.m,
         };
-        if matches!(
-            self.rep,
-            BasisRepresentation::ProductForm | BasisRepresentation::SparseLU
-        ) {
+        if self.rep == BasisRepresentation::SparseLU {
             // β update + eta construction into a pooled device buffer; the
-            // frozen B₀ anchor (dense inverse or LU factors) is untouched,
-            // so no O(m²) kernel here.
+            // LU factors of B₀ are untouched, so no O(m²) kernel here.
             let mut eta = self.pool.take(self.gpu, self.m, T::ZERO)?;
             let build = BuildEtaK {
                 alpha: self.alpha.view(),
@@ -762,10 +683,6 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
 
     fn lu_stats(&self) -> Option<crate::backend::LuReport> {
         (self.rep == BasisRepresentation::SparseLU && self.lu.is_some()).then_some(self.lu_report)
-    }
-
-    fn set_ratio_shift(&mut self, delta: f64) {
-        self.shift = T::from_f64(delta.max(0.0));
     }
 }
 

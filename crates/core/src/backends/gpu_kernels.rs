@@ -76,10 +76,6 @@ pub struct RatioK<T: Scalar> {
     pub alpha: DView<T>,
     pub beta: DView<T>,
     pub tol: T,
-    /// EXPAND-style bound shift δ: when positive, rows report
-    /// `(max(β,0) + δ)/α` so every eligible pivot yields θ > 0. Zero keeps
-    /// the legacy ratio bitwise.
-    pub shift: T,
     pub out: DViewMut<T>,
     pub m: usize,
 }
@@ -98,9 +94,7 @@ impl<T: Scalar> Kernel for RatioK<T> {
             let b = self.beta.get(i);
             // Clamp tiny negative β (round-off) to 0 so degenerate pivots
             // report θ = 0 instead of a spurious negative step.
-            if self.shift > T::ZERO {
-                (b.maxs(T::ZERO) + self.shift) / a
-            } else if b > T::ZERO {
+            if b > T::ZERO {
                 b / a
             } else {
                 T::ZERO
@@ -199,9 +193,9 @@ impl<T: Scalar> Kernel for GatherAtK<T> {
     }
 }
 
-/// Build the eta column for a product-form pivot, out-of-place:
+/// Build the eta column for a pivot, out-of-place:
 /// `out[p] = 1/α[p]`, `out[i] = −α[i]/α[p]` elsewhere. Replaces the O(m²)
-/// in-place `B⁻¹` update when the backend runs the product-form
+/// in-place `B⁻¹` update when the backend runs the sparse-LU
 /// representation.
 pub struct BuildEtaK<T: Scalar> {
     pub alpha: DView<T>,
@@ -239,7 +233,7 @@ impl<T: Scalar> Kernel for BuildEtaK<T> {
     }
 }
 
-/// Product-form FTRAN step: apply one eta column to `x`, out-of-place
+/// Eta FTRAN step: apply one eta column to `x`, out-of-place
 /// (ping-pong buffers avoid the read/write race on row `p`):
 /// `out[i] = x[i] + η[i]·x[p]` (i ≠ p), `out[p] = η[p]·x[p]`.
 pub struct EtaFtranK<T: Scalar> {
@@ -280,7 +274,7 @@ impl<T: Scalar> Kernel for EtaFtranK<T> {
     }
 }
 
-/// Product-form BTRAN step: `y[p] = ⟨y, η⟩`, every other entry unchanged —
+/// Eta BTRAN step: `y[p] = ⟨y, η⟩`, every other entry unchanged —
 /// one small dot-product reduction per eta in the chain, newest-first.
 pub struct EtaBtranK<T: Scalar> {
     pub y: DViewMut<T>,
@@ -400,7 +394,6 @@ mod tests {
                 alpha: alpha.view(),
                 beta: beta.view(),
                 tol: 1e-9,
-                shift: 0.0,
                 out: out.view_mut(),
                 m: 4,
             },

@@ -1,10 +1,9 @@
-//! Product-form basis representation: the eta file.
+//! The eta file: the pivots since the last refactorization, kept as a
+//! chain of elementary matrices on top of the factored basis `B₀`.
 //!
-//! The explicit-inverse backends keep a dense `B⁻¹` and pay an O(m²)
-//! Gauss–Jordan sweep per pivot — the 2009 paper's core kernel and the
-//! stack's scaling ceiling. The product form of the inverse (PFI) instead
-//! keeps the `B₀⁻¹` from the last refactorization plus one *eta vector* per
-//! pivot since:
+//! [`crate::BasisRepresentation::SparseLU`] refactorizes `B₀ = L U` at
+//! every reinversion and records each pivot since as one *eta vector*
+//! instead of updating anything in place:
 //!
 //! ```text
 //! B_k⁻¹ = E_k · E_{k-1} · … · E_1 · B₀⁻¹
@@ -17,12 +16,11 @@
 //! η_p = 1/α_p        η_i = −α_i/α_p   (i ≠ p)
 //! ```
 //!
-//! FTRAN (`x ← B⁻¹ a`) becomes a `B₀⁻¹` matvec followed by the etas applied
-//! oldest-first; BTRAN (`yᵀ ← cᵀ B⁻¹`) applies them newest-first, each as a
-//! single dot product, then the `B₀⁻¹` matvec. Both cost O(m) per eta, so a
-//! full iteration is O(m² + m·k) with the chain length `k` bounded by the
-//! reinversion cadence — against the explicit path's additional 2m² update.
-//! The chain is cleared (folded into a fresh `B₀⁻¹`) at every
+//! FTRAN (`x ← B⁻¹ a`) becomes the two triangular solves against `B₀`
+//! followed by the etas applied oldest-first; BTRAN (`yᵀ ← cᵀ B⁻¹`) applies
+//! them newest-first, each as a single dot product, then the solves. Both
+//! cost O(m) per eta, with the chain length `k` bounded by the reinversion
+//! cadence. The chain is cleared (folded into fresh factors) at every
 //! refactorization, which is also what keeps checkpoint boundaries pure
 //! functions of the basis: a snapshot never has to serialize the chain.
 
@@ -83,7 +81,7 @@ impl<T: Scalar> EtaFile<T> {
     }
 
     /// BTRAN head: apply the chain newest-first to `y` (afterwards the
-    /// caller multiplies by `B₀⁻¹` from the left). Each eta changes only
+    /// caller applies `B₀⁻¹` from the left). Each eta changes only
     /// `y_p`, to `⟨y, η⟩`. ~2m flops per eta.
     pub fn btran_in_place(&self, y: &mut [T]) {
         for Eta { p, eta, .. } in self.etas.iter().rev() {
@@ -91,7 +89,7 @@ impl<T: Scalar> EtaFile<T> {
         }
     }
 
-    /// Drop the chain (the caller just refactorized `B₀⁻¹`).
+    /// Drop the chain (the caller just refactorized `B₀`).
     pub fn clear(&mut self) {
         self.etas.clear();
     }

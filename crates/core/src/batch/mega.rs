@@ -62,14 +62,12 @@ use crate::trace::{Recorder, StepKind};
 ///   stream path;
 /// * [`PivotRule::PartialDantzig`] rotates a per-solve pricing cursor, while
 ///   the fused pricing kernel prices every column of every lane;
-/// * the SoA kernels maintain one explicit per-lane `B⁻¹`, so neither
-///   [`BasisRepresentation::ProductForm`] nor
-///   [`BasisRepresentation::SparseLU`] has a per-lane eta file or factor to
-///   update;
+/// * the SoA kernels maintain one explicit per-lane `B⁻¹`, so
+///   [`BasisRepresentation::SparseLU`] has no per-lane eta file or factor
+///   to update;
 /// * the batched kernels' control mask carries only the Bland escalation:
-///   [`DegeneracyPolicy::BoundShift`] needs a shifted ratio test the
-///   batched ratio kernel does not have, and the per-lane cost re-installs
-///   of [`DegeneracyPolicy::Perturb`] are not covered by the parity suite.
+///   the per-lane cost re-installs of [`DegeneracyPolicy::Perturb`] are not
+///   covered by the parity suite.
 ///
 /// Fault injection *is* in scope: a mid-round device fault evacuates the
 /// live lanes as checkpointed stream-per-job resumes (see

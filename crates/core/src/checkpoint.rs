@@ -44,9 +44,9 @@ pub struct SolveCheckpoint {
     /// resume installs the same representation so the continued walk stays
     /// on the snapshotting run's arithmetic path.
     pub representation: BasisRepresentation,
-    /// Product-form eta chain length at the snapshot. Snapshots are only
+    /// Eta chain length at the snapshot. Snapshots are only
     /// taken at refactorization boundaries, where the chain has just been
-    /// folded into `B₀⁻¹` — so this is always 0, and the invariant is
+    /// folded into fresh factors — so this is always 0, and the invariant is
     /// asserted at both store and install time. The field exists so a
     /// violation is visible in the snapshot itself, not just in a debug
     /// assert.

@@ -98,7 +98,6 @@ impl MetricsRegistry {
         self.inc("solve.wasted_iterations", stats.wasted_iterations);
         self.inc("solve.eta_pivots", stats.eta_pivots as u64);
         self.inc("solve.perturbations", stats.perturbations as u64);
-        self.inc("solve.bound_shifts", stats.bound_shifts as u64);
         self.inc("solve.lu.markowitz_rejections", stats.markowitz_rejections);
         self.inc("solve.pdhg.iterations", stats.pdhg_iterations);
         self.inc("solve.pdhg.restarts", stats.restarts);
@@ -334,7 +333,6 @@ mod tests {
             names,
             vec![
                 "solve.bland_iterations",
-                "solve.bound_shifts",
                 "solve.checkpoint_resumes",
                 "solve.checkpoints_taken",
                 "solve.count",

@@ -37,22 +37,13 @@ pub enum BasisRepresentation {
     /// fidelity baseline: every bitwise parity suite runs against it.
     #[default]
     ExplicitInverse,
-    /// Product-form of the inverse: keep the last refactorized `B₀⁻¹` and
-    /// a chain of eta vectors, one per pivot since. FTRAN/BTRAN apply the
-    /// chain in O(m) per eta, so an iteration costs O(m² + m·k) with
-    /// `k` bounded by [`SolverOptions::refactor_period`] (each periodic
-    /// reinversion folds the chain back into `B₀⁻¹` and clears it) —
-    /// versus the explicit path's ~2× m² update on top. Pivot choices can
-    /// differ from the explicit path in final ulps on ties; objectives
-    /// agree to verification tolerance.
-    ProductForm,
     /// Sparse LU of the basis: a Markowitz-ordered, threshold-pivoted
     /// factorization `P_r B₀ P_c = L U` with CSC factors, refreshed at
-    /// every reinversion, plus the same eta chain as
-    /// [`BasisRepresentation::ProductForm`] for the pivots since.
-    /// FTRAN/BTRAN cost O(nnz(L+U) + m·k) instead of O(m²), so genuinely
-    /// sparse bases at m ≥ ~1024 finally beat both dense representations
-    /// (the U2 experiment). The chain is still folded at every periodic or
+    /// every reinversion, plus an eta chain ([`crate::EtaFile`]) with one
+    /// eta per pivot since. FTRAN/BTRAN cost O(nnz(L+U) + m·k) instead of
+    /// O(m²) with `k` bounded by [`SolverOptions::refactor_period`], so
+    /// sparse bases and every CPU cell beat the explicit update (the U1
+    /// and U2 experiments). The chain is folded at every periodic or
     /// emergency refactorize, so checkpoint boundaries remain pure
     /// functions of the basis and resume stays bitwise.
     SparseLU,
@@ -63,7 +54,6 @@ impl BasisRepresentation {
     pub fn label(&self) -> &'static str {
         match self {
             BasisRepresentation::ExplicitInverse => "explicit-inverse",
-            BasisRepresentation::ProductForm => "product-form",
             BasisRepresentation::SparseLU => "sparse-lu",
         }
     }
@@ -88,21 +78,6 @@ pub enum DegeneracyPolicy {
         /// clamped to a small positive value. 1e-7-ish is typical.
         scale: f64,
     },
-    /// EXPAND-style bound shifting: on a stall, hand the backend a small
-    /// positive shift `δ` so the ratio test minimizes `(β_i + δ)/α_i` —
-    /// every eligible row then yields a strictly positive step, so the
-    /// iterate actually moves off the degenerate vertex instead of cycling
-    /// through zero-length pivots. The shift is withdrawn at the next
-    /// reinversion boundary (the `β = max(B⁻¹b, 0)` clamp there purges the
-    /// bounded infeasibility the shifted steps accumulated — checkpoints
-    /// stay pure functions of the basis) and before any terminal
-    /// certificate is issued. Escalates to Bland if the stall survives a
-    /// shifted stretch.
-    BoundShift {
-        /// Absolute shift added to each basic value in the ratio test;
-        /// clamped to a small positive value. 1e-6-ish is typical.
-        delta: f64,
-    },
 }
 
 /// Solver options. `Default` reproduces the paper's configuration
@@ -122,15 +97,16 @@ pub struct SolverOptions {
     pub feas_tol: Option<f64>,
     /// Recompute `B⁻¹` from the basis columns every this many iterations
     /// (purges accumulated rank-1-update error). Under
-    /// [`BasisRepresentation::ProductForm`] this is also the bound on the
-    /// eta-chain length: each periodic reinversion folds the chain into a
-    /// fresh `B₀⁻¹`. 0 disables (the product-form chain then grows without
+    /// [`BasisRepresentation::SparseLU`] this is also the bound on the
+    /// eta-chain length: each periodic reinversion folds the chain into
+    /// fresh factors. 0 disables (the SparseLU chain then grows without
     /// bound — legal, but per-iteration cost creeps up with the chain).
     pub refactor_period: usize,
     /// How the backend maintains the basis inverse between reinversions.
     /// [`BasisRepresentation::ExplicitInverse`] (default) is the paper's
-    /// O(m²)-per-pivot dense update; [`BasisRepresentation::ProductForm`]
-    /// trades it for an eta chain bounded by `refactor_period`.
+    /// O(m²)-per-pivot dense update; [`BasisRepresentation::SparseLU`]
+    /// trades it for sparse factors plus an eta chain bounded by
+    /// `refactor_period`.
     pub basis_representation: BasisRepresentation,
     /// Degeneracy handling once `stall_threshold` trips. The default
     /// [`DegeneracyPolicy::BlandFallback`] preserves the legacy pivot

@@ -150,12 +150,6 @@ pub(crate) struct SimplexLane<'a, T: Scalar, R: Recorder> {
     last_ckpt_iter: usize,
     /// A degeneracy cost perturbation is currently installed.
     perturbed: bool,
-    /// An EXPAND-style ratio-test bound shift is currently installed.
-    shifted: bool,
-    /// A bound shift has already been tried since the last genuine
-    /// (unshifted, nondegenerate) progress; the next stall escalates to
-    /// Bland instead of shifting again.
-    shift_spent: bool,
     /// Rotating start column for partial pricing.
     pub(crate) price_cursor: usize,
     /// This iteration prices under Bland's rule: `bland_mode` as
@@ -192,8 +186,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             recoveries_left: MAX_CONSECUTIVE_RECOVERIES,
             last_ckpt_iter: 0,
             perturbed: false,
-            shifted: false,
-            shift_spent: false,
             price_cursor: 0,
             use_bland: false,
             skip_periodic: false,
@@ -466,7 +458,7 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
     }
 
     /// Stage 1 of an iteration: iteration limit, deadline, and periodic
-    /// reinversion with the perturbation/shift reset and the checkpoint
+    /// reinversion with the perturbation reset and the checkpoint
     /// cadence. `Go` means price now (under `use_bland`).
     pub(crate) fn admit<B: Backend<T>>(&mut self, be: &mut B) -> Result<Flow<()>, SolveError> {
         if self.iters_here >= self.max_iters {
@@ -487,12 +479,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             // every reinversion boundary, so a snapshot taken below never
             // captures a perturbed objective.
             self.clear_perturbation(be)?;
-            // Bound-shift reset: the β = max(B⁻¹b, 0) clamp inside the
-            // reinversion just purged whatever bounded infeasibility the
-            // shifted steps accumulated, so the shift (like the
-            // perturbation) never outlives a boundary and a snapshot taken
-            // below never captures a shifted ratio test.
-            self.clear_bound_shift(be);
             // `B⁻¹` is now a pure function of the basis — the one state a
             // snapshot can resume bitwise. Pure observation: the checkpoint
             // cadence never forces an extra reinversion.
@@ -531,17 +517,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             // restore the exact objective and re-price before declaring
             // convergence.
             self.clear_perturbation(be)?;
-            return Ok(Flow::Retry);
-        }
-        if self.shifted {
-            // The pricing certificate is exact (shifts only touch the ratio
-            // test), but β may carry the bounded infeasibility the shifted
-            // steps accumulated. Withdraw the shift, purge β through a
-            // reinversion's clamp, and re-verify before certifying.
-            self.clear_bound_shift(be);
-            if !self.reinvert(be)? {
-                return Ok(Flow::End(Status::SingularBasis));
-            }
             return Ok(Flow::Retry);
         }
         let feas_tol = self.opts.feas_tol_for::<T>();
@@ -615,13 +590,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
                     self.clear_perturbation(be)?;
                     return Ok(Flow::Retry);
                 }
-                if self.shifted {
-                    // Shifts cannot change ratio-test eligibility, so the
-                    // ray is almost surely genuine — but certify it with
-                    // the exact test before declaring.
-                    self.clear_bound_shift(be);
-                    return Ok(Flow::Retry);
-                }
                 // A bounded-below phase-1 objective cannot be unbounded;
                 // reaching this means the numerics collapsed.
                 Ok(Flow::End(match self.phase {
@@ -665,12 +633,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             self.stall += 1;
         } else {
             self.stall = 0;
-            if !self.shifted {
-                // Genuine (unshifted) progress re-arms the one-shot bound
-                // shift; progress under a shift proves nothing — shifted
-                // steps are positive by construction.
-                self.shift_spent = false;
-            }
             if has_fallback && self.bland_mode {
                 // Progress resumed: go back to the fast rule.
                 self.bland_mode = false;
@@ -697,30 +659,13 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
                     }
                 }
             }
-            DegeneracyPolicy::BoundShift { delta } => {
-                // EXPAND ladder: shift the ratio-test bounds so every pivot
-                // takes a strictly positive step off the degenerate vertex.
-                // One shot per stretch — a stall that outlives (or re-trips
-                // after) a shifted stretch escalates to Bland.
-                if stalled {
-                    if !self.shifted && !self.shift_spent {
-                        self.apply_bound_shift(be, delta);
-                        self.stall = 0;
-                    } else {
-                        self.bland_mode = true;
-                    }
-                }
-            }
         }
         if self.use_bland {
             self.stats.bland_iterations += 1;
             self.stats.phase[pidx].bland_iterations += 1;
         }
 
-        if matches!(
-            be.representation(),
-            BasisRepresentation::ProductForm | BasisRepresentation::SparseLU
-        ) {
+        if be.representation() == BasisRepresentation::SparseLU {
             self.stats.eta_pivots += 1;
             self.stats.max_eta_chain = self.stats.max_eta_chain.max(be.eta_chain_len());
         }
@@ -925,25 +870,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
         }
         self.perturbed = false;
         self.install_objective(be)
-    }
-
-    /// Install the EXPAND-style ratio-test shift: the backend minimizes
-    /// `(β_i + δ)/α_i` until the shift is withdrawn, so every pivot takes a
-    /// strictly positive step. Backends without support keep their no-op
-    /// default and the stall simply persists into the Bland escalation.
-    fn apply_bound_shift<B: Backend<T>>(&mut self, be: &mut B, delta: f64) {
-        be.set_ratio_shift(delta.abs().max(1e-12));
-        self.shifted = true;
-        self.shift_spent = true;
-        self.stats.bound_shifts += 1;
-    }
-
-    /// Withdraw the ratio-test shift. No-op when none is active.
-    fn clear_bound_shift<B: Backend<T>>(&mut self, be: &mut B) {
-        if self.shifted {
-            be.set_ratio_shift(0.0);
-            self.shifted = false;
-        }
     }
 
     /// Copy the backend's sparse-LU counters (peak fill-in, peak factor

@@ -129,17 +129,14 @@ pub struct SolveStats {
     /// preserved — work that had to be re-done. Folded in by the recovery
     /// layers; 0 for a direct fault-free solve.
     pub wasted_iterations: u64,
-    /// Pivots applied as product-form eta appends instead of an explicit
-    /// `B⁻¹` update (0 under the explicit-inverse representation).
+    /// Pivots applied as eta appends instead of an explicit `B⁻¹` update
+    /// (0 under the explicit-inverse representation).
     pub eta_pivots: usize,
     /// Longest eta chain observed between reinversions (0 under the
     /// explicit inverse).
     pub max_eta_chain: usize,
     /// Times the degeneracy policy activated a cost perturbation.
     pub perturbations: usize,
-    /// Times the degeneracy policy activated an EXPAND-style ratio-test
-    /// bound shift (0 unless [`crate::DegeneracyPolicy::BoundShift`]).
-    pub bound_shifts: usize,
     /// Peak sparse-LU fill-in (factor nnz − basis nnz) over the solve's
     /// refactorizations (0 unless [`crate::BasisRepresentation::SparseLU`]).
     pub lu_fill_in: u64,

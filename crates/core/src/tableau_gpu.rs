@@ -194,7 +194,6 @@ pub fn solve_standard_gpu<T: Scalar>(
                     alpha,
                     beta,
                     tol: pivot_tol,
-                    shift: T::ZERO,
                     out: ratios.view_mut(),
                     m,
                 },

@@ -1,7 +1,7 @@
 //! A device buffer recycler for per-iteration allocations.
 //!
 //! Iterative device code that allocates a fresh vector every step — the
-//! product-form simplex appends one eta vector per pivot — pays a
+//! sparse-LU simplex appends one eta vector per pivot — pays a
 //! `cudaMalloc`/`cudaFree` pair per iteration and fragments the device heap.
 //! The real-GPU fix is a free-list allocator keyed by size; [`BufferPool`]
 //! is that allocator for the simulated device. Buffers are requested with

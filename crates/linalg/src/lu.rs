@@ -2,9 +2,8 @@
 //! pivoting), the stage-2 basis engine behind
 //! `BasisRepresentation::SparseLU`.
 //!
-//! The explicit inverse and the product form both anchor on a dense
-//! `B₀⁻¹`, so every FTRAN/BTRAN pays O(m²) even when the basis is 99%
-//! slack columns. This module factorizes `B₀` itself:
+//! The explicit inverse is a dense `B⁻¹`, so every FTRAN/BTRAN pays O(m²)
+//! even when the basis is 99% slack columns. This module factorizes `B₀` itself:
 //!
 //! ```text
 //! P_r B₀ P_c = L · U

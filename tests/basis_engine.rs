@@ -1,6 +1,6 @@
-//! Pluggable basis representation: product-form and sparse-LU vs
-//! explicit-inverse parity, checkpoint cadence at non-divisible intervals,
-//! and degeneracy policy regressions.
+//! Pluggable basis representation: sparse-LU vs explicit-inverse parity,
+//! checkpoint cadence at non-divisible intervals, and degeneracy policy
+//! regressions.
 
 use gplex::backends::CpuDenseBackend;
 use gplex::{
@@ -28,72 +28,8 @@ fn opts_with(rep: BasisRepresentation) -> SolverOptions {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// FTRAN/BTRAN parity on random bases: drive an explicit-inverse and a
-    /// product-form backend through the *same* pivot sequence (decisions
-    /// taken from the explicit one) and require every FTRAN column, reduced
-    /// cost, and basic solution to agree within verify tolerance. This is
-    /// the eta-algebra identity B⁻¹ = E_k…E_1·B₀⁻¹ checked against live
-    /// simplex bases, not synthetic ones.
-    #[test]
-    fn product_form_ftran_btran_match_explicit_on_random_bases(
-        (m, n, seed) in small_dims()
-    ) {
-        let model = generator::dense_random(m, n, seed);
-        let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-        let n_active = sf.num_cols() - sf.num_artificials;
-        let mut ex = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-        let mut pf = CpuDenseBackend::<f64>::new(&sf.a, &sf.b, n_active, &sf.basis0);
-        Backend::<f64>::set_representation(&mut pf, BasisRepresentation::ProductForm);
-
-        for be in [&mut ex, &mut pf] {
-            be.set_phase_costs(&sf.c).unwrap();
-            for (r, &j) in sf.basis0.iter().enumerate() {
-                be.set_basic_cost(r, sf.c[j]).unwrap();
-            }
-        }
-        // Walk up to 24 pivots; no refactorization, so the eta chain keeps
-        // growing — the hardest case for drift.
-        for _ in 0..24 {
-            ex.compute_pricing().unwrap();
-            pf.compute_pricing().unwrap();
-            let hit = ex.entering_dantzig(1e-9).unwrap();
-            let Some((q, dq_ex)) = hit else { break };
-            // BTRAN parity surfaces through the reduced cost of q.
-            let (q_pf, dq_pf) = pf.entering_dantzig(1e-9).unwrap()
-                .expect("product form sees the same non-optimal state");
-            prop_assert_eq!(q, q_pf, "entering column diverged");
-            prop_assert!((dq_ex - dq_pf).abs() < 1e-7,
-                "reduced cost {} vs {}", dq_ex, dq_pf);
-
-            ex.compute_alpha(q).unwrap();
-            pf.compute_alpha(q).unwrap();
-            for i in 0..sf.num_rows() {
-                let a = ex.alpha_at(i).unwrap();
-                let b = pf.alpha_at(i).unwrap();
-                prop_assert!((a - b).abs() <= 1e-7 * a.abs().max(1.0),
-                    "ftran row {}: {} vs {}", i, a, b);
-            }
-            let outcome = ex.ratio_test(1e-9).unwrap();
-            let RatioOutcome::Pivot { p, theta } = outcome else { break };
-            // Apply the *same* pivot to both so the bases stay identical.
-            ex.update(p, theta).unwrap();
-            pf.update(p, theta).unwrap();
-            for be in [&mut ex, &mut pf] {
-                be.set_basic_col(p, q).unwrap();
-                be.set_basic_cost(p, sf.c[q]).unwrap();
-            }
-            let beta_ex = ex.beta().unwrap();
-            let beta_pf = pf.beta().unwrap();
-            for (a, b) in beta_ex.iter().zip(&beta_pf) {
-                prop_assert!((a - b).abs() <= 1e-7 * a.abs().max(1.0),
-                    "beta {} vs {}", a, b);
-            }
-        }
-        prop_assert_eq!(Backend::<f64>::eta_chain_len(&ex), 0);
-    }
-
     /// End-to-end representation swap on random models: same status, and
-    /// objectives within verify tolerance. The eta path reorders floating
+    /// objectives within verify tolerance. The LU path reorders floating
     /// point, so this is tolerance parity, not bitwise.
     #[test]
     fn representation_swap_preserves_objective((m, n, seed) in small_dims()) {
@@ -102,20 +38,18 @@ proptest! {
             .on(&BackendKind::CpuDense)
             .run::<f64>()
             .unwrap();
-        for rep in [BasisRepresentation::ProductForm, BasisRepresentation::SparseLU] {
-            let alt = SolveRequest::model(&model, &opts_with(rep))
-                .on(&BackendKind::CpuDense)
-                .run::<f64>()
-                .unwrap();
-            prop_assert_eq!(ex.status, alt.status, "{:?}", rep);
-            if ex.status == Status::Optimal {
-                prop_assert!((ex.objective - alt.objective).abs()
-                    / ex.objective.abs().max(1.0) < 1e-6,
-                    "explicit {} vs {:?} {}", ex.objective, rep, alt.objective);
-                verify::check_solution(&model, &alt, 1e-5).map_err(|e| {
-                    TestCaseError::fail(format!("{rep:?} verification failed: {e}"))
-                })?;
-            }
+        let lu = SolveRequest::model(&model, &opts_with(BasisRepresentation::SparseLU))
+            .on(&BackendKind::CpuDense)
+            .run::<f64>()
+            .unwrap();
+        prop_assert_eq!(ex.status, lu.status);
+        if ex.status == Status::Optimal {
+            prop_assert!((ex.objective - lu.objective).abs()
+                / ex.objective.abs().max(1.0) < 1e-6,
+                "explicit {} vs sparse-lu {}", ex.objective, lu.objective);
+            verify::check_solution(&model, &lu, 1e-5).map_err(|e| {
+                TestCaseError::fail(format!("sparse-lu verification failed: {e}"))
+            })?;
         }
     }
 
@@ -191,8 +125,8 @@ proptest! {
     /// when `checkpoint_interval` is NOT a multiple of `refactor_period` —
     /// snapshots land on the next boundary past the interval, and a resume
     /// from any of them replays the solo suffix pivot-for-pivot. Runs on
-    /// both representations (a product-form snapshot is legal only because
-    /// the boundary folds the chain into B₀⁻¹ first).
+    /// both representations (a sparse-LU snapshot is legal only because the
+    /// boundary folds the chain into fresh factors first).
     #[test]
     fn resume_is_bitwise_at_non_divisible_checkpoint_interval(
         (m, n, seed) in small_dims()
@@ -202,7 +136,6 @@ proptest! {
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
         for rep in [
             BasisRepresentation::ExplicitInverse,
-            BasisRepresentation::ProductForm,
             BasisRepresentation::SparseLU,
         ] {
             // 3 ∤ 7: the snapshot cadence and the reinversion cadence beat
@@ -288,58 +221,6 @@ fn explicit_path_fingerprint_is_unchanged_by_plumbing() {
     }
 }
 
-/// Representation swap on the shared fixture suite: every backend, same
-/// status, objective within tolerance, and the eta-chain bookkeeping
-/// behaves (chain bounded by the refactor period, eta pivots counted).
-#[test]
-fn product_form_solves_fixture_suite_on_all_backends() {
-    let fixtures: Vec<(&str, lp::LinearProgram, f64)> = {
-        let (wy, z1) = generator::fixtures::wyndor();
-        let (tp, z2) = generator::fixtures::two_phase();
-        let (dg, z3) = generator::fixtures::degenerate();
-        let (bl, z4) = generator::fixtures::beale_cycling();
-        vec![
-            ("wyndor", wy, z1),
-            ("two_phase", tp, z2),
-            ("degenerate", dg, z3),
-            ("beale", bl, z4),
-        ]
-    };
-    for (name, model, expected) in &fixtures {
-        for kind in [
-            BackendKind::CpuDense,
-            BackendKind::CpuSparse,
-            BackendKind::GpuDense(DeviceSpec::gtx280()),
-        ] {
-            let opts = SolverOptions {
-                refactor_period: 8,
-                ..opts_with(BasisRepresentation::ProductForm)
-            };
-            let sol = SolveRequest::model(model, &opts)
-                .on(&kind)
-                .run::<f64>()
-                .unwrap();
-            assert_eq!(sol.status, Status::Optimal, "{name} on {kind:?}");
-            assert!(
-                (sol.objective - expected).abs() < 1e-6,
-                "{name} on {kind:?}: {} vs {expected}",
-                sol.objective
-            );
-            let st = &sol.stats;
-            assert_eq!(
-                st.eta_pivots, st.iterations,
-                "{name} on {kind:?}: every pivot is an eta append"
-            );
-            assert!(
-                st.max_eta_chain <= opts.refactor_period,
-                "{name} on {kind:?}: chain {} exceeds period {}",
-                st.max_eta_chain,
-                opts.refactor_period
-            );
-        }
-    }
-}
-
 /// Sparse-LU representation on the shared fixture suite: every backend,
 /// same status and objective, pivots ride the eta chain (no dense update),
 /// the chain stays bounded by the refactor period, and the LU counters
@@ -400,57 +281,28 @@ fn sparse_lu_solves_fixture_suite_on_all_backends() {
     }
 }
 
-/// The EXPAND-style bound-shift policy terminates on the degenerate and
-/// adversarial fixtures with the same optimum as the Bland ladder, and the
-/// shift activations are counted.
-#[test]
-fn bound_shift_policy_terminates_on_degenerate_and_adversarial_fixtures() {
-    let cases: Vec<(lp::LinearProgram, f64)> = vec![
-        generator::fixtures::degenerate(),
-        generator::fixtures::beale_cycling(),
-        (generator::klee_minty(6), generator::klee_minty_optimum(6)),
-    ];
-    let mut total_shifts = 0;
-    for (model, expected) in &cases {
-        let shifted = SolveRequest::model(
-            model,
-            &SolverOptions {
-                stall_threshold: 2,
-                presolve: false,
-                scale: false,
-                degeneracy: DegeneracyPolicy::BoundShift { delta: 1e-6 },
-                ..Default::default()
-            },
-        )
-        .on(&BackendKind::CpuDense)
-        .run::<f64>()
-        .unwrap();
-        assert_eq!(shifted.status, Status::Optimal);
-        assert!(
-            (shifted.objective - expected).abs() < 1e-6,
-            "shifted objective {} vs {expected}",
-            shifted.objective
-        );
-        verify::check_solution(model, &shifted, 1e-5).expect("shifted certificate verifies");
-        total_shifts += shifted.stats.bound_shifts;
-    }
-    assert!(
-        total_shifts >= 1,
-        "the stalling fixtures must trip at least one bound shift"
-    );
-}
-
-/// The perturbation policy must beat (or match) the Bland ladder where the
-/// ladder is weakest: Klee–Minty walks and the degenerate fixtures still
-/// terminate at the right optimum with the exact certificate.
+/// The perturbation policy terminates where the Bland ladder is weakest —
+/// Klee–Minty walks and the degenerate fixtures — and on the two network
+/// models where it fires repeatedly (`assignment(20, 2)`, where it beats
+/// Bland in U1c, and `max_flow(60, 4, 5)`, where it loses), at the same
+/// optimum as Bland with the exact certificate.
 #[test]
 fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
-    let cases: Vec<(lp::LinearProgram, f64)> = vec![
-        generator::fixtures::degenerate(),
-        generator::fixtures::beale_cycling(),
-        (generator::klee_minty(6), generator::klee_minty_optimum(6)),
+    let (dg, z_dg) = generator::fixtures::degenerate();
+    let (bl, z_bl) = generator::fixtures::beale_cycling();
+    // (model, known optimum, perturbations the policy must at least fire)
+    let cases: Vec<(lp::LinearProgram, Option<f64>, usize)> = vec![
+        (dg, Some(z_dg), 0),
+        (bl, Some(z_bl), 0),
+        (
+            generator::klee_minty(6),
+            Some(generator::klee_minty_optimum(6)),
+            0,
+        ),
+        (generator::assignment(20, 2), None, 2),
+        (generator::max_flow(60, 4, 5), None, 2),
     ];
-    for (model, expected) in &cases {
+    for (model, expected, min_perturbations) in &cases {
         let bland = SolveRequest::model(
             model,
             &SolverOptions {
@@ -478,10 +330,19 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
         .unwrap();
         assert_eq!(bland.status, Status::Optimal);
         assert_eq!(pert.status, Status::Optimal);
+        if let Some(expected) = expected {
+            assert!(
+                (pert.objective - expected).abs() < 1e-6,
+                "perturbed objective {} vs {expected}",
+                pert.objective
+            );
+        }
+        verify::check_solution(model, &pert, 1e-5).expect("perturbed certificate verifies");
         assert!(
-            (pert.objective - expected).abs() < 1e-6,
-            "perturbed objective {} vs {expected}",
-            pert.objective
+            pert.stats.perturbations >= *min_perturbations,
+            "{}: {} perturbations",
+            model.name,
+            pert.stats.perturbations
         );
         assert!(
             (bland.objective - pert.objective).abs() < 1e-6,
