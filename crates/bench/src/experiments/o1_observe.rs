@@ -5,9 +5,8 @@
 //! serial baseline) on rectangular `n = 3m` dense instances: there, basis
 //! update and pricing dominate the iteration — exactly the two steps the
 //! paper moves to the GPU. The simulated-GPU profile is reported as a
-//! supplement rather than the headline because the 2009-era cost model
-//! deliberately makes FTRAN (a single `m`-thread gemv) latency-bound and
-//! therefore the most expensive GPU step at these shapes; see
+//! supplement: it shows what the offload does to the profile (the fixed
+//! per-launch and per-transfer costs lift the cheap steps' shares); see
 //! EXPERIMENTS.md §O1 for the discussion.
 //!
 //! Alongside the shares the run validates the trace subsystem itself:
@@ -165,8 +164,8 @@ pub fn run(quick: bool) -> ExpReport {
                 t,
             ),
             (
-                "O1b: per-step profile, simulated GPU (supplement — FTRAN is latency-bound \
-                 by the 2009 cost model)"
+                "O1b: per-step profile, simulated GPU (supplement — what the offload does \
+                 to the profile)"
                     .into(),
                 "o1_gpu_supplement".into(),
                 tg,

@@ -47,6 +47,9 @@ pub struct GpuDenseBackend<'g, T: Scalar> {
     layout: Layout,
     /// Transposed-gemv strategy (two-pass coalesced vs. naive).
     gemv_t_strategy: GemvTStrategy,
+    /// Split-K strip count of `gemv_n` on the m × m `B⁻¹` (FTRAN and
+    /// β = B⁻¹b), derived once from the device and `m`.
+    binv_strips: usize,
     /// Two-slot scalar staging buffer: fused probe chains write
     /// `(value, index)` here so each per-iteration pivot probe comes back
     /// in one batched PCIe transfer instead of one per reduction.
@@ -184,6 +187,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
             m,
             layout,
             gemv_t_strategy,
+            binv_strips: gblas::gemv_n_strips::<T>(gpu.spec(), layout, m, m),
             stage,
             fuse: true,
             rep: BasisRepresentation::ExplicitInverse,
@@ -507,11 +511,23 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             }
             return Ok(());
         }
+        // α = B⁻¹a_q: the split-K gemv (plus, row-major, the column
+        // extraction) as one fused group.
+        let mut fl = if self.fuse {
+            Some(self.gpu.try_begin_fused("ftran_fused")?)
+        } else {
+            None
+        };
+        let mut l = match fl.as_mut() {
+            Some(fl) => Launcher::Fused(fl),
+            None => Launcher::Direct(self.gpu),
+        };
         match self.layout {
             Layout::ColMajor => {
                 let aq = self.a_dev.col_view(q);
-                gblas::gemv_n(
-                    self.gpu,
+                gblas::gemv_n_split_on(
+                    &mut l,
+                    self.binv_strips,
                     T::ONE,
                     &self.binv,
                     aq,
@@ -523,7 +539,7 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                 // No contiguous column view exists; extract the column with
                 // a strided kernel first (honest extra cost of this layout).
                 let mut aq = self.gpu.try_alloc(self.m, T::ZERO)?;
-                self.gpu.try_launch(
+                l.try_launch(
                     LaunchConfig::for_elems(self.m, BLOCK),
                     &ColExtractRowMajorK {
                         mat: self.a_dev.view(),
@@ -533,8 +549,9 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                         out: aq.view_mut(),
                     },
                 )?;
-                gblas::gemv_n(
-                    self.gpu,
+                gblas::gemv_n_split_on(
+                    &mut l,
+                    self.binv_strips,
                     T::ONE,
                     &self.binv,
                     aq.view(),
@@ -542,6 +559,9 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                     self.alpha.view_mut(),
                 )?;
             }
+        }
+        if let Some(fl) = fl {
+            fl.finish();
         }
         Ok(())
     }
@@ -725,8 +745,9 @@ impl<T: Scalar> GpuDenseBackend<'_, T> {
         self.binv = inv;
         // β = B⁻¹ b, clamped at zero.
         let b_dev = self.gpu.try_htod(&self.b_host)?;
-        gblas::gemv_n(
-            self.gpu,
+        gblas::gemv_n_split_on(
+            &mut Launcher::Direct(self.gpu),
+            self.binv_strips,
             T::ONE,
             &self.binv,
             b_dev.view(),
@@ -1030,5 +1051,37 @@ mod tests {
         assert_eq!((q, d), (1, -5.0));
         gb.compute_alpha(q).unwrap();
         assert_eq!(gb.alpha_at(1).unwrap(), 2.0);
+    }
+
+    #[test]
+    fn fused_ftran_is_one_group_per_iteration() {
+        // m = 64 splits the FTRAN gemv into two passes; with fusion on they
+        // are charged as one `ftran_fused` launch per iteration, and with it
+        // off each pass is its own launch.
+        use crate::{BackendKind, SolveRequest, SolverOptions, Status};
+        use std::sync::Arc;
+        let model = lp::generator::dense_random(64, 64, 3);
+        for fuse_launches in [true, false] {
+            let device = Arc::new(Gpu::new(DeviceSpec::gtx280()));
+            let opts = SolverOptions {
+                fuse_launches,
+                ..Default::default()
+            };
+            let sol = SolveRequest::model(&model, &opts)
+                .on(&BackendKind::GpuShared(device.clone()))
+                .run::<f32>()
+                .unwrap();
+            assert_eq!(sol.status, Status::Optimal);
+            let iters = sol.stats.iterations as u64;
+            let launches = |name: &str| device.counters().per_kernel.get(name).map(|k| k.launches);
+            if fuse_launches {
+                assert_eq!(launches("ftran_fused"), Some(iters));
+                assert_eq!(launches("gemv_n_pass1"), None);
+            } else {
+                assert_eq!(launches("ftran_fused"), None);
+                assert_eq!(launches("gemv_n_pass1"), Some(iters));
+                assert_eq!(launches("gemv_n_pass2"), Some(iters));
+            }
+        }
     }
 }

@@ -9,18 +9,33 @@
 //! detection upstream can catch. On a fault-free device the `Result` is
 //! always `Ok`, so infallible callers simply `expect`.
 
-use gpu_sim::{DView, DViewMut, DeviceError, Gpu, LaunchConfig, Launcher};
+use gpu_sim::timing::{kernel_timing, SimTime};
+use gpu_sim::{DView, DViewMut, DeviceError, DeviceSpec, Gpu, KernelCost, LaunchConfig, Launcher};
 
 use super::algo::{reduce, ReduceOp};
 use super::kernels::{
-    AxpyK, CopyK, EtaK, FillK, GemvNK, GemvTNaiveK, GemvTPass1K, GemvTPass2K, GerK, MulEwK,
-    PivotUpdateK, RowExtractK, ScalK, GEMV_T_STRIPS,
+    gemv_n_cost, gemv_n_pass1_cost, strip_sum_cost, AxpyK, CopyK, EtaK, FillK, GemvNK, GemvNPass1K,
+    GemvTNaiveK, GemvTPass1K, GerK, MulEwK, PivotUpdateK, RowExtractK, ScalK, StripSumK,
+    GEMV_T_STRIPS,
 };
 use super::mat::{DeviceMatrix, Layout};
 use crate::scalar::Scalar;
 
 /// Default block size for elementwise launches.
 const BLOCK: u32 = 128;
+
+/// Functional grid of the sweep kernels: one host iteration does the whole
+/// product, and the kernel's cost descriptor declares the modeled threads.
+fn sweep() -> LaunchConfig {
+    LaunchConfig::for_elems(1, 1)
+}
+
+/// Strip counts the split-K `gemv_n` chooses among, fewest first.
+pub const GEMV_N_STRIP_CANDIDATES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// Relative difference in modeled body time below which two strip counts
+/// tie.
+pub const GEMV_N_STRIP_TIE: f64 = 1e-9;
 
 /// If the device flagged an injected corruption, overwrite `out` with NaN.
 ///
@@ -113,7 +128,8 @@ pub fn gemv_n<T: Scalar>(
     gemv_n_on(&mut Launcher::Direct(gpu), alpha, a, x, beta, y)
 }
 
-/// [`gemv_n`] through an arbitrary [`Launcher`] (direct or fused).
+/// [`gemv_n`] through an arbitrary [`Launcher`] (direct or fused), with the
+/// strip count [`gemv_n_strips`] derives for this device and shape.
 pub fn gemv_n_on<T: Scalar>(
     l: &mut Launcher<'_, '_>,
     alpha: T,
@@ -122,24 +138,111 @@ pub fn gemv_n_on<T: Scalar>(
     beta: T,
     y: DViewMut<T>,
 ) -> Result<(), DeviceError> {
-    assert_eq!(a.cols(), x.len(), "gemv_n: x length mismatch");
-    assert_eq!(a.rows(), y.len(), "gemv_n: y length mismatch");
+    let strips = gemv_n_strips::<T>(l.gpu().spec(), a.layout(), a.rows(), a.cols());
+    gemv_n_split_on(l, strips, alpha, a, x, beta, y)
+}
+
+/// `y ← αAx + βy` as a split-K strip reduce over `strips` column blocks.
+///
+/// `strips = 1` is the thread-per-row kernel. Otherwise pass 1 runs
+/// `m · strips` threads, thread `(i, k)` summing row `i` over column block
+/// `k` into `partials[k·m + i]`, and pass 2 adds each row's partials in
+/// strip order and applies `α` and `β`.
+pub fn gemv_n_split_on<T: Scalar>(
+    l: &mut Launcher<'_, '_>,
+    strips: usize,
+    alpha: T,
+    a: &DeviceMatrix<T>,
+    x: DView<T>,
+    beta: T,
+    y: DViewMut<T>,
+) -> Result<(), DeviceError> {
+    let (m, n, layout) = (a.rows(), a.cols(), a.layout());
+    assert_eq!(n, x.len(), "gemv_n: x length mismatch");
+    assert_eq!(m, y.len(), "gemv_n: y length mismatch");
+    assert!(strips >= 1, "gemv_n: strip count must be positive");
     let out = y;
-    let kernel = GemvNK {
-        a: a.view(),
-        layout: a.layout(),
-        m: a.rows(),
-        n: a.cols(),
-        alpha,
-        x,
-        beta,
-        y,
-    };
-    // Functional geometry: single sweep (see module docs); modeled geometry
-    // (one thread per row) is declared in the kernel's cost descriptor.
-    l.try_launch(LaunchConfig::for_elems(a.rows(), BLOCK), &kernel)?;
+    if strips == 1 {
+        l.try_launch(
+            sweep(),
+            &GemvNK {
+                a: a.view(),
+                layout,
+                m,
+                n,
+                alpha,
+                x,
+                beta,
+                y,
+            },
+        )?;
+    } else {
+        let mut partials = l.gpu().try_alloc(m * strips, T::ZERO)?;
+        l.try_launch(
+            sweep(),
+            &GemvNPass1K {
+                a: a.view(),
+                layout,
+                m,
+                n,
+                strips,
+                x,
+                partials: partials.view_mut(),
+            },
+        )?;
+        poison_if_corrupted(l.gpu(), &partials.view_mut());
+        l.try_launch(
+            LaunchConfig::for_elems(m, BLOCK),
+            &StripSumK {
+                name: "gemv_n_pass2",
+                partials: partials.view(),
+                n: m,
+                strips,
+                out_stride: 1,
+                strip_stride: m,
+                alpha,
+                beta,
+                y,
+            },
+        )?;
+    }
     poison_if_corrupted(l.gpu(), &out);
     Ok(())
+}
+
+/// The strip count `gemv_n` uses for an `m × n` matrix of `T` stored in
+/// `layout` on `spec`: the candidate in {1, 2, 4, 8, 16, 32}, capped at `n`,
+/// whose launches have the least modeled kernel-body time. Ties — equal up
+/// to float rounding, which the latency term often produces exactly — go to
+/// fewer strips, so a shape where splitting does not pay keeps the
+/// thread-per-row kernel and its exact arithmetic.
+pub fn gemv_n_strips<T: Scalar>(spec: &DeviceSpec, layout: Layout, m: usize, n: usize) -> usize {
+    let body = |cfg: LaunchConfig, cost: KernelCost| {
+        let t = kernel_timing(spec, &cfg, &cost);
+        t.total() - t.overhead
+    };
+    let row_cfg = LaunchConfig::for_elems(m, BLOCK);
+    let bodies: Vec<(usize, SimTime)> = GEMV_N_STRIP_CANDIDATES
+        .iter()
+        .filter(|&&s| s == 1 || s <= n)
+        .map(|&s| {
+            let t = if s == 1 {
+                body(sweep(), gemv_n_cost::<T>(layout, m, n))
+            } else {
+                body(sweep(), gemv_n_pass1_cost::<T>(layout, m, n, s))
+                    + body(row_cfg, strip_sum_cost::<T>(&row_cfg, m, s, 1))
+            };
+            (s, t)
+        })
+        .collect();
+    let least = bodies
+        .iter()
+        .map(|(_, t)| t.as_nanos())
+        .fold(f64::INFINITY, f64::min);
+    bodies
+        .iter()
+        .find(|(_, t)| t.as_nanos() <= least * (1.0 + GEMV_N_STRIP_TIE))
+        .map_or(1, |&(s, _)| s)
 }
 
 /// Strategy for the transposed matrix-vector product.
@@ -198,32 +301,54 @@ pub fn gemv_t_on<T: Scalar>(
                 Layout::ColMajor,
                 "two-pass gemv_t requires col-major storage"
             );
-            let strips = GEMV_T_STRIPS;
-            let mut partials = l.gpu().try_alloc(a.cols() * strips, T::ZERO)?;
-            l.try_launch(
-                LaunchConfig::for_elems(a.cols() * strips, BLOCK),
-                &GemvTPass1K {
-                    a: a.view(),
-                    m: a.rows(),
-                    n: a.cols(),
-                    x,
-                    partials: partials.view_mut(),
-                },
-            )?;
-            poison_if_corrupted(l.gpu(), &partials.view_mut());
-            l.try_launch(
-                LaunchConfig::for_elems(a.cols(), BLOCK),
-                &GemvTPass2K {
-                    partials: partials.view(),
-                    n: a.cols(),
-                    alpha,
-                    beta,
-                    y,
-                },
-            )?;
+            gemv_t_two_pass(l, alpha, a.view(), a.rows(), a.cols(), x, beta, y)?;
         }
     }
     poison_if_corrupted(l.gpu(), &out);
+    Ok(())
+}
+
+/// The two passes of the coalesced `gemv_t` over a col-major `m × n` block
+/// `a`: 32 cooperating threads per column write partials, then one thread
+/// per column reduces them.
+#[allow(clippy::too_many_arguments)]
+fn gemv_t_two_pass<T: Scalar>(
+    l: &mut Launcher<'_, '_>,
+    alpha: T,
+    a: DView<T>,
+    m: usize,
+    n: usize,
+    x: DView<T>,
+    beta: T,
+    y: DViewMut<T>,
+) -> Result<(), DeviceError> {
+    let strips = GEMV_T_STRIPS;
+    let mut partials = l.gpu().try_alloc(n * strips, T::ZERO)?;
+    l.try_launch(
+        sweep(),
+        &GemvTPass1K {
+            a,
+            m,
+            n,
+            x,
+            partials: partials.view_mut(),
+        },
+    )?;
+    poison_if_corrupted(l.gpu(), &partials.view_mut());
+    l.try_launch(
+        LaunchConfig::for_elems(n, BLOCK),
+        &StripSumK {
+            name: "gemv_t_pass2",
+            partials: partials.view(),
+            n,
+            strips,
+            out_stride: strips,
+            strip_stride: 1,
+            alpha,
+            beta,
+            y,
+        },
+    )?;
     Ok(())
 }
 
@@ -299,29 +424,7 @@ pub fn gemv_t_cols_on<T: Scalar>(
             )?;
         }
         GemvTStrategy::TwoPass => {
-            let strips = GEMV_T_STRIPS;
-            let mut partials = l.gpu().try_alloc(len * strips, T::ZERO)?;
-            l.try_launch(
-                LaunchConfig::for_elems(len * strips, BLOCK),
-                &GemvTPass1K {
-                    a: block,
-                    m,
-                    n: len,
-                    x,
-                    partials: partials.view_mut(),
-                },
-            )?;
-            poison_if_corrupted(l.gpu(), &partials.view_mut());
-            l.try_launch(
-                LaunchConfig::for_elems(len, BLOCK),
-                &GemvTPass2K {
-                    partials: partials.view(),
-                    n: len,
-                    alpha,
-                    beta,
-                    y,
-                },
-            )?;
+            gemv_t_two_pass(l, alpha, block, m, len, x, beta, y)?;
         }
     }
     poison_if_corrupted(l.gpu(), &out);
@@ -514,6 +617,160 @@ mod tests {
             gemv_n(&g, 2.0, &da, dx.view(), 0.5, dy.view_mut()).unwrap();
             approx(&g.dtoh(&dy), &expect, 1e-12);
         }
+    }
+
+    /// A `rows × cols` matrix with a few exact zeros and signs of both kinds.
+    fn ragged_matrix(rows: usize, cols: usize) -> DenseMatrix<f64> {
+        let mut a = DenseMatrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                a.set(i, j, ((i * 7 + j * 13) % 17) as f64 / 4.0 - 2.0);
+            }
+        }
+        a
+    }
+
+    /// An `x` with exact zeros, which the split-K pass 1 skips.
+    fn ragged_x(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|j| if j % 5 == 3 { 0.0 } else { (j as f64).cos() })
+            .collect()
+    }
+
+    #[test]
+    fn split_k_gemv_n_matches_cpu_both_layouts() {
+        // n = 45 is a multiple of no candidate strip count above 1.
+        let g = gpu();
+        let (m, n) = (70, 45);
+        let a = ragged_matrix(m, n);
+        let xh = ragged_x(n);
+        let yh: Vec<f64> = (0..m).map(|i| i as f64 - 30.0).collect();
+        let mut expect = yh.clone();
+        blas::gemv_n(1.5, &a, &xh, -0.5, &mut expect);
+        for layout in [Layout::ColMajor, Layout::RowMajor] {
+            let da = DeviceMatrix::upload(&g, &a, layout).unwrap();
+            let dx = g.htod(&xh);
+            for strips in GEMV_N_STRIP_CANDIDATES {
+                let mut dy = g.htod(&yh);
+                let mut l = Launcher::Direct(&g);
+                gemv_n_split_on(&mut l, strips, 1.5, &da, dx.view(), -0.5, dy.view_mut()).unwrap();
+                approx(&g.dtoh(&dy), &expect, 1e-12);
+            }
+            // The derived strip count splits this shape.
+            assert!(
+                gemv_n_strips::<f64>(g.spec(), layout, m, n) > 1,
+                "{layout:?}"
+            );
+            let mut dy = g.htod(&yh);
+            gemv_n(&g, 1.5, &da, dx.view(), -0.5, dy.view_mut()).unwrap();
+            approx(&g.dtoh(&dy), &expect, 1e-12);
+        }
+    }
+
+    #[test]
+    fn split_k_gemv_n_beta_zero_heals_nan_output() {
+        let g = gpu();
+        let (m, n) = (64, 48);
+        let a = ragged_matrix(m, n);
+        let xh = ragged_x(n);
+        let mut expect = vec![0.0; m];
+        blas::gemv_n(1.0, &a, &xh, 0.0, &mut expect);
+        let da = DeviceMatrix::upload(&g, &a, Layout::ColMajor).unwrap();
+        assert!(gemv_n_strips::<f64>(g.spec(), Layout::ColMajor, m, n) > 1);
+        let dx = g.htod(&xh);
+        let mut dy = g.htod(&vec![f64::NAN; m]);
+        gemv_n(&g, 1.0, &da, dx.view(), 0.0, dy.view_mut()).unwrap();
+        let got = g.dtoh(&dy);
+        assert!(got.iter().all(|v| v.is_finite()), "β = 0 must heal NaN");
+        approx(&got, &expect, 1e-12);
+    }
+
+    #[test]
+    fn gemv_n_pass1_sweep_is_bitwise_per_thread() {
+        let g = gpu();
+        let (m, n) = (37, 23);
+        let a = ragged_matrix(m, n);
+        let xh = ragged_x(n);
+        let aij = |i: usize, j: usize| a.get(i, j);
+        for layout in [Layout::ColMajor, Layout::RowMajor] {
+            let da = DeviceMatrix::upload(&g, &a, layout).unwrap();
+            let dx = g.htod(&xh);
+            for strips in [2, 4, 8, 16] {
+                let mut partials = g.alloc(m * strips, f64::NAN);
+                g.launch(
+                    sweep(),
+                    &GemvNPass1K {
+                        a: da.view(),
+                        layout,
+                        m,
+                        n,
+                        strips,
+                        x: dx.view(),
+                        partials: partials.view_mut(),
+                    },
+                );
+                // Modeled thread (i, k) = tid (k·m + i), one at a time.
+                let reference: Vec<f64> = (0..m * strips)
+                    .map(|tid| {
+                        let (i, k) = (tid % m, tid / m);
+                        let mut acc = 0.0f64;
+                        for j in k * n / strips..(k + 1) * n / strips {
+                            if xh[j] != 0.0 {
+                                acc = Scalar::mul_add(aij(i, j), xh[j], acc);
+                            }
+                        }
+                        acc
+                    })
+                    .collect();
+                let got = g.dtoh(&partials);
+                assert!(
+                    got.iter()
+                        .zip(&reference)
+                        .all(|(g, r)| g.to_bits() == r.to_bits()),
+                    "{layout:?} strips={strips}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_t_pass1_sweep_is_bitwise_per_thread() {
+        let g = gpu();
+        let (m, n) = (77, 9);
+        let a = ragged_matrix(m, n);
+        let xh: Vec<f64> = (0..m).map(|i| (i as f64).sin()).collect();
+        let da = DeviceMatrix::upload(&g, &a, Layout::ColMajor).unwrap();
+        let dx = g.htod(&xh);
+        let s = GEMV_T_STRIPS;
+        let mut partials = g.alloc(n * s, f64::NAN);
+        g.launch(
+            sweep(),
+            &GemvTPass1K {
+                a: da.view(),
+                m,
+                n,
+                x: dx.view(),
+                partials: partials.view_mut(),
+            },
+        );
+        // Modeled thread (k, j) = tid (j·32 + k) sums rows k, k+32, ….
+        let reference: Vec<f64> = (0..n * s)
+            .map(|tid| {
+                let (j, k) = (tid / s, tid % s);
+                let mut acc = 0.0f64;
+                let mut i = k;
+                while i < m {
+                    acc = Scalar::mul_add(a.get(i, j), xh[i], acc);
+                    i += s;
+                }
+                acc
+            })
+            .collect();
+        let got = g.dtoh(&partials);
+        assert!(got
+            .iter()
+            .zip(&reference)
+            .all(|(g, r)| g.to_bits() == r.to_bits()));
     }
 
     #[test]

@@ -169,6 +169,10 @@ impl<T: Scalar> Kernel for MulEwK<T> {
 ///
 /// Functional geometry: a single host iteration performing the whole product
 /// in cache-friendly order (results are identical; see module docs).
+///
+/// This is the one-strip form of the split-K product below; `gemv_n` uses it
+/// where the strip chooser finds that splitting does not pay (square f32
+/// matrices up to m = 48 on the GTX 280).
 pub struct GemvNK<T: Scalar> {
     pub a: DView<T>,
     pub layout: Layout,
@@ -222,21 +226,118 @@ impl<T: Scalar> Kernel for GemvNK<T> {
         }
     }
     fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
-        let m = self.m as u64;
-        let n = self.n as u64;
-        let a_pattern = match self.layout {
-            Layout::ColMajor => AccessPattern::coalesced::<T>(m * n),
-            Layout::RowMajor => AccessPattern::strided::<T>(m * n, n * T::BYTES),
-        };
-        KernelCost::new()
-            .flops_total(2 * m * n + 2 * m)
-            .fp64(T::IS_F64)
-            .read(a_pattern)
-            .read(AccessPattern::broadcast::<T>(m * n))
-            .read(AccessPattern::coalesced::<T>(m))
-            .write(AccessPattern::coalesced::<T>(m))
-            .active_threads_raw(m)
+        gemv_n_cost::<T>(self.layout, self.m, self.n)
     }
+}
+
+/// Reads of `A` by lanes that vary the row index: coalesced on col-major
+/// storage, strided by a row (`n` elements) on row-major storage.
+fn row_lane_reads<T: Scalar>(layout: Layout, m: u64, n: u64) -> AccessPattern {
+    match layout {
+        Layout::ColMajor => AccessPattern::coalesced::<T>(m * n),
+        Layout::RowMajor => AccessPattern::strided::<T>(m * n, n * T::BYTES),
+    }
+}
+
+/// Modeled cost of [`GemvNK`] on an `m × n` matrix.
+pub(crate) fn gemv_n_cost<T: Scalar>(layout: Layout, m: usize, n: usize) -> KernelCost {
+    let (m, n) = (m as u64, n as u64);
+    KernelCost::new()
+        .flops_total(2 * m * n + 2 * m)
+        .fp64(T::IS_F64)
+        .read(row_lane_reads::<T>(layout, m, n))
+        .read(AccessPattern::broadcast::<T>(m * n))
+        .read(AccessPattern::coalesced::<T>(m))
+        .write(AccessPattern::coalesced::<T>(m))
+        .active_threads_raw(m)
+}
+
+/// Columns of strip `k` when `n` columns are split into `strips` blocks.
+fn strip_cols(k: usize, strips: usize, n: usize) -> std::ops::Range<usize> {
+    k * n / strips..(k + 1) * n / strips
+}
+
+/// Pass 1 of the split-K `gemv_n`: thread `(i, k)` sums row `i` over column
+/// block `k` (columns `k·n/s .. (k+1)·n/s`) into `partials[k·m + i]`, with
+/// no `α`. Lanes vary `i`, so col-major reads of `A` stay coalesced and all
+/// lanes of a warp read the same `x[j]` (broadcast); row-major storage
+/// strides lanes by a row, as in [`GemvNK`]. Columns with `x[j] = 0` are
+/// skipped — a warp-uniform branch, so the model charges the dense product.
+///
+/// Functional geometry: one host sweep that builds every partial in the
+/// same order as its modeled thread (bitwise identical; see module docs).
+/// Launch it on a one-thread grid.
+pub struct GemvNPass1K<T: Scalar> {
+    pub a: DView<T>,
+    pub layout: Layout,
+    pub m: usize,
+    pub n: usize,
+    pub strips: usize,
+    pub x: DView<T>,
+    pub partials: DViewMut<T>,
+}
+
+impl<T: Scalar> Kernel for GemvNPass1K<T> {
+    fn name(&self) -> &'static str {
+        "gemv_n_pass1"
+    }
+    fn run(&self, t: &ThreadCtx) {
+        if t.global_id() != 0 {
+            return;
+        }
+        let (m, n) = (self.m, self.n);
+        let a = self.a.as_slice();
+        let x = self.x.as_slice();
+        let partials = self.partials.as_mut_slice();
+        for k in 0..self.strips {
+            let part = &mut partials[k * m..(k + 1) * m];
+            part.fill(T::ZERO);
+            let cols = strip_cols(k, self.strips, n);
+            match self.layout {
+                Layout::ColMajor => {
+                    for j in cols {
+                        let xj = x[j];
+                        if xj == T::ZERO {
+                            continue;
+                        }
+                        for (acc, &aij) in part.iter_mut().zip(&a[j * m..(j + 1) * m]) {
+                            *acc = aij.mul_add(xj, *acc);
+                        }
+                    }
+                }
+                Layout::RowMajor => {
+                    for (i, acc) in part.iter_mut().enumerate() {
+                        let row = &a[i * n..(i + 1) * n];
+                        for j in cols.clone() {
+                            if x[j] != T::ZERO {
+                                *acc = row[j].mul_add(x[j], *acc);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
+        gemv_n_pass1_cost::<T>(self.layout, self.m, self.n, self.strips)
+    }
+}
+
+/// Modeled cost of [`GemvNPass1K`]: `m · strips` threads.
+pub(crate) fn gemv_n_pass1_cost<T: Scalar>(
+    layout: Layout,
+    m: usize,
+    n: usize,
+    strips: usize,
+) -> KernelCost {
+    let (m, n, s) = (m as u64, n as u64, strips as u64);
+    KernelCost::new()
+        .flops_total(2 * m * n)
+        .fp64(T::IS_F64)
+        .read(row_lane_reads::<T>(layout, m, n))
+        .read(AccessPattern::broadcast::<T>(m * n))
+        .write(AccessPattern::coalesced::<T>(m * s))
+        .active_threads_raw(m * s)
 }
 
 /// `y ← αAᵀx + βy`, naive: one modeled thread per column.
@@ -305,8 +406,12 @@ impl<T: Scalar> Kernel for GemvTNaiveK<T> {
 pub const GEMV_T_STRIPS: usize = 32;
 
 /// Pass 1 of the coalesced `gemv_t` (col-major only): thread `(k, j)` sums
-/// rows `k, k+32, …` of column `j`. Lanes with consecutive `k` read
-/// consecutive rows — coalesced.
+/// rows `k, k+32, …` of column `j` into `partials[j·32 + k]`. Lanes with
+/// consecutive `k` read consecutive rows — coalesced.
+///
+/// Functional geometry: one host sweep that builds every partial in the
+/// same order as its modeled thread (bitwise identical; see module docs).
+/// Launch it on a one-thread grid.
 pub struct GemvTPass1K<T: Scalar> {
     pub a: DView<T>,
     pub m: usize,
@@ -320,25 +425,25 @@ impl<T: Scalar> Kernel for GemvTPass1K<T> {
         "gemv_t_pass1"
     }
     fn run(&self, t: &ThreadCtx) {
-        let tid = t.global_id();
-        let s = GEMV_T_STRIPS;
-        if tid >= self.n * s {
+        if t.global_id() != 0 {
             return;
         }
-        let j = tid / s;
-        let k = tid % s;
+        let (m, s) = (self.m, GEMV_T_STRIPS);
         let a = self.a.as_slice();
         let x = self.x.as_slice();
-        let col = &a[j * self.m..(j + 1) * self.m];
-        let mut acc = T::ZERO;
-        let mut i = k;
-        while i < self.m {
-            acc = col[i].mul_add(x[i], acc);
-            i += s;
+        let partials = self.partials.as_mut_slice();
+        for (j, part) in partials.chunks_exact_mut(s).enumerate().take(self.n) {
+            part.fill(T::ZERO);
+            // Row i feeds strip i mod 32, rows in ascending order.
+            let col = &a[j * m..(j + 1) * m];
+            for (rows, xs) in col.chunks(s).zip(x.chunks(s)) {
+                for ((acc, &aij), &xi) in part.iter_mut().zip(rows).zip(xs) {
+                    *acc = aij.mul_add(xi, *acc);
+                }
+            }
         }
-        self.partials.set(tid, acc);
     }
-    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
         let m = self.m as u64;
         let n = self.n as u64;
         let s = GEMV_T_STRIPS as u64;
@@ -348,49 +453,67 @@ impl<T: Scalar> Kernel for GemvTPass1K<T> {
             .read(AccessPattern::coalesced::<T>(m * n))
             .read(AccessPattern::coalesced::<T>(m * n))
             .write(AccessPattern::coalesced::<T>(n * s))
-            .active_threads(cfg, n * s)
+            .active_threads_raw(n * s)
     }
 }
 
-/// Pass 2 of the coalesced `gemv_t`: one thread per column reduces its 32
-/// partials and applies `α`/`β`.
-pub struct GemvTPass2K<T: Scalar> {
+/// Pass 2 of both strip-reduce gemvs: one thread per output `j` adds its
+/// `strips` partials in strip order and applies `α`/`β`. Partial `k` of
+/// output `j` sits at `j·out_stride + k·strip_stride`: `(32, 1)` for
+/// `gemv_t`, whose lanes then stride by 32 elements, and `(1, m)` for
+/// `gemv_n`, whose lanes read consecutive rows — coalesced.
+pub struct StripSumK<T: Scalar> {
+    pub name: &'static str,
     pub partials: DView<T>,
     pub n: usize,
+    pub strips: usize,
+    pub out_stride: usize,
+    pub strip_stride: usize,
     pub alpha: T,
     pub beta: T,
     pub y: DViewMut<T>,
 }
 
-impl<T: Scalar> Kernel for GemvTPass2K<T> {
+impl<T: Scalar> Kernel for StripSumK<T> {
     fn name(&self) -> &'static str {
-        "gemv_t_pass2"
+        self.name
     }
     fn run(&self, t: &ThreadCtx) {
         let j = t.global_id();
         if j >= self.n {
             return;
         }
-        let s = GEMV_T_STRIPS;
         let p = self.partials.as_slice();
         let mut acc = T::ZERO;
-        for &v in &p[j * s..(j + 1) * s] {
-            acc += v;
+        for k in 0..self.strips {
+            acc += p[j * self.out_stride + k * self.strip_stride];
         }
         let base = crate::blas::beta_scale(self.y.get(j), self.beta);
         self.y.set(j, self.alpha * acc + base);
     }
     fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
-        let n = self.n as u64;
-        let s = GEMV_T_STRIPS as u64;
-        KernelCost::new()
-            .flops_total(n * s + 2 * n)
-            .fp64(T::IS_F64)
-            .read(AccessPattern::strided::<T>(n * s, s * T::BYTES))
-            .read(AccessPattern::coalesced::<T>(n))
-            .write(AccessPattern::coalesced::<T>(n))
-            .active_threads(cfg, n)
+        strip_sum_cost::<T>(cfg, self.n, self.strips, self.out_stride)
     }
+}
+
+/// Modeled cost of [`StripSumK`] launched as `cfg`.
+pub(crate) fn strip_sum_cost<T: Scalar>(
+    cfg: &LaunchConfig,
+    n: usize,
+    strips: usize,
+    out_stride: usize,
+) -> KernelCost {
+    let (n, s) = (n as u64, strips as u64);
+    KernelCost::new()
+        .flops_total(n * s + 2 * n)
+        .fp64(T::IS_F64)
+        .read(AccessPattern::strided::<T>(
+            n * s,
+            out_stride as u64 * T::BYTES,
+        ))
+        .read(AccessPattern::coalesced::<T>(n))
+        .write(AccessPattern::coalesced::<T>(n))
+        .active_threads(cfg, n)
 }
 
 /// Rank-1 update `A ← A + αxyᵀ`.

@@ -3,8 +3,16 @@
 //! Layout matters here the way it mattered in 2009: [`DeviceMatrix`] carries
 //! its storage [`Layout`], and every kernel's cost descriptor derives its
 //! coalescing pattern from that layout. The paper stores matrices
-//! column-major so the one-thread-per-row `gemv` streams coalesced;
-//! experiment F4 flips the layout and measures the damage.
+//! column-major so `gemv`'s row-indexed lanes stream coalesced; experiment
+//! F4 flips the layout and measures the damage.
+//!
+//! `gemv_n` is a split-K strip reduce: `m · s` threads each sum one row over
+//! one of `s` column blocks, then one thread per row adds its `s` partials.
+//! One thread per row (`s = 1`, the 2009 `sgemv`) leaves most SMs idle
+//! below a few thousand rows, so [`gemv_n_strips`] derives `s` from the
+//! [`gpu_sim::DeviceSpec`] and the shape: the candidate with the least
+//! modeled kernel-body time. The transposed product has the same two-pass
+//! form with a fixed 32 threads per column.
 //!
 //! ## Functional vs. modeled geometry
 //!
@@ -12,7 +20,11 @@
 //! pivot update, `ger`) execute functionally with one host iteration per
 //! *column* running a tight slice loop — same results, ~m× fewer closure
 //! dispatches — and declare the modeled thread count via
-//! `KernelCost::active_threads_raw`. Reductions mirror 2009 CUDA style:
+//! `KernelCost::active_threads_raw`. The thread-per-row `gemv_n` and the
+//! first pass of both strip-reduce gemvs go further: one host sweep on a
+//! one-thread grid builds every output or partial in the same order as its
+//! modeled thread, so the results are bitwise those of the per-thread form.
+//! Reductions mirror 2009 CUDA style:
 //! `log`-depth passes of block-tree kernels, finishing with a tiny
 //! device→host transfer (which is charged, because that per-iteration PCIe
 //! latency is part of the paper's story).
@@ -35,9 +47,9 @@ pub use batch_kernels::{
     BatchSelectK, LaneGatherK, LaneScatterK, SelectRule, CTL_ACTIVE, CTL_BLAND,
 };
 pub use blas::{
-    axpy, copy, copy_on, dot, eliminate, eliminate_on, fill, gemv_n, gemv_n_on, gemv_t,
-    gemv_t_cols, gemv_t_cols_on, gemv_t_on, ger, pivot_update, pivot_update_on, scal,
-    GemvTStrategy,
+    axpy, copy, copy_on, dot, eliminate, eliminate_on, fill, gemv_n, gemv_n_on, gemv_n_split_on,
+    gemv_n_strips, gemv_t, gemv_t_cols, gemv_t_cols_on, gemv_t_on, ger, pivot_update,
+    pivot_update_on, scal, GemvTStrategy, GEMV_N_STRIP_CANDIDATES, GEMV_N_STRIP_TIE,
 };
 pub use first_order::{pdhg_dual_on, pdhg_primal_on, PdhgDualK, PdhgPrimalK};
 pub use gemm::{gemm, GEMM_TILE};

@@ -5,8 +5,10 @@
 //! shapes small enough to count by hand, so a drifting descriptor (the
 //! classic simulator bug) fails loudly.
 
-use gpu_sim::{DeviceSpec, Gpu};
-use linalg::gpu::{self as gblas, DeviceMatrix, GemvTStrategy, Layout};
+use gpu_sim::{DeviceSpec, Gpu, Launcher, TimeCategory};
+use linalg::gpu::{
+    self as gblas, DeviceMatrix, GemvTStrategy, Layout, GEMV_N_STRIP_CANDIDATES, GEMV_N_STRIP_TIE,
+};
 use linalg::DenseMatrix;
 
 const WARP: u64 = 32;
@@ -39,13 +41,16 @@ fn axpy_traffic_matches_hand_count() {
 
 #[test]
 fn gemv_n_col_major_traffic() {
+    // The thread-per-row kernel (one strip), on the shape the split-K test
+    // below counts too.
     let g = gpu();
     let (m, n) = (64usize, 48usize);
     let a = DeviceMatrix::upload(&g, &DenseMatrix::<f32>::zeros(m, n), Layout::ColMajor).unwrap();
     let x = g.htod(&vec![1.0f32; n]);
     let mut y = g.htod(&vec![0.0f32; m]);
     g.reset_counters();
-    gblas::gemv_n(&g, 1.0f32, &a, x.view(), 0.0, y.view_mut()).unwrap();
+    let mut l = Launcher::Direct(&g);
+    gblas::gemv_n_split_on(&mut l, 1, 1.0f32, &a, x.view(), 0.0, y.view_mut()).unwrap();
     let c = g.counters();
     let mn = (m * n) as u64;
     // A coalesced (mn), x broadcast (1 tx per warp-instruction), y read +
@@ -53,6 +58,82 @@ fn gemv_n_col_major_traffic() {
     let expect = coalesced_tx(mn) + mn.div_ceil(WARP) + 2 * coalesced_tx(m as u64);
     assert_eq!(c.transactions, expect);
     assert_eq!(c.flops, 2 * mn + 2 * m as u64);
+    assert_eq!(c.kernels_launched, 1);
+}
+
+#[test]
+fn split_k_gemv_n_col_major_traffic() {
+    let g = gpu();
+    let (m, n) = (64usize, 48usize);
+    let strips = gblas::gemv_n_strips::<f32>(g.spec(), Layout::ColMajor, m, n);
+    assert_eq!(strips, 16, "the chooser splits 64 × 48 into 16 strips");
+    let a = DeviceMatrix::upload(&g, &DenseMatrix::<f32>::zeros(m, n), Layout::ColMajor).unwrap();
+    let x = g.htod(&vec![1.0f32; n]);
+    let mut y = g.htod(&vec![0.0f32; m]);
+    g.reset_counters();
+    gblas::gemv_n(&g, 1.0f32, &a, x.view(), 0.0, y.view_mut()).unwrap();
+    let c = g.counters();
+    let (mn, ms, m64) = ((m * n) as u64, (m * strips) as u64, m as u64);
+    // Pass 1 (m·s threads): A coalesced (mn), x broadcast (1 tx per
+    // warp-instruction), partials written coalesced (m·s).
+    let pass1 = coalesced_tx(mn) + mn.div_ceil(WARP) + coalesced_tx(ms);
+    // Pass 2 (m threads): partial k of row i sits at k·m + i, so lanes read
+    // consecutive rows — coalesced (m·s); y read + write coalesced.
+    let pass2 = coalesced_tx(ms) + 2 * coalesced_tx(m64);
+    assert_eq!(c.transactions, pass1 + pass2);
+    assert_eq!(c.flops, 2 * mn + (ms + 2 * m64));
+    assert_eq!(c.kernels_launched, 2);
+}
+
+#[test]
+fn strip_chooser_returns_least_modeled_body_time() {
+    // Launch every candidate strip count and read the kernel-body time the
+    // device charged; the chooser must pick the least, ties to fewer strips.
+    let spec = DeviceSpec::gtx280();
+    for (m, n) in [
+        (1, 1),
+        (8, 8),
+        (32, 32),
+        (32, 48),
+        (48, 48),
+        (64, 48),
+        (70, 45),
+        (448, 448),
+    ] {
+        let host = DenseMatrix::<f32>::zeros(m, n);
+        let body: Vec<(usize, f64)> = GEMV_N_STRIP_CANDIDATES
+            .iter()
+            .filter(|&&s| s == 1 || s <= n)
+            .map(|&s| {
+                let g = Gpu::new(spec.clone());
+                let a = DeviceMatrix::upload(&g, &host, Layout::ColMajor).unwrap();
+                let x = g.htod(&vec![1.0f32; n]);
+                let mut y = g.htod(&vec![0.0f32; m]);
+                g.reset_counters();
+                let mut l = Launcher::Direct(&g);
+                gblas::gemv_n_split_on(&mut l, s, 1.0f32, &a, x.view(), 0.0, y.view_mut()).unwrap();
+                let t = g.counters().breakdown.get(TimeCategory::KernelBody);
+                (s, t.as_nanos())
+            })
+            .collect();
+        let least = body.iter().map(|b| b.1).fold(f64::INFINITY, f64::min);
+        let expect = body
+            .iter()
+            .find(|b| b.1 <= least * (1.0 + GEMV_N_STRIP_TIE))
+            .unwrap()
+            .0;
+        let got = gblas::gemv_n_strips::<f32>(&spec, Layout::ColMajor, m, n);
+        assert_eq!(got, expect, "{m} × {n}: bodies {body:?}");
+        if m <= 32 && n <= 32 {
+            assert_eq!(got, 1, "{m} × {n} must keep one thread per row");
+        }
+    }
+    // On square bases the chooser keeps one thread per row up to m = 48
+    // (where one and 32 strips tie) and splits from 64 rows up.
+    let strips = |m| gblas::gemv_n_strips::<f32>(&spec, Layout::ColMajor, m, m);
+    assert!((1..=48).all(|m| strips(m) == 1));
+    assert_eq!(strips(64), 32);
+    assert_eq!(strips(448), 32);
 }
 
 #[test]
