@@ -19,9 +19,8 @@ fn bench_steps_gpu(c: &mut Criterion) {
         let n_active = sf.num_cols() - sf.num_artificials;
         let mut be = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
         be.set_phase_costs(&sf.c).unwrap();
-        for (r, &j) in sf.basis0.iter().enumerate() {
-            be.set_basic_cost(r, sf.c[j]).unwrap();
-        }
+        let cb: Vec<f32> = sf.basis0.iter().map(|&j| sf.c[j]).collect();
+        be.set_basic_costs(&cb).unwrap();
         be.compute_pricing().unwrap();
         let (q, _) = be
             .entering_dantzig(1e-5)
@@ -53,9 +52,8 @@ fn bench_steps_cpu(c: &mut Criterion) {
         let n_active = sf.num_cols() - sf.num_artificials;
         let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
         be.set_phase_costs(&sf.c).unwrap();
-        for (r, &j) in sf.basis0.iter().enumerate() {
-            be.set_basic_cost(r, sf.c[j]).unwrap();
-        }
+        let cb: Vec<f32> = sf.basis0.iter().map(|&j| sf.c[j]).collect();
+        be.set_basic_costs(&cb).unwrap();
         be.compute_pricing().unwrap();
         let (q, _) = be
             .entering_dantzig(1e-5)

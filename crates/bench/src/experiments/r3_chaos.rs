@@ -41,8 +41,12 @@ const CADENCE: usize = 4;
 
 /// Fault warmup in device ops: long enough that injected faults strike
 /// mid-solve — past the first checkpoint boundary, not during setup
-/// uploads — on both the solo-stream and width-8 mega ops profiles.
-const WARMUP_OPS: u64 = 300;
+/// uploads — on both the solo-stream and width-8 mega ops profiles. Sized
+/// to the op counts of a pivot whose bookkeeping rides on kernel arguments
+/// and a one-group reinversion: at 170 no checkpointed mega lane restarts
+/// cold, and most stream faults resume from a checkpoint. Re-derive it when
+/// the device ops per iteration change.
+const WARMUP_OPS: u64 = 170;
 
 /// `families` width-8 perturbed families (shared `A`, jittered `b`/`c`).
 /// Each family gets its own shape so the mega path forms one width-8

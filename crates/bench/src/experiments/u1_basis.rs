@@ -355,9 +355,24 @@ fn guards(
     let mut models: Vec<&str> = reps.iter().map(|r| r.model.as_str()).collect();
     models.dedup();
     for model in models {
-        let optimal: Vec<&ArmRun> = reps
+        let runs: Vec<&ArmRun> = reps.iter().filter(|r| r.model == model).collect();
+        let stragglers: Vec<String> = runs
             .iter()
-            .filter(|r| r.model == model && r.status == Status::Optimal)
+            .filter(|r| r.status != Status::Optimal)
+            .map(|r| format!("{} {} {:?}", r.target, r.arm, r.status))
+            .collect();
+        out.push(Guard::new(
+            format!("{model}: every cell ends Optimal"),
+            stragglers.is_empty(),
+            if stragglers.is_empty() {
+                format!("{} runs optimal", runs.len())
+            } else {
+                stragglers.join(", ")
+            },
+        ));
+        let optimal: Vec<&ArmRun> = runs
+            .into_iter()
+            .filter(|r| r.status == Status::Optimal)
             .collect();
         let gap = optimal
             .iter()
@@ -540,6 +555,12 @@ mod tests {
         assert_eq!(
             failed(&reps(1.0, 7.1), &chain(4, 3), &degen(6, -0.05)),
             ["b: optimal objectives agree to 1e-6"]
+        );
+        let mut capped = reps(1.0, 7.0);
+        capped[1].status = Status::IterationLimit;
+        assert_eq!(
+            failed(&capped, &chain(4, 3), &degen(6, -0.05)),
+            ["a: every cell ends Optimal"]
         );
         assert_eq!(
             failed(&reps(1.0, 7.0), &chain(5, 3), &degen(6, -0.05)),

@@ -10,8 +10,13 @@
 //!
 //! ```text
 //! compute_btran → compute_pricing_window → entering_* → compute_alpha
-//!               → ratio_test → update
+//!               → ratio_test → pivot
 //! ```
+//!
+//! Basis bookkeeping rides on those calls: [`Backend::pivot`] carries the
+//! entering column and its cost, [`Backend::refactorize`] carries the whole
+//! basis, and [`Backend::set_basic_costs`] installs every basic cost at
+//! once. A GPU backend therefore moves no data between host decisions.
 //!
 //! Every data-touching operation returns `Result<_, BackendError>`: the CPU
 //! backends never fail and always return `Ok`, while the GPU backends
@@ -57,12 +62,9 @@ pub trait Backend<T: Scalar> {
     /// [`Backend::n_active`]; trailing entries ignored).
     fn set_phase_costs(&mut self, c: &[T]) -> Result<(), BackendError>;
 
-    /// Set the cost of the variable basic in `row` (updates `c_B`).
-    fn set_basic_cost(&mut self, row: usize, cost: T) -> Result<(), BackendError>;
-
-    /// Record that column `col` is basic in `row` (updates the device-side
-    /// basis mirror used to mask basic columns during pricing).
-    fn set_basic_col(&mut self, row: usize, col: usize) -> Result<(), BackendError>;
+    /// Install the costs of all basic variables, `c_B[r]` for every row
+    /// `r` (length [`Backend::m`]), in one transfer.
+    fn set_basic_costs(&mut self, cb: &[T]) -> Result<(), BackendError>;
 
     /// BTRAN: refresh the simplex multipliers `π = c_Bᵀ B⁻¹` against the
     /// current basis. Pricing windows read the most recent `π`, so the
@@ -112,9 +114,12 @@ pub trait Backend<T: Scalar> {
     /// rows with `α_i > pivot_tol`; ties go to the smallest row index.
     fn ratio_test(&mut self, pivot_tol: T) -> Result<RatioOutcome<T>, BackendError>;
 
-    /// Apply the pivot: `β_p ← θ`, `β_i ← β_i − θ·α_i (i ≠ p)`, and
-    /// `B⁻¹ ← E·B⁻¹` with the eta column built from `α` and `p`.
-    fn update(&mut self, p: usize, theta: T) -> Result<(), BackendError>;
+    /// Apply the pivot of entering column `q` at row `p`: `β_p ← θ`,
+    /// `β_i ← β_i − θ·α_i (i ≠ p)`, `B⁻¹ ← E·B⁻¹` with the eta column
+    /// built from `α` and `p`, and the basis bookkeeping — `q` becomes basic
+    /// in row `p` (the mirror that masks basic columns in pricing) with
+    /// basic cost `c_B[p] = cost`.
+    fn pivot(&mut self, p: usize, q: usize, theta: T, cost: T) -> Result<(), BackendError>;
 
     /// Download the current basic solution `β` (charged like any other
     /// device→host transfer).
@@ -124,9 +129,11 @@ pub trait Backend<T: Scalar> {
     /// transitions and after refactorization to purge drift).
     fn objective_now(&mut self) -> Result<T, BackendError>;
 
-    /// Rebuild `B⁻¹` and `β` from the basis column set. Returns
-    /// [`BackendError::Singular`] when the basis is numerically singular
-    /// and [`BackendError::Device`] when the device failed mid-rebuild.
+    /// Rebuild `B⁻¹` and `β` from the basis column set, and make `basis`
+    /// the backend's basis mirror (column `basis[r]` basic in row `r`).
+    /// Returns [`BackendError::Singular`] when the basis is numerically
+    /// singular and [`BackendError::Device`] when the device failed
+    /// mid-rebuild.
     fn refactorize(&mut self, basis: &[usize]) -> Result<(), BackendError>;
 
     /// One entry of the current `α` vector (used when driving artificials

@@ -22,11 +22,11 @@
 //!   existing backend machinery (a width-1 `LaneView` drives
 //!   [`crate::revised::RevisedSimplex`] unchanged).
 
-use gpu_sim::{DeviceBuffer, Gpu, LaunchConfig, SimTime, TimeCategory};
+use gpu_sim::{DViewMut, DeviceBuffer, Gpu, LaunchConfig, SimTime, TimeCategory};
 use linalg::batch::{pack_vectors, DenseBatchLayout};
 use linalg::gpu::{
     BatchBookK, BatchBtranK, BatchFtranK, BatchObjK, BatchPivotK, BatchPriceK, BatchRatioK,
-    BatchSelectK, LaneGatherK, LaneScatterK, SelectRule,
+    BatchSelectK, LaneGatherK, LaneRebaseK, LaneScatterK, SelectRule,
 };
 use linalg::{DenseMatrix, Scalar};
 
@@ -380,6 +380,7 @@ impl<'g, T: Scalar> BatchKernelBackend<'g, T> {
                 basic_of_row: self.basic_of_row.view_mut(),
                 cb: self.cb.view_mut(),
                 costs: self.costs.view(),
+                fixed: None,
                 gate: self.mask.view(),
                 only: ALL_LANES,
                 width: self.width,
@@ -411,6 +412,24 @@ impl<T: Scalar> LaneView<'_, '_, T> {
     fn w(&self) -> usize {
         self.be.width
     }
+
+    /// Install `src` as this lane's slice of the SoA vector `dst`: one
+    /// staged upload and one scatter launch.
+    fn scatter(&self, src: &[T], dst: DViewMut<T>) -> Result<(), BackendError> {
+        let stage = self.be.gpu.try_htod(src)?;
+        self.be.gpu.try_launch(
+            LaunchConfig::for_elems(src.len(), BLOCK),
+            &LaneScatterK {
+                src: stage.view(),
+                dst,
+                lane: self.lane,
+                offset: 0,
+                width: self.be.width,
+                len: src.len(),
+            },
+        )?;
+        Ok(())
+    }
 }
 
 impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
@@ -433,41 +452,13 @@ impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
     fn set_phase_costs(&mut self, c: &[T]) -> Result<(), BackendError> {
         assert!(c.len() >= self.be.n_active, "phase costs too short");
         let n = self.be.n_active;
-        let stage = self.be.gpu.try_htod(&c[..n])?;
-        self.be.gpu.try_launch(
-            LaunchConfig::for_elems(n, BLOCK),
-            &LaneScatterK {
-                src: stage.view(),
-                dst: self.be.costs.view_mut(),
-                lane: self.lane,
-                offset: 0,
-                width: self.be.width,
-                len: n,
-            },
-        )?;
-        Ok(())
+        let dst = self.be.costs.view_mut();
+        self.scatter(&c[..n], dst)
     }
 
-    fn set_basic_cost(&mut self, row: usize, cost: T) -> Result<(), BackendError> {
-        let k = row * self.w() + self.lane;
-        self.be.gpu.try_htod_elem(&mut self.be.cb, k, cost)?;
-        Ok(())
-    }
-
-    fn set_basic_col(&mut self, row: usize, col: usize) -> Result<(), BackendError> {
-        let w = self.w();
-        let old = self.be.basic_of_row_host[self.lane][row];
-        self.be
-            .gpu
-            .try_htod_elem(&mut self.be.basic, old * w + self.lane, 0u32)?;
-        self.be
-            .gpu
-            .try_htod_elem(&mut self.be.basic, col * w + self.lane, 1u32)?;
-        self.be
-            .gpu
-            .try_htod_elem(&mut self.be.basic_of_row, row * w + self.lane, col as u32)?;
-        self.be.basic_of_row_host[self.lane][row] = col;
-        Ok(())
+    fn set_basic_costs(&mut self, cb: &[T]) -> Result<(), BackendError> {
+        let dst = self.be.cb.view_mut();
+        self.scatter(cb, dst)
     }
 
     fn compute_btran(&mut self) -> Result<(), BackendError> {
@@ -574,9 +565,10 @@ impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
         })
     }
 
-    fn update(&mut self, p: usize, theta: T) -> Result<(), BackendError> {
+    fn pivot(&mut self, p: usize, q: usize, theta: T, cost: T) -> Result<(), BackendError> {
         let cfg = self.be.lane_cfg();
-        self.be.gpu.try_launch(
+        let mut fl = self.be.gpu.try_begin_fused("lane_pivot")?;
+        fl.launch(
             cfg,
             &BatchPivotK {
                 binv: self.be.binv.view_mut(),
@@ -592,7 +584,25 @@ impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
                 m: self.be.m,
                 lanes: 1,
             },
-        )?;
+        );
+        fl.launch(
+            cfg,
+            &BatchBookK {
+                q_sel: self.be.q_sel.view(),
+                p_sel: self.be.p_sel.view(),
+                basic: self.be.basic.view_mut(),
+                basic_of_row: self.be.basic_of_row.view_mut(),
+                cb: self.be.cb.view_mut(),
+                costs: self.be.costs.view(),
+                fixed: Some((p, q, cost)),
+                gate: self.be.mask.view(),
+                only: self.lane,
+                width: self.be.width,
+                lanes: 1,
+            },
+        );
+        fl.finish();
+        self.be.basic_of_row_host[self.lane][p] = q;
         Ok(())
     }
 
@@ -633,6 +643,24 @@ impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
 
     fn refactorize(&mut self, basis: &[usize]) -> Result<(), BackendError> {
         let m = self.be.m;
+        // Basis mirror: one staged upload and one rebase kernel, skipped
+        // when the lane already holds this basis.
+        if self.be.basic_of_row_host[self.lane] != basis {
+            let xb: Vec<u32> = basis.iter().map(|&j| j as u32).collect();
+            let stage = self.be.gpu.try_htod(&xb)?;
+            self.be.gpu.try_launch(
+                LaunchConfig::for_elems(1, 1),
+                &LaneRebaseK {
+                    basis: stage.view(),
+                    basic: self.be.basic.view_mut(),
+                    basic_of_row: self.be.basic_of_row.view_mut(),
+                    lane: self.lane,
+                    width: self.be.width,
+                    m,
+                },
+            )?;
+            self.be.basic_of_row_host[self.lane].copy_from_slice(basis);
+        }
         // Host-side f64 reinversion — the same path (and the same modeled
         // CPU charge) the solo GPU backend's fallback uses, then the lane's
         // slice of the SoA state is rewritten by scatter kernels.

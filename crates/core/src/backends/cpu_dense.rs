@@ -136,16 +136,8 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
         Ok(())
     }
 
-    fn set_basic_cost(&mut self, row: usize, cost: T) -> Result<(), BackendError> {
-        self.cb[row] = cost;
-        Ok(())
-    }
-
-    fn set_basic_col(&mut self, row: usize, col: usize) -> Result<(), BackendError> {
-        let old = self.basic_of_row[row];
-        self.basic[old] = false;
-        self.basic[col] = true;
-        self.basic_of_row[row] = col;
+    fn set_basic_costs(&mut self, cb: &[T]) -> Result<(), BackendError> {
+        self.cb.copy_from_slice(cb);
         Ok(())
     }
 
@@ -263,7 +255,12 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
         })
     }
 
-    fn update(&mut self, p: usize, theta: T) -> Result<(), BackendError> {
+    fn pivot(&mut self, p: usize, q: usize, theta: T, cost: T) -> Result<(), BackendError> {
+        let old = self.basic_of_row[p];
+        self.basic[old] = false;
+        self.basic[q] = true;
+        self.basic_of_row[p] = q;
+        self.cb[p] = cost;
         let m = self.m();
         // β update.
         for i in 0..m {
@@ -320,6 +317,13 @@ impl<T: Scalar> Backend<T> for CpuDenseBackend<T> {
 
     fn refactorize(&mut self, basis: &[usize]) -> Result<(), BackendError> {
         let m = self.m();
+        for &j in &self.basic_of_row {
+            self.basic[j] = false;
+        }
+        for &j in basis {
+            self.basic[j] = true;
+        }
+        self.basic_of_row.copy_from_slice(basis);
         if self.rep == BasisRepresentation::SparseLU {
             // Factorize B₀ sparsely (Markowitz + threshold pivoting); the
             // dense matrix here is only the column gather, not the O(m³)
@@ -430,9 +434,8 @@ mod tests {
         let (a, b, c, basis0) = wyndor_std();
         let mut be = CpuDenseBackend::new(&a, &b, 5, &basis0);
         be.set_phase_costs(&c).unwrap();
-        for (r, &j) in basis0.iter().enumerate() {
-            be.set_basic_cost(r, c[j]).unwrap();
-        }
+        let cb: Vec<f64> = basis0.iter().map(|&j| c[j]).collect();
+        be.set_basic_costs(&cb).unwrap();
         be.compute_pricing().unwrap();
         // All-slack basis: π = 0, d = c.
         let (q, dq) = be.entering_dantzig(1e-9).unwrap().unwrap();
@@ -444,9 +447,7 @@ mod tests {
             RatioOutcome::Pivot { p, theta } => {
                 assert_eq!(p, 1); // 12/2 = 6 < 18/2 = 9
                 assert_eq!(theta, 6.0);
-                be.update(p, theta).unwrap();
-                be.set_basic_col(p, q).unwrap();
-                be.set_basic_cost(p, c[q]).unwrap();
+                be.pivot(p, q, theta, c[q]).unwrap();
             }
             RatioOutcome::Unbounded => panic!("should pivot"),
         }

@@ -126,16 +126,8 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
         Ok(())
     }
 
-    fn set_basic_cost(&mut self, row: usize, cost: T) -> Result<(), BackendError> {
-        self.cb[row] = cost;
-        Ok(())
-    }
-
-    fn set_basic_col(&mut self, row: usize, col: usize) -> Result<(), BackendError> {
-        let old = self.basic_of_row[row];
-        self.basic[old] = false;
-        self.basic[col] = true;
-        self.basic_of_row[row] = col;
+    fn set_basic_costs(&mut self, cb: &[T]) -> Result<(), BackendError> {
+        self.cb.copy_from_slice(cb);
         Ok(())
     }
 
@@ -266,7 +258,12 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
         })
     }
 
-    fn update(&mut self, p: usize, theta: T) -> Result<(), BackendError> {
+    fn pivot(&mut self, p: usize, q: usize, theta: T, cost: T) -> Result<(), BackendError> {
+        let old = self.basic_of_row[p];
+        self.basic[old] = false;
+        self.basic[q] = true;
+        self.basic_of_row[p] = q;
+        self.cb[p] = cost;
         let m = self.m();
         for i in 0..m {
             if i == p {
@@ -321,6 +318,13 @@ impl<T: Scalar> Backend<T> for CpuSparseBackend<T> {
     fn refactorize(&mut self, basis: &[usize]) -> Result<(), BackendError> {
         self.etas.clear();
         let m = self.m();
+        for &j in &self.basic_of_row {
+            self.basic[j] = false;
+        }
+        for &j in basis {
+            self.basic[j] = true;
+        }
+        self.basic_of_row.copy_from_slice(basis);
         if self.rep == BasisRepresentation::SparseLU {
             // Factorize B₀ itself (Markowitz + threshold pivoting) instead
             // of forming the dense inverse — the factors stay sparse where
@@ -426,9 +430,8 @@ mod tests {
             &mut de as &mut dyn Backend<f64>,
         ] {
             be.set_phase_costs(&c).unwrap();
-            for (r, &j) in basis0.iter().enumerate() {
-                be.set_basic_cost(r, c[j]).unwrap();
-            }
+            let cb: Vec<f64> = basis0.iter().map(|&j| c[j]).collect();
+            be.set_basic_costs(&cb).unwrap();
         }
         // Run two full iterations in lockstep and compare state.
         for _ in 0..2 {
@@ -446,15 +449,8 @@ mod tests {
             let RatioOutcome::Pivot { p, theta } = rs else {
                 panic!("bounded problem")
             };
-            sp.update(p, theta).unwrap();
-            de.update(p, theta).unwrap();
-            for be in [
-                &mut sp as &mut dyn Backend<f64>,
-                &mut de as &mut dyn Backend<f64>,
-            ] {
-                be.set_basic_col(p, q).unwrap();
-                be.set_basic_cost(p, c[q]).unwrap();
-            }
+            sp.pivot(p, q, theta, c[q]).unwrap();
+            de.pivot(p, q, theta, c[q]).unwrap();
             assert_eq!(sp.beta().unwrap(), de.beta().unwrap());
         }
         assert_eq!(sp.objective_now().unwrap(), de.objective_now().unwrap());

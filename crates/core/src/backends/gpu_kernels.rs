@@ -312,21 +312,24 @@ impl<T: Scalar> Kernel for EtaBtranK<T> {
     }
 }
 
-/// Elementwise clamp to non-negative: `x[i] = max(x[i], 0)` — applied to a
-/// freshly recomputed β to keep round-off from seeding negative basics.
-pub struct ClampNonNegK<T: Scalar> {
-    pub x: DViewMut<T>,
+/// Install a freshly recomputed β: `dst[i] = max(src[i], 0)` (round-off
+/// must not seed negative basics), skipped when the reinversion's guard
+/// word is raised, so a failed device reinversion leaves β as it was.
+pub struct GuardedClampK<T: Scalar> {
+    pub src: DView<T>,
+    pub dst: DViewMut<T>,
+    pub guard: DView<u32>,
     pub n: usize,
 }
 
-impl<T: Scalar> Kernel for ClampNonNegK<T> {
+impl<T: Scalar> Kernel for GuardedClampK<T> {
     fn name(&self) -> &'static str {
-        "clamp_nonneg"
+        "guarded_clamp"
     }
     fn run(&self, t: &ThreadCtx) {
         let i = t.global_id();
-        if i < self.n {
-            self.x.set(i, self.x.get(i).maxs(T::ZERO));
+        if i < self.n && self.guard.get(0) == linalg::gpu::INVERT_OK {
+            self.dst.set(i, self.src.get(i).maxs(T::ZERO));
         }
     }
     fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
@@ -334,9 +337,39 @@ impl<T: Scalar> Kernel for ClampNonNegK<T> {
         KernelCost::new()
             .flops_total(n)
             .fp64(T::IS_F64)
+            .read(AccessPattern::broadcast::<u32>(n))
             .read(AccessPattern::coalesced::<T>(n))
             .write(AccessPattern::coalesced::<T>(n))
             .active_threads(cfg, n)
+    }
+}
+
+/// Basis bookkeeping of one pivot: `xb[p] = q` and `c_B[p] = cost`. One
+/// thread; `p`, `q` and `cost` ride as kernel arguments, so a pivot moves
+/// no data over PCIe.
+pub struct BasisBookK<T: Scalar> {
+    pub xb: DViewMut<u32>,
+    pub cb: DViewMut<T>,
+    pub p: usize,
+    pub q: u32,
+    pub cost: T,
+}
+
+impl<T: Scalar> Kernel for BasisBookK<T> {
+    fn name(&self) -> &'static str {
+        "basis_book"
+    }
+    fn run(&self, t: &ThreadCtx) {
+        if t.global_id() == 0 {
+            self.xb.set(self.p, self.q);
+            self.cb.set(self.p, self.cost);
+        }
+    }
+    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+        KernelCost::new()
+            .write(AccessPattern::scattered::<u32>(1))
+            .write(AccessPattern::scattered::<T>(1))
+            .active_threads(cfg, 1)
     }
 }
 

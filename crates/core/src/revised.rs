@@ -1,7 +1,7 @@
 //! The two-phase revised simplex driver.
 //!
 //! The driver runs one solve's backend calls — pricing (full or partial),
-//! FTRAN, ratio test and update — and leaves every host decision to a
+//! FTRAN, ratio test and pivot — and leaves every host decision to a
 //! `SimplexLane`: basis bookkeeping, phase logic, the Dantzig→Bland stall
 //! fallback and the other degeneracy ladders, periodic refactorization,
 //! checkpoints and termination. The mega-batch driver runs the same lane
@@ -130,10 +130,8 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
 
             // Update.
             let span = self.lane.span_begin(self.backend);
-            self.backend.update(p, theta)?;
-            self.backend.set_basic_col(p, q)?;
             let cost = self.lane.entering_cost(self.backend, q);
-            self.backend.set_basic_cost(p, cost)?;
+            self.backend.pivot(p, q, theta, cost)?;
             self.lane
                 .span_close(self.backend, StepKind::UpdateBasis, Step::Update, span);
             self.lane.check_deadline()?;

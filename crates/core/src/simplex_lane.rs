@@ -328,9 +328,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             self.stats.warm_start_rejected = 1;
             self.sf.basis0.clone()
         };
-        for (r, &j) in basis.iter().enumerate() {
-            be.set_basic_col(r, j)?;
-        }
         self.xb = basis;
         // One span covers the attempt *and* the fallback restore, so the
         // rejected path's device work lands on the ledger exactly once.
@@ -339,9 +336,9 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
     }
 
     /// Reinstall a checkpoint instead of starting: refactorize onto its
-    /// basis (the same host f64 reinversion every backend's `refactorize`
-    /// uses, so `B⁻¹` and the clamped β come out bitwise-equal to the
-    /// snapshot point), reinstall the phase objective exactly as the live
+    /// basis (the same reinversion the snapshotting run's boundary ran, so
+    /// `B⁻¹` and the clamped β come out bitwise-equal to the snapshot
+    /// point), reinstall the phase objective exactly as the live
     /// path did, and restore the pricing/anti-cycling state and statistics.
     /// The reinversion is *not* counted in `stats.refactorizations` — the
     /// snapshot already counted the boundary reinversion this one mirrors.
@@ -368,9 +365,6 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
                 ));
             }
             Err(e @ BackendError::Device(_)) => return Err(e.into()),
-        }
-        for (r, &j) in cp.basis.iter().enumerate() {
-            be.set_basic_col(r, j)?;
         }
         self.xb = cp.basis;
         self.span_close(be, StepKind::WarmStart, Step::Other, span);
@@ -413,28 +407,27 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
     /// basis phase 1 left behind.
     fn install_objective<B: Backend<T>>(&mut self, be: &mut B) -> Result<(), SolveError> {
         let span = self.span_begin(be);
-        let m = self.sf.num_rows();
-        match self.phase {
+        let cb: Vec<T> = match self.phase {
             Phase::One => {
                 let zeros = vec![T::ZERO; be.n_active()];
                 be.set_phase_costs(&zeros)?;
-                for r in 0..m {
-                    let cost = if self.sf.is_artificial(self.xb[r]) {
-                        T::ONE
-                    } else {
-                        T::ZERO
-                    };
-                    be.set_basic_cost(r, cost)?;
-                }
+                self.xb
+                    .iter()
+                    .map(|&col| {
+                        if self.sf.is_artificial(col) {
+                            T::ONE
+                        } else {
+                            T::ZERO
+                        }
+                    })
+                    .collect()
             }
             Phase::Two => {
                 be.set_phase_costs(&self.sf.c)?;
-                for r in 0..m {
-                    let cost = self.cost_of(be, self.xb[r]);
-                    be.set_basic_cost(r, cost)?;
-                }
+                self.xb.iter().map(|&col| self.cost_of(be, col)).collect()
             }
-        }
+        };
+        be.set_basic_costs(&cb)?;
         self.span_close(be, StepKind::Transfer, Step::Other, span);
         self.phase_tag = self.phase.tag();
         Ok(())
@@ -845,17 +838,20 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             *pj = base + T::from_f64(scale * column_jitter(j));
         }
         be.set_phase_costs(&pert)?;
-        for r in 0..self.sf.num_rows() {
-            let col = self.xb[r];
-            let cost = if col < n {
-                pert[col]
-            } else if self.phase == Phase::One {
-                T::ONE // artificial under the phase-1 objective
-            } else {
-                T::ZERO
-            };
-            be.set_basic_cost(r, cost)?;
-        }
+        let cb: Vec<T> = self
+            .xb
+            .iter()
+            .map(|&col| {
+                if col < n {
+                    pert[col]
+                } else if self.phase == Phase::One {
+                    T::ONE // artificial under the phase-1 objective
+                } else {
+                    T::ZERO
+                }
+            })
+            .collect();
+        be.set_basic_costs(&cb)?;
         self.perturbed = true;
         self.stats.perturbations += 1;
         self.span_close(be, StepKind::Transfer, Step::Other, span);
@@ -908,9 +904,7 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
                 if be.alpha_at(r)?.abs() > pivot_tol {
                     // Degenerate pivot: θ = 0 keeps β unchanged, the basis
                     // swap is what we're after.
-                    be.update(r, T::ZERO)?;
-                    be.set_basic_col(r, q)?;
-                    be.set_basic_cost(r, T::ZERO)?;
+                    be.pivot(r, q, T::ZERO, T::ZERO)?;
                     self.xb[r] = q;
                     break;
                 }

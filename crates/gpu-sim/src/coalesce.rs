@@ -10,11 +10,11 @@
 //! (experiment F4 in DESIGN.md measures exactly this effect).
 //!
 //! Kernels describe their traffic as a set of [`AccessPattern`]s; the model
-//! here turns each pattern into `(transactions, bytes_moved)` by enumerating
+//! here turns each pattern into `(transactions, bytes_moved)` by walking
 //! the 32 lane addresses of one representative warp instruction — O(warp)
-//! work per pattern per launch, independent of problem size. The enumeration
-//! is cross-checked against an independent brute-force address-set
-//! implementation in the unit and property tests.
+//! work and no allocation per pattern per launch, independent of problem
+//! size. The walk is cross-checked against an independent brute-force
+//! address-set implementation in the unit and property tests.
 
 use crate::memory::Pod;
 
@@ -89,15 +89,14 @@ impl AccessPattern {
         }
     }
 
-    /// Lane addresses (relative to an aligned base) for one warp instruction
-    /// with `lanes` active lanes.
-    fn lane_addresses(&self, lanes: u64) -> Vec<u64> {
+    /// Byte distance between consecutive lanes' addresses, or `None` for
+    /// [`PatternKind::Scattered`] (no address structure).
+    fn lane_stride(&self) -> Option<u64> {
         match self.kind {
-            PatternKind::Coalesced => (0..lanes).map(|i| i * self.elem_bytes).collect(),
-            PatternKind::Strided { stride_bytes } => (0..lanes).map(|i| i * stride_bytes).collect(),
-            PatternKind::Broadcast => vec![0; lanes as usize],
-            // Scattered is handled without enumeration (each lane distinct).
-            PatternKind::Scattered => Vec::new(),
+            PatternKind::Coalesced => Some(self.elem_bytes),
+            PatternKind::Strided { stride_bytes } => Some(stride_bytes),
+            PatternKind::Broadcast => Some(0),
+            PatternKind::Scattered => None,
         }
     }
 
@@ -110,15 +109,14 @@ impl AccessPattern {
         if lanes == 0 {
             return (0, 0);
         }
-        if let PatternKind::Scattered = self.kind {
-            // Every lane its own segment; each moves one 32-byte granule
-            // (or more for wide elements).
+        let Some(stride) = self.lane_stride() else {
+            // Scattered: every lane its own segment; each moves one 32-byte
+            // granule (or more for wide elements).
             let granule = 32u64.max(self.elem_bytes);
             return (lanes, lanes * granule);
-        }
-        let addrs = self.lane_addresses(lanes);
-        let tx = distinct_segments(&addrs, self.elem_bytes, seg_bytes);
-        let granules = distinct_segments(&addrs, self.elem_bytes, 32);
+        };
+        let tx = monotone_segments(lanes, stride, self.elem_bytes, seg_bytes);
+        let granules = monotone_segments(lanes, stride, self.elem_bytes, 32);
         (tx, granules * 32)
     }
 
@@ -139,6 +137,27 @@ impl AccessPattern {
     pub fn warp_instructions(&self, warp_size: u32) -> u64 {
         self.accesses.div_ceil(warp_size as u64)
     }
+}
+
+/// [`distinct_segments`] for the lane addresses `0, stride, 2·stride, …`
+/// of `lanes` lanes, without building them. The addresses never decrease,
+/// so each lane's segment range starts at or after the previous lane's: one
+/// walk that counts only the segments past the last one counted sees every
+/// segment once.
+fn monotone_segments(lanes: u64, stride: u64, elem_bytes: u64, seg_bytes: u64) -> u64 {
+    let mut count = 0;
+    // First segment not yet counted.
+    let mut next = 0;
+    for i in 0..lanes {
+        let a = i * stride;
+        let first = (a / seg_bytes).max(next);
+        let last = (a + elem_bytes - 1) / seg_bytes;
+        if last >= first {
+            count += last - first + 1;
+            next = last + 1;
+        }
+    }
+    count
 }
 
 /// Count distinct `seg_bytes`-aligned segments touched by accesses of
@@ -238,6 +257,58 @@ mod tests {
         // An 8-byte element at offset 124 straddles the 128B boundary.
         assert_eq!(distinct_segments(&[124], 8, 128), 2);
         assert_eq!(distinct_segments(&[120], 8, 128), 1);
+    }
+
+    /// The allocation-free walk counts exactly what the brute-force
+    /// address set does, for every structured pattern on the grid of
+    /// element sizes, strides, active lanes and segment sizes.
+    #[test]
+    fn monotone_walk_matches_distinct_segments() {
+        for elem in [4u64, 8] {
+            let kinds = [
+                PatternKind::Coalesced,
+                PatternKind::Broadcast,
+                PatternKind::Strided { stride_bytes: 0 },
+                PatternKind::Strided { stride_bytes: 2 },
+                PatternKind::Strided { stride_bytes: 4 },
+                PatternKind::Strided { stride_bytes: 8 },
+                PatternKind::Strided { stride_bytes: 12 },
+                PatternKind::Strided { stride_bytes: 36 },
+                PatternKind::Strided { stride_bytes: 100 },
+                PatternKind::Strided { stride_bytes: 128 },
+                PatternKind::Strided { stride_bytes: 132 },
+                PatternKind::Strided {
+                    stride_bytes: 4096 * 4,
+                },
+            ];
+            for kind in kinds {
+                let p = AccessPattern {
+                    accesses: 32,
+                    elem_bytes: elem,
+                    kind,
+                };
+                let stride = p.lane_stride().unwrap();
+                for lanes in 0..=32u64 {
+                    let addrs: Vec<u64> = (0..lanes).map(|i| i * stride).collect();
+                    for seg in [32u64, 128] {
+                        assert_eq!(
+                            monotone_segments(lanes, stride, elem, seg),
+                            distinct_segments(&addrs, elem, seg),
+                            "elem {elem} {kind:?} lanes {lanes} seg {seg}"
+                        );
+                    }
+                    let expect = if lanes == 0 {
+                        (0, 0)
+                    } else {
+                        (
+                            distinct_segments(&addrs, elem, SEG),
+                            distinct_segments(&addrs, elem, 32) * 32,
+                        )
+                    };
+                    assert_eq!(p.per_instruction(lanes, SEG), expect);
+                }
+            }
+        }
     }
 
     #[test]

@@ -294,8 +294,10 @@ impl Gpu {
     }
 
     /// Overwrite a single element from the host — the `cudaMemcpy` of one
-    /// scalar that 2009 solvers issued for basis bookkeeping. Pays the full
-    /// per-transfer latency, which is the point of modeling it.
+    /// scalar that 2009 solvers issued for basis bookkeeping. It pays the
+    /// full per-transfer latency for a few bytes, which is why the revised
+    /// simplex backends pass such scalars as kernel arguments instead; the
+    /// full-tableau baseline still pays it once per pivot.
     pub fn htod_elem<T: Pod>(&self, dst: &mut DeviceBuffer<T>, idx: usize, val: T) {
         self.try_htod_elem(dst, idx, val)
             .unwrap_or_else(|e| panic!("{e} on {}", self.spec.name));

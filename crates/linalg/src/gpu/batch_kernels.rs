@@ -484,6 +484,9 @@ pub struct BatchBookK<T: Scalar> {
     pub basic_of_row: DViewMut<u32>,
     pub cb: DViewMut<T>,
     pub costs: DView<T>,
+    /// `Some((p, q, cost))` books that pivot for the `only` lane instead of
+    /// reading `p_sel`/`q_sel`/`costs`.
+    pub fixed: Option<(usize, usize, T)>,
     pub gate: DView<u32>,
     pub only: usize,
     pub width: usize,
@@ -500,18 +503,24 @@ impl<T: Scalar> Kernel for BatchBookK<T> {
         if b >= self.width || !lane_runs(&self.gate, self.only, b) {
             return;
         }
-        let q = self.q_sel.get(b);
-        let p = self.p_sel.get(b);
-        if q == u32::MAX || p == u32::MAX {
-            return;
-        }
         let w = self.width;
-        let (q, p) = (q as usize, p as usize);
+        let (p, q, cost) = match self.fixed {
+            Some(fixed) => fixed,
+            None => {
+                let q = self.q_sel.get(b);
+                let p = self.p_sel.get(b);
+                if q == u32::MAX || p == u32::MAX {
+                    return;
+                }
+                let (q, p) = (q as usize, p as usize);
+                (p, q, self.costs.get(q * w + b))
+            }
+        };
         let old = self.basic_of_row.get(p * w + b) as usize;
         self.basic.set(old * w + b, 0);
         self.basic.set(q * w + b, 1);
         self.basic_of_row.set(p * w + b, q as u32);
-        self.cb.set(p * w + b, self.costs.get(q * w + b));
+        self.cb.set(p * w + b, cost);
     }
 
     fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
@@ -522,6 +531,50 @@ impl<T: Scalar> Kernel for BatchBookK<T> {
             .write(AccessPattern::scattered::<u32>(3 * l))
             .write(AccessPattern::scattered::<T>(l))
             .active_threads_raw(l.max(1))
+    }
+}
+
+/// Install a new basis for one lane: clear the basic flags of the lane's
+/// current basis, flag every column of the staged `basis` (length `m`),
+/// and record it per row. One thread.
+pub struct LaneRebaseK {
+    pub basis: DView<u32>,
+    pub basic: DViewMut<u32>,
+    pub basic_of_row: DViewMut<u32>,
+    pub lane: usize,
+    pub width: usize,
+    pub m: usize,
+}
+
+impl Kernel for LaneRebaseK {
+    fn name(&self) -> &'static str {
+        "lane_rebase"
+    }
+
+    fn run(&self, t: &ThreadCtx) {
+        if t.global_id() != 0 {
+            return;
+        }
+        let (w, b) = (self.width, self.lane);
+        for r in 0..self.m {
+            let old = self.basic_of_row.get(r * w + b) as usize;
+            self.basic.set(old * w + b, 0);
+        }
+        for r in 0..self.m {
+            let j = self.basis.get(r);
+            self.basic.set(j as usize * w + b, 1);
+            self.basic_of_row.set(r * w + b, j);
+        }
+    }
+
+    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+        let m = self.m as u64;
+        KernelCost::new()
+            .int_ops_total(3 * m)
+            .read(AccessPattern::coalesced::<u32>(m))
+            .read(AccessPattern::scattered::<u32>(m))
+            .write(AccessPattern::scattered::<u32>(3 * m))
+            .active_threads(cfg, 1)
     }
 }
 

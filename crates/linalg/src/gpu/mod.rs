@@ -44,7 +44,7 @@ pub use algo::{
 };
 pub use batch_kernels::{
     BatchBookK, BatchBtranK, BatchFtranK, BatchObjK, BatchPivotK, BatchPriceK, BatchRatioK,
-    BatchSelectK, LaneGatherK, LaneScatterK, SelectRule, CTL_ACTIVE, CTL_BLAND,
+    BatchSelectK, LaneGatherK, LaneRebaseK, LaneScatterK, SelectRule, CTL_ACTIVE, CTL_BLAND,
 };
 pub use blas::{
     axpy, copy, copy_on, dot, eliminate, eliminate_on, fill, gemv_n, gemv_n_on, gemv_n_split_on,
@@ -53,7 +53,7 @@ pub use blas::{
 };
 pub use first_order::{pdhg_dual_on, pdhg_primal_on, PdhgDualK, PdhgPrimalK};
 pub use gemm::{gemm, GEMM_TILE};
-pub use invert::invert_gauss_jordan;
+pub use invert::{invert_basis_on, BasisColumns, INVERT_OK};
 pub use kernels::{CopyK, EtaK, RowExtractK};
 pub use mat::{DeviceMatrix, Layout};
 pub use sparse_tri::{DeviceLu, LuBtranK, LuFtranK};

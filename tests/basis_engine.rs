@@ -72,9 +72,8 @@ proptest! {
 
         for be in [&mut ex, &mut lu] {
             be.set_phase_costs(&sf.c).unwrap();
-            for (r, &j) in sf.basis0.iter().enumerate() {
-                be.set_basic_cost(r, sf.c[j]).unwrap();
-            }
+            let cb: Vec<f64> = sf.basis0.iter().map(|&j| sf.c[j]).collect();
+            be.set_basic_costs(&cb).unwrap();
         }
         let mut basis = sf.basis0.clone();
         for it in 0..24 {
@@ -105,13 +104,9 @@ proptest! {
             }
             let outcome = ex.ratio_test(1e-9).unwrap();
             let RatioOutcome::Pivot { p, theta } = outcome else { break };
-            ex.update(p, theta).unwrap();
-            lu.update(p, theta).unwrap();
+            ex.pivot(p, q, theta, sf.c[q]).unwrap();
+            lu.pivot(p, q, theta, sf.c[q]).unwrap();
             basis[p] = q;
-            for be in [&mut ex, &mut lu] {
-                be.set_basic_col(p, q).unwrap();
-                be.set_basic_cost(p, sf.c[q]).unwrap();
-            }
             let beta_ex = ex.beta().unwrap();
             let beta_lu = lu.beta().unwrap();
             for (a, b) in beta_ex.iter().zip(&beta_lu) {

@@ -474,16 +474,16 @@ fn mid_round_fault_evacuates_lanes_and_loses_zero_work() {
     // A certain *hard* launch failure aimed at the batched update chain
     // (silent corruption would be absorbed by in-lane recovery, not
     // evacuation), with a warmup sized so the first targeted op past it
-    // lands mid-solve: by then roughly half the lanes have converged and
-    // every still-live lane has crossed a checkpoint boundary (refactor =
-    // checkpoint cadence = 4 iterations).
+    // lands mid-solve: by then half the lanes have converged and every
+    // still-live lane has crossed a checkpoint boundary (refactor =
+    // checkpoint cadence = 4 iterations). Warmups 216–258 all land there.
     let opts = SolverOptions {
         refactor_period: 4,
         checkpoint_interval: 4,
         faults: Some(
             FaultConfig {
                 kernel_fault: 1.0,
-                warmup_ops: 320,
+                warmup_ops: 236,
                 ..FaultConfig::off(5)
             }
             .only(&["mega_update"]),
@@ -512,6 +512,10 @@ fn mid_round_fault_evacuates_lanes_and_loses_zero_work() {
     assert!(
         report.stats.resumed_jobs > 0,
         "evacuated lanes must resume from their checkpoints"
+    );
+    assert_eq!(
+        report.stats.resumed_jobs, 4,
+        "the fault lands when four of the eight lanes are still live"
     );
     assert_eq!(
         report.stats.evacuated_jobs, 0,
@@ -693,7 +697,7 @@ fn silent_corruption_is_absorbed_by_lane_recovery() {
         faults: Some(
             FaultConfig {
                 kernel_corrupt: 0.02,
-                warmup_ops: 100,
+                warmup_ops: 40,
                 ..FaultConfig::off(41)
             }
             .only(&["batch_ftran", "mega_update"]),
@@ -732,6 +736,10 @@ fn silent_corruption_is_absorbed_by_lane_recovery() {
     assert!(
         recoveries > 0,
         "the corrupted lane must recover in-lane, not evacuate"
+    );
+    assert_eq!(
+        recoveries, 1,
+        "past the 40-op warmup exactly one mid-solve corruption strikes one lane"
     );
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");

@@ -61,11 +61,8 @@ impl Backend<f64> for SlowBackend<'_> {
     fn set_phase_costs(&mut self, c: &[f64]) -> Result<(), BackendError> {
         self.inner.set_phase_costs(c)
     }
-    fn set_basic_cost(&mut self, row: usize, cost: f64) -> Result<(), BackendError> {
-        self.inner.set_basic_cost(row, cost)
-    }
-    fn set_basic_col(&mut self, row: usize, col: usize) -> Result<(), BackendError> {
-        self.inner.set_basic_col(row, col)
+    fn set_basic_costs(&mut self, cb: &[f64]) -> Result<(), BackendError> {
+        self.inner.set_basic_costs(cb)
     }
     fn compute_btran(&mut self) -> Result<(), BackendError> {
         std::thread::sleep(self.step_sleep);
@@ -95,9 +92,9 @@ impl Backend<f64> for SlowBackend<'_> {
         std::thread::sleep(self.step_sleep);
         self.inner.ratio_test(pivot_tol)
     }
-    fn update(&mut self, p: usize, theta: f64) -> Result<(), BackendError> {
+    fn pivot(&mut self, p: usize, q: usize, theta: f64, cost: f64) -> Result<(), BackendError> {
         std::thread::sleep(self.update_sleep);
-        self.inner.update(p, theta)
+        self.inner.pivot(p, q, theta, cost)
     }
     fn beta(&mut self) -> Result<Vec<f64>, BackendError> {
         self.inner.beta()

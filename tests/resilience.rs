@@ -346,13 +346,14 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
         .unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
-    // A certain kernel fault past a 300-op warmup: the scratch attempt dies
+    // A certain kernel fault past a 125-op warmup: the scratch attempt dies
     // at iteration 5 with a checkpoint at 4; the resumed attempt has only
     // ~2 iterations of device work left and finishes inside the warmup.
+    // (Warmups 117–134 all land there.)
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig {
             kernel_fault: 1.0,
-            warmup_ops: 300,
+            warmup_ops: 125,
             ..FaultConfig::off(9)
         }),
         ..Default::default()
@@ -374,6 +375,10 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
         sol.stats.wasted_iterations < 4,
         "resume re-does less than one checkpoint interval, got {}",
         sol.stats.wasted_iterations
+    );
+    assert_eq!(
+        sol.stats.wasted_iterations, 1,
+        "the fault lands at iteration 5, one past the checkpoint at 4"
     );
     // Zero lost work: the resumed solve is bitwise the uninterrupted one.
     assert_eq!(sol.status, golden.status);
@@ -406,10 +411,12 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         .run::<f64>()
         .unwrap();
 
+    // The same fault point as the same-rung test: the GPU attempt dies at
+    // iteration 5, one past its checkpoint at 4 (warmups 118–134).
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig {
             kernel_fault: 1.0,
-            warmup_ops: 300,
+            warmup_ops: 125,
             ..FaultConfig::off(9)
         }),
         retry: RetryPolicy {
@@ -432,6 +439,10 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
     );
     assert!(sol.stats.checkpoints_taken >= 1);
     assert!(sol.stats.wasted_iterations < 4);
+    assert_eq!(
+        sol.stats.wasted_iterations, 1,
+        "the GPU attempt dies at iteration 5, one past its checkpoint at 4"
+    );
     // The cross-rung resume still lands bitwise on the uninterrupted CPU
     // answer: the checkpoint boundary state is backend-independent.
     assert_eq!(sol.status, golden.status);
@@ -468,15 +479,23 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
         .unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
-    // 600 warmup ops ≈ four iterations of device work at m = 24: every GPU
-    // attempt survives past at least one checkpoint boundary and then dies,
-    // so each retry genuinely resumes mid-solve before faulting again.
+    // The fault is aimed at the reinversion group, so it strikes exactly
+    // at a checkpoint boundary, before that boundary's snapshot is stored.
+    // A 64-op warmup is past the first boundary (iteration 2) of the
+    // scratch attempt and short of the boundary at iteration 4 on every GPU
+    // attempt: each one dies two iterations past the checkpoint at 2, so
+    // each retry genuinely resumes mid-solve before faulting again, and the
+    // CPU rung resumes from a snapshot whose two pivots the GPU took before
+    // any reinversion — bitwise the CPU's. (Warmups 60–67 all land there.)
     let solver = ResilientSolver::new(ResilienceOptions {
-        faults: Some(FaultConfig {
-            kernel_fault: 1.0,
-            warmup_ops: 600,
-            ..FaultConfig::off(9)
-        }),
+        faults: Some(
+            FaultConfig {
+                kernel_fault: 1.0,
+                warmup_ops: 64,
+                ..FaultConfig::off(9)
+            }
+            .only(&["refactor_fused"]),
+        ),
         retry: RetryPolicy {
             max_retries: 2,
             ..Default::default()
