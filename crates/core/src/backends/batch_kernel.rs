@@ -31,6 +31,7 @@ use linalg::gpu::{
 use linalg::{DenseMatrix, Scalar};
 
 use crate::backend::{Backend, RatioOutcome};
+use crate::basis::BasisFactor;
 use crate::error::BackendError;
 
 const BLOCK: u32 = 128;
@@ -106,6 +107,9 @@ pub struct BatchKernelBackend<'g, T: Scalar> {
     /// Host mirror of each lane's full matrix (refactorization input).
     a_host: Vec<DenseMatrix<T>>,
     b_host: Vec<Vec<T>>,
+    /// The host reinversion every lane's refactorize runs through; its
+    /// `B⁻¹` holds the last lane reinverted.
+    factor: BasisFactor<T>,
     /// Host mirror of the device `basic_of_row` (basis bookkeeping needs
     /// the previous occupant of a row without a readback).
     basic_of_row_host: Vec<Vec<usize>>,
@@ -179,6 +183,7 @@ impl<'g, T: Scalar> BatchKernelBackend<'g, T> {
             obj: gpu.try_alloc(width, T::ZERO)?,
             a_host,
             b_host,
+            factor: BasisFactor::new(0, linalg::CpuModel::core2_era()),
             basic_of_row_host,
         })
     }
@@ -661,68 +666,22 @@ impl<T: Scalar> Backend<T> for LaneView<'_, '_, T> {
             )?;
             self.be.basic_of_row_host[self.lane].copy_from_slice(basis);
         }
-        // Host-side f64 reinversion — the same path (and the same modeled
-        // CPU charge) the solo GPU backend's fallback uses, then the lane's
-        // slice of the SoA state is rewritten by scatter kernels.
-        let a_host = &self.be.a_host[self.lane];
-        let mut bmat = DenseMatrix::<f64>::zeros(m, m);
-        for (r, &j) in basis.iter().enumerate() {
-            for i in 0..m {
-                bmat.set(i, r, a_host.get(i, j).to_f64());
-            }
-        }
-        let inv = linalg::blas::gauss_jordan_invert(&bmat).ok_or(BackendError::Singular)?;
-        let cpu = linalg::CpuModel::core2_era();
-        let m3 = (m as u64).pow(3);
-        self.be.gpu.charge(
-            TimeCategory::KernelBody,
-            cpu.op_time(2 * m3, (m as u64 * m as u64) * 8, true),
-        );
-        let mut inv_t = DenseMatrix::<T>::zeros(m, m);
-        let mut inv_flat = vec![T::ZERO; m * m];
-        for j in 0..m {
-            for i in 0..m {
-                let v = T::from_f64(inv.get(i, j));
-                inv_t.set(i, j, v);
-                inv_flat[i + j * m] = v;
-            }
-        }
-        let stage = self.be.gpu.try_htod(&inv_flat)?;
-        self.be.gpu.try_launch(
-            LaunchConfig::for_elems(m * m, BLOCK),
-            &LaneScatterK {
-                src: stage.view(),
-                dst: self.be.binv.view_mut(),
-                lane: self.lane,
-                offset: 0,
-                width: self.be.width,
-                len: m * m,
-            },
+        // The shared host reinversion (and its modeled CPU charge), then
+        // the lane's slices of the SoA `B⁻¹` and `β` are rewritten by
+        // scatter kernels.
+        let mut beta = vec![T::ZERO; m];
+        let be = &mut *self.be;
+        let t = be.factor.refactorize(
+            &be.a_host[self.lane],
+            basis,
+            &be.b_host[self.lane],
+            &mut beta,
         )?;
-        let mut beta_h = vec![T::ZERO; m];
-        linalg::blas::gemv_n(
-            T::ONE,
-            &inv_t,
-            &self.be.b_host[self.lane],
-            T::ZERO,
-            &mut beta_h,
-        );
-        for v in beta_h.iter_mut() {
-            *v = v.maxs(T::ZERO);
-        }
-        let stage = self.be.gpu.try_htod(&beta_h)?;
-        self.be.gpu.try_launch(
-            LaunchConfig::for_elems(m, BLOCK),
-            &LaneScatterK {
-                src: stage.view(),
-                dst: self.be.beta.view_mut(),
-                lane: self.lane,
-                offset: 0,
-                width: self.be.width,
-                len: m,
-            },
-        )?;
-        Ok(())
+        be.gpu.charge(TimeCategory::KernelBody, t);
+        let dst = self.be.binv.view_mut();
+        self.scatter(self.be.factor.inv.as_slice(), dst)?;
+        let dst = self.be.beta.view_mut();
+        self.scatter(&beta, dst)
     }
 
     fn alpha_at(&mut self, i: usize) -> Result<T, BackendError> {

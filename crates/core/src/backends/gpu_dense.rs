@@ -27,7 +27,8 @@ use super::gpu_kernels::{
     BasisBookK, BuildEtaK, EtaBtranK, EtaFtranK, GatherAtK, GuardedClampK, MapNegIdxK, MaskBasicK,
     RatioK, UpdateBetaK,
 };
-use crate::backend::{Backend, RatioOutcome};
+use crate::backend::{Backend, LuReport, RatioOutcome};
+use crate::basis::BasisFactor;
 use crate::error::BackendError;
 use crate::options::BasisRepresentation;
 
@@ -76,8 +77,6 @@ pub struct GpuDenseBackend<'g, T: Scalar> {
     /// (one launch overhead for the whole chain). Arithmetic is identical
     /// either way; only the accounting differs.
     fuse: bool,
-    /// How `B⁻¹` is maintained between reinversions.
-    rep: BasisRepresentation,
     /// Device-resident eta chain (pivot row + eta column), oldest first.
     etas: Vec<(usize, DeviceBuffer<T>)>,
     /// Recycles retired eta buffers across reinversions so the steady
@@ -89,15 +88,14 @@ pub struct GpuDenseBackend<'g, T: Scalar> {
     /// Length-m ping-pong partner for the FTRAN eta sweep over `α`, and the
     /// fresh `B⁻¹b` during a device reinversion.
     alpha_tmp: DeviceBuffer<T>,
-    /// Host-side LU of the last refactorized basis (SparseLU only; `None`
-    /// while `B₀ = I`, the initial slack/artificial basis).
-    lu: Option<linalg::SparseLu<T>>,
-    /// Device mirror of `lu`'s factors, re-uploaded at each reinversion.
+    /// The host factor (with the representation in effect): SparseLU's
+    /// factors at every reinversion, `B⁻¹` when the device guard falls back.
+    factor: BasisFactor<T>,
+    /// Device mirror of the factor's SparseLU factors, re-uploaded at each
+    /// reinversion.
     lu_dev: Option<gblas::DeviceLu<T>>,
     /// Length-m device scratch for the LU triangular solves.
     lu_scratch: DeviceBuffer<T>,
-    /// Cumulative LU counters reported through `Backend::lu_stats`.
-    lu_report: crate::backend::LuReport,
 }
 
 impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
@@ -216,15 +214,13 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
             binv_strips: gblas::gemv_n_strips::<T>(gpu.spec(), layout, m, m),
             stage,
             fuse: true,
-            rep: BasisRepresentation::ExplicitInverse,
             etas: Vec::new(),
             pool: BufferPool::new(),
             work,
             alpha_tmp,
-            lu: None,
+            factor: BasisFactor::new(0, linalg::CpuModel::core2_era()),
             lu_dev: None,
             lu_scratch,
-            lu_report: crate::backend::LuReport::default(),
         })
     }
 
@@ -269,7 +265,7 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
     }
 
     fn compute_btran(&mut self) -> Result<(), BackendError> {
-        if self.rep == BasisRepresentation::SparseLU {
+        if self.factor.rep == BasisRepresentation::SparseLU {
             // π = B₀⁻ᵀ (E_k…E_1)ᵀ c_B: eta sweep newest-first, then two
             // sparse triangular solves against the resident factors. With
             // no factorization yet, B₀ = I and the solves vanish.
@@ -492,7 +488,7 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
 
     fn compute_alpha(&mut self, q: usize) -> Result<(), BackendError> {
         assert!(q < self.n_active, "entering column out of active range");
-        if self.rep == BasisRepresentation::SparseLU {
+        if self.factor.rep == BasisRepresentation::SparseLU {
             // α = E_k…E_1 B₀⁻¹ a_q: seed α with the entering column, two
             // sparse triangular solves, then the eta sweep oldest-first.
             match self.layout {
@@ -630,7 +626,7 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             q: q as u32,
             cost,
         };
-        let sparse_lu = self.rep == BasisRepresentation::SparseLU;
+        let sparse_lu = self.factor.rep == BasisRepresentation::SparseLU;
         // β update, then (SparseLU) the eta construction into a pooled
         // device buffer — the LU factors of B₀ are untouched, so no O(m²)
         // kernel — or (explicit) the rank-1 pivot chain (η scaling,
@@ -687,14 +683,14 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             self.pool.give(eta);
         }
         self.sync_basis_mirror(basis)?;
-        if self.rep == BasisRepresentation::SparseLU {
-            return self.refactorize_sparse_lu(basis);
-        }
-        // Fast path: the device reinversion (col-major only). A *device*
+        // Explicit inverse, col-major: the device reinversion. A *device*
         // failure propagates; only a raised guard (no stable pivot, or an
         // artificial basis column that is not a unit column) falls back to
-        // the host inversion.
-        if self.layout == Layout::ColMajor && self.refactorize_on_device()? {
+        // the host inversion. SparseLU always factors on the host.
+        if self.factor.rep == BasisRepresentation::ExplicitInverse
+            && self.layout == Layout::ColMajor
+            && self.refactorize_on_device()?
+        {
             return Ok(());
         }
         self.refactorize_on_host(basis)
@@ -709,19 +705,19 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             self.etas.is_empty(),
             "representation must be chosen before the first pivot"
         );
-        self.rep = rep;
+        self.factor.rep = rep;
     }
 
     fn representation(&self) -> BasisRepresentation {
-        self.rep
+        self.factor.rep
     }
 
     fn eta_chain_len(&self) -> usize {
         self.etas.len()
     }
 
-    fn lu_stats(&self) -> Option<crate::backend::LuReport> {
-        (self.rep == BasisRepresentation::SparseLU && self.lu.is_some()).then_some(self.lu_report)
+    fn lu_stats(&self) -> Option<LuReport> {
+        self.factor.lu_stats()
     }
 }
 
@@ -779,93 +775,32 @@ impl<T: Scalar> GpuDenseBackend<'_, T> {
         Ok(self.gpu.try_dtoh_range(&guard, 0, 1)?[0] == gblas::INVERT_OK)
     }
 
-    /// Sparse-LU reinversion: factorize the basis on the host (Markowitz +
-    /// threshold pivoting, charged at the modeled CPU rate), upload the
-    /// factors, and recompute β = B₀⁻¹b through them. The device keeps no
-    /// dense B⁻¹ at all under this representation.
-    fn refactorize_sparse_lu(&mut self, basis: &[usize]) -> Result<(), BackendError> {
-        use crate::backends::cpu_sparse::LU_TAU;
-        let m = self.m;
-        let cols: Vec<Vec<(usize, f64)>> = basis
-            .iter()
-            .map(|&j| {
-                self.a_host
-                    .col(j)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| **v != T::ZERO)
-                    .map(|(i, v)| (i, v.to_f64()))
-                    .collect()
-            })
-            .collect();
-        let lu =
-            linalg::SparseLu::<T>::factorize(m, &cols, LU_TAU).ok_or(BackendError::Singular)?;
-        let s = lu.stats();
-        // Charge the host-side factorization at the modeled CPU rate so the
-        // GPU clock stays the single timeline (same policy as the dense
-        // host reinversion path).
-        let cpu = linalg::CpuModel::core2_era();
-        self.gpu.charge(
-            TimeCategory::KernelBody,
-            cpu.op_time(
-                s.factor_flops + lu.solve_flops(),
-                (s.factor_nnz as u64) * (T::BYTES + 4),
-                true,
-            ),
-        );
-        self.lu_report.fill_in = self.lu_report.fill_in.max(s.fill_in as u64);
-        self.lu_report.refactor_nnz = self.lu_report.refactor_nnz.max(s.factor_nnz as u64);
-        self.lu_report.markowitz_rejections += s.markowitz_rejections as u64;
-        // β = B₀⁻¹ b on the host through the fresh factors, clamped at
-        // zero, then one H2D upload (charged).
-        let mut beta_h = self.b_host.clone();
-        let mut scratch = vec![T::ZERO; m];
-        lu.ftran_in_place(&mut beta_h, &mut scratch);
-        for v in beta_h.iter_mut() {
-            *v = v.maxs(T::ZERO);
-        }
-        self.lu_dev = Some(gblas::DeviceLu::upload(self.gpu, &lu).map_err(BackendError::Device)?);
-        self.lu = Some(lu);
-        self.gpu.try_htod_into(&beta_h, &mut self.beta)?;
-        Ok(())
-    }
-
-    /// Host-side pivoting reinversion (fallback; fails only on a singular
-    /// basis or a device fault during the re-upload).
+    /// Host reinversion through the shared [`BasisFactor`]: SparseLU's
+    /// factors at every reinversion, or `B⁻¹` when the device guard was
+    /// raised. The factor's modeled CPU time goes on the GPU clock, so it
+    /// stays the single timeline; then the factors (or `B⁻¹`) and
+    /// `β = max(B⁻¹b, 0)` are uploaded, each transfer charged. Fails only
+    /// on a singular basis or a device fault during the uploads.
     fn refactorize_on_host(&mut self, basis: &[usize]) -> Result<(), BackendError> {
-        let m = self.m;
-        // Reinversion runs on the host in f64 (the era's codes pulled the
-        // basis back for a dgetrf-style refactor), then re-uploads B⁻¹ and
-        // β — both PCIe transfers are charged below via htod_into.
-        let mut bmat = DenseMatrix::<f64>::zeros(m, m);
-        for (r, &j) in basis.iter().enumerate() {
-            for i in 0..m {
-                bmat.set(i, r, self.a_host.get(i, j).to_f64());
+        let mut beta = vec![T::ZERO; self.m];
+        let t = self
+            .factor
+            .refactorize(&self.a_host, basis, &self.b_host, &mut beta)?;
+        self.gpu.charge(TimeCategory::KernelBody, t);
+        match self.factor.rep {
+            BasisRepresentation::SparseLU => {
+                let lu = self
+                    .factor
+                    .lu()
+                    .expect("a SparseLU reinversion installs factors");
+                self.lu_dev =
+                    Some(gblas::DeviceLu::upload(self.gpu, lu).map_err(BackendError::Device)?);
+            }
+            BasisRepresentation::ExplicitInverse => {
+                self.binv = DeviceMatrix::upload(self.gpu, &self.factor.inv, self.layout)?;
             }
         }
-        let inv = linalg::blas::gauss_jordan_invert(&bmat).ok_or(BackendError::Singular)?;
-        // Charge the host-side inversion at the modeled CPU rate so the GPU
-        // clock stays the single timeline.
-        let cpu = linalg::CpuModel::core2_era();
-        let m3 = (m as u64).pow(3);
-        self.gpu.charge(
-            TimeCategory::KernelBody,
-            cpu.op_time(2 * m3, (m as u64 * m as u64) * 8, true),
-        );
-
-        let mut inv_t = DenseMatrix::<T>::zeros(m, m);
-        for j in 0..m {
-            for i in 0..m {
-                inv_t.set(i, j, T::from_f64(inv.get(i, j)));
-            }
-        }
-        self.binv = DeviceMatrix::upload(self.gpu, &inv_t, self.layout)?;
-        let mut beta_h = vec![T::ZERO; m];
-        linalg::blas::gemv_n(T::ONE, &inv_t, &self.b_host, T::ZERO, &mut beta_h);
-        for v in beta_h.iter_mut() {
-            *v = v.maxs(T::ZERO);
-        }
-        self.gpu.try_htod_into(&beta_h, &mut self.beta)?;
+        self.gpu.try_htod_into(&beta, &mut self.beta)?;
         Ok(())
     }
 }

@@ -1,13 +1,11 @@
-//! Backend implementations: serial CPU (dense and sparse) and the
-//! simulated-GPU dense backend the paper is about.
+//! Backend implementations: the serial CPU backend over a dense or a CSC
+//! column store, and the simulated-GPU dense backends the paper is about.
 
 mod batch_kernel;
-mod cpu_dense;
-mod cpu_sparse;
+mod cpu;
 mod gpu_dense;
 pub(crate) mod gpu_kernels;
 
 pub use batch_kernel::{BatchKernelBackend, BatchMember, LaneView};
-pub use cpu_dense::CpuDenseBackend;
-pub use cpu_sparse::CpuSparseBackend;
+pub use cpu::{CpuBackend, CpuDenseBackend, CpuSparseBackend};
 pub use gpu_dense::GpuDenseBackend;

@@ -1,4 +1,14 @@
-//! The eta file: the pivots since the last refactorization, kept as a
+//! The host basis factor and the eta file.
+//!
+//! `BasisFactor` is the one host reinversion: every backend that rebuilds
+//! its basis on the host (the CPU backend, the GPU backend's fallback and
+//! SparseLU paths, and each mega-batch lane) gathers `B = A[:, basis]` from
+//! a [`ColumnStore`], factors it in f64, installs `B⁻¹` (or SparseLU's
+//! factors) and the clamped `β = max(B⁻¹b, 0)`, and is charged one modeled
+//! CPU time for it. `basis_lu` is the dense LU of the same gather, which
+//! the warm-start probe and the terminal polish and duals solve with.
+//!
+//! The eta file holds the pivots since the last refactorization, kept as a
 //! chain of elementary matrices on top of the factored basis `B₀`.
 //!
 //! [`crate::BasisRepresentation::SparseLU`] refactorizes `B₀ = L U` at
@@ -24,7 +34,257 @@
 //! refactorization, which is also what keeps checkpoint boundaries pure
 //! functions of the basis: a snapshot never has to serialize the chain.
 
-use linalg::Scalar;
+use gpu_sim::SimTime;
+use linalg::blas::{self, DenseLu};
+use linalg::{CpuModel, CscMatrix, DenseMatrix, Scalar, SparseLu};
+
+use crate::backend::LuReport;
+use crate::error::BackendError;
+use crate::options::BasisRepresentation;
+
+/// Threshold-pivoting parameter for the sparse LU refactorization (the
+/// classic Markowitz default).
+const LU_TAU: f64 = 0.1;
+
+/// A column view of the constraint matrix `A` (all columns, artificials
+/// included): what a basis factor gathers from, and everything the CPU
+/// backend's per-iteration work reads of `A`.
+pub trait ColumnStore<T: Scalar> {
+    /// Report name of the CPU backend over this store.
+    const NAME: &'static str;
+    /// Bytes of index data the store reads per stored entry.
+    const INDEX_BYTES: u64;
+    /// Row count `m`.
+    fn rows(&self) -> usize;
+    /// Column count.
+    fn cols(&self) -> usize;
+    /// Entries stored for column `j` (the modeled work of touching it).
+    fn col_len(&self, j: usize) -> u64;
+    /// Column `j`'s nonzeros as `(row, value)`.
+    fn col_nonzeros(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_;
+    /// Write column `j` into the dense `out` (length `m`).
+    fn load_col(&self, j: usize, out: &mut [T]);
+    /// `πᵀ a_j`.
+    fn col_dot(&self, j: usize, pi: &[T]) -> T;
+    /// Explicit-inverse FTRAN: `alpha = B⁻¹ a_q`.
+    fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]);
+}
+
+impl<T: Scalar> ColumnStore<T> for DenseMatrix<T> {
+    const NAME: &'static str = "cpu-dense";
+    const INDEX_BYTES: u64 = 0;
+
+    fn rows(&self) -> usize {
+        DenseMatrix::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        DenseMatrix::cols(self)
+    }
+
+    fn col_len(&self, _j: usize) -> u64 {
+        DenseMatrix::rows(self) as u64
+    }
+
+    fn col_nonzeros(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_ {
+        self.col(j)
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != T::ZERO)
+            .map(|(i, &v)| (i, v))
+    }
+
+    fn load_col(&self, j: usize, out: &mut [T]) {
+        out.copy_from_slice(self.col(j));
+    }
+
+    fn col_dot(&self, j: usize, pi: &[T]) -> T {
+        blas::dot(pi, self.col(j))
+    }
+
+    fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]) {
+        blas::gemv_n(T::ONE, binv, self.col(q), T::ZERO, alpha);
+    }
+}
+
+impl<T: Scalar> ColumnStore<T> for CscMatrix<T> {
+    const NAME: &'static str = "cpu-sparse";
+    const INDEX_BYTES: u64 = 4;
+
+    fn rows(&self) -> usize {
+        CscMatrix::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        CscMatrix::cols(self)
+    }
+
+    fn col_len(&self, j: usize) -> u64 {
+        (self.col_ptr[j + 1] - self.col_ptr[j]) as u64
+    }
+
+    fn col_nonzeros(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_ {
+        self.col(j)
+    }
+
+    fn load_col(&self, j: usize, out: &mut [T]) {
+        out.fill(T::ZERO);
+        for (i, v) in self.col(j) {
+            out[i] = v;
+        }
+    }
+
+    fn col_dot(&self, j: usize, pi: &[T]) -> T {
+        CscMatrix::col_dot(self, j, pi)
+    }
+
+    fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]) {
+        // α = Σ_k v_k · B⁻¹[:, r_k] over a_q's nonzeros.
+        alpha.fill(T::ZERO);
+        for (r, v) in self.col(q) {
+            blas::axpy(v, binv.col(r), alpha);
+        }
+    }
+}
+
+/// `B = A[:, basis]` in f64.
+fn gather<T: Scalar, C: ColumnStore<T>>(a: &C, basis: &[usize]) -> DenseMatrix<f64> {
+    let m = a.rows();
+    let mut bmat = DenseMatrix::zeros(m, m);
+    let mut col = vec![T::ZERO; m];
+    for (r, &j) in basis.iter().enumerate() {
+        a.load_col(j, &mut col);
+        for (o, v) in bmat.col_mut(r).iter_mut().zip(&col) {
+            *o = v.to_f64();
+        }
+    }
+    bmat
+}
+
+/// Dense f64 LU of the basis `A[:, basis]`, for host solves against a
+/// basis the solver does not iterate on: the warm-start feasibility probe,
+/// and the terminal polish and duals, which share one factorization.
+/// `None` when the basis is numerically singular.
+pub(crate) fn basis_lu<T: Scalar, C: ColumnStore<T>>(
+    a: &C,
+    basis: &[usize],
+) -> Option<DenseLu<f64>> {
+    DenseLu::factor(&gather(a, basis))
+}
+
+/// The host factorization of the basis, rebuilt by every host reinversion
+/// under the solve's [`BasisRepresentation`]: the f64 Gauss–Jordan inverse
+/// (narrowed to `T`) for the explicit inverse, or SparseLU's factors of
+/// `B₀`. Reinversion runs in f64 whatever `T` is, because it exists to
+/// purge accumulated error.
+pub(crate) struct BasisFactor<T: Scalar> {
+    pub(crate) rep: BasisRepresentation,
+    /// `B⁻¹` after the last explicit reinversion. Starts as the identity
+    /// of the slack/artificial basis for a backend that iterates on it,
+    /// and empty for one that keeps `B⁻¹` on the device.
+    pub(crate) inv: DenseMatrix<T>,
+    /// SparseLU's factors of `B₀`; `None` while `B₀` is still the identity
+    /// start basis.
+    lu: Option<SparseLu<T>>,
+    scratch: Vec<T>,
+    report: LuReport,
+    /// Prices the reinversion on the host CPU.
+    model: CpuModel,
+}
+
+impl<T: Scalar> BasisFactor<T> {
+    /// A factor of the identity basis whose explicit inverse has `m` rows,
+    /// priced by `model`.
+    pub(crate) fn new(m: usize, model: CpuModel) -> Self {
+        BasisFactor {
+            rep: BasisRepresentation::ExplicitInverse,
+            inv: DenseMatrix::identity(m),
+            lu: None,
+            scratch: vec![T::ZERO; m],
+            report: LuReport::default(),
+            model,
+        }
+    }
+
+    /// SparseLU's factors of `B₀`, once a factorization has run.
+    pub(crate) fn lu(&self) -> Option<&SparseLu<T>> {
+        self.lu.as_ref()
+    }
+
+    /// `x ← B₀⁻¹ x` through the SparseLU factors (the identity before the
+    /// first factorization). Returns the modeled flops.
+    pub(crate) fn lu_ftran(&mut self, x: &mut [T]) -> u64 {
+        self.lu.as_ref().map_or(0, |lu| {
+            lu.ftran_in_place(x, &mut self.scratch);
+            lu.solve_flops()
+        })
+    }
+
+    /// `yᵀ ← yᵀ B₀⁻¹` through the SparseLU factors. Returns the modeled
+    /// flops.
+    pub(crate) fn lu_btran(&mut self, y: &mut [T]) -> u64 {
+        self.lu.as_ref().map_or(0, |lu| {
+            lu.btran_in_place(y, &mut self.scratch);
+            lu.solve_flops()
+        })
+    }
+
+    /// The SparseLU counters, once a SparseLU factorization has run.
+    pub(crate) fn lu_stats(&self) -> Option<LuReport> {
+        (self.rep == BasisRepresentation::SparseLU && self.lu.is_some()).then_some(self.report)
+    }
+
+    /// Factor `B = A[:, basis]`, install `B⁻¹` (or the factors) and
+    /// `beta = max(B⁻¹b, 0)`, and return the modeled host time, which the
+    /// caller charges to its own clock. A singular basis leaves the
+    /// installed factor untouched.
+    pub(crate) fn refactorize<C: ColumnStore<T>>(
+        &mut self,
+        a: &C,
+        basis: &[usize],
+        b: &[T],
+        beta: &mut [T],
+    ) -> Result<SimTime, BackendError> {
+        let m = a.rows();
+        let (flops, bytes) = match self.rep {
+            BasisRepresentation::SparseLU => {
+                let cols: Vec<Vec<(usize, f64)>> = basis
+                    .iter()
+                    .map(|&j| a.col_nonzeros(j).map(|(i, v)| (i, v.to_f64())).collect())
+                    .collect();
+                let lu =
+                    SparseLu::<T>::factorize(m, &cols, LU_TAU).ok_or(BackendError::Singular)?;
+                let s = lu.stats();
+                self.report.fill_in = self.report.fill_in.max(s.fill_in as u64);
+                self.report.refactor_nnz = self.report.refactor_nnz.max(s.factor_nnz as u64);
+                self.report.markowitz_rejections += s.markowitz_rejections as u64;
+                self.scratch.resize(m, T::ZERO);
+                beta.copy_from_slice(b);
+                lu.ftran_in_place(beta, &mut self.scratch);
+                let f = s.factor_flops + lu.solve_flops();
+                self.lu = Some(lu);
+                (f, f * 8)
+            }
+            BasisRepresentation::ExplicitInverse => {
+                let inv =
+                    blas::gauss_jordan_invert(&gather(a, basis)).ok_or(BackendError::Singular)?;
+                if self.inv.rows() != m {
+                    self.inv = DenseMatrix::zeros(m, m);
+                }
+                for (o, &v) in self.inv.as_mut_slice().iter_mut().zip(inv.as_slice()) {
+                    *o = T::from_f64(v);
+                }
+                blas::gemv_n(T::ONE, &self.inv, b, T::ZERO, beta);
+                let m = m as u64;
+                (2 * m.pow(3), 24 * m * m)
+            }
+        };
+        for v in beta.iter_mut() {
+            *v = v.maxs(T::ZERO);
+        }
+        Ok(self.model.op_time(flops, bytes, true))
+    }
+}
 
 /// One elementary (eta) matrix: identity with column `p` replaced by `eta`.
 #[derive(Debug, Clone)]
@@ -113,6 +373,94 @@ impl<T: Scalar> EtaFile<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SolveRequest, SolverOptions, Status};
+    use linalg::CsrMatrix;
+    use lp::{generator, StandardForm};
+
+    /// A sparse standard form and the optimal basis of its solve: a
+    /// nontrivial basis whose dense store holds zeros the CSC store drops.
+    fn sparse_fixture() -> (StandardForm<f64>, Vec<usize>) {
+        let sf = StandardForm::<f64>::from_lp(&generator::sparse_random(24, 36, 0.15, 5)).unwrap();
+        let res = SolveRequest::standard(&sf, &SolverOptions::default())
+            .run()
+            .unwrap();
+        assert_eq!(res.status, Status::Optimal);
+        assert!(
+            res.basis.iter().any(|&j| j < 36),
+            "a structural column is basic"
+        );
+        (sf, res.basis)
+    }
+
+    /// A factor under `rep` built from store `a`, its modeled time and β.
+    type Built = (BasisFactor<f64>, SimTime, Vec<f64>);
+
+    fn build<C: ColumnStore<f64>>(
+        a: &C,
+        sf: &StandardForm<f64>,
+        basis: &[usize],
+        rep: BasisRepresentation,
+    ) -> Built {
+        let m = sf.num_rows();
+        let mut f = BasisFactor::new(m, CpuModel::core2_era());
+        f.rep = rep;
+        let mut beta = vec![0.0; m];
+        let t = f.refactorize(a, basis, &sf.b, &mut beta).unwrap();
+        (f, t, beta)
+    }
+
+    /// The factor built from the dense store and from the CSC store of the
+    /// same matrix, under `rep`.
+    fn factor_both_stores(rep: BasisRepresentation) -> (Built, Built) {
+        let (sf, basis) = sparse_fixture();
+        let csc = CsrMatrix::from_dense(&sf.a, 0.0).to_csc();
+        assert!(csc.values.iter().all(|&v| v != 0.0), "no stored zeros");
+        assert!(csc.values.len() < sf.a.rows() * sf.a.cols());
+        (
+            build(&sf.a, &sf, &basis, rep),
+            build(&csc, &sf, &basis, rep),
+        )
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sparse_lu_factor_is_store_independent() {
+        let ((fd, td, bd), (fs, ts, bs)) = factor_both_stores(BasisRepresentation::SparseLU);
+        let report = fd.lu_stats().expect("a SparseLU factorization ran");
+        assert!(report.refactor_nnz > 0);
+        assert_eq!(Some(report), fs.lu_stats());
+        assert_eq!(bits(&bd), bits(&bs));
+        assert_eq!(td, ts);
+    }
+
+    #[test]
+    fn explicit_inverse_is_store_independent() {
+        let ((fd, td, bd), (fs, ts, bs)) = factor_both_stores(BasisRepresentation::ExplicitInverse);
+        assert_eq!(fd.lu_stats(), None);
+        assert_eq!(bits(fd.inv.as_slice()), bits(fs.inv.as_slice()));
+        assert_eq!(bits(&bd), bits(&bs));
+        assert_eq!(td, ts);
+    }
+
+    #[test]
+    fn singular_basis_leaves_the_factor_installed() {
+        let (sf, basis) = sparse_fixture();
+        for rep in [
+            BasisRepresentation::ExplicitInverse,
+            BasisRepresentation::SparseLU,
+        ] {
+            let (mut f, _, mut beta) = build(&sf.a, &sf, &basis, rep);
+            let (stats, inv, kept) = (f.lu_stats(), f.inv.clone(), beta.clone());
+            let mut twice = basis.clone();
+            twice[1] = twice[0];
+            let err = f.refactorize(&sf.a, &twice, &sf.b, &mut beta);
+            assert_eq!(err, Err(BackendError::Singular));
+            assert_eq!((f.lu_stats(), f.inv, beta), (stats, inv, kept), "{rep:?}");
+        }
+    }
 
     /// Dense m×m row-major matvec for the reference explicit inverse.
     fn matvec(a: &[f64], x: &[f64], m: usize) -> Vec<f64> {

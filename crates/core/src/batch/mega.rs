@@ -247,7 +247,9 @@ impl<'a, 'g, T: Scalar, R: Recorder> MegaDriver<'a, 'g, T, R> {
             match f(lane, &mut lv) {
                 Ok(Flow::Go(x)) => return Some(x),
                 Ok(Flow::Retry) => {}
-                Ok(Flow::End(status)) => done = Some(lane.finish(&mut lv, status)),
+                // `None`: a corrupted terminal point was repaired and the
+                // lane goes on next round.
+                Ok(Flow::End(status)) => done = lane.finish(&mut lv, status).transpose(),
                 Err(e) => done = Some(Err(e)),
             }
             None

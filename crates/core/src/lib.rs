@@ -4,15 +4,21 @@
 //! (IPDPS 2009): a two-phase revised simplex solver whose per-iteration
 //! linear algebra is delegated to a [`backend::Backend`] —
 //!
-//! * [`backends::CpuDenseBackend`] — the serial CPU baseline (ATLAS role),
-//!   with modeled single-core time from `linalg::CpuModel`;
+//! * [`backends::CpuBackend`] — the serial CPU baseline (ATLAS role), with
+//!   modeled single-core time from `linalg::CpuModel`, over a dense column
+//!   store ([`backends::CpuDenseBackend`]) or a CSC one
+//!   ([`backends::CpuSparseBackend`], the sparse-extension experiment);
 //! * [`backends::GpuDenseBackend`] — the paper's implementation: the
 //!   constraint matrix and the explicit basis inverse `B⁻¹` live in
 //!   simulated device memory, every step is a kernel/reduction on
 //!   [`gpu_sim`], and `B⁻¹` is updated in place with the eta
 //!   (Gauss–Jordan column) kernel;
-//! * [`backends::CpuSparseBackend`] — a CSC-pricing CPU variant backing the
-//!   sparse-extension experiment.
+//! * [`backends::BatchKernelBackend`] — the mega-batch backend: a family of
+//!   same-shape LPs advanced in lockstep by batched kernels.
+//!
+//! Every host reinversion of every backend runs through the one basis
+//! factor in [`basis`]: one gather, one f64 factorization, one modeled
+//! charge.
 //!
 //! [`tableau`] holds the dense full-tableau simplex: the correctness oracle
 //! and the "why revised?" baseline (CPU and GPU variants).

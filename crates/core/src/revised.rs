@@ -82,18 +82,21 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
     /// Mathematical outcomes (optimal/infeasible/unbounded/limits) are
     /// `Ok` with the corresponding [`Status`].
     pub fn try_solve(mut self) -> Result<StdResult<T>, SolveError> {
-        let status = self.run()?;
-        self.lane.finish(self.backend, status)
-    }
-
-    /// Start (resumed, warm or cold) and iterate until the lane reaches a
-    /// terminal status.
-    fn run(&mut self) -> Result<Status, SolveError> {
         match std::mem::take(&mut self.start) {
             Start::Resume(cp) => self.lane.install_checkpoint(self.backend, *cp)?,
             Start::Warm(basis) => self.lane.start(self.backend, Some(basis))?,
             Start::Cold => self.lane.start(self.backend, None)?,
         }
+        loop {
+            let status = self.run()?;
+            if let Some(res) = self.lane.finish(self.backend, status)? {
+                return Ok(res);
+            }
+        }
+    }
+
+    /// Iterate until the lane reaches a terminal status.
+    fn run(&mut self) -> Result<Status, SolveError> {
         let pivot_tol = self.lane.opts.pivot_tol_for::<T>();
         loop {
             if let Flow::End(status) = self.lane.admit(self.backend)? {

@@ -23,6 +23,7 @@ use linalg::Scalar;
 use lp::StandardForm;
 
 use crate::backend::{Backend, RatioOutcome};
+use crate::basis::basis_lu;
 use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
 use crate::error::{BackendError, SolveError};
 use crate::options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
@@ -54,21 +55,9 @@ fn column_jitter(j: usize) -> f64 {
 /// non-finite solve counts as infeasible. See [`SimplexLane::start`] for
 /// why this cannot be delegated to the backend.
 fn warm_basis_feasible<T: Scalar>(sf: &StandardForm<T>, basis: &[usize], tol: f64) -> bool {
-    let m = sf.num_rows();
-    if m == 0 {
-        return true;
-    }
-    let mut bmat = linalg::DenseMatrix::<f64>::zeros(m, m);
-    for (col, &j) in basis.iter().enumerate() {
-        for i in 0..m {
-            bmat.set(i, col, sf.a.get(i, j).to_f64());
-        }
-    }
     let rhs: Vec<f64> = sf.b.iter().map(|v| v.to_f64()).collect();
-    match linalg::blas::lu_solve(&bmat, &rhs) {
-        Some(xb) => xb.iter().all(|v| v.is_finite() && *v >= -tol),
-        None => false,
-    }
+    basis_lu(&sf.a, basis)
+        .is_some_and(|lu| lu.solve(&rhs).iter().all(|v| v.is_finite() && *v >= -tol))
 }
 
 /// Which phase a simplex solve is running.
@@ -676,11 +665,14 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
     }
 
     /// Terminate: download β, scatter the basic solution, close the books.
+    /// `None` means the terminal point was corrupted and an emergency
+    /// reinversion repaired the iterate: the driver resumes its loop at
+    /// [`SimplexLane::admit`].
     pub(crate) fn finish<B: Backend<T>>(
         &mut self,
         be: &mut B,
         status: Status,
-    ) -> Result<StdResult<T>, SolveError> {
+    ) -> Result<Option<StdResult<T>>, SolveError> {
         // The terminal β download is device work like any other: charge it,
         // so the per-step totals account for the whole solve.
         let span = self.span_begin(be);
@@ -699,15 +691,23 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             .sum();
         // Paranoid terminal validation under fault injection: a corrupted
         // iterate can slip past pricing (NaN compares false everywhere, so
-        // a poisoned reduced-cost vector looks "converged"). Refuse to
-        // certify such a point as a mathematical outcome.
+        // a poisoned reduced-cost vector looks "converged"). Never certify
+        // such a point as a mathematical outcome: rebuild the basis and
+        // resume while the recovery budget lasts.
         if self.opts.faults.is_some()
             && matches!(status, Status::Optimal | Status::Unbounded)
             && (!z_std.is_finite() || x_std.iter().any(|x| !x.is_finite()))
         {
-            return Err(SolveError::Numerical(
-                "terminal solution contains non-finite values (undetected corruption)".into(),
-            ));
+            if self.recoveries_left == 0 {
+                return Err(SolveError::Numerical(
+                    "terminal solution contains non-finite values (undetected corruption)".into(),
+                ));
+            }
+            self.recoveries_left -= 1;
+            if self.recover(be)? {
+                return Ok(None);
+            }
+            return self.finish(be, Status::SingularBasis);
         }
         self.stats.wall_seconds = self.wall.elapsed().as_secs_f64();
         debug_assert!(
@@ -715,13 +715,13 @@ impl<'a, T: Scalar, R: Recorder> SimplexLane<'a, T, R> {
             "per-phase counters must partition the totals: {:?}",
             self.stats.check_invariants()
         );
-        Ok(StdResult {
+        Ok(Some(StdResult {
             status,
             x_std,
             z_std,
             basis: std::mem::take(&mut self.xb),
             stats: std::mem::take(&mut self.stats),
-        })
+        }))
     }
 
     /// Refactorize onto the current basis. `Ok(false)` means the basis is

@@ -37,12 +37,14 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, Gpu, Stream};
+use linalg::blas::DenseLu;
 use linalg::{CsrMatrix, Scalar};
 use lp::presolve::{presolve, PresolveResult, Presolved};
 use lp::scaling::{scale, ScalingKind};
 use lp::{LinearProgram, StandardForm};
 
 use crate::backends::{CpuDenseBackend, CpuSparseBackend, GpuDenseBackend};
+use crate::basis::basis_lu;
 use crate::batch::cache::{cache_key, BasisCache};
 use crate::batch::policy::WarmStartPolicy;
 use crate::checkpoint::{CheckpointSlot, SolveCheckpoint};
@@ -535,9 +537,10 @@ pub(crate) fn settle_warm<T: Scalar>(
     }
 }
 
-/// The simplex's post-solve stages: polish an optimal point from its
-/// terminal basis, take the duals from a fresh f64 factorization of that
-/// basis (so they are backend-independent), then [`finalize`].
+/// The simplex's post-solve stages on an optimal result: one fresh f64
+/// factorization of the terminal basis polishes the point (when asked)
+/// and gives the duals, so both are backend-independent; then
+/// [`finalize`].
 pub(crate) fn finalize_simplex<T: Scalar>(
     model: &LinearProgram,
     opts: &SolverOptions,
@@ -545,15 +548,17 @@ pub(crate) fn finalize_simplex<T: Scalar>(
     restore: &Option<Presolved>,
     mut res: StdResult<T>,
 ) -> LpSolution {
-    let optimal = res.status == Status::Optimal;
-    if opts.polish && optimal {
-        polish_x_std(sf, &res.basis, &mut res.x_std);
+    let lu = (res.status == Status::Optimal)
+        .then(|| basis_lu(&sf.a, &res.basis))
+        .flatten();
+    if let (true, Some(lu)) = (opts.polish, &lu) {
+        polish_x_std(sf, lu, &res.basis, &mut res.x_std);
     }
-    let y_std = if optimal {
-        basis_duals(sf, &res.basis)
-    } else {
-        None
-    };
+    // Standard-space duals: `yᵀB = c_Bᵀ`.
+    let y_std = lu.map(|lu| {
+        let cb: Vec<f64> = res.basis.iter().map(|&j| sf.c[j].to_f64()).collect();
+        lu.solve_t(&cb)
+    });
     finalize(model, sf, restore, res.status, &res.x_std, res.stats, y_std)
 }
 
@@ -596,29 +601,21 @@ fn finalize<T: Scalar>(
     }
 }
 
-/// Recompute the basic variables of an optimal point from a fresh f64
-/// factorization of the terminal basis (`B x_B = b`), zeroing every
+/// Recompute the basic variables of an optimal point from `lu`, the f64
+/// factorization of its terminal basis (`B x_B = b`), zeroing every
 /// nonbasic entry. The result depends only on the terminal basis — not on
 /// the pivot path, the backend's accumulated update error, or whether the
 /// solve started warm — which is what makes warm-vs-cold objectives
-/// bitwise-comparable. Left untouched when the factorization fails or
-/// produces non-finite values (the iterate's own β is then the best
-/// available answer).
-fn polish_x_std<T: Scalar>(sf: &StandardForm<T>, basis: &[usize], x_std: &mut [T]) {
-    let m = sf.num_rows();
-    if m == 0 {
-        return;
-    }
-    let mut bmat = linalg::DenseMatrix::<f64>::zeros(m, m);
-    for (col, &j) in basis.iter().enumerate() {
-        for i in 0..m {
-            bmat.set(i, col, sf.a.get(i, j).to_f64());
-        }
-    }
+/// bitwise-comparable. Left untouched when the solve produces non-finite
+/// values (the iterate's own β is then the best available answer).
+fn polish_x_std<T: Scalar>(
+    sf: &StandardForm<T>,
+    lu: &DenseLu<f64>,
+    basis: &[usize],
+    x_std: &mut [T],
+) {
     let rhs: Vec<f64> = sf.b.iter().map(|v| v.to_f64()).collect();
-    let Some(xb) = linalg::blas::lu_solve(&bmat, &rhs) else {
-        return;
-    };
+    let xb = lu.solve(&rhs);
     if xb.iter().any(|v| !v.is_finite()) {
         return;
     }
@@ -628,24 +625,6 @@ fn polish_x_std<T: Scalar>(sf: &StandardForm<T>, basis: &[usize], x_std: &mut [T
     for (col, &j) in basis.iter().enumerate() {
         x_std[j] = T::from_f64(xb[col]);
     }
-}
-
-/// Standard-space duals `y` with `yᵀB = c_Bᵀ`. `None` when the basis is
-/// singular (should not happen on an optimal result).
-fn basis_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec<f64>> {
-    let m = sf.num_rows();
-    if m == 0 {
-        return Some(Vec::new());
-    }
-    // Solve Bᵀ y = c_B in f64.
-    let mut bt = linalg::DenseMatrix::<f64>::zeros(m, m);
-    for (r, &j) in basis.iter().enumerate() {
-        for i in 0..m {
-            bt.set(r, i, sf.a.get(i, j).to_f64());
-        }
-    }
-    let cb: Vec<f64> = basis.iter().map(|&j| sf.c[j].to_f64()).collect();
-    linalg::blas::lu_solve(&bt, &cb)
 }
 
 // Named entry points kept for callers outside this workspace that call them

@@ -48,6 +48,19 @@ impl<T: Scalar> Rows<T> {
         self.data[i * self.n + j]
     }
 
+    /// Partial pivot of column `k`: the first row `i ≥ k` of largest `|·|`,
+    /// and that magnitude.
+    fn pivot(&self, k: usize) -> (usize, T) {
+        let mut best = (k, self.get(k, k).abs());
+        for i in k + 1..self.n {
+            let v = self.get(i, k).abs();
+            if v > best.1 {
+                best = (i, v);
+            }
+        }
+        best
+    }
+
     fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -64,8 +77,9 @@ impl<T: Scalar> Rows<T> {
         }
     }
 
-    /// `row[i] ← row[i] − f·row[k]` (contiguous slices).
-    fn sub_scaled_row(&mut self, i: usize, k: usize, f: T) {
+    /// `row[i] ← row[i] − f·row[k]` over columns `from..n` (contiguous
+    /// slices).
+    fn sub_scaled_row(&mut self, i: usize, k: usize, f: T, from: usize) {
         let n = self.n;
         let (ri, rk) = if i < k {
             let (left, right) = self.data.split_at_mut(k * n);
@@ -74,7 +88,7 @@ impl<T: Scalar> Rows<T> {
             let (left, right) = self.data.split_at_mut(i * n);
             (&mut right[..n], &left[k * n..(k + 1) * n])
         };
-        for (a, &b) in ri.iter_mut().zip(rk) {
+        for (a, &b) in ri[from..].iter_mut().zip(&rk[from..]) {
             *a -= f * b;
         }
     }
@@ -90,6 +104,11 @@ impl<T: Scalar> Rows<T> {
     }
 }
 
+/// Pivot magnitude at or below which `a` counts as numerically singular.
+fn singular_tol<T: Scalar>(a: &DenseMatrix<T>) -> T {
+    a.max_abs().maxs(T::ONE) * T::epsilon() * T::from_f64(a.rows() as f64 * 16.0)
+}
+
 /// Invert a square matrix by Gauss–Jordan elimination with partial pivoting.
 ///
 /// Returns `None` when the matrix is numerically singular (best pivot below
@@ -99,20 +118,10 @@ pub fn gauss_jordan_invert<T: Scalar>(a: &DenseMatrix<T>) -> Option<DenseMatrix<
     assert_eq!(n, a.cols(), "inverse of a non-square matrix");
     let mut work = Rows::from_dense(a);
     let mut inv = Rows::<T>::identity(n);
-    let scale = a.max_abs().maxs(T::ONE);
-    let tiny = scale * T::epsilon() * T::from_f64(n as f64 * 16.0);
+    let tiny = singular_tol(a);
 
     for k in 0..n {
-        // Partial pivot: the largest |work[i, k]| for i >= k.
-        let mut piv = k;
-        let mut best = work.get(k, k).abs();
-        for i in k + 1..n {
-            let v = work.get(i, k).abs();
-            if v > best {
-                best = v;
-                piv = i;
-            }
-        }
+        let (piv, best) = work.pivot(k);
         if !(best > tiny) {
             return None;
         }
@@ -129,65 +138,216 @@ pub fn gauss_jordan_invert<T: Scalar>(a: &DenseMatrix<T>) -> Option<DenseMatrix<
             if f == T::ZERO {
                 continue;
             }
-            work.sub_scaled_row(i, k, f);
-            inv.sub_scaled_row(i, k, f);
+            work.sub_scaled_row(i, k, f, 0);
+            inv.sub_scaled_row(i, k, f, 0);
         }
     }
     Some(inv.to_dense())
 }
 
-/// Solve `Ax = b` by Gaussian elimination with partial pivoting (used as an
-/// oracle in tests; the solver itself keeps `B⁻¹`).
-pub fn lu_solve<T: Scalar>(a: &DenseMatrix<T>, b: &[T]) -> Option<Vec<T>> {
-    let n = a.rows();
-    assert_eq!(n, a.cols(), "lu_solve: non-square matrix");
-    assert_eq!(n, b.len(), "lu_solve: rhs length mismatch");
-    let mut work = Rows::from_dense(a);
-    let mut rhs = b.to_vec();
-    let scale = a.max_abs().maxs(T::ONE);
-    let tiny = scale * T::epsilon() * T::from_f64(n as f64 * 16.0);
+/// A dense LU factorization `P A = L U` with partial pivoting: one
+/// factorization of a basis serves every solve against it and against its
+/// transpose. The host uses it for the warm-start feasibility probe and for
+/// the terminal polish and duals; the iterating solver keeps `B⁻¹`.
+pub struct DenseLu<T> {
+    /// Row-major `U` on and above the diagonal, `L`'s multipliers below it
+    /// (row-exchanged along with their rows, as in LAPACK's `getrf`).
+    lu: Rows<T>,
+    /// The row exchanged with row `k` at elimination step `k`.
+    piv: Vec<usize>,
+}
 
-    for k in 0..n {
-        let mut piv = k;
-        let mut best = work.get(k, k).abs();
-        for i in k + 1..n {
-            let v = work.get(i, k).abs();
-            if v > best {
-                best = v;
-                piv = i;
+impl<T: Scalar> DenseLu<T> {
+    /// Factor `a` by Gaussian elimination with partial pivoting. `None`
+    /// when the matrix is numerically singular (the threshold of
+    /// [`gauss_jordan_invert`]).
+    pub fn factor(a: &DenseMatrix<T>) -> Option<Self> {
+        let n = a.rows();
+        assert_eq!(n, a.cols(), "LU of a non-square matrix");
+        let mut lu = Rows::from_dense(a);
+        let mut piv = Vec::with_capacity(n);
+        let tiny = singular_tol(a);
+        for k in 0..n {
+            let (p, best) = lu.pivot(k);
+            if !(best > tiny) {
+                return None;
+            }
+            lu.swap_rows(k, p);
+            piv.push(p);
+            for i in k + 1..n {
+                let f = lu.get(i, k) / lu.get(k, k);
+                lu.row_mut(i)[k] = f;
+                if f != T::ZERO {
+                    lu.sub_scaled_row(i, k, f, k + 1);
+                }
             }
         }
-        if !(best > tiny) {
-            return None;
+        Some(DenseLu { lu, piv })
+    }
+
+    /// Solve `A x = b`. Each entry of `b` meets the same operations, in the
+    /// same order, as when eliminating `[A | b]` in one pass, so the result
+    /// is bitwise that of the one-shot solve.
+    pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let n = self.piv.len();
+        assert_eq!(n, b.len(), "LU solve: rhs length mismatch");
+        let mut x = b.to_vec();
+        for (k, &p) in self.piv.iter().enumerate() {
+            x.swap(k, p);
         }
-        work.swap_rows(k, piv);
-        rhs.swap(k, piv);
-        for i in k + 1..n {
-            let f = work.get(i, k) / work.get(k, k);
-            if f == T::ZERO {
-                continue;
+        for k in 0..n {
+            let xk = x[k];
+            for i in k + 1..n {
+                let f = self.lu.get(i, k);
+                if f != T::ZERO {
+                    x[i] -= f * xk;
+                }
             }
-            work.sub_scaled_row(i, k, f);
-            let rk = rhs[k];
-            rhs[i] -= f * rk;
         }
-    }
-    let mut x = vec![T::ZERO; n];
-    for k in (0..n).rev() {
-        let mut acc = rhs[k];
-        let row = work.row(k);
-        for j in k + 1..n {
-            acc -= row[j] * x[j];
+        for k in (0..n).rev() {
+            let row = self.lu.row(k);
+            let mut acc = x[k];
+            for j in k + 1..n {
+                acc -= row[j] * x[j];
+            }
+            x[k] = acc / row[k];
         }
-        x[k] = acc / row[k];
+        x
     }
-    Some(x)
+
+    /// Solve the transposed system `Aᵀ y = c` through the same factors
+    /// (`Aᵀ = Uᵀ Lᵀ P`).
+    pub fn solve_t(&self, c: &[T]) -> Vec<T> {
+        let n = self.piv.len();
+        assert_eq!(n, c.len(), "LU solve: rhs length mismatch");
+        let mut y = c.to_vec();
+        for k in 0..n {
+            let mut acc = y[k];
+            for j in 0..k {
+                acc -= self.lu.get(j, k) * y[j];
+            }
+            y[k] = acc / self.lu.get(k, k);
+        }
+        for k in (0..n).rev() {
+            let mut acc = y[k];
+            for i in k + 1..n {
+                acc -= self.lu.get(i, k) * y[i];
+            }
+            y[k] = acc;
+        }
+        for (k, &p) in self.piv.iter().enumerate().rev() {
+            y.swap(k, p);
+        }
+        y
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas::gemm;
+
+    /// The one-pass elimination of `[A | b]` that [`DenseLu::solve`] must
+    /// reproduce bitwise.
+    fn one_shot_solve<T: Scalar>(a: &DenseMatrix<T>, b: &[T]) -> Option<Vec<T>> {
+        let n = a.rows();
+        let mut work = Rows::from_dense(a);
+        let mut rhs = b.to_vec();
+        let tiny = singular_tol(a);
+        for k in 0..n {
+            let (piv, best) = work.pivot(k);
+            if !(best > tiny) {
+                return None;
+            }
+            work.swap_rows(k, piv);
+            rhs.swap(k, piv);
+            for i in k + 1..n {
+                let f = work.get(i, k) / work.get(k, k);
+                if f == T::ZERO {
+                    continue;
+                }
+                work.sub_scaled_row(i, k, f, 0);
+                let rk = rhs[k];
+                rhs[i] -= f * rk;
+            }
+        }
+        let mut x = vec![T::ZERO; n];
+        for k in (0..n).rev() {
+            let mut acc = rhs[k];
+            let row = work.row(k);
+            for j in k + 1..n {
+                acc -= row[j] * x[j];
+            }
+            x[k] = acc / row[k];
+        }
+        Some(x)
+    }
+
+    /// Deterministic pseudo-random `n × n` matrix in [−1, 1), with `zeros`
+    /// of every 7 entries cleared so pivots need row exchanges.
+    fn random_matrix(n: usize, seed: u64, zeros: usize) -> DenseMatrix<f64> {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut a = DenseMatrix::zeros(n, n);
+        for j in 0..n {
+            for i in 0..n {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let v = (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                if (i * n + j) % 7 >= zeros {
+                    a.set(i, j, v);
+                }
+            }
+        }
+        a
+    }
+
+    /// The matrices the factor tests run on: dense random ones, sparse
+    /// random ones, and a permutation-like one whose every pivot needs a
+    /// row exchange.
+    fn factor_fixtures() -> Vec<DenseMatrix<f64>> {
+        let mut out: Vec<_> = (0..6u64)
+            .map(|s| random_matrix(5 + 7 * s as usize, s, (s % 3) as usize * 2))
+            .collect();
+        let n = 9;
+        let mut exch = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            exch.set(i, (i + 4) % n, 2.0 + i as f64);
+            exch.set(i, (i + 1) % n, 0.5);
+        }
+        out.push(exch);
+        out
+    }
+
+    #[test]
+    fn factor_solve_is_bitwise_the_one_shot_elimination() {
+        for a in factor_fixtures() {
+            let n = a.rows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
+            let lu = DenseLu::factor(&a).expect("nonsingular fixture");
+            assert!(lu.piv.iter().enumerate().any(|(k, &p)| p != k));
+            let want = one_shot_solve(&a, &b).expect("nonsingular fixture");
+            let got = lu.solve(&b);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn factor_solve_t_matches_the_transposed_one_shot() {
+        for a in factor_fixtures() {
+            let n = a.rows();
+            let c: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 1.3).cos()).collect();
+            let got = DenseLu::factor(&a).unwrap().solve_t(&c);
+            let want = one_shot_solve(&a.transpose(), &c).unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w.abs().max(1.0),
+                    "n = {n}: {g} vs {w}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn invert_identity() {
@@ -254,7 +414,7 @@ mod tests {
     fn singular_matrix_returns_none() {
         let a = DenseMatrix::from_rows(&[vec![1.0f64, 2.0], vec![2.0, 4.0]]);
         assert!(gauss_jordan_invert(&a).is_none());
-        assert!(lu_solve(&a, &[1.0, 2.0]).is_none());
+        assert!(DenseLu::factor(&a).is_none());
     }
 
     #[test]
@@ -265,7 +425,7 @@ mod tests {
             vec![2.0, 2.0, 7.0],
         ]);
         let b = vec![6.0, -4.0, 23.0];
-        let x = lu_solve(&a, &b).unwrap();
+        let x = DenseLu::factor(&a).unwrap().solve(&b);
         for i in 0..3 {
             let mut acc = 0.0;
             for j in 0..3 {

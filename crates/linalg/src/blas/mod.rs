@@ -10,7 +10,7 @@ mod level1;
 mod level2;
 mod level3;
 
-pub use inv::{gauss_jordan_invert, lu_solve};
+pub use inv::{gauss_jordan_invert, DenseLu};
 pub use level1::{asum, axpy, copy, dot, iamax, nrm2, scal};
 pub(crate) use level2::beta_scale;
 pub use level2::{gemv_n, gemv_t, ger};

@@ -4,9 +4,10 @@
 //! (`f32`/`f64`):
 //!
 //! * [`blas`] — serial CPU routines (the role ATLAS played for the paper's
-//!   baseline), plus Gauss–Jordan inversion for basis refactorization, with
-//!   a calibrated [`cpu_model`] that converts operation counts into modeled
-//!   single-core time;
+//!   baseline), plus Gauss–Jordan inversion for basis refactorization and
+//!   a dense LU factor for host solves against a basis, with a calibrated
+//!   [`cpu_model`] that converts operation counts into modeled single-core
+//!   time;
 //! * [`gpu`] — the same operations as [`gpu_sim`] kernels (the role CUBLAS
 //!   played for the paper's GPU implementation), including coalesced and
 //!   deliberately *uncoalesced* variants for the layout ablation, and

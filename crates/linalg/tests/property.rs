@@ -78,7 +78,7 @@ proptest! {
         }
     }
 
-    /// lu_solve solutions satisfy the system.
+    /// Dense LU solutions satisfy the system.
     #[test]
     fn lu_solve_satisfies_system(base in matrix(10)) {
         let n = base.rows().min(base.cols());
@@ -89,7 +89,7 @@ proptest! {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos() * 3.0).collect();
-        let x = blas::lu_solve(&a, &b).expect("solvable");
+        let x = blas::DenseLu::factor(&a).expect("solvable").solve(&b);
         for i in 0..n {
             let mut acc = 0.0;
             for j in 0..n {

@@ -773,3 +773,66 @@ fn silent_corruption_is_absorbed_by_lane_recovery() {
         assert_eq!(s1.stats.nan_recoveries, s2.stats.nan_recoveries);
     }
 }
+
+/// A silent corruption that lands in a lane's last FTRAN or update reaches
+/// the terminal β check. The lane spends an emergency reinversion there
+/// and resumes, instead of failing a job whose fault it can repair: with
+/// the fault struck late (warmups 64–68 on the corruption fixture above)
+/// every job still ends `Optimal` at the solo optimum.
+#[test]
+fn terminal_corruption_is_recovered_not_failed() {
+    use gpu_sim::FaultConfig;
+
+    let jobs = generator::perturbed_family(6, 12, 18, 13, 0.05);
+    let clean = SolverOptions {
+        stall_threshold: 2,
+        refactor_period: 4,
+        ..raw_opts()
+    };
+    let solo: Vec<f64> = jobs
+        .iter()
+        .map(|lp| {
+            SolveRequest::model(lp, &clean)
+                .on(&BackendKind::CpuDense)
+                .run::<f64>()
+                .unwrap()
+                .objective
+        })
+        .collect();
+    for warmup_ops in 64..=68 {
+        let faulty = SolverOptions {
+            faults: Some(
+                FaultConfig {
+                    kernel_corrupt: 0.02,
+                    warmup_ops,
+                    ..FaultConfig::off(41)
+                }
+                .only(&["batch_ftran", "mega_update"]),
+            ),
+            ..clean.clone()
+        };
+        let report = BatchSolver::new(BatchOptions {
+            mega_batch: true,
+            solver: faulty,
+            ..Default::default()
+        })
+        .solve::<f64>(&jobs);
+        assert!(
+            report.stats.device_faults > 0,
+            "warmup {warmup_ops}: a fault fires"
+        );
+        for (i, r) in report.results.iter().enumerate() {
+            let sol = r
+                .outcome
+                .solution()
+                .unwrap_or_else(|| panic!("warmup {warmup_ops}: job {i} failed"));
+            assert_eq!(sol.status, Status::Optimal, "warmup {warmup_ops}: job {i}");
+            assert!(
+                (sol.objective - solo[i]).abs() / solo[i].abs().max(1.0) < 1e-7,
+                "warmup {warmup_ops}: job {i} objective {} vs solo {}",
+                sol.objective,
+                solo[i]
+            );
+        }
+    }
+}
