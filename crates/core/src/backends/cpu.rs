@@ -182,11 +182,13 @@ impl<T: Scalar, C: ColumnStore<T>> Backend<T> for CpuBackend<T, C> {
     fn compute_pricing_window(&mut self, start: usize, len: usize) -> Result<(), BackendError> {
         assert!(start + len <= self.n_active, "pricing window out of range");
         // d_j = c_j − πᵀ a_j over the window.
-        let mut work = 0u64;
-        for j in start..start + len {
-            self.d[j] = self.costs[j] - self.a.col_dot(j, &self.pi);
-            work += self.a.col_len(j);
+        let window = start..start + len;
+        let d = &mut self.d[window.clone()];
+        self.a.col_dots(start, &self.pi, d);
+        for (dj, &cj) in d.iter_mut().zip(&self.costs[window.clone()]) {
+            *dj = cj - *dj;
         }
+        let work: u64 = window.map(|j| self.a.col_len(j)).sum();
         self.charge(2 * work, work * (T::BYTES + C::INDEX_BYTES));
         Ok(())
     }

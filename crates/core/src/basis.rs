@@ -64,8 +64,9 @@ pub trait ColumnStore<T: Scalar> {
     fn col_nonzeros(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_;
     /// Write column `j` into the dense `out` (length `m`).
     fn load_col(&self, j: usize, out: &mut [T]);
-    /// `πᵀ a_j`.
-    fn col_dot(&self, j: usize, pi: &[T]) -> T;
+    /// `out[k] = πᵀ a_{first+k}` over a window of columns, each summed in
+    /// [`blas::dot`]'s order.
+    fn col_dots(&self, first: usize, pi: &[T], out: &mut [T]);
     /// Explicit-inverse FTRAN: `alpha = B⁻¹ a_q`.
     fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]);
 }
@@ -98,8 +99,8 @@ impl<T: Scalar> ColumnStore<T> for DenseMatrix<T> {
         out.copy_from_slice(self.col(j));
     }
 
-    fn col_dot(&self, j: usize, pi: &[T]) -> T {
-        blas::dot(pi, self.col(j))
+    fn col_dots(&self, first: usize, pi: &[T], out: &mut [T]) {
+        blas::col_dots(self, first, pi, out);
     }
 
     fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]) {
@@ -134,8 +135,10 @@ impl<T: Scalar> ColumnStore<T> for CscMatrix<T> {
         }
     }
 
-    fn col_dot(&self, j: usize, pi: &[T]) -> T {
-        CscMatrix::col_dot(self, j, pi)
+    fn col_dots(&self, first: usize, pi: &[T], out: &mut [T]) {
+        for (j, o) in (first..).zip(out) {
+            *o = self.col_dot(j, pi);
+        }
     }
 
     fn ftran(&self, binv: &DenseMatrix<T>, q: usize, alpha: &mut [T]) {

@@ -64,6 +64,18 @@ impl LaunchConfig {
         }
     }
 
+    /// The one-thread functional grid of a *sweep* kernel.
+    ///
+    /// A sweep kernel's single host thread builds every output element in
+    /// one tight loop, each with exactly the expression and operation order
+    /// of the device thread it models, so results are bitwise those of the
+    /// thread-per-element grid. Its cost descriptor states the modeled
+    /// thread count with [`crate::KernelCost::active_threads_raw`], which
+    /// is all the timing model reads of the grid.
+    pub fn sweep() -> Self {
+        LaunchConfig::for_elems(1, 1)
+    }
+
     /// Total threads in the launch (including any tail overshoot).
     pub fn total_threads(&self) -> u64 {
         self.grid.count() * self.block.count()

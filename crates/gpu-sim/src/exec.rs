@@ -391,7 +391,6 @@ impl Gpu {
     fn launch_unchecked<K: Kernel>(&self, cfg: LaunchConfig, kernel: &K) -> LaunchTiming {
         let cost = kernel.cost(&cfg);
         let timing = kernel_timing(&self.spec, &cfg, &cost);
-        let (tx, bytes) = cost.traffic(self.spec.warp_size, self.spec.segment_bytes);
 
         {
             let mut c = self.counters.lock();
@@ -401,14 +400,14 @@ impl Gpu {
                 .add(TimeCategory::LaunchOverhead, timing.overhead);
             c.breakdown
                 .add(TimeCategory::KernelBody, timing.total() - timing.overhead);
-            c.transactions += tx;
-            c.mem_bytes += bytes;
+            c.transactions += timing.transactions;
+            c.mem_bytes += timing.bytes;
             c.flops += cost.flops;
             let st = c.per_kernel.entry(kernel.name()).or_default();
             st.launches += 1;
             st.time += timing.total();
-            st.transactions += tx;
-            st.bytes += bytes;
+            st.transactions += timing.transactions;
+            st.bytes += timing.bytes;
             st.flops += cost.flops;
         }
 
@@ -481,8 +480,6 @@ impl Gpu {
                 overhead: SimTime::from_ns(self.spec.launch_overhead_ns),
                 ..LaunchTiming::default()
             },
-            tx: 0,
-            bytes: 0,
             flops: 0,
         })
     }
@@ -513,8 +510,6 @@ pub struct FusedLaunch<'g> {
     name: &'static str,
     kernels: u64,
     timing: LaunchTiming,
-    tx: u64,
-    bytes: u64,
     flops: u64,
 }
 
@@ -539,9 +534,8 @@ impl<'g> FusedLaunch<'g> {
         self.timing.compute += t.compute;
         self.timing.bandwidth += t.bandwidth;
         self.timing.latency += t.latency;
-        let (tx, bytes) = cost.traffic(self.gpu.spec.warp_size, self.gpu.spec.segment_bytes);
-        self.tx += tx;
-        self.bytes += bytes;
+        self.timing.transactions += t.transactions;
+        self.timing.bytes += t.bytes;
         self.flops += cost.flops;
         self.kernels += 1;
         match self.gpu.mode {
@@ -568,14 +562,14 @@ impl<'g> FusedLaunch<'g> {
             .add(TimeCategory::LaunchOverhead, timing.overhead);
         c.breakdown
             .add(TimeCategory::KernelBody, timing.total() - timing.overhead);
-        c.transactions += self.tx;
-        c.mem_bytes += self.bytes;
+        c.transactions += timing.transactions;
+        c.mem_bytes += timing.bytes;
         c.flops += self.flops;
         let st = c.per_kernel.entry(self.name).or_default();
         st.launches += 1;
         st.time += timing.total();
-        st.transactions += self.tx;
-        st.bytes += self.bytes;
+        st.transactions += timing.transactions;
+        st.bytes += timing.bytes;
         st.flops += self.flops;
         timing
     }

@@ -1,15 +1,24 @@
 //! The kernel abstraction: per-thread functions plus analytic cost
 //! descriptors.
 //!
-//! A [`Kernel`] is executed once per thread of the launch grid, exactly as a
-//! CUDA `__global__` function, except that *time* is not measured — it is
-//! charged from the [`KernelCost`] the kernel reports for the launch. The
-//! cost descriptor lists total FLOPs and the global-memory
-//! [`AccessPattern`]s; the engine feeds those through the coalescing and
-//! timing models. Keeping cost declarative (instead of instrumenting every
-//! access) is what makes simulating thousands of simplex iterations on
-//! 2048×2048 matrices tractable; unit tests in the `linalg` crate validate
-//! each kernel's descriptor against hand-counted traffic.
+//! A [`Kernel`]'s [`Kernel::run`] is executed once per thread of its
+//! *functional* launch grid, as a CUDA `__global__` function is, except that
+//! *time* is not measured — it is charged from the [`KernelCost`] the kernel
+//! reports for the launch. The cost descriptor lists total FLOPs and the
+//! global-memory [`AccessPattern`]s; the engine feeds those through the
+//! coalescing and timing models. Keeping cost declarative (instead of
+//! instrumenting every access) is what makes simulating thousands of simplex
+//! iterations on 2048×2048 matrices tractable; unit tests in the `linalg`
+//! crate validate each kernel's descriptor against hand-counted traffic.
+//!
+//! The functional grid need not be the modeled one. A kernel either runs
+//! one host call per modeled thread (a thread-per-element grid such as
+//! [`LaunchConfig::for_elems`]), or it is a *sweep*: it launches on the
+//! one-thread [`LaunchConfig::sweep`] grid, builds every output element in
+//! one host loop with exactly its modeled thread's expression and order,
+//! and declares the modeled threads with [`KernelCost::active_threads_raw`].
+//! Both forms compute the same bits and are charged the same time; the sweep
+//! only skips the per-thread host call.
 
 use crate::coalesce::AccessPattern;
 use crate::dim::{Dim3, LaunchConfig};
@@ -146,11 +155,14 @@ impl KernelCost {
     /// Declare the *modeled* device-thread count directly.
     ///
     /// The engine allows a kernel's functional execution to run on a coarser
-    /// grid than the device kernel it models (e.g. one host iteration per
-    /// matrix column walking a tight slice loop, modeling a thread-per-element
-    /// CUDA kernel). In that case the cost descriptor must state the modeled
-    /// thread count here, since `cfg.total_threads()` reflects only the
-    /// functional grid.
+    /// grid than the device kernel it models — usually the one-thread
+    /// [`LaunchConfig::sweep`] grid, whose host thread walks the whole
+    /// product in a tight slice loop while modeling a thread-per-element
+    /// CUDA kernel. The cost descriptor must then state the modeled thread
+    /// count here, since `cfg.total_threads()` reflects only the functional
+    /// grid. For `n ≥ 1` useful threads this equals
+    /// `active_threads(&LaunchConfig::for_elems(n, b), n)`, so a kernel moved
+    /// onto the sweep grid keeps its modeled time.
     pub fn active_threads_raw(mut self, modeled_threads: u64) -> Self {
         self.active_threads = modeled_threads;
         self

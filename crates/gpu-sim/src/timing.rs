@@ -134,7 +134,7 @@ impl fmt::Display for SimTime {
 }
 
 /// Detailed timing of one kernel launch, for per-step breakdowns (F2/F3).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaunchTiming {
     /// Fixed dispatch overhead.
     pub overhead: SimTime,
@@ -144,6 +144,10 @@ pub struct LaunchTiming {
     pub bandwidth: SimTime,
     /// Occupancy-limited latency bound.
     pub latency: SimTime,
+    /// Memory transactions the launch issues (segment granularity).
+    pub transactions: u64,
+    /// Bytes the bandwidth bound was charged for.
+    pub bytes: u64,
 }
 
 impl LaunchTiming {
@@ -167,7 +171,9 @@ impl LaunchTiming {
     }
 }
 
-/// Compute the simulated timing of launching `cost` under `cfg` on `spec`.
+/// Compute the simulated timing of launching `cost` under `cfg` on `spec`,
+/// with the launch's memory traffic (walked once, here, for both the
+/// bandwidth bound and the device counters).
 pub fn kernel_timing(spec: &DeviceSpec, cfg: &LaunchConfig, cost: &KernelCost) -> LaunchTiming {
     let overhead = SimTime::from_ns(spec.launch_overhead_ns);
 
@@ -187,7 +193,7 @@ pub fn kernel_timing(spec: &DeviceSpec, cfg: &LaunchConfig, cost: &KernelCost) -
     let compute = SimTime::from_secs(fp_time + int_time + smem_time);
 
     // --- bandwidth bound ---------------------------------------------------
-    let (_tx, bytes) = cost.traffic(spec.warp_size, spec.segment_bytes);
+    let (transactions, bytes) = cost.traffic(spec.warp_size, spec.segment_bytes);
     let bandwidth =
         SimTime::from_secs(bytes as f64 / (spec.mem_bandwidth * spec.bandwidth_efficiency));
 
@@ -212,6 +218,8 @@ pub fn kernel_timing(spec: &DeviceSpec, cfg: &LaunchConfig, cost: &KernelCost) -
         compute,
         bandwidth,
         latency,
+        transactions,
+        bytes,
     }
 }
 

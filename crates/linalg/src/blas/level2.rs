@@ -1,5 +1,6 @@
 //! Level-2 (matrix-vector) routines over column-major [`DenseMatrix`].
 
+use super::level1::dot;
 use crate::dense::DenseMatrix;
 use crate::scalar::Scalar;
 
@@ -43,16 +44,48 @@ pub fn gemv_n<T: Scalar>(alpha: T, a: &DenseMatrix<T>, x: &[T], beta: T, y: &mut
     }
 }
 
-/// `y ← αAᵀx + βy`.
+/// `y ← αAᵀx + βy`, four columns per pass over `x` (see [`col_dots`]).
 pub fn gemv_t<T: Scalar>(alpha: T, a: &DenseMatrix<T>, x: &[T], beta: T, y: &mut [T]) {
     assert_eq!(a.rows(), x.len(), "gemv_t: x length mismatch");
     assert_eq!(a.cols(), y.len(), "gemv_t: y length mismatch");
-    for (j, yj) in y.iter_mut().enumerate() {
-        let mut acc = T::ZERO;
-        for (&aij, &xi) in a.col(j).iter().zip(x) {
-            acc = aij.mul_add(xi, acc);
+    for (c, ys) in y.chunks_mut(4).enumerate() {
+        let mut acc = [T::ZERO; 4];
+        col_dots(a, 4 * c, x, &mut acc[..ys.len()]);
+        for (yj, &s) in ys.iter_mut().zip(&acc) {
+            *yj = alpha * s + beta_scale(*yj, beta);
         }
-        *yj = alpha * acc + beta_scale(*yj, beta);
+    }
+}
+
+/// `out[k] = dot(x, A[:, first + k])` over a window of columns.
+///
+/// Four columns share each pass over `x`. Every column still sums its own
+/// `mul_add` chain in element order, exactly as [`crate::blas::dot`]
+/// does, so each result is bitwise `dot(x, column)`: the four chains only
+/// interleave, which hides the add latency one chain per column waits on.
+pub fn col_dots<T: Scalar>(a: &DenseMatrix<T>, first: usize, x: &[T], out: &mut [T]) {
+    assert_eq!(a.rows(), x.len(), "col_dots: x length mismatch");
+    assert!(
+        first + out.len() <= a.cols(),
+        "col_dots: window out of range"
+    );
+    let mut quads = out.chunks_exact_mut(4);
+    let mut j = first;
+    for o in &mut quads {
+        let mut acc = [T::ZERO; 4];
+        let cols = x.iter().zip(a.col(j)).zip(a.col(j + 1)).zip(a.col(j + 2));
+        for ((((&xi, &c0), &c1), &c2), &c3) in cols.zip(a.col(j + 3)) {
+            acc[0] = xi.mul_add(c0, acc[0]);
+            acc[1] = xi.mul_add(c1, acc[1]);
+            acc[2] = xi.mul_add(c2, acc[2]);
+            acc[3] = xi.mul_add(c3, acc[3]);
+        }
+        o.copy_from_slice(&acc);
+        j += 4;
+    }
+    for o in quads.into_remainder() {
+        *o = dot(x, a.col(j));
+        j += 1;
     }
 }
 
@@ -170,6 +203,78 @@ mod tests {
         gemv_n(0.0, &a, &[0.0, 0.0], 0.0, &mut y);
         assert_eq!(y[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(y[1].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// Columns of mixed sign and magnitude, with NaN, ±inf and −0.0.
+    fn special_matrix(m: usize, n: usize) -> DenseMatrix<f64> {
+        let pool = [1.5, -0.0, 1e308, f64::NAN, -2.25, f64::INFINITY, 0.0, -1e-3];
+        let mut a = DenseMatrix::zeros(m, n);
+        for j in 0..n {
+            for i in 0..m {
+                let v = if (i + 2 * j) % 7 == 0 {
+                    pool[(i + j) % pool.len()]
+                } else {
+                    (i as f64 - 0.37 * j as f64) * 1.1f64.powi((i % 9) as i32)
+                };
+                a.set(i, j, v);
+            }
+        }
+        a
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn col_dots_are_bitwise_dot_per_column() {
+        // Every n mod 4 (whole windows), windows not aligned to 4, and x
+        // with and without NaN.
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 13] {
+            let a = special_matrix(37, n);
+            for x_nan in [false, true] {
+                let mut x: Vec<f64> = (0..37).map(|i| 0.5 - i as f64 * 0.125).collect();
+                if x_nan {
+                    x[5] = f64::NAN;
+                }
+                for first in 0..n {
+                    for len in 0..=n - first {
+                        let mut out = vec![f64::NAN; len];
+                        col_dots(&a, first, &x, &mut out);
+                        let expect: Vec<f64> =
+                            (first..first + len).map(|j| dot(&x, a.col(j))).collect();
+                        assert_eq!(bits(&out), bits(&expect), "n={n} window {first}+{len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_t_keeps_one_chain_per_column() {
+        // The per-column loop gemv_t ran before its columns interleaved.
+        fn reference(alpha: f64, a: &DenseMatrix<f64>, x: &[f64], beta: f64, y: &mut [f64]) {
+            for (j, yj) in y.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (&aij, &xi) in a.col(j).iter().zip(x) {
+                    acc = Scalar::mul_add(aij, xi, acc);
+                }
+                *yj = alpha * acc + beta_scale(*yj, beta);
+            }
+        }
+        for n in [1usize, 2, 3, 4, 9, 10, 11, 12] {
+            let a = special_matrix(21, n);
+            let x: Vec<f64> = (0..21).map(|i| 1.0 - i as f64 * 0.0625).collect();
+            for (alpha, beta) in [(1.0, 0.0), (-2.0, 0.5)] {
+                let y0: Vec<f64> = (0..n)
+                    .map(|j| if j == 1 { f64::NAN } else { j as f64 })
+                    .collect();
+                let (mut y, mut expect) = (y0.clone(), y0);
+                gemv_t(alpha, &a, &x, beta, &mut y);
+                reference(alpha, &a, &x, beta, &mut expect);
+                assert_eq!(bits(&y), bits(&expect), "n={n} α={alpha} β={beta}");
+            }
+        }
     }
 
     #[test]

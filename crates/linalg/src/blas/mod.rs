@@ -13,5 +13,5 @@ mod level3;
 pub use inv::{gauss_jordan_invert, DenseLu};
 pub use level1::{asum, axpy, copy, dot, iamax, nrm2, scal};
 pub(crate) use level2::beta_scale;
-pub use level2::{gemv_n, gemv_t, ger};
+pub use level2::{col_dots, gemv_n, gemv_t, ger};
 pub use level3::gemm;

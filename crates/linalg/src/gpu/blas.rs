@@ -24,12 +24,6 @@ use crate::scalar::Scalar;
 /// Default block size for elementwise launches.
 const BLOCK: u32 = 128;
 
-/// Functional grid of the sweep kernels: one host iteration does the whole
-/// product, and the kernel's cost descriptor declares the modeled threads.
-fn sweep() -> LaunchConfig {
-    LaunchConfig::for_elems(1, 1)
-}
-
 /// Strip counts the split-K `gemv_n` chooses among, fewest first.
 pub const GEMV_N_STRIP_CANDIDATES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -164,7 +158,7 @@ pub fn gemv_n_split_on<T: Scalar>(
     let out = y;
     if strips == 1 {
         l.try_launch(
-            sweep(),
+            LaunchConfig::sweep(),
             &GemvNK {
                 a: a.view(),
                 layout,
@@ -179,7 +173,7 @@ pub fn gemv_n_split_on<T: Scalar>(
     } else {
         let mut partials = l.gpu().try_alloc(m * strips, T::ZERO)?;
         l.try_launch(
-            sweep(),
+            LaunchConfig::sweep(),
             &GemvNPass1K {
                 a: a.view(),
                 layout,
@@ -227,10 +221,12 @@ pub fn gemv_n_strips<T: Scalar>(spec: &DeviceSpec, layout: Layout, m: usize, n: 
         .filter(|&&s| s == 1 || s <= n)
         .map(|&s| {
             let t = if s == 1 {
-                body(sweep(), gemv_n_cost::<T>(layout, m, n))
+                body(LaunchConfig::sweep(), gemv_n_cost::<T>(layout, m, n))
             } else {
-                body(sweep(), gemv_n_pass1_cost::<T>(layout, m, n, s))
-                    + body(row_cfg, strip_sum_cost::<T>(&row_cfg, m, s, 1))
+                body(
+                    LaunchConfig::sweep(),
+                    gemv_n_pass1_cost::<T>(layout, m, n, s),
+                ) + body(row_cfg, strip_sum_cost::<T>(&row_cfg, m, s, 1))
             };
             (s, t)
         })
@@ -325,7 +321,7 @@ fn gemv_t_two_pass<T: Scalar>(
     let strips = GEMV_T_STRIPS;
     let mut partials = l.gpu().try_alloc(n * strips, T::ZERO)?;
     l.try_launch(
-        sweep(),
+        LaunchConfig::sweep(),
         &GemvTPass1K {
             a,
             m,
@@ -698,7 +694,7 @@ mod tests {
             for strips in [2, 4, 8, 16] {
                 let mut partials = g.alloc(m * strips, f64::NAN);
                 g.launch(
-                    sweep(),
+                    LaunchConfig::sweep(),
                     &GemvNPass1K {
                         a: da.view(),
                         layout,
@@ -744,7 +740,7 @@ mod tests {
         let s = GEMV_T_STRIPS;
         let mut partials = g.alloc(n * s, f64::NAN);
         g.launch(
-            sweep(),
+            LaunchConfig::sweep(),
             &GemvTPass1K {
                 a: da.view(),
                 m,

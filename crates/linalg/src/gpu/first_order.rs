@@ -18,6 +18,12 @@
 //!
 //! with λ = (k+1)/(k+2) and `x₀`/`y₀` the restart anchor. Everything is
 //! coalesced: lane `j` touches only element `j` of each operand.
+//!
+//! Both updates are sweep kernels (see [`LaunchConfig::sweep`]): one host
+//! pass builds every element with exactly its modeled thread's expression,
+//! and the cost descriptors declare one modeled thread per element. The
+//! operands of one launch must not overlap (the iterate is updated in
+//! place, through its own view).
 
 use gpu_sim::{
     AccessPattern, DView, DViewMut, DeviceError, Kernel, KernelCost, LaunchConfig, Launcher,
@@ -27,8 +33,6 @@ use gpu_sim::{
 use crate::scalar::Scalar;
 
 use super::blas::poison_if_corrupted;
-
-const BLOCK: u32 = 128;
 
 /// Fused PDHG primal step: projection, reflection and Halpern fold.
 pub struct PdhgPrimalK<T: Scalar> {
@@ -57,17 +61,26 @@ impl<T: Scalar> Kernel for PdhgPrimalK<T> {
         "pdhg_primal"
     }
     fn run(&self, t: &ThreadCtx) {
-        let j = t.global_id();
-        if j >= self.n {
+        if t.global_id() != 0 {
             return;
         }
-        let xj = self.x.get(j);
-        let step = xj - self.tau * (self.c.get(j) - self.g.get(j));
-        let xnew = if step > T::ZERO { step } else { T::ZERO };
-        self.xbar.set(j, xnew + xnew - xj);
-        self.x.set(j, self.lam * xnew + self.mu * self.x0.get(j));
+        let n = self.n;
+        let (x, xbar) = (self.x.as_mut_slice(), self.xbar.as_mut_slice());
+        let (x, xbar) = (&mut x[..n], &mut xbar[..n]);
+        let (g, c, x0) = (
+            &self.g.as_slice()[..n],
+            &self.c.as_slice()[..n],
+            &self.x0.as_slice()[..n],
+        );
+        for j in 0..n {
+            let xj = x[j];
+            let step = xj - self.tau * (c[j] - g[j]);
+            let xnew = if step > T::ZERO { step } else { T::ZERO };
+            xbar[j] = xnew + xnew - xj;
+            x[j] = self.lam * xnew + self.mu * x0[j];
+        }
     }
-    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
         let n = self.n as u64;
         KernelCost::new()
             .flops_total(8 * n)
@@ -78,7 +91,7 @@ impl<T: Scalar> Kernel for PdhgPrimalK<T> {
             .read(AccessPattern::coalesced::<T>(n))
             .write(AccessPattern::coalesced::<T>(n))
             .write(AccessPattern::coalesced::<T>(n))
-            .active_threads(cfg, n)
+            .active_threads_raw(n)
     }
 }
 
@@ -107,14 +120,22 @@ impl<T: Scalar> Kernel for PdhgDualK<T> {
         "pdhg_dual"
     }
     fn run(&self, t: &ThreadCtx) {
-        let i = t.global_id();
-        if i >= self.m {
+        if t.global_id() != 0 {
             return;
         }
-        let ynew = self.yi(i);
-        self.y.set(i, self.lam * ynew + self.mu * self.y0.get(i));
+        let m = self.m;
+        let y = &mut self.y.as_mut_slice()[..m];
+        let (ax, b, y0) = (
+            &self.ax.as_slice()[..m],
+            &self.b.as_slice()[..m],
+            &self.y0.as_slice()[..m],
+        );
+        for i in 0..m {
+            let ynew = self.sigma.mul_add(b[i] - ax[i], y[i]);
+            y[i] = self.lam * ynew + self.mu * y0[i];
+        }
     }
-    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
         let m = self.m as u64;
         KernelCost::new()
             .flops_total(6 * m)
@@ -124,15 +145,7 @@ impl<T: Scalar> Kernel for PdhgDualK<T> {
             .read(AccessPattern::coalesced::<T>(m))
             .read(AccessPattern::coalesced::<T>(m))
             .write(AccessPattern::coalesced::<T>(m))
-            .active_threads(cfg, m)
-    }
-}
-
-impl<T: Scalar> PdhgDualK<T> {
-    #[inline]
-    fn yi(&self, i: usize) -> T {
-        self.sigma
-            .mul_add(self.b.get(i) - self.ax.get(i), self.y.get(i))
+            .active_threads_raw(m)
     }
 }
 
@@ -155,7 +168,7 @@ pub fn pdhg_primal_on<T: Scalar>(
     );
     let out = x;
     l.try_launch(
-        LaunchConfig::for_elems(n, BLOCK),
+        LaunchConfig::sweep(),
         &PdhgPrimalK {
             x,
             xbar,
@@ -189,7 +202,7 @@ pub fn pdhg_dual_on<T: Scalar>(
     );
     let out = y;
     l.try_launch(
-        LaunchConfig::for_elems(m, BLOCK),
+        LaunchConfig::sweep(),
         &PdhgDualK {
             y,
             ax,
@@ -208,7 +221,198 @@ pub fn pdhg_dual_on<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::timing::kernel_timing;
     use gpu_sim::{DeviceSpec, Gpu};
+
+    /// The thread-per-element primal update the sweep replaced, kept as
+    /// the reference it must reproduce bit for bit.
+    struct PrimalRefK<T: Scalar>(PdhgPrimalK<T>);
+
+    impl<T: Scalar> Kernel for PrimalRefK<T> {
+        fn name(&self) -> &'static str {
+            "pdhg_primal"
+        }
+        fn run(&self, t: &ThreadCtx) {
+            let k = &self.0;
+            let j = t.global_id();
+            if j >= k.n {
+                return;
+            }
+            let xj = k.x.get(j);
+            let step = xj - k.tau * (k.c.get(j) - k.g.get(j));
+            let xnew = if step > T::ZERO { step } else { T::ZERO };
+            k.xbar.set(j, xnew + xnew - xj);
+            k.x.set(j, k.lam * xnew + k.mu * k.x0.get(j));
+        }
+        fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+            let n = self.0.n as u64;
+            KernelCost::new()
+                .flops_total(8 * n)
+                .fp64(T::IS_F64)
+                .read(AccessPattern::coalesced::<T>(n))
+                .read(AccessPattern::coalesced::<T>(n))
+                .read(AccessPattern::coalesced::<T>(n))
+                .read(AccessPattern::coalesced::<T>(n))
+                .write(AccessPattern::coalesced::<T>(n))
+                .write(AccessPattern::coalesced::<T>(n))
+                .active_threads(cfg, n)
+        }
+    }
+
+    /// The thread-per-element dual update the sweep replaced.
+    struct DualRefK<T: Scalar>(PdhgDualK<T>);
+
+    impl<T: Scalar> Kernel for DualRefK<T> {
+        fn name(&self) -> &'static str {
+            "pdhg_dual"
+        }
+        fn run(&self, t: &ThreadCtx) {
+            let k = &self.0;
+            let i = t.global_id();
+            if i >= k.m {
+                return;
+            }
+            let ynew = k.sigma.mul_add(k.b.get(i) - k.ax.get(i), k.y.get(i));
+            k.y.set(i, k.lam * ynew + k.mu * k.y0.get(i));
+        }
+        fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+            let m = self.0.m as u64;
+            KernelCost::new()
+                .flops_total(6 * m)
+                .fp64(T::IS_F64)
+                .read(AccessPattern::coalesced::<T>(m))
+                .read(AccessPattern::coalesced::<T>(m))
+                .read(AccessPattern::coalesced::<T>(m))
+                .read(AccessPattern::coalesced::<T>(m))
+                .write(AccessPattern::coalesced::<T>(m))
+                .active_threads(cfg, m)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `len` values cycling through ordinary numbers and NaN, ±inf, ±0.
+    fn values(len: usize, phase: usize) -> Vec<f64> {
+        let pool = [
+            0.75,
+            f64::NAN,
+            -0.0,
+            f64::INFINITY,
+            -2.5,
+            0.0,
+            f64::NEG_INFINITY,
+            1e-300,
+            3.0,
+        ];
+        (0..len)
+            .map(|i| pool[(i * 5 + phase) % pool.len()] * (1.0 + i as f64 / 64.0))
+            .collect()
+    }
+
+    /// Run one PDHG primal and dual update on the sweep kernels and on the
+    /// per-thread references, with the iterate and its anchor each one
+    /// `x‖y` buffer and the updates writing through subviews of it.
+    fn updates_on(n: usize, m: usize) -> ([Vec<f64>; 2], [Vec<f64>; 2]) {
+        let gpu = Gpu::new(DeviceSpec::gtx280());
+        let run = |per_thread: bool| -> [Vec<f64>; 2] {
+            let mut xy = gpu.htod(&[values(n, 0), values(m, 1)].concat());
+            let xy0 = gpu.htod(&[values(n, 2), values(m, 3)].concat());
+            let mut xbar = gpu.alloc(n, f64::NAN);
+            let (g, c) = (gpu.htod(&values(n, 4)), gpu.htod(&values(n, 5)));
+            let (ax, b) = (gpu.htod(&values(m, 6)), gpu.htod(&values(m, 7)));
+            let v = xy.view_mut();
+            let (x, y) = (v.subview_mut(0, n), v.subview_mut(n, m));
+            let (x0, y0) = (xy0.view().subview(0, n), xy0.view().subview(n, m));
+            let (tau, sigma, lam) = (0.3, 1.7, 5.0 / 6.0);
+            let primal = PdhgPrimalK {
+                x,
+                xbar: xbar.view_mut(),
+                g: g.view(),
+                c: c.view(),
+                x0,
+                tau,
+                lam,
+                mu: 1.0 - lam,
+                n,
+            };
+            let dual = PdhgDualK {
+                y,
+                ax: ax.view(),
+                b: b.view(),
+                y0,
+                sigma,
+                lam,
+                mu: 1.0 - lam,
+                m,
+            };
+            if per_thread {
+                gpu.launch(LaunchConfig::for_elems(n, BLOCK), &PrimalRefK(primal));
+                gpu.launch(LaunchConfig::for_elems(m, BLOCK), &DualRefK(dual));
+            } else {
+                gpu.launch(LaunchConfig::sweep(), &primal);
+                gpu.launch(LaunchConfig::sweep(), &dual);
+            }
+            [gpu.dtoh(&xy), gpu.dtoh(&xbar)]
+        };
+        (run(false), run(true))
+    }
+
+    const BLOCK: u32 = 128;
+
+    #[test]
+    fn update_sweeps_match_the_per_thread_kernels_bitwise() {
+        for (n, m) in [(1usize, 1usize), (9, 4), (130, 257), (1000, 333)] {
+            let (sweep, reference) = updates_on(n, m);
+            for (s, r) in sweep.iter().zip(&reference) {
+                assert_eq!(bits(s), bits(r), "n={n} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_sweeps_keep_the_per_thread_timing() {
+        let spec = DeviceSpec::gtx280();
+        let gpu = Gpu::new(spec.clone());
+        let sweep = LaunchConfig::sweep();
+        for n in [0usize, 1, 31, 128, 129, 5000] {
+            let (mut a, mut b) = (gpu.alloc(n, 0.0f64), gpu.alloc(n, 0.0f64));
+            let (r, w, w2) = (a.view(), a.view_mut(), b.view_mut());
+            let primal = || PdhgPrimalK {
+                x: w,
+                xbar: w2,
+                g: r,
+                c: r,
+                x0: r,
+                tau: 1.0,
+                lam: 0.5,
+                mu: 0.5,
+                n,
+            };
+            let cfg = LaunchConfig::for_elems(n, BLOCK);
+            assert_eq!(
+                kernel_timing(&spec, &cfg, &PrimalRefK(primal()).cost(&cfg)),
+                kernel_timing(&spec, &sweep, &primal().cost(&sweep)),
+                "primal n={n}"
+            );
+            let dual = || PdhgDualK {
+                y: w2,
+                ax: r,
+                b: r,
+                y0: r,
+                sigma: 1.0,
+                lam: 0.5,
+                mu: 0.5,
+                m: n,
+            };
+            assert_eq!(
+                kernel_timing(&spec, &cfg, &DualRefK(dual()).cost(&cfg)),
+                kernel_timing(&spec, &sweep, &dual().cost(&sweep)),
+                "dual m={n}"
+            );
+        }
+    }
 
     #[test]
     fn primal_projects_reflects_and_anchors() {

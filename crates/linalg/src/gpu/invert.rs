@@ -30,12 +30,6 @@ use crate::scalar::Scalar;
 /// Block size of the per-row launches.
 const BLOCK: u32 = 128;
 
-/// Functional grid of the sweep kernels: one host iteration does the whole
-/// step, and the kernel's cost descriptor declares the modeled threads.
-fn sweep() -> LaunchConfig {
-    LaunchConfig::for_elems(1, 1)
-}
-
 /// Guard word value: every pivot was acceptable.
 pub const INVERT_OK: u32 = 0;
 
@@ -88,7 +82,7 @@ pub fn invert_basis_on<T: Scalar>(
     let mut eta = gpu.try_alloc(m, T::ZERO)?;
     let mut rowp = gpu.try_alloc(2 * m, T::ZERO)?;
     l.try_launch(
-        sweep(),
+        LaunchConfig::sweep(),
         &GatherBasisK {
             a: cols.a.view(),
             n: cols.a.cols(),
@@ -106,7 +100,7 @@ pub fn invert_basis_on<T: Scalar>(
         let window = aug.view_mut().subview_mut(k * m, w * m);
         let pivot_col = window.as_view().subview(0, m);
         l.try_launch(
-            sweep(),
+            LaunchConfig::sweep(),
             &PivotPickK {
                 col: pivot_col,
                 k,
@@ -145,7 +139,7 @@ pub fn invert_basis_on<T: Scalar>(
             },
         )?;
         l.try_launch(
-            sweep(),
+            LaunchConfig::sweep(),
             &EliminateWindowK {
                 mat: window,
                 eta: eta.view(),
@@ -157,7 +151,7 @@ pub fn invert_basis_on<T: Scalar>(
         )?;
     }
     l.try_launch(
-        sweep(),
+        LaunchConfig::sweep(),
         &GuardedCopyK {
             src: aug.view().subview(m * m, m * m),
             dst: inv.view_mut(),

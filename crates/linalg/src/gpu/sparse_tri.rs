@@ -114,7 +114,7 @@ impl<T: Scalar> DeviceLu<T> {
         assert_eq!(x.len(), self.m, "ftran: x length mismatch");
         assert_eq!(scratch.len(), self.m, "ftran: scratch length mismatch");
         gpu.try_launch(
-            LaunchConfig::for_elems(self.m.max(1), 128),
+            LaunchConfig::sweep(),
             &LuFtranK {
                 l_col_ptr: self.l_col_ptr.view(),
                 l_row_idx: self.l_row_idx.view(),
@@ -146,7 +146,7 @@ impl<T: Scalar> DeviceLu<T> {
         assert_eq!(y.len(), self.m, "btran: y length mismatch");
         assert_eq!(scratch.len(), self.m, "btran: scratch length mismatch");
         gpu.try_launch(
-            LaunchConfig::for_elems(self.m.max(1), 128),
+            LaunchConfig::sweep(),
             &LuBtranK {
                 l_col_ptr: self.l_col_ptr.view(),
                 l_row_idx: self.l_row_idx.view(),

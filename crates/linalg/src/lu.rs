@@ -23,8 +23,10 @@
 //! ([`LuStats::markowitz_rejections`]) — the solver surfaces the count so
 //! a drifting basis shows up in metrics before it shows up as a singular
 //! reinversion. The search scans the few smallest-count active columns
-//! (MA48-style bounded search), which keeps selection cost near-linear
-//! without giving up the ordering quality on simplex bases.
+//! (MA48-style bounded search): each step selects the `SEARCH_COLS`
+//! least `(count, column)` keys in O(m) and sorts only those, so selection
+//! costs O(m) per step without giving up the ordering quality on simplex
+//! bases.
 //!
 //! All elimination arithmetic runs in f64 regardless of the stored scalar
 //! (the same policy as the dense Gauss–Jordan reinversion path: a
@@ -80,12 +82,35 @@ pub struct SparseLu<T: Scalar> {
     stats: LuStats,
 }
 
+/// Keep the `SEARCH_COLS` least of the `(count, column)` keys, ascending:
+/// a linear-time selection, then a sort of only those. The keys are unique
+/// (one per column), so this is exactly the head of the fully sorted order.
+fn least_keys(keys: &mut Vec<(usize, usize)>) {
+    if keys.len() > SEARCH_COLS {
+        keys.select_nth_unstable(SEARCH_COLS - 1);
+        keys.truncate(SEARCH_COLS);
+    }
+    keys.sort_unstable();
+}
+
 impl<T: Scalar> SparseLu<T> {
     /// Factorize an m×m basis given as sparse columns of `(row, value)`
     /// pairs (rows in any order, no duplicates). `tau` is the threshold-
     /// pivoting parameter in (0, 1]; 0.1 is the classic default. Returns
     /// `None` when the basis is structurally or numerically singular.
     pub fn factorize(m: usize, cols: &[Vec<(usize, f64)>], tau: f64) -> Option<Self> {
+        Self::factorize_with(m, cols, tau, least_keys)
+    }
+
+    /// [`SparseLu::factorize`] with the candidate-column selection as a
+    /// parameter: `select` gets the `(count, column)` key of every active
+    /// column and must leave the `SEARCH_COLS` least, ascending.
+    fn factorize_with(
+        m: usize,
+        cols: &[Vec<(usize, f64)>],
+        tau: f64,
+        select: fn(&mut Vec<(usize, usize)>),
+    ) -> Option<Self> {
         assert_eq!(cols.len(), m, "basis must be square");
         let tau = tau.clamp(1e-8, 1.0);
         let mut stats = LuStats::default();
@@ -114,20 +139,22 @@ impl<T: Scalar> SparseLu<T> {
         let mut u_trips: Vec<(usize, usize, f64)> = Vec::new();
         let mut u_diag64 = Vec::with_capacity(m);
         let mut active_cols: Vec<usize> = (0..m).collect();
+        let mut order: Vec<(usize, usize)> = Vec::with_capacity(m);
 
         for _step in 0..m {
             // --- Markowitz pivot search over the smallest-count columns.
             active_cols.retain(|&j| col_active[j]);
-            let mut order: Vec<usize> = active_cols.clone();
-            order.sort_by_key(|&j| (col_rows[j].len(), j));
-            // The sort is ascending by count: a zero-count *first* column
+            order.clear();
+            order.extend(active_cols.iter().map(|&j| (col_rows[j].len(), j)));
+            select(&mut order);
+            // The order is ascending by count: a zero-count *first* column
             // means some active column is zero over the active rows — the
             // remaining submatrix is singular.
-            if col_rows[*order.first()?].is_empty() {
+            if order.first()?.0 == 0 {
                 return None;
             }
             let mut best: Option<(usize, usize, usize)> = None; // (cost, j, i)
-            for &j in order.iter().take(SEARCH_COLS) {
+            for &(_, j) in &order {
                 let cc = col_rows[j].len();
                 let colmax = col_rows[j]
                     .iter()
@@ -468,5 +495,102 @@ mod tests {
         assert_eq!(a.l(), b.l());
         assert_eq!(a.u(), b.u());
         assert_eq!(a.stats(), b.stats());
+    }
+
+    /// The selection the factorization used before the linear one: sort
+    /// every active column's key, keep the head.
+    fn full_sort_keys(keys: &mut Vec<(usize, usize)>) {
+        keys.sort();
+        keys.truncate(SEARCH_COLS);
+    }
+
+    fn assert_same_factors(cols: &[Vec<(usize, f64)>], m: usize, tau: f64) {
+        let fast = SparseLu::<f64>::factorize(m, cols, tau);
+        let reference = SparseLu::<f64>::factorize_with(m, cols, tau, full_sort_keys);
+        match (fast, reference) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.row_perm, b.row_perm, "m={m} tau={tau}");
+                assert_eq!(a.col_perm, b.col_perm, "m={m} tau={tau}");
+                assert_eq!(a.l, b.l);
+                assert_eq!(a.u, b.u);
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.u_diag), bits(&b.u_diag));
+                assert_eq!(a.stats, b.stats);
+            }
+            (a, b) => panic!(
+                "singularity verdicts differ (m={m}): fast {}, reference {}",
+                a.is_some(),
+                b.is_some()
+            ),
+        }
+    }
+
+    #[test]
+    fn least_keys_is_the_head_of_the_sorted_keys() {
+        let mut seed = 5u64;
+        for len in [0usize, 1, 7, 8, 9, 40, 300] {
+            let mut keys: Vec<(usize, usize)> = (0..len)
+                .map(|j| ((lcg(&mut seed).abs() * 4.0) as usize, j))
+                .collect();
+            // Shuffle so column order does not follow key order.
+            for i in (1..keys.len()).rev() {
+                let k = (lcg(&mut seed).abs() * (i + 1) as f64) as usize % (i + 1);
+                keys.swap(i, k);
+            }
+            let mut reference = keys.clone();
+            full_sort_keys(&mut reference);
+            least_keys(&mut keys);
+            assert_eq!(keys, reference, "len {len}");
+        }
+    }
+
+    #[test]
+    fn linear_selection_reproduces_the_full_sort_factors() {
+        let mut seed = 11u64;
+        // Identity plus a sparse spray: almost every column has count 1–3,
+        // so nearly every step breaks count ties on the column index.
+        for (m, extra) in [
+            (9usize, 12usize),
+            (32, 80),
+            (64, 300),
+            (150, 600),
+            (200, 2000),
+        ] {
+            for tau in [0.1, 0.5, 1.0] {
+                let cols = random_basis(m, extra, &mut seed);
+                assert_same_factors(&cols, m, tau);
+            }
+        }
+        // Entries of one magnitude: the Markowitz cost alone decides.
+        for m in [16usize, 48] {
+            let mut cols = random_basis(m, 4 * m, &mut seed);
+            for col in &mut cols {
+                for e in col.iter_mut() {
+                    e.1 = if e.1 < 0.0 { -1.0 } else { 1.0 };
+                }
+            }
+            assert_same_factors(&cols, m, 0.1);
+        }
+    }
+
+    #[test]
+    fn linear_selection_agrees_on_singular_bases() {
+        let mut seed = 3u64;
+        for m in [10usize, 40, 120] {
+            // A structurally empty column.
+            let mut cols = random_basis(m, 3 * m, &mut seed);
+            cols[m / 2].clear();
+            assert_same_factors(&cols, m, 0.1);
+            // Two columns with their one entry in the same row.
+            let mut cols = random_basis(m, 2 * m, &mut seed);
+            cols[1] = vec![(0, 1.0)];
+            cols[2] = vec![(0, -2.0)];
+            assert_same_factors(&cols, m, 0.1);
+            // A duplicated column.
+            let mut cols = random_basis(m, 3 * m, &mut seed);
+            cols[m - 1] = cols[0].clone();
+            assert_same_factors(&cols, m, 0.1);
+        }
     }
 }

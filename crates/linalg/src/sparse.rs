@@ -194,12 +194,9 @@ impl<T: Scalar> CsrMatrix<T> {
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(self.cols, x.len(), "spmv: x length mismatch");
         assert_eq!(self.rows, y.len(), "spmv: y length mismatch");
-        for i in 0..self.rows {
-            let mut acc = T::ZERO;
-            for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
-                acc = self.values[k].mul_add(x[self.col_idx[k] as usize], acc);
-            }
-            y[i] = acc;
+        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            *yi = gather_dot(&self.values[lo..hi], &self.col_idx[lo..hi], x);
         }
     }
 
@@ -318,11 +315,9 @@ impl<T: Scalar> CscMatrix<T> {
 
     /// Sparse dot of column `j` with a dense vector.
     pub fn col_dot(&self, j: usize, x: &[T]) -> T {
-        let mut acc = T::ZERO;
-        for (i, v) in self.col(j) {
-            acc = v.mul_add(x[i], acc);
-        }
-        acc
+        let lo = self.col_ptr[j] as usize;
+        let hi = self.col_ptr[j + 1] as usize;
+        gather_dot(&self.values[lo..hi], &self.row_idx[lo..hi], x)
     }
 
     /// `y ← Ax` (serial CPU, column-wise scatter).
@@ -435,10 +430,27 @@ impl<T: Scalar> DeviceCsr<T> {
             rows: self.rows,
             nnz: self.nnz(),
         };
-        l.try_launch(LaunchConfig::for_elems(self.rows, 128), &kernel)
+        l.try_launch(LaunchConfig::sweep(), &kernel)
     }
 }
 
+/// `Σ_k vals[k] · x[idx[k]]` as one `mul_add` chain in storage order: the
+/// sum one thread of the scalar CSR/CSC kernels builds for its row or
+/// column.
+#[inline]
+fn gather_dot<T: Scalar>(vals: &[T], idx: &[u32], x: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for (&v, &i) in vals.iter().zip(idx) {
+        acc = v.mul_add(x[i as usize], acc);
+    }
+    acc
+}
+
+/// Scalar CSR `y ← Ax`, modeled with one device thread per row.
+///
+/// A sweep kernel (see [`LaunchConfig::sweep`]): one host pass builds every
+/// `y[i]` as row `i`'s modeled thread does, with one `mul_add` chain in
+/// storage order, overwriting `y[i]` (an empty row writes an exact zero).
 struct SpmvCsrK<T: Scalar> {
     row_ptr: DView<u32>,
     col_idx: DView<u32>,
@@ -454,22 +466,21 @@ impl<T: Scalar> Kernel for SpmvCsrK<T> {
         "spmv_csr"
     }
     fn run(&self, t: &ThreadCtx) {
-        let i = t.global_id();
-        if i >= self.rows {
+        if t.global_id() != 0 {
             return;
         }
-        let lo = self.row_ptr.get(i) as usize;
-        let hi = self.row_ptr.get(i + 1) as usize;
-        let vals = self.values.as_slice();
-        let cols = self.col_idx.as_slice();
-        let x = self.x.as_slice();
-        let mut acc = T::ZERO;
-        for k in lo..hi {
-            acc = vals[k].mul_add(x[cols[k] as usize], acc);
+        let (vals, cols, x) = (
+            self.values.as_slice(),
+            self.col_idx.as_slice(),
+            self.x.as_slice(),
+        );
+        let rows = self.row_ptr.as_slice().windows(2);
+        for (yi, w) in self.y.as_mut_slice().iter_mut().zip(rows) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            *yi = gather_dot(&vals[lo..hi], &cols[lo..hi], x);
         }
-        self.y.set(i, acc);
     }
-    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
         let rows = self.rows as u64;
         let nnz = self.nnz as u64;
         KernelCost::new()
@@ -484,7 +495,7 @@ impl<T: Scalar> Kernel for SpmvCsrK<T> {
             .write(AccessPattern::coalesced::<T>(rows))
             // Ragged rows diverge within warps.
             .divergence(1.5)
-            .active_threads(cfg, rows)
+            .active_threads_raw(rows)
     }
 }
 
@@ -554,10 +565,14 @@ impl<T: Scalar> DeviceCsc<T> {
             cols: self.cols,
             nnz: self.nnz(),
         };
-        l.try_launch(LaunchConfig::for_elems(self.cols, 128), &kernel)
+        l.try_launch(LaunchConfig::sweep(), &kernel)
     }
 }
 
+/// Scalar CSC `y ← Aᵀx`, modeled with one device thread per column.
+///
+/// A sweep kernel (see [`LaunchConfig::sweep`]): one host pass builds every
+/// `y[j]` as column `j`'s modeled thread does.
 struct SpmvCscTK<T: Scalar> {
     col_ptr: DView<u32>,
     row_idx: DView<u32>,
@@ -573,24 +588,24 @@ impl<T: Scalar> Kernel for SpmvCscTK<T> {
         "spmv_t_csc"
     }
     fn run(&self, t: &ThreadCtx) {
-        let j = t.global_id();
-        if j >= self.cols {
+        if t.global_id() != 0 {
             return;
         }
-        let lo = self.col_ptr.get(j) as usize;
-        let hi = self.col_ptr.get(j + 1) as usize;
-        let vals = self.values.as_slice();
-        let rows = self.row_idx.as_slice();
-        let x = self.x.as_slice();
-        let mut acc = T::ZERO;
-        for k in lo..hi {
-            acc = vals[k].mul_add(x[rows[k] as usize], acc);
+        let (vals, rows, x) = (
+            self.values.as_slice(),
+            self.row_idx.as_slice(),
+            self.x.as_slice(),
+        );
+        let cols = self.col_ptr.as_slice().windows(2);
+        for (yj, w) in self.y.as_mut_slice().iter_mut().zip(cols) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            // Unconditional overwrite: an empty column writes an exact
+            // zero, so a NaN-poisoned y entry cannot survive the product
+            // (no `*= 0`).
+            *yj = gather_dot(&vals[lo..hi], &rows[lo..hi], x);
         }
-        // Unconditional overwrite: an empty column writes an exact zero, so
-        // a NaN-poisoned y entry cannot survive the product (no `*= 0`).
-        self.y.set(j, acc);
     }
-    fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+    fn cost(&self, _cfg: &LaunchConfig) -> KernelCost {
         let cols = self.cols as u64;
         let nnz = self.nnz as u64;
         KernelCost::new()
@@ -606,13 +621,14 @@ impl<T: Scalar> Kernel for SpmvCscTK<T> {
             .write(AccessPattern::coalesced::<T>(cols))
             // Ragged columns diverge within warps.
             .divergence(1.5)
-            .active_threads(cfg, cols)
+            .active_threads_raw(cols)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::timing::kernel_timing;
     use gpu_sim::DeviceSpec;
 
     fn example() -> CooMatrix<f64> {
@@ -786,6 +802,301 @@ mod tests {
         let mut expect = vec![0.0; 3];
         csc.spmv_t(&x, &mut expect);
         assert_eq!(gpu.dtoh(&dy), expect);
+    }
+
+    /// The thread-per-row CSR kernel the sweep replaced, kept as the
+    /// reference it must reproduce bit for bit.
+    struct SpmvCsrRefK<T: Scalar> {
+        row_ptr: DView<u32>,
+        col_idx: DView<u32>,
+        values: DView<T>,
+        x: DView<T>,
+        y: DViewMut<T>,
+        rows: usize,
+        nnz: usize,
+    }
+
+    impl<T: Scalar> Kernel for SpmvCsrRefK<T> {
+        fn name(&self) -> &'static str {
+            "spmv_csr"
+        }
+        fn run(&self, t: &ThreadCtx) {
+            let i = t.global_id();
+            if i >= self.rows {
+                return;
+            }
+            let lo = self.row_ptr.get(i) as usize;
+            let hi = self.row_ptr.get(i + 1) as usize;
+            let mut acc = T::ZERO;
+            for k in lo..hi {
+                acc = self
+                    .values
+                    .get(k)
+                    .mul_add(self.x.get(self.col_idx.get(k) as usize), acc);
+            }
+            self.y.set(i, acc);
+        }
+        fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+            let (rows, nnz) = (self.rows as u64, self.nnz as u64);
+            KernelCost::new()
+                .flops_total(2 * nnz)
+                .fp64(T::IS_F64)
+                .read(AccessPattern::scattered::<T>(nnz))
+                .read(AccessPattern::scattered::<u32>(nnz))
+                .read(AccessPattern::scattered::<T>(nnz))
+                .read(AccessPattern::coalesced::<u32>(2 * rows))
+                .write(AccessPattern::coalesced::<T>(rows))
+                .divergence(1.5)
+                .active_threads(cfg, rows)
+        }
+    }
+
+    /// The thread-per-column CSC transpose kernel the sweep replaced.
+    struct SpmvCscTRefK<T: Scalar> {
+        col_ptr: DView<u32>,
+        row_idx: DView<u32>,
+        values: DView<T>,
+        x: DView<T>,
+        y: DViewMut<T>,
+        cols: usize,
+        nnz: usize,
+    }
+
+    impl<T: Scalar> Kernel for SpmvCscTRefK<T> {
+        fn name(&self) -> &'static str {
+            "spmv_t_csc"
+        }
+        fn run(&self, t: &ThreadCtx) {
+            let j = t.global_id();
+            if j >= self.cols {
+                return;
+            }
+            let lo = self.col_ptr.get(j) as usize;
+            let hi = self.col_ptr.get(j + 1) as usize;
+            let mut acc = T::ZERO;
+            for k in lo..hi {
+                acc = self
+                    .values
+                    .get(k)
+                    .mul_add(self.x.get(self.row_idx.get(k) as usize), acc);
+            }
+            self.y.set(j, acc);
+        }
+        fn cost(&self, cfg: &LaunchConfig) -> KernelCost {
+            let (cols, nnz) = (self.cols as u64, self.nnz as u64);
+            KernelCost::new()
+                .flops_total(2 * nnz)
+                .fp64(T::IS_F64)
+                .read(AccessPattern::scattered::<T>(nnz))
+                .read(AccessPattern::scattered::<u32>(nnz))
+                .read(AccessPattern::scattered::<T>(nnz))
+                .read(AccessPattern::coalesced::<u32>(2 * cols))
+                .write(AccessPattern::coalesced::<T>(cols))
+                .divergence(1.5)
+                .active_threads(cfg, cols)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A ragged `rows × cols` matrix: empty, single-entry and long rows
+    /// and columns, with entries of mixed sign and magnitude.
+    fn ragged(rows: usize, cols: usize) -> CsrMatrix<f64> {
+        // With three or more columns, the last is empty and the one before
+        // holds a single entry; the others take the spray.
+        let spread = if cols >= 3 { cols - 2 } else { cols };
+        let mut trips = Vec::new();
+        for i in 0..rows {
+            let len = match i % 5 {
+                0 => 0,
+                1 => 1,
+                2 => spread,
+                _ => 1 + (i * 7) % spread,
+            };
+            for k in 0..len {
+                let j = (i * 3 + k * 5) % spread;
+                let sign = if k % 2 == 0 { 1.0 } else { -1e3 };
+                trips.push((i, j, ((i + 1) as f64 * 0.37 - k as f64 * 1.13) * sign));
+            }
+        }
+        if cols >= 3 && rows > 3 {
+            trips.push((3, cols - 2, -0.5));
+        }
+        CooMatrix::from_triplets(rows, cols, &trips).to_csr()
+    }
+
+    /// `n` inputs cycling through ordinary values and NaN, ±inf and −0.0.
+    fn special_x(n: usize) -> Vec<f64> {
+        let specials = [
+            1.5,
+            f64::NAN,
+            -0.0,
+            f64::INFINITY,
+            0.25,
+            f64::NEG_INFINITY,
+            -3.0,
+            0.0,
+        ];
+        (0..n)
+            .map(|i| {
+                specials[(i * 3) % specials.len()]
+                    * if i % 11 == 0 {
+                        1.0
+                    } else {
+                        1.0 + i as f64 * 1e-3
+                    }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spmv_sweeps_match_the_per_thread_kernels_bitwise() {
+        let spec = DeviceSpec::gtx280();
+        let gpu = Gpu::new(spec.clone());
+        for (rows, cols) in [(1usize, 1usize), (7, 3), (40, 33), (300, 129)] {
+            for finite in [true, false] {
+                let csr = ragged(rows, cols);
+                let csc = csr.to_csc();
+                let x_of = |n: usize| -> Vec<f64> {
+                    let x = special_x(n);
+                    if finite {
+                        x.iter()
+                            .map(|v| if v.is_finite() { *v } else { 2.0 })
+                            .collect()
+                    } else {
+                        x
+                    }
+                };
+                // One x‖y buffer: each product reads one part and writes
+                // the other, as the PDHG iterate's subviews do.
+                let (xa, xt) = (x_of(cols), x_of(rows));
+                let d_csr = DeviceCsr::upload(&gpu, &csr);
+                let mut xy = gpu.htod(&[xa.clone(), vec![f64::NAN; rows]].concat());
+                let v = xy.view_mut();
+                d_csr.spmv(
+                    &gpu,
+                    v.subview_mut(0, cols).as_view(),
+                    v.subview_mut(cols, rows),
+                );
+                let sweep_y = gpu.dtoh(&xy)[cols..].to_vec();
+                let mut xy_ref = gpu.htod(&[xa.clone(), vec![f64::NAN; rows]].concat());
+                let v = xy_ref.view_mut();
+                let reference = SpmvCsrRefK {
+                    row_ptr: d_csr.row_ptr.view(),
+                    col_idx: d_csr.col_idx.view(),
+                    values: d_csr.values.view(),
+                    x: v.subview_mut(0, cols).as_view(),
+                    y: v.subview_mut(cols, rows),
+                    rows,
+                    nnz: csr.nnz(),
+                };
+                gpu.launch(LaunchConfig::for_elems(rows, 128), &reference);
+                assert_eq!(
+                    bits(&sweep_y),
+                    bits(&gpu.dtoh(&xy_ref)[cols..]),
+                    "csr {rows}×{cols}"
+                );
+
+                let d_csc = DeviceCsc::upload(&gpu, &csc);
+                let mut xy = gpu.htod(&[xt.clone(), vec![f64::NAN; cols]].concat());
+                let v = xy.view_mut();
+                d_csc.spmv_t(
+                    &gpu,
+                    v.subview_mut(0, rows).as_view(),
+                    v.subview_mut(rows, cols),
+                );
+                let sweep_y = gpu.dtoh(&xy)[rows..].to_vec();
+                let mut xy_ref = gpu.htod(&[xt.clone(), vec![f64::NAN; cols]].concat());
+                let v = xy_ref.view_mut();
+                let reference = SpmvCscTRefK {
+                    col_ptr: d_csc.col_ptr.view(),
+                    row_idx: d_csc.row_idx.view(),
+                    values: d_csc.values.view(),
+                    x: v.subview_mut(0, rows).as_view(),
+                    y: v.subview_mut(rows, cols),
+                    cols,
+                    nnz: csc.nnz(),
+                };
+                gpu.launch(LaunchConfig::for_elems(cols, 128), &reference);
+                assert_eq!(
+                    bits(&sweep_y),
+                    bits(&gpu.dtoh(&xy_ref)[rows..]),
+                    "csc {rows}×{cols}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn spmv_sweeps_keep_the_per_thread_timing() {
+        let spec = DeviceSpec::gtx280();
+        let gpu = Gpu::new(spec.clone());
+        let sweep = LaunchConfig::sweep();
+        // (rows, cols) = (0, 0) is the empty launch: no modeled thread.
+        for (rows, cols) in [(0usize, 0usize), (1, 1), (7, 3), (129, 40), (1000, 2000)] {
+            let csr = if rows == 0 {
+                CsrMatrix::from_dense(&DenseMatrix::zeros(0, 0), 0.0)
+            } else {
+                ragged(rows, cols)
+            };
+            let csc = csr.to_csc();
+            let (d_csr, d_csc) = (DeviceCsr::upload(&gpu, &csr), DeviceCsc::upload(&gpu, &csc));
+            let (x, mut y) = (
+                gpu.alloc(rows.max(cols), 1.0f64),
+                gpu.alloc(rows.max(cols), 0.0f64),
+            );
+            let (xv, yv) = (x.view(), y.view_mut());
+            let csr_cfg = LaunchConfig::for_elems(rows, 128);
+            let old = SpmvCsrRefK {
+                row_ptr: d_csr.row_ptr.view(),
+                col_idx: d_csr.col_idx.view(),
+                values: d_csr.values.view(),
+                x: xv.subview(0, cols),
+                y: yv.subview_mut(0, rows),
+                rows,
+                nnz: csr.nnz(),
+            };
+            let new = SpmvCsrK {
+                row_ptr: d_csr.row_ptr.view(),
+                col_idx: d_csr.col_idx.view(),
+                values: d_csr.values.view(),
+                x: xv.subview(0, cols),
+                y: yv.subview_mut(0, rows),
+                rows,
+                nnz: csr.nnz(),
+            };
+            assert_eq!(
+                kernel_timing(&spec, &csr_cfg, &old.cost(&csr_cfg)),
+                kernel_timing(&spec, &sweep, &new.cost(&sweep)),
+                "csr {rows}×{cols}"
+            );
+            let csc_cfg = LaunchConfig::for_elems(cols, 128);
+            let old = SpmvCscTRefK {
+                col_ptr: d_csc.col_ptr.view(),
+                row_idx: d_csc.row_idx.view(),
+                values: d_csc.values.view(),
+                x: xv.subview(0, rows),
+                y: yv.subview_mut(0, cols),
+                cols,
+                nnz: csc.nnz(),
+            };
+            let new = SpmvCscTK {
+                col_ptr: d_csc.col_ptr.view(),
+                row_idx: d_csc.row_idx.view(),
+                values: d_csc.values.view(),
+                x: xv.subview(0, rows),
+                y: yv.subview_mut(0, cols),
+                cols,
+                nnz: csc.nnz(),
+            };
+            assert_eq!(
+                kernel_timing(&spec, &csc_cfg, &old.cost(&csc_cfg)),
+                kernel_timing(&spec, &sweep, &new.cost(&sweep)),
+                "csc {rows}×{cols}"
+            );
+        }
     }
 
     #[test]
