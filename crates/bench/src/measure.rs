@@ -9,7 +9,7 @@ use gplex::trace::{NoopRecorder, Recorder};
 use gplex::{RevisedSimplex, SolverOptions, Start, Status, Step};
 use gpu_sim::{DeviceSpec, Gpu, TimeCategory};
 use linalg::gpu::{GemvTStrategy, Layout};
-use linalg::{CpuModel, CsrMatrix, Scalar};
+use linalg::{CsrMatrix, Scalar};
 use lp::{LinearProgram, StandardForm};
 
 /// GPU run configuration.
@@ -37,8 +37,8 @@ impl GpuConfig {
 /// Which implementation to measure.
 #[derive(Debug, Clone)]
 pub enum Target {
-    /// Dense serial CPU with an explicit cost model.
-    Cpu(CpuModel),
+    /// Dense serial CPU on the paper-era cost model.
+    Cpu,
     /// Sparse-pricing serial CPU.
     CpuSparse,
     /// Simulated GPU.
@@ -48,7 +48,7 @@ pub enum Target {
 impl Target {
     /// The paper's CPU baseline.
     pub fn cpu() -> Self {
-        Target::Cpu(CpuModel::core2_era())
+        Target::Cpu
     }
 
     /// The paper's GPU implementation.
@@ -59,7 +59,7 @@ impl Target {
     /// Short label for tables.
     pub fn label(&self) -> String {
         match self {
-            Target::Cpu(_) => "cpu".into(),
+            Target::Cpu => "cpu".into(),
             Target::CpuSparse => "cpu-sparse".into(),
             Target::Gpu(cfg) => {
                 let layout = match cfg.layout {
@@ -208,9 +208,8 @@ fn run_standard_impl<T: Scalar, R: Recorder>(
     let n_active = sf.num_cols() - sf.num_artificials;
     let wall = Instant::now();
     match target {
-        Target::Cpu(model) => {
-            let mut be =
-                CpuDenseBackend::with_model(&sf.a, &sf.b, n_active, &sf.basis0, model.clone());
+        Target::Cpu => {
+            let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
             let res = solve_with(&mut be, sf, opts, rec);
             let m = Measurement::from_result(sf, &res, wall.elapsed().as_secs_f64(), None);
             (m, res)

@@ -183,7 +183,7 @@ impl<'g, T: Scalar> BatchKernelBackend<'g, T> {
             obj: gpu.try_alloc(width, T::ZERO)?,
             a_host,
             b_host,
-            factor: BasisFactor::new(0, linalg::CpuModel::core2_era()),
+            factor: BasisFactor::new(0),
             basic_of_row_host,
         })
     }

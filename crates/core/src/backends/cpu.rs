@@ -61,30 +61,19 @@ impl<T: Scalar> CpuBackend<T, DenseMatrix<T>> {
     /// Build from standard-form data. `basis0` must be an identity basis
     /// (slacks/artificials), which standard-form construction guarantees.
     pub fn new(a: &DenseMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
-        Self::with_model(a, b, n_active, basis0, CpuModel::core2_era())
-    }
-
-    /// Same, with an explicit CPU cost model (sensitivity experiments).
-    pub fn with_model(
-        a: &DenseMatrix<T>,
-        b: &[T],
-        n_active: usize,
-        basis0: &[usize],
-        model: CpuModel,
-    ) -> Self {
-        CpuBackend::over(a.clone(), b, n_active, basis0, model)
+        CpuBackend::over(a.clone(), b, n_active, basis0)
     }
 }
 
 impl<T: Scalar> CpuBackend<T, CscMatrix<T>> {
     /// Build from a sparse matrix (CSR, converted internally to CSC).
     pub fn new(a: &CsrMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
-        CpuBackend::over(a.to_csc(), b, n_active, basis0, CpuModel::core2_era())
+        CpuBackend::over(a.to_csc(), b, n_active, basis0)
     }
 }
 
 impl<T: Scalar, C: ColumnStore<T>> CpuBackend<T, C> {
-    fn over(a: C, b: &[T], n_active: usize, basis0: &[usize], model: CpuModel) -> Self {
+    fn over(a: C, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
         let m = a.rows();
         assert_eq!(b.len(), m, "rhs length mismatch");
         assert!(n_active <= a.cols(), "n_active exceeds column count");
@@ -105,8 +94,8 @@ impl<T: Scalar, C: ColumnStore<T>> CpuBackend<T, C> {
             basic_of_row: basis0.to_vec(),
             n_active,
             clock: CpuClock::new(),
-            factor: BasisFactor::new(m, model.clone()),
-            model,
+            factor: BasisFactor::new(m),
+            model: CpuModel::core2_era(),
             rowp: vec![T::ZERO; m],
             eta: vec![T::ZERO; m],
             etas: EtaFile::new(),

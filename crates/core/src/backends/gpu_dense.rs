@@ -218,7 +218,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
             pool: BufferPool::new(),
             work,
             alpha_tmp,
-            factor: BasisFactor::new(0, linalg::CpuModel::core2_era()),
+            factor: BasisFactor::new(0),
             lu_dev: None,
             lu_scratch,
         })
@@ -290,28 +290,18 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             return Ok(());
         }
         // π = c_Bᵀ B⁻¹  ⇔  π = (B⁻¹)ᵀ c_B.
-        if self.fuse {
-            let mut fl = self.gpu.try_begin_fused("btran_fused")?;
-            gblas::gemv_t_on(
-                &mut Launcher::Fused(&mut fl),
-                T::ONE,
-                &self.binv,
-                self.cb.view(),
-                T::ZERO,
-                self.pi.view_mut(),
-                self.gemv_t_strategy,
-            )?;
+        let mut fl = open_group(self.gpu, self.fuse, "btran_fused")?;
+        gblas::gemv_t_on(
+            &mut launcher(self.gpu, &mut fl),
+            T::ONE,
+            &self.binv,
+            self.cb.view(),
+            T::ZERO,
+            self.pi.view_mut(),
+            self.gemv_t_strategy,
+        )?;
+        if let Some(fl) = fl {
             fl.finish();
-        } else {
-            gblas::gemv_t(
-                self.gpu,
-                T::ONE,
-                &self.binv,
-                self.cb.view(),
-                T::ZERO,
-                self.pi.view_mut(),
-                self.gemv_t_strategy,
-            )?;
         }
         Ok(())
     }
@@ -321,10 +311,10 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
         // d[start..start+len] = c[window] − A[:, window]ᵀπ. The column-block
         // product needs contiguous columns (col-major); the row-major
         // ablation backend always prices the full range.
-        if self.fuse {
-            let mut fl = self.gpu.try_begin_fused("pricing_fused")?;
-            let mut l = Launcher::Fused(&mut fl);
-            if self.layout == Layout::ColMajor {
+        let mut fl = open_group(self.gpu, self.fuse, "pricing_fused")?;
+        let mut l = launcher(self.gpu, &mut fl);
+        match self.layout {
+            Layout::ColMajor => {
                 gblas::copy_on(
                     &mut l,
                     self.costs.view().subview(start, len),
@@ -341,7 +331,8 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                     self.d.view_mut().subview_mut(start, len),
                     self.gemv_t_strategy,
                 )?;
-            } else {
+            }
+            Layout::RowMajor => {
                 gblas::copy_on(&mut l, self.costs.view(), self.d.view_mut())?;
                 gblas::gemv_t_on(
                     &mut l,
@@ -353,35 +344,9 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
                     self.gemv_t_strategy,
                 )?;
             }
+        }
+        if let Some(fl) = fl {
             fl.finish();
-        } else if self.layout == Layout::ColMajor {
-            gblas::copy(
-                self.gpu,
-                self.costs.view().subview(start, len),
-                self.d.view_mut().subview_mut(start, len),
-            )?;
-            gblas::gemv_t_cols(
-                self.gpu,
-                -T::ONE,
-                &self.a_dev,
-                start,
-                len,
-                self.pi.view(),
-                T::ONE,
-                self.d.view_mut().subview_mut(start, len),
-                self.gemv_t_strategy,
-            )?;
-        } else {
-            gblas::copy(self.gpu, self.costs.view(), self.d.view_mut())?;
-            gblas::gemv_t(
-                self.gpu,
-                -T::ONE,
-                &self.a_dev,
-                self.pi.view(),
-                T::ONE,
-                self.d.view_mut(),
-                self.gemv_t_strategy,
-            )?;
         }
         Ok(())
     }
@@ -420,6 +385,9 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             let s = self.gpu.try_dtoh_range(&self.stage, 0, 2)?;
             (s[0], s[1].to_f64() as usize)
         } else {
+            // Kept as its own arm, unlike BTRAN and pricing: unfused, the
+            // era's codes read each reduction back on its own, so host
+            // `argmin` makes two D2H reads where the staged path makes one.
             self.gpu
                 .try_launch(LaunchConfig::for_elems(self.m, BLOCK), &mask)?;
             let (v, q) = gblas::argmin(self.gpu, self.d.view().subview(start, len), len)?;
@@ -472,6 +440,8 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             }
             Ok(Some((s[0].to_f64() as usize, s[1])))
         } else {
+            // Kept as its own arm: unfused, the index reduction and d_q come
+            // back in two D2H reads where the staged path makes one.
             self.gpu
                 .try_launch(LaunchConfig::for_elems(self.m, BLOCK), &mask)?;
             self.gpu
@@ -599,6 +569,8 @@ impl<T: Scalar> Backend<T> for GpuDenseBackend<'_, T> {
             let s = self.gpu.try_dtoh_range(&self.stage, 0, 2)?;
             (s[0], s[1].to_f64() as usize)
         } else {
+            // Kept as its own arm: unfused, host `argmin` makes two D2H
+            // reads (θ, then p) where the staged path makes one.
             self.gpu
                 .try_launch(LaunchConfig::for_elems(self.m, BLOCK), &ratio)?;
             let (theta, p) = gblas::argmin(self.gpu, self.ratios.view(), self.m)?;

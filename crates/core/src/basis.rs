@@ -197,15 +197,15 @@ pub(crate) struct BasisFactor<T: Scalar> {
 
 impl<T: Scalar> BasisFactor<T> {
     /// A factor of the identity basis whose explicit inverse has `m` rows,
-    /// priced by `model`.
-    pub(crate) fn new(m: usize, model: CpuModel) -> Self {
+    /// priced on the paper-era CPU model.
+    pub(crate) fn new(m: usize) -> Self {
         BasisFactor {
             rep: BasisRepresentation::ExplicitInverse,
             inv: DenseMatrix::identity(m),
             lu: None,
             scratch: vec![T::ZERO; m],
             report: LuReport::default(),
-            model,
+            model: CpuModel::core2_era(),
         }
     }
 
@@ -405,7 +405,7 @@ mod tests {
         rep: BasisRepresentation,
     ) -> Built {
         let m = sf.num_rows();
-        let mut f = BasisFactor::new(m, CpuModel::core2_era());
+        let mut f = BasisFactor::new(m);
         f.rep = rep;
         let mut beta = vec![0.0; m];
         let t = f.refactorize(a, basis, &sf.b, &mut beta).unwrap();

@@ -9,9 +9,9 @@
 //! * **Keying.** Instances are keyed by a structural FNV-1a fingerprint of
 //!   the standardized form, computed by [`cache_key`] under a
 //!   [`WarmStartPolicy`]: dimensions, the column-kind pattern, and the
-//!   constraint matrix — exact bits under `Exact`, quantized to a
-//!   perturbation tolerance under `Family { tol }` (with `b`/`c` excluded,
-//!   so perturbed-RHS/objective family members share one key).
+//!   constraint matrix quantized to a perturbation tolerance under
+//!   `Family { tol }` (with `b`/`c` excluded, so perturbed-RHS/objective
+//!   family members share one key).
 //! * **Validation.** A cached basis is never trusted: [`BasisCache::lookup`]
 //!   checks shape/compatibility cheaply, and the solver's warm-start path
 //!   refactorizes the candidate and checks primal feasibility before using
@@ -40,16 +40,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Structural cache key for a standardized instance under `policy`, or
 /// `None` when the policy is [`WarmStartPolicy::Off`].
 ///
-/// Both flavors fold in the dimensions and the column-kind pattern, so
+/// The key folds in the dimensions and the column-kind pattern, so
 /// instances of different shape can never collide into each other's bases
-/// by quantization alone. `Family` hashes each `A` entry rounded to the
-/// nearest multiple of `tol` and leaves `b`/`c` out; `Exact` hashes the
-/// exact bits of `A`, `b`, and `c`.
+/// by quantization alone, then each nonzero `A` entry rounded to the
+/// nearest multiple of `tol`; `b` and `c` stay out.
 pub fn cache_key<T: Scalar>(sf: &StandardForm<T>, policy: &WarmStartPolicy) -> Option<u64> {
-    let (family, tol) = match policy {
+    let tol = match policy {
         WarmStartPolicy::Off => return None,
-        WarmStartPolicy::Exact => (false, 0.0),
-        WarmStartPolicy::Family { tol } => (true, tol.abs().max(f64::MIN_POSITIVE)),
+        WarmStartPolicy::Family { tol } => tol.abs().max(f64::MIN_POSITIVE),
     };
     let mut h = FNV_OFFSET;
     let mut mix = |v: u64| {
@@ -75,22 +73,10 @@ pub fn cache_key<T: Scalar>(sf: &StandardForm<T>, policy: &WarmStartPolicy) -> O
     for i in 0..m {
         for j in 0..n {
             let v = sf.a.get(i, j).to_f64();
-            if family {
-                if v != 0.0 {
-                    mix(j as u64);
-                    mix((v / tol).round() as i64 as u64);
-                }
-            } else {
-                mix(v.to_bits());
+            if v != 0.0 {
+                mix(j as u64);
+                mix((v / tol).round() as i64 as u64);
             }
-        }
-    }
-    if !family {
-        for &b in &sf.b {
-            mix(b.to_f64().to_bits());
-        }
-        for &c in &sf.c {
-            mix(c.to_f64().to_bits());
         }
     }
     Some(h)
@@ -270,20 +256,17 @@ mod tests {
     fn off_policy_yields_no_key() {
         let sf = sf_of(4, 6, 0);
         assert_eq!(cache_key(&sf, &WarmStartPolicy::Off), None);
-        assert!(cache_key(&sf, &WarmStartPolicy::Exact).is_some());
+        assert!(cache_key(&sf, &WarmStartPolicy::Family { tol: 1e-6 }).is_some());
     }
 
     #[test]
-    fn family_key_ignores_rhs_and_objective_exact_does_not() {
+    fn family_key_ignores_rhs_and_objective() {
         let family = generator::perturbed_family(2, 6, 8, 3, 0.01);
         let sf0 = StandardForm::<f64>::from_lp(&family[0]).unwrap();
         let sf1 = StandardForm::<f64>::from_lp(&family[1]).unwrap();
+        assert_ne!(sf0.b, sf1.b, "the siblings differ in b");
         let fam = WarmStartPolicy::Family { tol: 1e-6 };
         assert_eq!(cache_key(&sf0, &fam), cache_key(&sf1, &fam));
-        assert_ne!(
-            cache_key(&sf0, &WarmStartPolicy::Exact),
-            cache_key(&sf1, &WarmStartPolicy::Exact)
-        );
         // A different A lands in a different family.
         let other = sf_of(6, 8, 4);
         assert_ne!(cache_key(&sf0, &fam), cache_key(&other, &fam));

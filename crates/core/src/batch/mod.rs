@@ -9,10 +9,9 @@
 //!   [`SolverOptions`] for the batch and dispatches the solves across a
 //!   pool of worker threads (crossbeam scoped threads pulling job indices
 //!   from an MPMC channel — classic work stealing by queue contention).
-//! * A [`PlacementPolicy`] maps each job to a [`BackendKind`] — pin
-//!   everything to one backend, round-robin across devices, or split
-//!   CPU-vs-GPU at the paper's size crossover. Placement is a pure function
-//!   of (job index, shape), so *where* a job runs never depends on timing.
+//! * A [`PlacementPolicy`] maps each job to a [`BackendKind`]; its one
+//!   arm pins every job to one backend, so *where* a job runs never
+//!   depends on timing.
 //! * Each solve runs under `catch_unwind`: a panicking job is recorded as
 //!   [`JobOutcome::Panicked`] and the pool keeps draining the queue —
 //!   one poisoned model cannot take down the batch. A solve that returns a
@@ -81,6 +80,9 @@ pub use cache::{cache_key, BasisCache, CacheStats, CachedBasis};
 pub use policy::{PlacementPolicy, WarmStartPolicy};
 pub use report::{BackendTally, BatchStats, JobOutcome, JobResult};
 
+/// Distinct family keys the per-run basis cache retains (LRU beyond that).
+const WARM_CACHE_CAPACITY: usize = 256;
+
 /// Configuration for one batch run.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
@@ -104,9 +106,6 @@ pub struct BatchOptions {
     /// their simplex work. `Off` (the default) preserves the historical
     /// cold-start behavior exactly.
     pub warm_start: WarmStartPolicy,
-    /// Capacity of the per-run basis cache (distinct family keys retained;
-    /// LRU beyond that). Ignored when `warm_start` is `Off`.
-    pub warm_cache_capacity: usize,
     /// Group same-shape jobs into SoA super-jobs and solve each group in
     /// lockstep on the block-per-LP [`crate::BatchKernelBackend`] — one
     /// kernel chain per simplex iteration for the whole group instead of
@@ -126,7 +125,6 @@ impl Default for BatchOptions {
             solver: SolverOptions::default(),
             resilience: None,
             warm_start: WarmStartPolicy::Off,
-            warm_cache_capacity: 256,
             mega_batch: false,
         }
     }
@@ -219,7 +217,7 @@ impl BatchSolver {
             .opts
             .warm_start
             .is_enabled()
-            .then(|| BasisCache::new(self.opts.warm_cache_capacity));
+            .then(|| BasisCache::new(WARM_CACHE_CAPACITY));
 
         // Mega pre-pass: group same-shape jobs into SoA super-jobs solved in
         // lockstep; everything it cannot take flows into the normal queue.
@@ -260,9 +258,7 @@ impl BatchSolver {
                     let mut executed = SimTime::ZERO;
                     for idx in rx.iter() {
                         let job = &jobs[idx];
-                        let mut kind =
-                            opts.policy
-                                .place(idx, job.num_constraints(), job.num_vars());
+                        let mut kind = opts.policy.place();
                         let mut backend = kind.label();
                         let t0 = Instant::now();
                         let (outcome, faults, retries, degradations) = match &resilient {
@@ -449,11 +445,8 @@ fn mega_prepass<T: Scalar>(
     // stream path.
     type Job<T> = (usize, StandardForm<T>, Option<Presolved>);
     let mut ready: Vec<Job<T>> = Vec::new();
+    let placed = opts.policy.place().label();
     for (idx, job) in jobs.iter().enumerate() {
-        let placed = opts
-            .policy
-            .place(idx, job.num_constraints(), job.num_vars())
-            .label();
         match catch_unwind(AssertUnwindSafe(|| {
             prepare::<T>(job, opts.solver.presolve, opts.solver.scale)
         })) {
@@ -490,11 +483,8 @@ fn mega_prepass<T: Scalar>(
         // One device per group, mirroring the stream path's placement:
         // a shared device gets a stream (counters fold into the device on
         // retirement), a fixed spec gets a fresh device of that spec.
-        let placed = match &opts.policy {
-            PlacementPolicy::Fixed(kind) => SimDevice::open(kind),
-            _ => None,
-        };
-        let gpu = placed.unwrap_or_else(|| SimDevice::Fresh(Gpu::new(DeviceSpec::gtx280())));
+        let gpu = SimDevice::open(&opts.policy.place())
+            .unwrap_or_else(|| SimDevice::Fresh(Gpu::new(DeviceSpec::gtx280())));
         // Arm the group device with a per-group reseeded plan, mirroring
         // the stream path's per-solve arming (deterministic: groups walk in
         // BTreeMap shape order).
@@ -552,7 +542,7 @@ fn mega_prepass<T: Scalar>(
                 Ok(mut r) => {
                     let offered_baseline = if offered[i] { baseline } else { None };
                     settle_warm(warm_ctx.as_ref(), member_keys[i], offered_baseline, &mut r);
-                    let sol = finalize_simplex(&jobs[*idx], &opts.solver, sf, restore, r);
+                    let sol = finalize_simplex(&jobs[*idx], sf, restore, r);
                     JobOutcome::Solved(Box::new(sol))
                 }
                 Err(e) => JobOutcome::Failed(e.to_string()),
@@ -962,5 +952,25 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Names every field with no `..`: a new option fails to compile here
+    /// until the DESIGN.md option table is updated with it.
+    #[test]
+    fn option_list_is_reviewed() {
+        let BatchOptions {
+            workers,
+            policy,
+            solver,
+            resilience,
+            warm_start,
+            mega_batch,
+        } = BatchOptions::default();
+        assert_eq!(workers, 1);
+        assert_eq!(policy.place().label(), "cpu-dense");
+        assert_eq!(solver, SolverOptions::default());
+        assert!(resilience.is_none());
+        assert_eq!(warm_start, WarmStartPolicy::Off);
+        assert!(!mega_batch);
     }
 }

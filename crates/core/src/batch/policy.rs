@@ -1,13 +1,8 @@
-//! Placement: which backend each LP in a batch runs on.
+//! Placement and warm-start policy of a batch.
 //!
-//! The paper's central empirical fact is a *crossover*: below a problem-size
-//! threshold the CPU wins (kernel-launch and PCIe overhead dominate), above
-//! it the GPU wins. [`PlacementPolicy::SizeThreshold`] encodes exactly that
-//! split for heterogeneous batches; [`PlacementPolicy::RoundRobin`] spreads
-//! a batch across several devices; [`PlacementPolicy::Fixed`] pins
-//! everything to one backend (the control case — a policy must never change
-//! *results*, only *where* they are computed, and the test suite holds the
-//! scheduler to that).
+//! [`PlacementPolicy::Fixed`] pins every job to one backend. A placement
+//! must never change *results*, only *where* they are computed, and the
+//! test suite holds the scheduler to that on every backend.
 
 use crate::solver::BackendKind;
 
@@ -23,9 +18,6 @@ pub enum WarmStartPolicy {
     /// No cache: every job cold-starts (the control case).
     #[default]
     Off,
-    /// Key on the exact bits of the standardized instance (dims, constraint
-    /// pattern, `A`, `b`, `c`). Only byte-identical re-solves hit.
-    Exact,
     /// Key on the structural fingerprint only — dims, constraint pattern,
     /// and `A` quantized to `tol` — so members of a perturbed-RHS/objective
     /// family share one key. `b` and `c` are excluded entirely: a perturbed
@@ -50,59 +42,13 @@ impl WarmStartPolicy {
 pub enum PlacementPolicy {
     /// Every job on the same backend.
     Fixed(BackendKind),
-    /// Job `i` on backend `i % k` — spreads a batch over `k` devices.
-    RoundRobin(Vec<BackendKind>),
-    /// The paper's CPU/GPU crossover: jobs whose `max(m, n)` is strictly
-    /// below `crossover` run on `small` (CPU — launch overhead would
-    /// dominate), the rest on `large` (GPU — throughput wins).
-    SizeThreshold {
-        /// Dimension threshold compared against `max(m, n)`.
-        crossover: usize,
-        /// Backend for problems below the threshold.
-        small: Box<BackendKind>,
-        /// Backend for problems at or above the threshold.
-        large: Box<BackendKind>,
-    },
 }
 
 impl PlacementPolicy {
-    /// Convenience constructor for the crossover policy.
-    pub fn size_threshold(crossover: usize, small: BackendKind, large: BackendKind) -> Self {
-        PlacementPolicy::SizeThreshold {
-            crossover,
-            small: Box::new(small),
-            large: Box::new(large),
-        }
-    }
-
-    /// Backend for job `job_index` with `m` constraints and `n` variables.
-    ///
-    /// Pure function of its arguments: placement is deterministic for a
-    /// given batch regardless of worker count or completion order.
-    ///
-    /// # Panics
-    /// If a [`PlacementPolicy::RoundRobin`] list is empty.
-    pub fn place(&self, job_index: usize, m: usize, n: usize) -> BackendKind {
+    /// Backend for every job of the batch.
+    pub fn place(&self) -> BackendKind {
         match self {
             PlacementPolicy::Fixed(kind) => kind.clone(),
-            PlacementPolicy::RoundRobin(kinds) => {
-                assert!(
-                    !kinds.is_empty(),
-                    "RoundRobin placement needs at least one backend"
-                );
-                kinds[job_index % kinds.len()].clone()
-            }
-            PlacementPolicy::SizeThreshold {
-                crossover,
-                small,
-                large,
-            } => {
-                if m.max(n) < *crossover {
-                    (**small).clone()
-                } else {
-                    (**large).clone()
-                }
-            }
         }
     }
 }
@@ -110,36 +56,10 @@ impl PlacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceSpec;
 
     #[test]
-    fn fixed_ignores_shape() {
+    fn fixed_places_every_job_on_its_backend() {
         let p = PlacementPolicy::Fixed(BackendKind::CpuSparse);
-        for (i, m, n) in [(0, 1, 1), (7, 4096, 4096)] {
-            assert_eq!(p.place(i, m, n).label(), "cpu-sparse");
-        }
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let p = PlacementPolicy::RoundRobin(vec![
-            BackendKind::CpuDense,
-            BackendKind::GpuDense(DeviceSpec::gtx280()),
-        ]);
-        assert_eq!(p.place(0, 8, 8).label(), "cpu-dense");
-        assert_eq!(p.place(1, 8, 8).label(), "gpu-dense");
-        assert_eq!(p.place(2, 8, 8).label(), "cpu-dense");
-    }
-
-    #[test]
-    fn size_threshold_splits_at_crossover() {
-        let p = PlacementPolicy::size_threshold(
-            500,
-            BackendKind::CpuDense,
-            BackendKind::GpuDense(DeviceSpec::gtx280()),
-        );
-        assert_eq!(p.place(0, 100, 499).label(), "cpu-dense");
-        assert_eq!(p.place(0, 100, 500).label(), "gpu-dense");
-        assert_eq!(p.place(0, 512, 100).label(), "gpu-dense");
+        assert_eq!(p.place().label(), "cpu-sparse");
     }
 }

@@ -82,9 +82,7 @@ pub use error::{BackendError, SolveError};
 pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
 pub use pdhg::{crossover_prefers_pdhg, model_density, PdhgOptions};
-pub use resilient::{
-    AlgorithmChoice, ResilienceOptions, ResilientOutcome, ResilientSolver, RetryPolicy,
-};
+pub use resilient::{AlgorithmChoice, ResilienceOptions, ResilientOutcome, ResilientSolver};
 pub use result::{LpSolution, Status, StdResult};
 pub use revised::RevisedSimplex;
 pub use solver::{

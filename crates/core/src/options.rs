@@ -86,15 +86,6 @@ pub enum DegeneracyPolicy {
 pub struct SolverOptions {
     /// Pricing rule.
     pub pivot_rule: PivotRule,
-    /// A reduced cost must be below `−opt_tol` to enter the basis.
-    /// `None` picks a precision-appropriate default.
-    pub opt_tol: Option<f64>,
-    /// A column entry must exceed `pivot_tol` to pivot on.
-    /// `None` picks a precision-appropriate default.
-    pub pivot_tol: Option<f64>,
-    /// Phase-1 objective below this counts as feasible.
-    /// `None` picks a precision-appropriate default.
-    pub feas_tol: Option<f64>,
     /// Recompute `B⁻¹` from the basis columns every this many iterations
     /// (purges accumulated rank-1-update error). Under
     /// [`BasisRepresentation::SparseLU`] this is also the bound on the
@@ -133,13 +124,6 @@ pub struct SolverOptions {
     /// transfer). Arithmetic and pivot sequence are identical either way —
     /// this toggles *accounting only* (the F6 ablation). GPU backends only.
     pub fuse_launches: bool,
-    /// On `Optimal`, recompute the basic variables from a fresh f64
-    /// factorization of the terminal basis (high-level pipeline only).
-    /// Makes the reported point a pure function of the terminal basis, so
-    /// a warm solve and a cold solve ending at the same basis produce
-    /// bitwise-identical objectives regardless of the pivot path taken —
-    /// the invariant the W1 experiment asserts.
-    pub polish: bool,
     /// Snapshot the solver state into an attached
     /// [`crate::CheckpointSlot`] roughly every this many iterations.
     /// Snapshots are only taken at refactorization boundaries (the one
@@ -154,9 +138,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             pivot_rule: PivotRule::Hybrid,
-            opt_tol: None,
-            pivot_tol: None,
-            feas_tol: None,
             refactor_period: 64,
             basis_representation: BasisRepresentation::default(),
             degeneracy: DegeneracyPolicy::default(),
@@ -167,29 +148,28 @@ impl Default for SolverOptions {
             time_limit: None,
             faults: None,
             fuse_launches: true,
-            polish: true,
             checkpoint_interval: 64,
         }
     }
 }
 
 impl SolverOptions {
-    /// Resolved optimality tolerance for scalar type `T`.
+    /// Optimality tolerance for scalar type `T`: a reduced cost must be
+    /// below `−opt_tol` to enter the basis.
     pub fn opt_tol_for<T: Scalar>(&self) -> T {
-        T::from_f64(self.opt_tol.unwrap_or(if T::IS_F64 { 1e-7 } else { 1e-4 }))
+        T::from_f64(if T::IS_F64 { 1e-7 } else { 1e-4 })
     }
 
-    /// Resolved pivot tolerance for scalar type `T`.
+    /// Pivot tolerance for scalar type `T`: a column entry must exceed it
+    /// to pivot on.
     pub fn pivot_tol_for<T: Scalar>(&self) -> T {
-        T::from_f64(
-            self.pivot_tol
-                .unwrap_or(if T::IS_F64 { 1e-9 } else { 1e-5 }),
-        )
+        T::from_f64(if T::IS_F64 { 1e-9 } else { 1e-5 })
     }
 
-    /// Resolved phase-1 feasibility tolerance for scalar type `T`.
+    /// Phase-1 feasibility tolerance for scalar type `T`: a phase-1
+    /// objective below it counts as feasible.
     pub fn feas_tol_for<T: Scalar>(&self) -> T {
-        T::from_f64(self.feas_tol.unwrap_or(if T::IS_F64 { 1e-6 } else { 5e-3 }))
+        T::from_f64(if T::IS_F64 { 1e-6 } else { 5e-3 })
     }
 
     /// Resolved iteration cap for a problem with `m` rows and `n` columns.
@@ -211,13 +191,41 @@ mod tests {
     }
 
     #[test]
-    fn explicit_tolerances_override() {
+    fn explicit_iteration_cap_overrides() {
         let o = SolverOptions {
-            opt_tol: Some(1e-3),
             max_iterations: Some(5),
             ..Default::default()
         };
-        assert_eq!(o.opt_tol_for::<f64>(), 1e-3);
         assert_eq!(o.max_iters_for(1000, 1000), 5);
+    }
+
+    /// Names every field with no `..`: a new option fails to compile here
+    /// until the DESIGN.md option table is updated with it.
+    #[test]
+    fn option_list_is_reviewed() {
+        let SolverOptions {
+            pivot_rule,
+            refactor_period,
+            basis_representation,
+            degeneracy,
+            max_iterations,
+            stall_threshold,
+            scale,
+            presolve,
+            time_limit,
+            faults,
+            fuse_launches,
+            checkpoint_interval,
+        } = SolverOptions::default();
+        assert_eq!(pivot_rule, PivotRule::Hybrid);
+        assert_eq!(refactor_period, 64);
+        assert_eq!(basis_representation, BasisRepresentation::ExplicitInverse);
+        assert_eq!(degeneracy, DegeneracyPolicy::BlandFallback);
+        assert_eq!(max_iterations, None);
+        assert_eq!(stall_threshold, 12);
+        assert!(scale && presolve && fuse_launches);
+        assert_eq!(time_limit, None);
+        assert!(faults.is_none());
+        assert_eq!(checkpoint_interval, 64);
     }
 }

@@ -33,7 +33,7 @@
 //! ```
 //!
 //! with `λ = (k+1)/(k+2)` counted from the last restart and `(x₀, y₀)` the
-//! restart anchor. Every `check_interval` iterations the driver downloads
+//! restart anchor. Every `CHECK_INTERVAL` (32) iterations the driver downloads
 //! the iterate and evaluates normalized residuals in f64:
 //!
 //! ```text
@@ -44,7 +44,8 @@
 //!
 //! terminating when all three fall below the tolerance, and *restarting*
 //! (anchor ← iterate, `k ← 0`) when the combined score decays below
-//! [`PdhgOptions::sufficient_decay`] of the anchor's score — the
+//! `SUFFICIENT_DECAY` (0.2) of the anchor's score, or `RESTART_PERIOD`
+//! (4096) iterations after the last restart — the
 //! restarted-Halpern scheme that turns PDHG's sublinear tail into linear
 //! convergence on LPs. Each restart also rebalances the primal weight from
 //! the observed movement ratio `‖Δy‖/‖Δx‖`.
@@ -81,25 +82,13 @@ pub struct PdhgOptions {
     pub tol: Option<f64>,
     /// Hard iteration cap; `None` = 200 000.
     pub max_iterations: Option<usize>,
-    /// Residuals are evaluated (and restarts considered) every this many
-    /// iterations; clamped to ≥ 1. Checks download the iterate, so on GPU
-    /// backends this is also the PCIe cadence and the length of one fused
-    /// launch.
-    pub check_interval: usize,
-    /// Restart when the combined residual score falls below this fraction
-    /// of the anchor's score.
-    pub sufficient_decay: f64,
-    /// Force a restart after this many iterations since the last one, even
-    /// without sufficient decay (keeps the Halpern anchor pull from
-    /// vanishing as `λ → 1`). 0 disables forced restarts.
-    pub restart_period: usize,
     /// Run presolve in the high-level pipeline.
     pub presolve: bool,
     /// Apply geometric-mean scaling in the high-level pipeline.
     pub scale: bool,
-    /// Submit each check block's four-kernel chains (`check_interval`
-    /// iterations) as one fused launch (GPU backends only; accounting
-    /// toggle, arithmetic is identical).
+    /// Submit each check block's four-kernel chains (32 iterations) as one
+    /// fused launch (GPU backends only; accounting toggle, arithmetic is
+    /// identical).
     pub fuse_launches: bool,
     /// Wall-clock deadline for one solve, in seconds.
     pub time_limit: Option<f64>,
@@ -113,9 +102,6 @@ impl Default for PdhgOptions {
         PdhgOptions {
             tol: None,
             max_iterations: None,
-            check_interval: 32,
-            sufficient_decay: 0.2,
-            restart_period: 4096,
             presolve: true,
             scale: true,
             fuse_launches: true,
@@ -136,6 +122,19 @@ impl PdhgOptions {
         self.max_iterations.unwrap_or(200_000)
     }
 }
+
+/// Residuals are evaluated (and restarts considered) every this many
+/// iterations. Checks download the iterate, so on GPU backends this is also
+/// the PCIe cadence and the length of one fused launch.
+const CHECK_INTERVAL: usize = 32;
+
+/// Restart when the combined residual score falls below this fraction of
+/// the anchor's score.
+const SUFFICIENT_DECAY: f64 = 0.2;
+
+/// Force a restart this many iterations after the last one, even without
+/// sufficient decay, so the Halpern anchor pull never vanishes as `λ → 1`.
+const RESTART_PERIOD: usize = 4096;
 
 /// Result of a standard-form PDHG solve.
 pub(crate) struct PdhgStdResult<T: Scalar> {
@@ -198,6 +197,16 @@ struct PdhgProblem<T: Scalar> {
 
 fn l2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// `‖a − b‖₂` of the f64 differences, summed in [`l2`]'s order.
+fn distance<T: Scalar>(a: &[T], b: &[T]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (*a - *b).to_f64())
+        .map(|d| d * d)
+        .sum::<f64>()
+        .sqrt()
 }
 
 impl<T: Scalar> PdhgProblem<T> {
@@ -283,11 +292,40 @@ struct Residuals {
     score: f64,
 }
 
-fn residuals<T: Scalar>(prob: &PdhgProblem<T>, x: &[T], y: &[T]) -> Residuals {
-    let xf: Vec<f64> = x.iter().map(|v| v.to_f64()).collect();
-    let yf: Vec<f64> = y.iter().map(|v| v.to_f64()).collect();
-    let mut ax = vec![0.0f64; prob.m];
-    prob.csr64.spmv(&xf, &mut ax);
+/// The driver's f64 scratch for [`residuals`]: the iterate's f64 copy and
+/// the two products, allocated once per solve rather than once per check.
+struct ResidualScratch {
+    xf: Vec<f64>,
+    yf: Vec<f64>,
+    ax: Vec<f64>,
+    g: Vec<f64>,
+}
+
+impl ResidualScratch {
+    fn new<T: Scalar>(prob: &PdhgProblem<T>) -> Self {
+        ResidualScratch {
+            xf: vec![0.0; prob.n],
+            yf: vec![0.0; prob.m],
+            ax: vec![0.0; prob.m],
+            g: vec![0.0; prob.n],
+        }
+    }
+}
+
+fn residuals<T: Scalar>(
+    prob: &PdhgProblem<T>,
+    x: &[T],
+    y: &[T],
+    s: &mut ResidualScratch,
+) -> Residuals {
+    for (d, v) in s.xf.iter_mut().zip(x) {
+        *d = v.to_f64();
+    }
+    for (d, v) in s.yf.iter_mut().zip(y) {
+        *d = v.to_f64();
+    }
+    let ResidualScratch { xf, yf, ax, g } = s;
+    prob.csr64.spmv(xf, ax);
     let rp = ax
         .iter()
         .zip(&prob.b64)
@@ -295,19 +333,18 @@ fn residuals<T: Scalar>(prob: &PdhgProblem<T>, x: &[T], y: &[T]) -> Residuals {
         .sum::<f64>()
         .sqrt()
         / (1.0 + prob.norm_b);
-    let mut g = vec![0.0f64; prob.n];
-    prob.csr64.spmv_t(&yf, &mut g);
+    prob.csr64.spmv_t(yf, g);
     let rd = prob
         .c64
         .iter()
-        .zip(&g)
+        .zip(g.iter())
         .map(|(c, gj)| (c - gj).min(0.0))
         .map(|d| d * d)
         .sum::<f64>()
         .sqrt()
         / (1.0 + prob.norm_c);
-    let px: f64 = prob.c64.iter().zip(&xf).map(|(c, x)| c * x).sum();
-    let dy: f64 = prob.b64.iter().zip(&yf).map(|(b, y)| b * y).sum();
+    let px: f64 = prob.c64.iter().zip(xf.iter()).map(|(c, x)| c * x).sum();
+    let dy: f64 = prob.b64.iter().zip(yf.iter()).map(|(b, y)| b * y).sum();
     let gap = (px - dy).abs() / (1.0 + px.abs() + dy.abs());
     Residuals {
         rp,
@@ -635,7 +672,6 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     let mut stats = SolveStats::default();
     let tol = opts.tol_for::<T>();
     let max_iters = opts.max_iters();
-    let check = opts.check_interval.max(1);
     let wall_start = Instant::now();
 
     // Primal weight ω scales the primal step up and the dual step down
@@ -653,11 +689,10 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     let mut sigma = T::from_f64(step_scale / (omega * a_norm));
 
     // Anchor state: the solve starts at (and is anchored to) the origin.
-    let zeros_x = vec![T::ZERO; prob.n];
-    let zeros_y = vec![T::ZERO; prob.m];
-    let mut anchor_x = zeros_x.clone();
-    let mut anchor_y = zeros_y.clone();
-    let mut mu_anchor = residuals(prob, &zeros_x, &zeros_y)
+    let mut anchor_x = vec![T::ZERO; prob.n];
+    let mut anchor_y = vec![T::ZERO; prob.m];
+    let mut scratch = ResidualScratch::new(prob);
+    let mut mu_anchor = residuals(prob, &anchor_x, &anchor_y, &mut scratch)
         .score
         .max(f64::MIN_POSITIVE);
 
@@ -669,7 +704,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     let (last_x, last_y);
 
     loop {
-        let todo = check.min(max_iters - total);
+        let todo = CHECK_INTERVAL.min(max_iters - total);
         let block_sim0 = ops.elapsed();
         let block_wall = Instant::now();
         ops.block(tau, sigma, k_inner, todo)?;
@@ -707,7 +742,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             }
         }
 
-        let r = residuals(prob, &x, &y);
+        let r = residuals(prob, &x, &y, &mut scratch);
         stats.final_gap = r.gap;
         if !r.score.is_finite() {
             return Err(SolveError::Numerical(format!(
@@ -735,20 +770,12 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             break;
         }
 
-        let forced = opts.restart_period > 0 && k_inner as usize >= opts.restart_period;
-        if r.score <= opts.sufficient_decay * mu_anchor || forced {
+        let forced = k_inner as usize >= RESTART_PERIOD;
+        if r.score <= SUFFICIENT_DECAY * mu_anchor || forced {
             // Primal-weight rebalance from observed movement: geometric
             // mean of the old weight and the dual/primal movement ratio.
-            let dx = l2(&x
-                .iter()
-                .zip(&anchor_x)
-                .map(|(a, b)| (*a - *b).to_f64())
-                .collect::<Vec<_>>());
-            let dy = l2(&y
-                .iter()
-                .zip(&anchor_y)
-                .map(|(a, b)| (*a - *b).to_f64())
-                .collect::<Vec<_>>());
+            let dx = distance(&x, &anchor_x);
+            let dy = distance(&y, &anchor_y);
             if dx > 1e-12 && dy > 1e-12 {
                 // Geometric mean of the old weight and the movement ratio:
                 // when the dual outran the primal (dy ≫ dx), grow τ and
@@ -1042,7 +1069,7 @@ mod tests {
                 .run::<f64>()
                 .unwrap();
             let (iters, restarts) = (sol.stats.pdhg_iterations, sol.stats.restarts);
-            let blocks = iters.div_ceil(opts.check_interval as u64);
+            let blocks = iters.div_ceil(CHECK_INTERVAL as u64);
             let c = device.counters();
             assert!(restarts > 0, "no restart exercised");
             assert_eq!(c.d2h_count, blocks, "fuse={fuse_launches}");
@@ -1134,5 +1161,23 @@ mod tests {
             Err(SolveError::Timeout { .. }) => {}
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    /// Names every field with no `..`: a new option fails to compile here
+    /// until the DESIGN.md option table is updated with it.
+    #[test]
+    fn option_list_is_reviewed() {
+        let PdhgOptions {
+            tol,
+            max_iterations,
+            presolve,
+            scale,
+            fuse_launches,
+            time_limit,
+            faults,
+        } = PdhgOptions::default();
+        assert_eq!((tol, max_iterations, time_limit), (None, None, None));
+        assert!(presolve && scale && fuse_launches);
+        assert!(faults.is_none());
     }
 }

@@ -21,6 +21,7 @@ use gpu_sim::FaultConfig;
 use linalg::Scalar;
 use lp::LinearProgram;
 
+use crate::batch::panic_message;
 use crate::checkpoint::CheckpointSlot;
 use crate::error::SolveError;
 use crate::options::SolverOptions;
@@ -45,27 +46,14 @@ pub enum AlgorithmChoice {
     Auto,
 }
 
-/// How many times to re-run a failed attempt on the same rung, and how the
-/// recorded backoff between attempts grows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries per rung after the first attempt (2 ⇒ up to 3 attempts).
-    pub max_retries: usize,
-    /// Backoff recorded before the first retry, in seconds.
-    pub backoff_base: f64,
-    /// Multiplier applied to the backoff after each retry.
-    pub backoff_factor: f64,
-}
+/// Retries per rung after the first attempt (2 ⇒ up to 3 attempts).
+const MAX_RETRIES: usize = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: 0.01,
-            backoff_factor: 2.0,
-        }
-    }
-}
+/// Backoff recorded before the first retry on a rung, in seconds.
+const BACKOFF_BASE: f64 = 0.01;
+
+/// Multiplier applied to the recorded backoff after each retry.
+const BACKOFF_FACTOR: f64 = 2.0;
 
 /// Configuration for [`ResilientSolver`].
 #[derive(Debug, Clone, PartialEq)]
@@ -74,11 +62,6 @@ pub struct ResilienceOptions {
     /// `(salt, rung, attempt)`. `None` runs fault-free (retries then only
     /// cover genuine numerical failures and panics).
     pub faults: Option<FaultConfig>,
-    /// Per-rung retry budget and backoff schedule.
-    pub retry: RetryPolicy,
-    /// Whether to descend the degradation ladder once a rung's retries are
-    /// exhausted. With `false`, the job fails on its requested backend.
-    pub degrade: bool,
     /// Batch-scheduler knob: quarantine a backend after this many
     /// *consecutive* jobs with device faults (0 disables quarantine). Not
     /// consulted by [`ResilientSolver::solve_job`] itself.
@@ -96,8 +79,6 @@ impl Default for ResilienceOptions {
     fn default() -> Self {
         ResilienceOptions {
             faults: None,
-            retry: RetryPolicy::default(),
-            degrade: true,
             quarantine_after: 3,
             deadline_seconds: None,
             algorithm: AlgorithmChoice::Simplex,
@@ -297,20 +278,16 @@ impl ResilientSolver {
         let mut wasted_iterations = 0u64;
 
         for (rung_idx, rung) in rungs.iter().enumerate() {
-            if rung_idx > 0 && !self.options.degrade {
-                break;
-            }
             rungs_descended = rung_idx;
             let on_gpu = matches!(
                 rung.backend(),
                 BackendKind::GpuDense(_) | BackendKind::GpuShared(_)
             );
-            for attempt in 0..=self.options.retry.max_retries {
+            for attempt in 0..=MAX_RETRIES {
                 attempts += 1;
                 if attempt > 0 {
                     retries += 1;
-                    backoff_seconds += self.options.retry.backoff_base
-                        * self.options.retry.backoff_factor.powi(attempt as i32 - 1);
+                    backoff_seconds += BACKOFF_BASE * BACKOFF_FACTOR.powi(attempt as i32 - 1);
                 }
                 // CPU rungs run fault-free: a fully degraded job must match
                 // the CPU-only golden result bit for bit.
@@ -372,14 +349,7 @@ impl ResilientSolver {
                         }))
                     }
                 }
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    Err(SolveError::Panicked(msg))
-                });
+                .unwrap_or_else(|payload| Err(SolveError::Panicked(panic_message(&*payload))));
 
                 match outcome {
                     Ok(mut sol) => {
@@ -504,25 +474,6 @@ mod tests {
         assert_eq!(sol.status, golden.status);
         assert_eq!(sol.objective.to_bits(), golden.objective.to_bits());
         assert_eq!(sol.stats.degradations, 1);
-    }
-
-    #[test]
-    fn degradation_can_be_disabled() {
-        let (model, _) = fixtures::wyndor();
-        let solver = ResilientSolver::new(ResilienceOptions {
-            faults: Some(FaultConfig::uniform(7, 1.0)),
-            degrade: false,
-            ..Default::default()
-        });
-        let out = solver.run::<f64>(
-            3,
-            SolveRequest::model(&model, &SolverOptions::default())
-                .on(&BackendKind::GpuDense(DeviceSpec::gtx280())),
-        );
-        assert!(out.result.is_err());
-        assert_eq!(out.final_backend, "gpu-dense");
-        assert_eq!(out.degradations, 0);
-        assert_eq!(out.attempts, 1 + RetryPolicy::default().max_retries);
     }
 
     #[test]
@@ -658,6 +609,22 @@ mod tests {
         let (cold, warm) = (cold.result.unwrap(), warm.result.unwrap());
         assert_eq!(warm.stats.warm_start_attempted, 1);
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+    }
+
+    /// Names every field with no `..`: a new option fails to compile here
+    /// until the DESIGN.md option table is updated with it.
+    #[test]
+    fn option_list_is_reviewed() {
+        let ResilienceOptions {
+            faults,
+            quarantine_after,
+            deadline_seconds,
+            algorithm,
+        } = ResilienceOptions::default();
+        assert!(faults.is_none());
+        assert_eq!(quarantine_after, 3);
+        assert_eq!(deadline_seconds, None);
+        assert_eq!(algorithm, AlgorithmChoice::Simplex);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, Gpu, Stream};
 use linalg::blas::DenseLu;
 use linalg::{CsrMatrix, Scalar};
 use lp::presolve::{presolve, PresolveResult, Presolved};
-use lp::scaling::{scale, ScalingKind};
+use lp::scaling::scale;
 use lp::{LinearProgram, StandardForm};
 
 use crate::backends::{CpuDenseBackend, CpuSparseBackend, GpuDenseBackend};
@@ -358,7 +358,7 @@ impl<'a, R: Recorder> SolveRequest<'a, ModelInput<'a>, R> {
         }
         .run()?;
         settle_warm(self.warm, key, baseline, &mut res);
-        Ok(finalize_simplex(model, opts, &sf, &restore, res))
+        Ok(finalize_simplex(model, &sf, &restore, res))
     }
 }
 
@@ -499,7 +499,7 @@ pub(crate) fn prepare<T: Scalar>(
     };
     let mut sf = StandardForm::<T>::from_lp(&work).expect("model must standardize");
     if scale_on {
-        let _ = scale(&mut sf, ScalingKind::GeometricMean);
+        let _ = scale(&mut sf);
     }
     Prepared::Ready {
         sf: Box::new(sf),
@@ -538,12 +538,10 @@ pub(crate) fn settle_warm<T: Scalar>(
 }
 
 /// The simplex's post-solve stages on an optimal result: one fresh f64
-/// factorization of the terminal basis polishes the point (when asked)
-/// and gives the duals, so both are backend-independent; then
-/// [`finalize`].
+/// factorization of the terminal basis polishes the point and gives the
+/// duals, so both are backend-independent; then [`finalize`].
 pub(crate) fn finalize_simplex<T: Scalar>(
     model: &LinearProgram,
-    opts: &SolverOptions,
     sf: &StandardForm<T>,
     restore: &Option<Presolved>,
     mut res: StdResult<T>,
@@ -551,7 +549,7 @@ pub(crate) fn finalize_simplex<T: Scalar>(
     let lu = (res.status == Status::Optimal)
         .then(|| basis_lu(&sf.a, &res.basis))
         .flatten();
-    if let (true, Some(lu)) = (opts.polish, &lu) {
+    if let Some(lu) = &lu {
         polish_x_std(sf, lu, &res.basis, &mut res.x_std);
     }
     // Standard-space duals: `yᵀB = c_Bᵀ`.

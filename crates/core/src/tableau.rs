@@ -26,8 +26,6 @@ pub fn solve_standard<T: Scalar>(sf: &StandardForm<T>, opts: &SolverOptions) -> 
     let m = sf.num_rows();
     let n = sf.num_cols();
     let max_iters = opts.max_iters_for(m, n);
-    let opt_tol = opts.opt_tol_for::<T>();
-    let pivot_tol = opts.pivot_tol_for::<T>();
 
     // Tableau: m rows of [A | b] plus bookkeeping vectors.
     let mut tab = DenseMatrix::<T>::zeros(m, n + 1);
@@ -47,19 +45,10 @@ pub fn solve_standard<T: Scalar>(sf: &StandardForm<T>, opts: &SolverOptions) -> 
         let c1: Vec<T> = (0..n)
             .map(|j| if sf.is_artificial(j) { T::ONE } else { T::ZERO })
             .collect();
-        let end = run(
-            &mut tab,
-            &mut basis,
-            &c1,
-            opt_tol,
-            pivot_tol,
-            max_iters,
-            opts.pivot_rule,
-            |j| {
-                // Artificials may leave but never re-enter.
-                !sf.is_artificial(j)
-            },
-        );
+        // Artificials may leave but never re-enter.
+        let end = run(&mut tab, &mut basis, &c1, opts, max_iters, |j| {
+            !sf.is_artificial(j)
+        });
         total_iters += end.iterations;
         match end.kind {
             EndKind::IterationLimit => {
@@ -83,16 +72,9 @@ pub fn solve_standard<T: Scalar>(sf: &StandardForm<T>, opts: &SolverOptions) -> 
     }
 
     // Phase 2.
-    let end = run(
-        &mut tab,
-        &mut basis,
-        &sf.c,
-        opt_tol,
-        pivot_tol,
-        max_iters.saturating_sub(0),
-        opts.pivot_rule,
-        |j| !sf.is_artificial(j),
-    );
+    let end = run(&mut tab, &mut basis, &sf.c, opts, max_iters, |j| {
+        !sf.is_artificial(j)
+    });
     total_iters += end.iterations;
     let status = match end.kind {
         EndKind::Converged => Status::Optimal,
@@ -113,18 +95,20 @@ struct End {
     iterations: usize,
 }
 
-/// Run simplex iterations on the tableau with the given costs.
-#[allow(clippy::too_many_arguments)]
+/// Run simplex iterations on the tableau with the given costs. Hybrid
+/// pricing escalates to Bland after `opts.stall_threshold` consecutive
+/// degenerate pivots, as the GPU tableau does.
 fn run<T: Scalar>(
     tab: &mut DenseMatrix<T>,
     basis: &mut [usize],
     costs: &[T],
-    opt_tol: T,
-    pivot_tol: T,
+    opts: &SolverOptions,
     max_iters: usize,
-    rule: PivotRule,
     eligible: impl Fn(usize) -> bool,
 ) -> End {
+    let opt_tol = opts.opt_tol_for::<T>();
+    let pivot_tol = opts.pivot_tol_for::<T>();
+    let rule = opts.pivot_rule;
     let m = tab.rows();
     let n = tab.cols() - 1;
     let mut iterations = 0usize;
@@ -230,7 +214,7 @@ fn run<T: Scalar>(
             }
         } else {
             stall += 1;
-            if matches!(rule, PivotRule::Hybrid) && stall >= 12 {
+            if matches!(rule, PivotRule::Hybrid) && stall >= opts.stall_threshold {
                 bland = true;
             }
         }
@@ -342,6 +326,33 @@ mod tests {
             assert_eq!(status, Status::Optimal, "rule {rule:?}");
             assert!((obj - expected).abs() < 1e-9, "rule {rule:?}: obj {obj}");
         }
+    }
+
+    #[test]
+    fn hybrid_escalates_to_bland_at_the_stall_threshold() {
+        // Beale's cycling example stalls on its first pivots: at a threshold
+        // of 1 Hybrid hands pricing to Bland after one degenerate pivot and
+        // finishes sooner than at the default 12. The GPU tableau reads the
+        // same option, so both walk the same path.
+        let (model, expected) = fixtures::beale_cycling();
+        let sf = StandardForm::<f64>::from_lp(&model).unwrap();
+        let iterations = |stall_threshold| {
+            let o = SolverOptions {
+                stall_threshold,
+                ..opts()
+            };
+            let cpu = solve_standard(&sf, &o);
+            let gpu = gpu_sim::Gpu::new(gpu_sim::DeviceSpec::gtx280());
+            let (dev, _) = crate::tableau_gpu::solve_standard_gpu(&gpu, &sf, &o);
+            assert_eq!(cpu.status, Status::Optimal);
+            assert!((sf.objective_from_std(cpu.z_std) - expected).abs() < 1e-9);
+            assert_eq!(
+                cpu.iterations, dev.iterations,
+                "threshold {stall_threshold}"
+            );
+            cpu.iterations
+        };
+        assert!(iterations(1) < iterations(12));
     }
 
     #[test]

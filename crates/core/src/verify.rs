@@ -278,7 +278,6 @@ mod tests {
     use crate::options::SolverOptions;
     use crate::solver::{BackendKind, SolveRequest};
     use lp::generator::{self, fixtures};
-    use lp::scaling::{scale, ScalingKind};
 
     #[test]
     fn certifies_wyndor_optimum() {
@@ -288,8 +287,7 @@ mod tests {
             scale: false,
             ..Default::default()
         };
-        let mut sf = StandardForm::<f64>::from_lp(&model).unwrap();
-        let _ = scale(&mut sf, ScalingKind::None);
+        let sf = StandardForm::<f64>::from_lp(&model).unwrap();
         let res = SolveRequest::standard(&sf, &opts)
             .on(&BackendKind::CpuDense)
             .run()

@@ -2,8 +2,8 @@
 //!
 //! [`Gpu`] owns the clock, the counters, and the allocation tracker. Launches
 //! are synchronous: `launch` executes every thread of the grid functionally
-//! (optionally across host threads — CUDA blocks are independent by
-//! contract) and charges simulated time from the kernel's cost descriptor.
+//! on the calling thread, block by block, and charges simulated time from
+//! the kernel's cost descriptor.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,17 +18,6 @@ use crate::kernel::{Kernel, ThreadCtx};
 use crate::memory::{AllocTracker, DeviceBuffer, Pod};
 use crate::timing::{kernel_timing, transfer_time, LaunchTiming, SimTime};
 
-/// How the launch engine executes blocks on the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Execute all blocks on the calling thread (deterministic, default).
-    Sequential,
-    /// Execute blocks across `n` host threads via `crossbeam::scope`.
-    /// Requires the kernel to be free of cross-block races, exactly as the
-    /// real device does.
-    Parallel(usize),
-}
-
 /// A simulated GPU: device spec + clock + counters + memory accounting.
 ///
 /// All mutation is internal (behind a mutex), so `&Gpu` can be shared freely;
@@ -36,7 +25,6 @@ pub enum ExecMode {
 /// ergonomics as a CUDA context.
 pub struct Gpu {
     spec: DeviceSpec,
-    mode: ExecMode,
     counters: Mutex<Counters>,
     tracker: Arc<AllocTracker>,
     /// Armed fault plan, if any. `None` (the default) means every `try_*`
@@ -48,34 +36,17 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Create a device with the default sequential engine.
+    /// Create a device.
     pub fn new(spec: DeviceSpec) -> Self {
-        Gpu::with_mode(spec, ExecMode::Sequential)
-    }
-
-    /// Create a device with an explicit execution mode.
-    pub fn with_mode(spec: DeviceSpec, mode: ExecMode) -> Self {
-        Gpu {
-            spec,
-            mode,
-            counters: Mutex::new(Counters::default()),
-            tracker: Arc::new(AllocTracker::default()),
-            faults: Mutex::new(None),
-            corrupted: AtomicBool::new(false),
-        }
+        Gpu::with_shared_tracker(spec, Arc::new(AllocTracker::default()))
     }
 
     /// Create a context that shares an existing device's allocation
     /// tracker (capacity is a device-wide resource) but keeps its own
     /// clock and counters. Used by [`crate::stream::Stream`].
-    pub(crate) fn with_shared_tracker(
-        spec: DeviceSpec,
-        mode: ExecMode,
-        tracker: Arc<AllocTracker>,
-    ) -> Self {
+    pub(crate) fn with_shared_tracker(spec: DeviceSpec, tracker: Arc<AllocTracker>) -> Self {
         Gpu {
             spec,
-            mode,
             counters: Mutex::new(Counters::default()),
             tracker,
             faults: Mutex::new(None),
@@ -130,11 +101,6 @@ impl Gpu {
     /// Handle to the device-wide allocation tracker.
     pub(crate) fn tracker_handle(&self) -> Arc<AllocTracker> {
         Arc::clone(&self.tracker)
-    }
-
-    /// The execution mode of this device.
-    pub(crate) fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Fold a retired stream's counters into this device's aggregate.
@@ -411,59 +377,8 @@ impl Gpu {
             st.flops += cost.flops;
         }
 
-        match self.mode {
-            ExecMode::Sequential => self.run_blocks(cfg, kernel, 0, cfg.total_blocks()),
-            ExecMode::Parallel(workers) => self.run_blocks_parallel(cfg, kernel, workers.max(1)),
-        }
+        run_blocks(cfg, kernel);
         timing
-    }
-
-    fn run_blocks<K: Kernel>(&self, cfg: LaunchConfig, kernel: &K, first: u64, count: u64) {
-        let g = cfg.grid;
-        let b = cfg.block;
-        for flat in first..first + count {
-            let bz = (flat / (g.x as u64 * g.y as u64)) as u32;
-            let rem = flat % (g.x as u64 * g.y as u64);
-            let by = (rem / g.x as u64) as u32;
-            let bx = (rem % g.x as u64) as u32;
-            let block_idx = Dim3 {
-                x: bx,
-                y: by,
-                z: bz,
-            };
-            for tz in 0..b.z {
-                for ty in 0..b.y {
-                    for tx in 0..b.x {
-                        let ctx = ThreadCtx {
-                            thread_idx: Dim3 {
-                                x: tx,
-                                y: ty,
-                                z: tz,
-                            },
-                            block_idx,
-                            block_dim: b,
-                            grid_dim: g,
-                        };
-                        kernel.run(&ctx);
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_blocks_parallel<K: Kernel>(&self, cfg: LaunchConfig, kernel: &K, workers: usize) {
-        let total = cfg.total_blocks();
-        let chunk = total.div_ceil(workers as u64).max(1);
-        crossbeam::thread::scope(|s| {
-            let mut start = 0;
-            while start < total {
-                let count = chunk.min(total - start);
-                let first = start;
-                s.spawn(move |_| self.run_blocks(cfg, kernel, first, count));
-                start += count;
-            }
-        })
-        .expect("kernel block worker panicked");
     }
 
     /// Fallible [`Gpu::begin_fused`]. The fault plan is rolled once for the
@@ -494,6 +409,41 @@ impl Gpu {
     pub fn begin_fused(&self, name: &'static str) -> FusedLaunch<'_> {
         self.try_begin_fused(name)
             .unwrap_or_else(|e| panic!("{e} on {}", self.spec.name))
+    }
+}
+
+/// Execute every thread of the grid on the calling thread, block by block
+/// in flat block order.
+fn run_blocks<K: Kernel>(cfg: LaunchConfig, kernel: &K) {
+    let g = cfg.grid;
+    let b = cfg.block;
+    for flat in 0..cfg.total_blocks() {
+        let bz = (flat / (g.x as u64 * g.y as u64)) as u32;
+        let rem = flat % (g.x as u64 * g.y as u64);
+        let by = (rem / g.x as u64) as u32;
+        let bx = (rem % g.x as u64) as u32;
+        let block_idx = Dim3 {
+            x: bx,
+            y: by,
+            z: bz,
+        };
+        for tz in 0..b.z {
+            for ty in 0..b.y {
+                for tx in 0..b.x {
+                    let ctx = ThreadCtx {
+                        thread_idx: Dim3 {
+                            x: tx,
+                            y: ty,
+                            z: tz,
+                        },
+                        block_idx,
+                        block_dim: b,
+                        grid_dim: g,
+                    };
+                    kernel.run(&ctx);
+                }
+            }
+        }
     }
 }
 
@@ -538,12 +488,7 @@ impl<'g> FusedLaunch<'g> {
         self.timing.bytes += t.bytes;
         self.flops += cost.flops;
         self.kernels += 1;
-        match self.gpu.mode {
-            ExecMode::Sequential => self.gpu.run_blocks(cfg, kernel, 0, cfg.total_blocks()),
-            ExecMode::Parallel(workers) => {
-                self.gpu.run_blocks_parallel(cfg, kernel, workers.max(1))
-            }
-        }
+        run_blocks(cfg, kernel);
     }
 
     /// Close the group and charge it as one launch: one overhead plus
@@ -709,31 +654,6 @@ mod tests {
         assert_eq!(c.flops, n as u64);
         assert!(c.elapsed.as_micros() > 3.0 * 7.0); // at least 3 launch overheads
         assert_eq!(c.per_kernel["fill"].launches, 2);
-    }
-
-    #[test]
-    fn parallel_mode_matches_sequential() {
-        let n = 4096;
-        let host: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let mut outputs = Vec::new();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-            let gpu = Gpu::with_mode(DeviceSpec::gtx280(), mode);
-            let a = gpu.htod(&host);
-            let b = gpu.htod(&host);
-            let mut out = gpu.alloc(n, 0.0f32);
-            gpu.launch(
-                LaunchConfig::for_elems(n, 128),
-                &Add {
-                    a: a.view(),
-                    b: b.view(),
-                    out: out.view_mut(),
-                    n,
-                },
-            );
-            outputs.push(gpu.dtoh(&out));
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0][100], 200.0);
     }
 
     #[test]

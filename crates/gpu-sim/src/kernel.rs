@@ -191,10 +191,7 @@ impl KernelCost {
 }
 
 /// A device kernel: a pure per-thread function plus its cost descriptor.
-///
-/// Implementations must be `Sync`: the engine may execute blocks on multiple
-/// host threads (blocks are independent, per the CUDA contract).
-pub trait Kernel: Sync {
+pub trait Kernel {
     /// Kernel name for reports and per-kernel accounting.
     fn name(&self) -> &'static str;
 

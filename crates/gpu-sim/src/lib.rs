@@ -75,7 +75,7 @@ pub use coalesce::{AccessPattern, PatternKind};
 pub use counters::{Counters, TimeBreakdown, TimeCategory};
 pub use device::DeviceSpec;
 pub use dim::{Dim3, LaunchConfig};
-pub use exec::{ExecMode, FusedLaunch, Gpu, Launcher};
+pub use exec::{FusedLaunch, Gpu, Launcher};
 pub use fault::{DeviceError, FaultConfig, FaultCounts, FaultPlan};
 pub use kernel::{Kernel, KernelCost, ThreadCtx};
 pub use memory::{DView, DViewMut, DeviceBuffer, Pod};

@@ -8,9 +8,10 @@
 //! threads must write distinct addresses unless atomics are used). The
 //! simulator mirrors that contract: [`DViewMut`] is a `Copy` raw-pointer view
 //! that may be captured by a kernel and written from the launch engine. The
-//! engine executes blocks either sequentially (default, single data owner at
-//! a time) or in parallel across host threads — in which case a racy kernel
-//! is a bug exactly as it would be on the real device. Views never outlive
+//! engine executes blocks one after another on the calling thread, so a
+//! view has a single writer at a time; a kernel whose threads write the
+//! same address is still a bug, exactly as it would be on the real device.
+//! Views never outlive
 //! the launch in well-formed code because [`crate::Gpu::launch`] is
 //! synchronous and buffers cannot be freed while borrowed at view-creation
 //! time.

@@ -34,8 +34,8 @@ use crate::exec::Gpu;
 
 /// One in-order work queue on a shared device. See the module docs.
 pub struct Stream {
-    /// Private execution context: same spec and exec mode as the parent,
-    /// shared allocation tracker, fresh counters.
+    /// Private execution context: same spec as the parent, shared
+    /// allocation tracker, fresh counters.
     local: Gpu,
     parent: Arc<Gpu>,
     retired: bool,
@@ -44,11 +44,7 @@ pub struct Stream {
 impl Stream {
     /// Open a stream on `device`.
     pub fn on(device: &Arc<Gpu>) -> Self {
-        let local = Gpu::with_shared_tracker(
-            device.spec().clone(),
-            device.mode(),
-            device.tracker_handle(),
-        );
+        let local = Gpu::with_shared_tracker(device.spec().clone(), device.tracker_handle());
         Stream {
             local,
             parent: Arc::clone(device),

@@ -5,7 +5,6 @@
 //! that machine, so CPU time — like GPU time — is charged from a roofline
 //! model: `max(flops / F, bytes / B) + overhead`, with constants calibrated
 //! to a Core 2 quad-era core (see `EXPERIMENTS.md` for calibration notes).
-//! The same model is reused with different constants for sensitivity checks.
 
 use gpu_sim::SimTime;
 use parking_lot_free::Cell64;
@@ -61,28 +60,6 @@ impl CpuModel {
             flops_per_sec: 5.0e9,
             mem_bandwidth: 10.0e9,
             call_overhead_ns: 60.0,
-            fp64_flop_factor: 2.0,
-        }
-    }
-
-    /// A pessimistic plain-C baseline (no SIMD), for sensitivity analysis.
-    pub fn scalar_c() -> Self {
-        CpuModel {
-            name: "Core2-era single core (scalar C)",
-            flops_per_sec: 1.2e9,
-            mem_bandwidth: 5.0e9,
-            call_overhead_ns: 60.0,
-            fp64_flop_factor: 1.0,
-        }
-    }
-
-    /// A modern-ish core, for sensitivity analysis (2014-era, one thread).
-    pub fn modern() -> Self {
-        CpuModel {
-            name: "2014-era single core",
-            flops_per_sec: 16.0e9,
-            mem_bandwidth: 12.0e9,
-            call_overhead_ns: 40.0,
             fp64_flop_factor: 2.0,
         }
     }

@@ -348,38 +348,13 @@ fn gemv_t_two_pass<T: Scalar>(
     Ok(())
 }
 
-/// `y ← αA[:, start..start+len]ᵀ x + βy` — transposed gemv over a
-/// contiguous column block (col-major only, where a column block is a
-/// contiguous sub-buffer). The workhorse of partial pricing: the solver
-/// prices `len` columns per iteration instead of all of them.
+/// `y ← αA[:, start..start+len]ᵀ x + βy` through a [`Launcher`] (direct or
+/// fused) — transposed gemv over a contiguous column block (col-major only,
+/// where a column block is a contiguous sub-buffer). The workhorse of
+/// partial pricing: the solver prices `len` columns per iteration instead
+/// of all of them.
 // BLAS-style signature: the argument list mirrors the gemv calling
 // convention plus the column-block window.
-#[allow(clippy::too_many_arguments)]
-pub fn gemv_t_cols<T: Scalar>(
-    gpu: &Gpu,
-    alpha: T,
-    a: &DeviceMatrix<T>,
-    start: usize,
-    len: usize,
-    x: DView<T>,
-    beta: T,
-    y: DViewMut<T>,
-    strategy: GemvTStrategy,
-) -> Result<(), DeviceError> {
-    gemv_t_cols_on(
-        &mut Launcher::Direct(gpu),
-        alpha,
-        a,
-        start,
-        len,
-        x,
-        beta,
-        y,
-        strategy,
-    )
-}
-
-/// [`gemv_t_cols`] through an arbitrary [`Launcher`] (direct or fused).
 #[allow(clippy::too_many_arguments)]
 pub fn gemv_t_cols_on<T: Scalar>(
     l: &mut Launcher<'_, '_>,

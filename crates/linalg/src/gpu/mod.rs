@@ -48,8 +48,8 @@ pub use batch_kernels::{
 };
 pub use blas::{
     axpy, copy, copy_on, dot, eliminate, eliminate_on, fill, gemv_n, gemv_n_on, gemv_n_split_on,
-    gemv_n_strips, gemv_t, gemv_t_cols, gemv_t_cols_on, gemv_t_on, ger, pivot_update,
-    pivot_update_on, scal, GemvTStrategy, GEMV_N_STRIP_CANDIDATES, GEMV_N_STRIP_TIE,
+    gemv_n_strips, gemv_t, gemv_t_cols_on, gemv_t_on, ger, pivot_update, pivot_update_on, scal,
+    GemvTStrategy, GEMV_N_STRIP_CANDIDATES, GEMV_N_STRIP_TIE,
 };
 pub use first_order::{pdhg_dual_on, pdhg_primal_on, PdhgDualK, PdhgPrimalK};
 pub use gemm::{gemm, GEMM_TILE};

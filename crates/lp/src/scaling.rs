@@ -1,13 +1,9 @@
 //! Problem scaling.
 //!
 //! Badly scaled constraint matrices are the main driver of single-precision
-//! simplex instability (experiment T3). Two standard schemes operate on a
-//! [`StandardForm`] in place:
-//!
-//! * geometric-mean scaling: each row/column is divided by
-//!   `√(min|aᵢⱼ|·max|aᵢⱼ|)`, iterated;
-//! * equilibration: each row/column is divided by its largest absolute
-//!   entry, so every row and column has ∞-norm 1.
+//! simplex instability (experiment T3). Geometric-mean scaling operates on a
+//! [`StandardForm`] in place: each row, then each column, is divided by
+//! `√(min|aᵢⱼ|·max|aᵢⱼ|)`, and the pair of sweeps runs twice.
 //!
 //! Row scaling multiplies `bᵢ` along; column scaling multiplies `cⱼ` and is
 //! recorded in `StandardForm::col_scale` so solutions map back. Artificial
@@ -17,17 +13,6 @@
 use linalg::Scalar;
 
 use crate::standard::{ColKind, StandardForm};
-
-/// Which scaling scheme to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalingKind {
-    /// No scaling (identity transform).
-    None,
-    /// Iterated geometric-mean row/column scaling (2 sweeps).
-    GeometricMean,
-    /// One pass of ∞-norm equilibration.
-    Equilibrate,
-}
 
 /// Summary statistics of a scaling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,21 +42,13 @@ fn spread<T: Scalar>(sf: &StandardForm<T>) -> f64 {
     }
 }
 
-/// Scale a standard form in place. Returns before/after spread statistics.
-pub fn scale<T: Scalar>(sf: &mut StandardForm<T>, kind: ScalingKind) -> ScaleReport {
+/// Geometric-mean scale a standard form in place (two row-then-column
+/// sweeps). Returns before/after spread statistics.
+pub fn scale<T: Scalar>(sf: &mut StandardForm<T>) -> ScaleReport {
     let before = spread(sf);
-    match kind {
-        ScalingKind::None => {}
-        ScalingKind::GeometricMean => {
-            for _ in 0..2 {
-                scale_rows(sf, false);
-                scale_cols(sf, false);
-            }
-        }
-        ScalingKind::Equilibrate => {
-            scale_rows(sf, true);
-            scale_cols(sf, true);
-        }
+    for _ in 0..2 {
+        scale_rows(sf);
+        scale_cols(sf);
     }
     ScaleReport {
         spread_before: before,
@@ -79,7 +56,7 @@ pub fn scale<T: Scalar>(sf: &mut StandardForm<T>, kind: ScalingKind) -> ScaleRep
     }
 }
 
-fn row_factor<T: Scalar>(sf: &StandardForm<T>, i: usize, equil: bool) -> f64 {
+fn row_factor<T: Scalar>(sf: &StandardForm<T>, i: usize) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
     for j in 0..sf.num_cols() {
@@ -97,7 +74,7 @@ fn row_factor<T: Scalar>(sf: &StandardForm<T>, i: usize, equil: bool) -> f64 {
     if hi == 0.0 {
         return 1.0;
     }
-    let f = if equil { hi } else { (lo * hi).sqrt() };
+    let f = (lo * hi).sqrt();
     if f > 0.0 && f.is_finite() {
         f
     } else {
@@ -105,9 +82,9 @@ fn row_factor<T: Scalar>(sf: &StandardForm<T>, i: usize, equil: bool) -> f64 {
     }
 }
 
-fn scale_rows<T: Scalar>(sf: &mut StandardForm<T>, equil: bool) {
+fn scale_rows<T: Scalar>(sf: &mut StandardForm<T>) {
     for i in 0..sf.num_rows() {
-        let f = row_factor(sf, i, equil);
+        let f = row_factor(sf, i);
         if (f - 1.0).abs() < 1e-12 {
             continue;
         }
@@ -124,7 +101,7 @@ fn scale_rows<T: Scalar>(sf: &mut StandardForm<T>, equil: bool) {
     }
 }
 
-fn scale_cols<T: Scalar>(sf: &mut StandardForm<T>, equil: bool) {
+fn scale_cols<T: Scalar>(sf: &mut StandardForm<T>) {
     for j in 0..sf.num_cols() {
         if !matches!(sf.col_kinds[j], ColKind::Structural) {
             continue;
@@ -141,7 +118,7 @@ fn scale_cols<T: Scalar>(sf: &mut StandardForm<T>, equil: bool) {
         if hi == 0.0 {
             continue;
         }
-        let f = if equil { hi } else { (lo * hi).sqrt() };
+        let f = (lo * hi).sqrt();
         if !(f > 0.0) || !f.is_finite() || (f - 1.0).abs() < 1e-12 {
             continue;
         }
@@ -175,7 +152,7 @@ mod tests {
     #[test]
     fn geometric_mean_reduces_spread() {
         let mut sf = badly_scaled();
-        let rep = scale(&mut sf, ScalingKind::GeometricMean);
+        let rep = scale(&mut sf);
         assert!(
             rep.spread_after < rep.spread_before / 100.0,
             "spread {} -> {}",
@@ -185,31 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn equilibrate_bounds_entries_by_one() {
-        let mut sf = badly_scaled();
-        scale(&mut sf, ScalingKind::Equilibrate);
-        for i in 0..sf.num_rows() {
-            for j in 0..sf.num_cols() {
-                if matches!(sf.col_kinds[j], ColKind::Structural) {
-                    assert!(sf.a.get(i, j).abs() <= 1.0 + 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn none_is_identity() {
-        let mut sf = badly_scaled();
-        let a0 = sf.a.clone();
-        let rep = scale(&mut sf, ScalingKind::None);
-        assert_eq!(sf.a, a0);
-        assert_eq!(rep.spread_before, rep.spread_after);
-    }
-
-    #[test]
     fn identity_columns_are_preserved() {
         let mut sf = badly_scaled();
-        scale(&mut sf, ScalingKind::GeometricMean);
+        scale(&mut sf);
         // Slack columns still exactly ±1 in their row.
         for (j, kind) in sf.col_kinds.clone().iter().enumerate() {
             if let ColKind::Slack(i) = kind {
@@ -231,7 +186,7 @@ mod tests {
         x_std[1] = x_orig[1];
         let obj_before = sf.objective_value(&x_std);
 
-        scale(&mut sf, ScalingKind::GeometricMean);
+        scale(&mut sf);
         // The scaled standard point representing the same original x:
         // x̃_j = x_j / col_scale[j].
         let mut x_scaled = vec![0.0; sf.num_cols()];

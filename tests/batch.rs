@@ -162,39 +162,6 @@ fn shared_gpu_streams_match_dedicated_device() {
     assert!(agg.kernels_launched > 0);
 }
 
-/// The size-threshold policy routes jobs to both sides of the crossover and
-/// the report's per-backend tallies add up.
-#[test]
-fn size_threshold_policy_splits_batch_and_tallies() {
-    let jobs = generator::batch_mixed_sizes(12, &[(4, 6), (16, 20)], 500);
-    let policy = PlacementPolicy::size_threshold(
-        10,
-        BackendKind::CpuDense,
-        BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
-    let report = BatchSolver::new(BatchOptions {
-        workers: 4,
-        policy,
-        ..Default::default()
-    })
-    .solve::<f64>(&jobs);
-    assert!(report.all_solved());
-    let cpu = report.stats.per_backend["cpu-dense"];
-    let gpu = report.stats.per_backend["gpu-dense"];
-    assert_eq!(cpu.jobs, 6);
-    assert_eq!(gpu.jobs, 6);
-    for r in &report.results {
-        let want = if r.index % 2 == 0 {
-            "cpu-dense"
-        } else {
-            "gpu-dense"
-        };
-        assert_eq!(r.backend, want, "job {}", r.index);
-    }
-    let util = report.stats.utilization("cpu-dense") + report.stats.utilization("gpu-dense");
-    assert!((util - 1.0).abs() < 1e-12);
-}
-
 /// Satellite regression (counter single-counting): when quarantine re-places
 /// jobs off a benched backend, every job is still solved and tallied exactly
 /// once — per-backend job counts sum to the batch size, and the aggregate
@@ -260,22 +227,23 @@ fn panicked_jobs_still_occupy_their_backend_in_active_utilization() {
 }
 
 /// Per-backend active wall time partitions the batch across backends and is
-/// consistent with the per-job records.
+/// consistent with the per-job records. The batch splits across two
+/// backends through mega grouping: the two shape groups run as lockstep
+/// `batch-kernel` lanes, the shape singleton streams on `gpu-dense`.
 #[test]
 fn per_backend_active_time_matches_job_records() {
-    let jobs = generator::batch_mixed_sizes(12, &[(4, 6), (16, 20)], 500);
-    let policy = PlacementPolicy::size_threshold(
-        10,
-        BackendKind::CpuDense,
-        BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    let mut jobs = generator::batch_mixed_sizes(12, &[(4, 6), (16, 20)], 500);
+    jobs.push(generator::dense_random(9, 11, 3));
     let report = BatchSolver::new(BatchOptions {
         workers: 2,
-        policy,
+        policy: PlacementPolicy::Fixed(BackendKind::GpuDense(DeviceSpec::gtx280())),
+        mega_batch: true,
         ..Default::default()
     })
     .solve::<f64>(&jobs);
     assert!(report.all_solved());
+    assert_eq!(report.stats.per_backend["batch-kernel"].jobs, 12);
+    assert_eq!(report.stats.per_backend["gpu-dense"].jobs, 1);
     for (label, tally) in &report.stats.per_backend {
         let job_sum: f64 = report
             .results
@@ -290,8 +258,8 @@ fn per_backend_active_time_matches_job_records() {
             job_sum
         );
     }
-    let share_sum =
-        report.stats.active_utilization("cpu-dense") + report.stats.active_utilization("gpu-dense");
+    let share_sum = report.stats.active_utilization("batch-kernel")
+        + report.stats.active_utilization("gpu-dense");
     assert!((share_sum - 1.0).abs() < 1e-12);
 }
 

@@ -3,9 +3,7 @@
 //! monotonicity of the timing model.
 
 use gpu_sim::coalesce::distinct_segments;
-use gpu_sim::{
-    AccessPattern, DeviceSpec, ExecMode, Gpu, Kernel, KernelCost, LaunchConfig, ThreadCtx,
-};
+use gpu_sim::{AccessPattern, DeviceSpec, Gpu, Kernel, KernelCost, LaunchConfig, ThreadCtx};
 use proptest::prelude::*;
 
 /// Brute-force transaction count: enumerate every lane address of every warp
@@ -119,25 +117,6 @@ impl Kernel for Square {
             .write(AccessPattern::coalesced::<f32>(self.n as u64))
             .active_threads(cfg, self.n as u64)
     }
-}
-
-#[test]
-fn parallel_and_sequential_execution_agree_bitwise() {
-    let host: Vec<f32> = (0..10_000).map(|i| (i as f32).sin()).collect();
-    let mut out = Vec::new();
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-        let gpu = Gpu::with_mode(DeviceSpec::gtx280(), mode);
-        let mut buf = gpu.htod(&host);
-        gpu.launch(
-            LaunchConfig::for_elems(host.len(), 96),
-            &Square {
-                data: buf.view_mut(),
-                n: host.len(),
-            },
-        );
-        out.push(gpu.dtoh(&buf));
-    }
-    assert_eq!(out[0], out[1]);
 }
 
 #[test]

@@ -390,15 +390,15 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
     }
 }
 
-/// Cross-rung resume: with a zero retry budget the ladder degrades
-/// immediately, and the checkpoint taken on the *GPU* rung resumes on the
-/// fault-free *CPU* rung mid-solve — the snapshot basis lives in
-/// standard-form space, which is identical across backends.
+/// Cross-rung resume: once the GPU rung's retries are spent, the checkpoint
+/// taken on the *GPU* rung resumes on the fault-free *CPU* rung mid-solve —
+/// the snapshot basis lives in standard-form space, which is identical
+/// across backends.
 #[test]
 fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
-    use gplex::{ResilientSolver, RetryPolicy};
+    use gplex::ResilientSolver;
 
-    let model = generator::dense_random(16, 24, 42);
+    let model = generator::dense_random(16, 24, 11);
     let opts = SolverOptions {
         presolve: false,
         scale: false,
@@ -411,18 +411,17 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         .run::<f64>()
         .unwrap();
 
-    // The same fault point as the same-rung test: the GPU attempt dies at
-    // iteration 5, one past its checkpoint at 4 (warmups 118–134).
+    // A certain kernel fault past a 98-op warmup: the scratch attempt dies
+    // at iteration 6, two past its checkpoint at 4, and each of the two
+    // retries resumes from that checkpoint and dies two iterations later
+    // again, so the ladder degrades with the GPU-taken checkpoint in the
+    // slot. (Warmups 96–99 all land there.)
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig {
             kernel_fault: 1.0,
-            warmup_ops: 125,
+            warmup_ops: 98,
             ..FaultConfig::off(9)
         }),
-        retry: RetryPolicy {
-            max_retries: 0,
-            ..Default::default()
-        },
         ..Default::default()
     });
     let out = solver.run::<f64>(
@@ -431,17 +430,17 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
     );
     let sol = out.result.expect("CPU rung always completes");
     assert_eq!(out.final_backend, "cpu-dense");
-    assert_eq!(out.degradations, 1, "single GPU attempt, then the ladder");
-    assert_eq!(out.retries, 0);
+    assert_eq!(out.degradations, 1, "three GPU attempts, then the ladder");
+    assert_eq!(out.retries, 2);
+    assert_eq!(out.faults, 3, "every GPU attempt dies");
     assert_eq!(
-        sol.stats.checkpoint_resumes, 1,
-        "the CPU rung must resume the GPU-taken checkpoint"
+        sol.stats.checkpoint_resumes, 3,
+        "both GPU retries and the CPU rung resume the GPU-taken checkpoint"
     );
     assert!(sol.stats.checkpoints_taken >= 1);
-    assert!(sol.stats.wasted_iterations < 4);
     assert_eq!(
-        sol.stats.wasted_iterations, 1,
-        "the GPU attempt dies at iteration 5, one past its checkpoint at 4"
+        sol.stats.wasted_iterations, 6,
+        "each GPU attempt dies two iterations past its checkpoint at 4"
     );
     // The cross-rung resume still lands bitwise on the uninterrupted CPU
     // answer: the checkpoint boundary state is backend-independent.
@@ -463,7 +462,7 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
 /// prefix (4, then 8 iterations) back in and report ≥ 16.
 #[test]
 fn repeated_faults_do_not_double_count_wasted_iterations() {
-    use gplex::{ResilientSolver, RetryPolicy};
+    use gplex::ResilientSolver;
 
     let model = generator::dense_random(24, 40, 7);
     let opts = SolverOptions {
@@ -496,10 +495,6 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
             }
             .only(&["refactor_fused"]),
         ),
-        retry: RetryPolicy {
-            max_retries: 2,
-            ..Default::default()
-        },
         ..Default::default()
     });
     let out = solver.run::<f64>(

@@ -320,33 +320,35 @@ fn pipeline_cache_turns_family_members_into_warm_solves() {
     }
 }
 
-/// `Exact` keying only re-uses bases across byte-identical re-solves: the
-/// perturbed siblings all miss, the repeated member hits.
+/// `Family` keying only re-uses bases across instances with the same
+/// structure: a model with a different `A` misses, and a repeated member
+/// hits and restarts at its optimum.
 #[test]
-fn exact_policy_only_hits_identical_instances() {
+fn family_policy_only_hits_same_structure_instances() {
     let family = generator::perturbed_family(3, 8, 10, 11, 1e-3);
     let opts = SolverOptions::default();
     let cache = BasisCache::new(16);
     let ctx = WarmContext {
         cache: &cache,
-        policy: WarmStartPolicy::Exact,
+        policy: WarmStartPolicy::Family { tol: 1e-6 },
     };
-    for lp in &family {
-        let sol = SolveRequest::model(lp, &opts)
+    let solve = |lp: &LinearProgram| {
+        SolveRequest::model(lp, &opts)
             .on(&BackendKind::CpuDense)
             .warm(Some(&ctx))
             .run::<f64>()
-            .unwrap();
-        assert_eq!(sol.status, Status::Optimal);
+            .unwrap()
+    };
+    for lp in [&family[0], &generator::dense_random(8, 10, 12)] {
+        assert_eq!(solve(lp).status, Status::Optimal);
     }
-    assert_eq!(cache.stats().hits, 0, "perturbed siblings are not exact");
-    let again = SolveRequest::model(&family[0], &opts)
-        .on(&BackendKind::CpuDense)
-        .warm(Some(&ctx))
-        .run::<f64>()
-        .unwrap();
+    assert_eq!(cache.stats().hits, 0, "a different A is not a sibling");
+    let again = solve(&family[0]);
     assert_eq!(again.stats.warm_start_attempted, 1);
-    assert_eq!(again.stats.iterations, 0, "exact re-solve restarts at opt");
+    assert_eq!(
+        again.stats.iterations, 0,
+        "a repeated member restarts at opt"
+    );
     assert_eq!(cache.stats().hits, 1);
 }
 
