@@ -1,4 +1,5 @@
-//! `gplex::pdhg` — restarted-Halpern PDHG, the second algorithm family.
+//! `gplex::pdhg` — reflected restarted-Halpern PDHG, the second algorithm
+//! family.
 //!
 //! The revised simplex earns its keep on small dense instances: every
 //! iteration is a handful of `m × m` products, and the iteration count is
@@ -20,35 +21,45 @@
 //! ## The iteration
 //!
 //! With primal step `τ = 0.9·ω/‖A‖₂` and dual step `σ = 0.9/(ω·‖A‖₂)`
-//! (`ω` the primal weight), one iteration is
+//! (`ω` the primal weight), let `T(z) = (x⁺, y⁺)` be one PDHG step from
+//! `z = (x, y)`. The iterate moves by the reflected Halpern step
+//! `z ← λ(2T(z) − z) + (1−λ)z₀`:
 //!
 //! ```text
 //!     g  = Ãᵀy                                   (CSC gather)
 //!     x⁺ = max(0, x − τ(c̃ − g))                  (projection)
 //!     x̄  = 2x⁺ − x                                (reflection)
-//!     x  = λx⁺ + (1−λ)x₀                          (Halpern anchor pull)
+//!     x  = λx̄ + (1−λ)x₀                           (Halpern anchor pull)
 //!     a  = Ãx̄                                     (CSR product)
 //!     y⁺ = y + σ(b̃ − a)
-//!     y  = λy⁺ + (1−λ)y₀
+//!     y  = λ(2y⁺ − y) + (1−λ)y₀
 //! ```
 //!
 //! with `λ = (k+1)/(k+2)` counted from the last restart and `(x₀, y₀)` the
-//! restart anchor. Every `CHECK_INTERVAL` (32) iterations the driver downloads
-//! the iterate and evaluates normalized residuals in f64:
+//! restart anchor. The reflected iterate is not projected (`x` can go
+//! negative), so everything the driver decides and returns uses the PDHG
+//! output `T(z)`. On a block's last iteration the kernels write `x⁺` over
+//! `g` and `y⁺` over `a`, and every `CHECK_INTERVAL` (32) iterations the
+//! driver downloads `g‖a` together with the iterate (the two halves of one
+//! device buffer) and evaluates normalized residuals of `T(z)` in f64:
 //!
 //! ```text
-//!     rp  = ‖Ãx − b̃‖ / (1 + ‖b̃‖)
-//!     rd  = ‖min(c̃ − Ãᵀy, 0)‖ / (1 + ‖c̃‖)
-//!     gap = |c̃ᵀx − b̃ᵀy| / (1 + |c̃ᵀx| + |b̃ᵀy|)
+//!     rp  = ‖Ãx⁺ − b̃‖ / (1 + ‖b̃‖)
+//!     rd  = ‖min(c̃ − Ãᵀy⁺, 0)‖ / (1 + ‖c̃‖)
+//!     gap = |c̃ᵀx⁺ − b̃ᵀy⁺| / (1 + |c̃ᵀx⁺| + |b̃ᵀy⁺|)
 //! ```
 //!
-//! terminating when all three fall below the tolerance, and *restarting*
-//! (anchor ← iterate, `k ← 0`) when the combined score decays below
-//! `SUFFICIENT_DECAY` (0.2) of the anchor's score, or `RESTART_PERIOD`
-//! (4096) iterations after the last restart — the
-//! restarted-Halpern scheme that turns PDHG's sublinear tail into linear
-//! convergence on LPs. Each restart also rebalances the primal weight from
-//! the observed movement ratio `‖Δy‖/‖Δx‖`.
+//! terminating with `T(z)` when all three fall below the tolerance. It
+//! *restarts* (iterate ← anchor ← `T(z)`, `k ← 0`) on cuPDLPx's conditions
+//! on the fixed-point residual `r = ‖z − T(z)‖_P` (the norm in which `T` is
+//! nonexpansive): `r` fell to `BETA_SUFFICIENT` (0.2) of its value at the
+//! last restart; or to `BETA_NECESSARY` (0.8) of it while growing since the
+//! previous check; or the cycle has run `BETA_ARTIFICIAL` (0.36) of all
+//! iterations so far. This restarted-Halpern scheme turns PDHG's sublinear
+//! tail into linear convergence on LPs. A restart swaps the roles of the
+//! iterate and `g‖a` halves on the host and copies the new iterate into the
+//! anchor: one device copy. Each restart also rebalances the primal weight
+//! from the observed movement ratio `‖Δy‖/‖Δx‖`.
 //!
 //! Everything is deterministic: no randomness, fixed reduction orders, and
 //! the restart schedule is a pure function of the iterate — two identical
@@ -76,10 +87,6 @@ use crate::trace::{Recorder, StepKind};
 /// Configuration for the PDHG solver family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PdhgOptions {
-    /// Termination tolerance on the normalized primal/dual residuals and
-    /// duality gap. `None` picks a precision-appropriate default
-    /// (`1e-8` for f64, `1e-4` for f32).
-    pub tol: Option<f64>,
     /// Hard iteration cap; `None` = 200 000.
     pub max_iterations: Option<usize>,
     /// Run presolve in the high-level pipeline.
@@ -100,7 +107,6 @@ pub struct PdhgOptions {
 impl Default for PdhgOptions {
     fn default() -> Self {
         PdhgOptions {
-            tol: None,
             max_iterations: None,
             presolve: true,
             scale: true,
@@ -112,14 +118,19 @@ impl Default for PdhgOptions {
 }
 
 impl PdhgOptions {
-    /// Resolved tolerance for scalar type `T`.
-    pub fn tol_for<T: Scalar>(&self) -> f64 {
-        self.tol.unwrap_or(if T::IS_F64 { 1e-8 } else { 1e-4 })
-    }
-
     /// Resolved iteration cap.
     pub fn max_iters(&self) -> usize {
         self.max_iterations.unwrap_or(200_000)
+    }
+}
+
+/// Termination tolerance on the normalized primal/dual residuals and
+/// duality gap, by precision: `1e-8` for f64, `1e-4` for f32.
+fn tol_for<T: Scalar>() -> f64 {
+    if T::IS_F64 {
+        1e-8
+    } else {
+        1e-4
     }
 }
 
@@ -128,13 +139,14 @@ impl PdhgOptions {
 /// the PCIe cadence and the length of one fused launch.
 const CHECK_INTERVAL: usize = 32;
 
-/// Restart when the combined residual score falls below this fraction of
-/// the anchor's score.
-const SUFFICIENT_DECAY: f64 = 0.2;
-
-/// Force a restart this many iterations after the last one, even without
-/// sufficient decay, so the Halpern anchor pull never vanishes as `λ → 1`.
-const RESTART_PERIOD: usize = 4096;
+/// cuPDLPx's restart conditions (arXiv 2507.14051, §3.2) on the fixed-point
+/// residual `r = ‖z − T(z)‖_P`: restart when `r` has fallen to
+/// `BETA_SUFFICIENT` of its value at the last restart, or to
+/// `BETA_NECESSARY` of it with no progress since the previous check, or when
+/// the current cycle has run `BETA_ARTIFICIAL` of all iterations so far.
+const BETA_SUFFICIENT: f64 = 0.2;
+const BETA_NECESSARY: f64 = 0.8;
+const BETA_ARTIFICIAL: f64 = 0.36;
 
 /// Result of a standard-form PDHG solve.
 pub(crate) struct PdhgStdResult<T: Scalar> {
@@ -284,16 +296,16 @@ fn spectral_norm(a: &CsrMatrix<f64>) -> f64 {
     }
 }
 
-/// Normalized residuals of an iterate, evaluated on the f64 shadow.
+/// Normalized residuals of a point, evaluated on the f64 shadow.
 struct Residuals {
     rp: f64,
     rd: f64,
     gap: f64,
-    score: f64,
 }
 
-/// The driver's f64 scratch for [`residuals`]: the iterate's f64 copy and
-/// the two products, allocated once per solve rather than once per check.
+/// The driver's f64 scratch for [`residuals`] and
+/// [`fixed_point_residual`]: a primal and a dual vector and the two
+/// products, allocated once per solve rather than once per check.
 struct ResidualScratch {
     xf: Vec<f64>,
     yf: Vec<f64>,
@@ -346,12 +358,36 @@ fn residuals<T: Scalar>(
     let px: f64 = prob.c64.iter().zip(xf.iter()).map(|(c, x)| c * x).sum();
     let dy: f64 = prob.b64.iter().zip(yf.iter()).map(|(b, y)| b * y).sum();
     let gap = (px - dy).abs() / (1.0 + px.abs() + dy.abs());
-    Residuals {
-        rp,
-        rd,
-        gap,
-        score: (rp * rp + rd * rd + gap * gap).sqrt(),
+    Residuals { rp, rd, gap }
+}
+
+/// The fixed-point residual `‖z_k − T(z_k)‖_P` of a block's last iterate,
+/// in the norm `‖(dx, dy)‖²_P = ‖dx‖²/τ + ‖dy‖²/σ − 2dyᵀÃdx` in which `T`
+/// is nonexpansive. The block ended on
+/// `z_{k+1} = λ(2T(z_k) − z_k) + (1−λ)z₀`, so
+/// `z_k − T(z_k) = T(z_k) − (z_{k+1} − (1−λ)z₀)/λ` needs no extra state.
+fn fixed_point_residual<T: Scalar>(
+    prob: &PdhgProblem<T>,
+    end: &BlockEnd<T>,
+    (x0, y0): (&[T], &[T]),
+    lam: f64,
+    tau: f64,
+    sigma: f64,
+    s: &mut ResidualScratch,
+) -> f64 {
+    let mu = 1.0 - lam;
+    let diff = |t: T, z: T, z0: T| t.to_f64() - (z.to_f64() - mu * z0.to_f64()) / lam;
+    for (j, d) in s.xf.iter_mut().enumerate() {
+        *d = diff(end.x[j], end.zx[j], x0[j]);
     }
+    for (i, d) in s.yf.iter_mut().enumerate() {
+        *d = diff(end.y[i], end.zy[i], y0[i]);
+    }
+    prob.csr64.spmv(&s.xf, &mut s.ax);
+    let dx2: f64 = s.xf.iter().map(|d| d * d).sum();
+    let dy2: f64 = s.yf.iter().map(|d| d * d).sum();
+    let cross: f64 = s.yf.iter().zip(&s.ax).map(|(d, a)| d * a).sum();
+    (dx2 / tau + dy2 / sigma - 2.0 * cross).max(0.0).sqrt()
 }
 
 // ---------------------------------------------------------------------------
@@ -363,16 +399,31 @@ fn halpern_lambda<T: Scalar>(k: u64) -> T {
     T::from_f64((k + 1) as f64 / (k + 2) as f64)
 }
 
-/// What a backend must provide: one check block of iterations, anchor
-/// rebasing, an iterate download, and its simulated clock. The driver owns
+/// What a check reads back after a block: the PDHG output
+/// `T(z_k) = (x, y)` of its last iteration, which the driver checks,
+/// returns and restarts at, and the iterate `z_{k+1} = (zx, zy)` the block
+/// ended on.
+struct BlockEnd<T> {
+    x: Vec<T>,
+    y: Vec<T>,
+    zx: Vec<T>,
+    zy: Vec<T>,
+}
+
+/// What a backend must provide: one check block of iterations, a download
+/// of the block's end, a restart, and its simulated clock. The driver owns
 /// everything else (step sizes, restart schedule, convergence checks).
 trait FirstOrderOps<T: Scalar> {
     /// Run `count` iterations, the `i`-th with Halpern weight
     /// [`halpern_lambda`]`(k0 + i)`. No host decision falls inside a block,
-    /// so GPU backends dispatch it as one fused launch.
+    /// so GPU backends dispatch it as one fused launch. The last iteration
+    /// leaves its PDHG output `T(z)` in the backend's `g‖ax` scratch.
     fn block(&mut self, tau: T, sigma: T, k0: u64, count: usize) -> Result<(), SolveError>;
-    fn rebase_anchor(&mut self) -> Result<(), SolveError>;
-    fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError>;
+    /// The last block's end, in one download.
+    fn output(&mut self) -> Result<BlockEnd<T>, SolveError>;
+    /// Restart at the last block's output: it becomes both the iterate and
+    /// the anchor.
+    fn restart(&mut self) -> Result<(), SolveError>;
     fn elapsed(&self) -> SimTime;
 }
 
@@ -415,8 +466,9 @@ impl<T: Scalar> CpuMat<T> {
 }
 
 /// Serial CPU backend: host loops mirroring the GPU kernels' arithmetic
-/// exactly (same `mul_add` placement), charged against the modeled 2009
-/// single core like every other CPU backend in the repo.
+/// and buffer use exactly (same `mul_add` placement, `T(z)` emitted into
+/// `g` and `ax`), charged against the modeled 2009 single core like every
+/// other CPU backend in the repo.
 struct CpuOps<T: Scalar> {
     mat: CpuMat<T>,
     b: Vec<T>,
@@ -458,28 +510,38 @@ impl<T: Scalar> CpuOps<T> {
         }
     }
 
-    /// One iteration with Halpern weight `lam`, charged to the modeled core.
-    fn step(&mut self, tau: T, sigma: T, lam: T) {
+    /// One iteration with Halpern weight `lam`, charged to the modeled core;
+    /// with `emit`, `g` and `ax` end holding `T(z) = (x⁺, y⁺)`.
+    fn step(&mut self, tau: T, sigma: T, lam: T, emit: bool) {
         let mu = T::ONE - lam;
         self.mat.apply_t(&self.y, &mut self.g);
         for j in 0..self.x.len() {
             let xj = self.x[j];
             let step = xj - tau * (self.c[j] - self.g[j]);
             let xnew = if step > T::ZERO { step } else { T::ZERO };
-            self.xbar[j] = xnew + xnew - xj;
-            self.x[j] = lam * xnew + mu * self.x0[j];
+            let xbar = xnew + xnew - xj;
+            self.xbar[j] = xbar;
+            self.x[j] = lam * xbar + mu * self.x0[j];
+            if emit {
+                self.g[j] = xnew;
+            }
         }
         self.mat.apply(&self.xbar, &mut self.ax);
         for i in 0..self.y.len() {
-            let ynew = sigma.mul_add(self.b[i] - self.ax[i], self.y[i]);
-            self.y[i] = lam * ynew + mu * self.y0[i];
+            let yi = self.y[i];
+            let ynew = sigma.mul_add(self.b[i] - self.ax[i], yi);
+            self.y[i] = lam * (ynew + ynew - yi) + mu * self.y0[i];
+            if emit {
+                self.ax[i] = ynew;
+            }
         }
         let (pf, pb) = self.mat.product_cost();
         let (n, m) = (self.x.len() as u64, self.y.len() as u64);
         let elem = std::mem::size_of::<T>() as u64;
+        let emitted = if emit { n + m } else { 0 };
         self.clock.charge(self.model.op_time(
-            2 * pf + 8 * n + 6 * m,
-            2 * pb + (6 * n + 5 * m) * elem,
+            2 * pf + 8 * (n + m),
+            2 * pb + (6 * n + 5 * m + emitted) * elem,
             T::IS_F64,
         ));
     }
@@ -487,13 +549,16 @@ impl<T: Scalar> CpuOps<T> {
 
 impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
     fn block(&mut self, tau: T, sigma: T, k0: u64, count: usize) -> Result<(), SolveError> {
-        for k in k0..k0 + count as u64 {
-            self.step(tau, sigma, halpern_lambda(k));
+        let last = k0 + count as u64;
+        for k in k0..last {
+            self.step(tau, sigma, halpern_lambda(k), k + 1 == last);
         }
         Ok(())
     }
 
-    fn rebase_anchor(&mut self) -> Result<(), SolveError> {
+    fn restart(&mut self) -> Result<(), SolveError> {
+        std::mem::swap(&mut self.x, &mut self.g);
+        std::mem::swap(&mut self.y, &mut self.ax);
         self.x0.copy_from_slice(&self.x);
         self.y0.copy_from_slice(&self.y);
         let elem = std::mem::size_of::<T>() as u64;
@@ -502,8 +567,13 @@ impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
         Ok(())
     }
 
-    fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError> {
-        Ok((self.x.clone(), self.y.clone()))
+    fn output(&mut self) -> Result<BlockEnd<T>, SolveError> {
+        Ok(BlockEnd {
+            x: self.g.clone(),
+            y: self.ax.clone(),
+            zx: self.x.clone(),
+            zy: self.y.clone(),
+        })
     }
 
     fn elapsed(&self) -> SimTime {
@@ -516,9 +586,12 @@ impl<T: Scalar> FirstOrderOps<T> for CpuOps<T> {
 /// dual` through a [`Launcher`]. A whole check block goes through one
 /// launcher, so when fused it pays one launch overhead (and presents one
 /// fault roll) per block rather than per kernel — the same accounting
-/// story as the simplex pivot chain. The iterate lives in one buffer
-/// `x‖y` and the anchor in one buffer `x₀‖y₀`, so a check is one download
-/// and a restart one copy. Works over a fresh [`Gpu`] or a [`Stream`]
+/// story as the simplex pivot chain. One buffer holds two halves, the
+/// iterate `x‖y` and the products `g‖ax`, which the block's last iteration
+/// overwrites with `T(z)`; the anchor is one buffer `x₀‖y₀`. A check
+/// downloads both halves at once; a restart swaps the halves' roles on the
+/// host and copies the new iterate into the anchor, so it is one copy.
+/// Works over a fresh [`Gpu`] or a [`Stream`]
 /// (which derefs to its per-stream `Gpu`), so the shared-device backend
 /// reuses it unchanged.
 struct GpuOps<'g, T: Scalar> {
@@ -527,17 +600,30 @@ struct GpuOps<'g, T: Scalar> {
     dcsc: DeviceCsc<T>,
     db: DeviceBuffer<T>,
     dc: DeviceBuffer<T>,
-    xy: DeviceBuffer<T>,
+    /// `x‖y` and `g‖ax`, in the order `flip` says.
+    halves: DeviceBuffer<T>,
+    /// The iterate is the second half (and `g‖ax` the first).
+    flip: bool,
     xy0: DeviceBuffer<T>,
-    g: DeviceBuffer<T>,
     xbar: DeviceBuffer<T>,
-    ax: DeviceBuffer<T>,
     n: usize,
     fuse: bool,
     t0: SimTime,
 }
 
 impl<'g, T: Scalar> GpuOps<'g, T> {
+    /// Offsets of the iterate and of the `g‖ax` half in `halves`.
+    fn iterate_at(&self) -> usize {
+        if self.flip {
+            self.xy0.len()
+        } else {
+            0
+        }
+    }
+    fn scratch_at(&self) -> usize {
+        self.xy0.len() - self.iterate_at()
+    }
+
     fn new(gpu: &'g Gpu, prob: &PdhgProblem<T>, fuse: bool) -> Self {
         let dcsr = DeviceCsr::upload(gpu, &prob.csr);
         let dcsc = DeviceCsc::upload(gpu, &prob.csc);
@@ -547,11 +633,10 @@ impl<'g, T: Scalar> GpuOps<'g, T> {
             dcsc,
             db: gpu.htod(&prob.b),
             dc: gpu.htod(&prob.c),
-            xy: gpu.alloc(prob.n + prob.m, T::ZERO),
+            halves: gpu.alloc(2 * (prob.n + prob.m), T::ZERO),
+            flip: false,
             xy0: gpu.alloc(prob.n + prob.m, T::ZERO),
-            g: gpu.alloc(prob.n, T::ZERO),
             xbar: gpu.alloc(prob.n, T::ZERO),
-            ax: gpu.alloc(prob.m, T::ZERO),
             n: prob.n,
             fuse,
             t0: gpu.elapsed(),
@@ -563,26 +648,21 @@ impl<'g, T: Scalar> GpuOps<'g, T> {
         tau: T,
         sigma: T,
         lam: T,
+        emit: bool,
         l: &mut Launcher<'_, '_>,
     ) -> Result<(), SolveError> {
-        let (n, m) = (self.n, self.xy.len() - self.n);
-        let xy = self.xy.view_mut();
-        let (x, y) = (xy.subview_mut(0, n), xy.subview_mut(n, m));
+        let (n, m) = (self.n, self.xy0.len() - self.n);
+        let (z, s) = (self.iterate_at(), self.scratch_at());
+        let halves = self.halves.view_mut();
+        let (x, y) = (halves.subview_mut(z, n), halves.subview_mut(z + n, m));
+        let (g, ax) = (halves.subview_mut(s, n), halves.subview_mut(s + n, m));
         let xy0 = self.xy0.view();
         let (x0, y0) = (xy0.subview(0, n), xy0.subview(n, m));
-        self.dcsc.spmv_t_on(l, y.as_view(), self.g.view_mut())?;
-        gblas::pdhg_primal_on(
-            l,
-            x,
-            self.xbar.view_mut(),
-            self.g.view(),
-            self.dc.view(),
-            x0,
-            tau,
-            lam,
-        )?;
-        self.dcsr.spmv_on(l, self.xbar.view(), self.ax.view_mut())?;
-        gblas::pdhg_dual_on(l, y, self.ax.view(), self.db.view(), y0, sigma, lam)?;
+        self.dcsc.spmv_t_on(l, y.as_view(), g)?;
+        let xbar = self.xbar.view_mut();
+        gblas::pdhg_primal_on(l, x, xbar, g, self.dc.view(), x0, tau, lam, emit)?;
+        self.dcsr.spmv_on(l, xbar.as_view(), ax)?;
+        gblas::pdhg_dual_on(l, y, ax, self.db.view(), y0, sigma, lam, emit)?;
         Ok(())
     }
 }
@@ -603,8 +683,9 @@ impl<T: Scalar> FirstOrderOps<T> for GpuOps<'_, T> {
                 Some(f) => Launcher::Fused(f),
                 None => Launcher::Direct(gpu),
             };
-            for k in k0..k0 + count as u64 {
-                self.chain(tau, sigma, halpern_lambda(k), &mut l)?;
+            let last = k0 + count as u64;
+            for k in k0..last {
+                self.chain(tau, sigma, halpern_lambda(k), k + 1 == last, &mut l)?;
             }
         }
         if let Some(f) = group {
@@ -613,19 +694,25 @@ impl<T: Scalar> FirstOrderOps<T> for GpuOps<'_, T> {
         Ok(())
     }
 
-    fn rebase_anchor(&mut self) -> Result<(), SolveError> {
-        gblas::copy_on(
-            &mut Launcher::Direct(self.gpu),
-            self.xy.view(),
-            self.xy0.view_mut(),
-        )?;
-        Ok(())
+    fn output(&mut self) -> Result<BlockEnd<T>, SolveError> {
+        let (n, half) = (self.n, self.xy0.len());
+        let mut z = self.gpu.try_dtoh(&self.halves)?;
+        let mut t = z.split_off(half);
+        if self.flip {
+            std::mem::swap(&mut z, &mut t);
+        }
+        let (zy, y) = (z.split_off(n), t.split_off(n));
+        Ok(BlockEnd { x: t, y, zx: z, zy })
     }
 
-    fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError> {
-        let mut x = self.gpu.try_dtoh(&self.xy)?;
-        let y = x.split_off(self.n);
-        Ok((x, y))
+    fn restart(&mut self) -> Result<(), SolveError> {
+        self.flip = !self.flip;
+        let z = self
+            .halves
+            .view()
+            .subview(self.iterate_at(), self.xy0.len());
+        gblas::copy_on(&mut Launcher::Direct(self.gpu), z, self.xy0.view_mut())?;
+        Ok(())
     }
 
     fn elapsed(&self) -> SimTime {
@@ -670,7 +757,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     mut rec: Option<&mut R>,
 ) -> Result<PdhgCore<T>, SolveError> {
     let mut stats = SolveStats::default();
-    let tol = opts.tol_for::<T>();
+    let tol = tol_for::<T>();
     let max_iters = opts.max_iters();
     let wall_start = Instant::now();
 
@@ -692,9 +779,10 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     let mut anchor_x = vec![T::ZERO; prob.n];
     let mut anchor_y = vec![T::ZERO; prob.m];
     let mut scratch = ResidualScratch::new(prob);
-    let mut mu_anchor = residuals(prob, &anchor_x, &anchor_y, &mut scratch)
-        .score
-        .max(f64::MIN_POSITIVE);
+    // Fixed-point residuals at the last restart and at the previous check.
+    // The first cycle always ends at its first check, where the artificial
+    // condition holds (the cycle is the whole run), whatever these say.
+    let (mut fp_restart, mut fp_prev) = (f64::INFINITY, f64::INFINITY);
 
     let mut k_inner: u64 = 0;
     let mut total: usize = 0;
@@ -726,7 +814,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
         }
 
         let dl_wall = Instant::now();
-        let (x, y) = ops.iterate()?;
+        let end = ops.output()?;
         let dl_sim1 = ops.elapsed();
         stats.charge(Step::Other, dl_sim1 - block_sim1);
         if R::ENABLED {
@@ -742,17 +830,16 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             }
         }
 
-        let r = residuals(prob, &x, &y, &mut scratch);
+        let r = residuals(prob, &end.x, &end.y, &mut scratch);
         stats.final_gap = r.gap;
-        if !r.score.is_finite() {
+        if !(r.rp + r.rd + r.gap).is_finite() {
             return Err(SolveError::Numerical(format!(
                 "pdhg iterate diverged at iteration {total} (non-finite residual)"
             )));
         }
         if r.rp <= tol && r.rd <= tol && r.gap <= tol {
             status = Status::Optimal;
-            last_x = x;
-            last_y = y;
+            (last_x, last_y) = (end.x, end.y);
             break;
         }
         if let Some(limit) = opts.time_limit {
@@ -765,15 +852,27 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             }
         }
         if total >= max_iters {
-            last_x = x;
-            last_y = y;
+            (last_x, last_y) = (end.x, end.y);
             break;
         }
 
-        let forced = k_inner as usize >= RESTART_PERIOD;
-        if r.score <= SUFFICIENT_DECAY * mu_anchor || forced {
+        let fp = fixed_point_residual(
+            prob,
+            &end,
+            (&anchor_x, &anchor_y),
+            halpern_lambda::<f64>(k_inner - 1),
+            tau.to_f64(),
+            sigma.to_f64(),
+            &mut scratch,
+        );
+        let sufficient = fp <= BETA_SUFFICIENT * fp_restart;
+        let necessary = fp <= BETA_NECESSARY * fp_restart && fp > fp_prev;
+        let artificial = k_inner as f64 >= BETA_ARTIFICIAL * total as f64;
+        fp_prev = fp;
+        if sufficient || necessary || artificial {
             // Primal-weight rebalance from observed movement: geometric
             // mean of the old weight and the dual/primal movement ratio.
+            let (x, y) = (end.x, end.y);
             let dx = distance(&x, &anchor_x);
             let dy = distance(&y, &anchor_y);
             if dx > 1e-12 && dy > 1e-12 {
@@ -786,7 +885,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             }
             let rebase_sim0 = ops.elapsed();
             let rebase_wall = Instant::now();
-            ops.rebase_anchor()?;
+            ops.restart()?;
             let rebase_sim1 = ops.elapsed();
             stats.charge(Step::Other, rebase_sim1 - rebase_sim0);
             if R::ENABLED {
@@ -804,7 +903,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             fingerprint = fold_iterate(fingerprint, &x, &y);
             anchor_x = x;
             anchor_y = y;
-            mu_anchor = r.score.max(f64::MIN_POSITIVE);
+            (fp_restart, fp_prev) = (fp, f64::INFINITY);
             k_inner = 0;
             restarts += 1;
         }
@@ -1086,6 +1185,48 @@ mod tests {
     }
 
     #[test]
+    fn fixed_point_residual_recovers_the_last_iterate() {
+        // The device overwrites z_k with z_{k+1}; the residual recovered
+        // from z_{k+1}, T(z_k) and the anchor must equal ‖z_k − T(z_k)‖_P
+        // computed from a snapshot of z_k.
+        let model = generator::dense_random(12, 16, 9);
+        let sf = match prepare::<f64>(&model, true, true) {
+            Prepared::Ready { sf, .. } => sf,
+            Prepared::Early(_) => panic!("presolve decided the model"),
+        };
+        let prob = PdhgProblem::build(&sf);
+        let mut ops = CpuOps::new(&prob, false);
+        let (tau, sigma) = (0.9 / prob.a_norm, 0.9 / prob.a_norm);
+        ops.block(tau, sigma, 0, 4).unwrap();
+        let before = ops.output().unwrap();
+        ops.block(tau, sigma, 4, 1).unwrap();
+        let end = ops.output().unwrap();
+        let (dx, dy): (Vec<f64>, Vec<f64>) = (
+            before.zx.iter().zip(&end.x).map(|(z, t)| z - t).collect(),
+            before.zy.iter().zip(&end.y).map(|(z, t)| z - t).collect(),
+        );
+        let mut adx = vec![0.0; prob.m];
+        prob.csr64.spmv(&dx, &mut adx);
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>();
+        let direct = (dot(&dx, &dx) / tau + dot(&dy, &dy) / sigma - 2.0 * dot(&dy, &adx)).sqrt();
+        let anchor = (vec![0.0; prob.n], vec![0.0; prob.m]);
+        let recovered = fixed_point_residual(
+            &prob,
+            &end,
+            (&anchor.0, &anchor.1),
+            halpern_lambda(4),
+            tau,
+            sigma,
+            &mut ResidualScratch::new(&prob),
+        );
+        assert!(direct > 0.0);
+        assert!(
+            (recovered - direct).abs() <= 1e-9 * direct,
+            "recovered {recovered} vs direct {direct}"
+        );
+    }
+
+    #[test]
     fn stats_charge_every_tick_of_the_backend_clock() {
         // Blocks, downloads and restart rebases all advance the backend's
         // clock; the driver must charge each of them to `SolveStats`.
@@ -1168,7 +1309,6 @@ mod tests {
     #[test]
     fn option_list_is_reviewed() {
         let PdhgOptions {
-            tol,
             max_iterations,
             presolve,
             scale,
@@ -1176,7 +1316,7 @@ mod tests {
             time_limit,
             faults,
         } = PdhgOptions::default();
-        assert_eq!((tol, max_iterations, time_limit), (None, None, None));
+        assert_eq!((max_iterations, time_limit), (None, None));
         assert!(presolve && scale && fuse_launches);
         assert!(faults.is_none());
     }

@@ -7,6 +7,7 @@
 //! The writer emits a canonical form the reader round-trips.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::model::{LinearProgram, Rel, Sense, VarId};
 
@@ -49,38 +50,55 @@ enum Section {
     Bounds,
 }
 
+/// A declared row. Rows are numbered in declaration order; a redeclared
+/// name keeps its number and takes the new declaration.
 struct RowDecl {
-    rel: Option<Rel>, // None = objective
-    coeffs: Vec<(VarId, f64)>,
+    rel: Option<Rel>, // None = objective or free row
     rhs: f64,
     range: Option<f64>,
 }
 
+/// A column in order of first appearance: its objective coefficient and its
+/// `(row number, value)` entries in the order they were read.
+struct ColumnDecl<'a> {
+    name: &'a str,
+    obj: f64,
+    entries: Vec<(usize, f64)>,
+}
+
 /// Parse an MPS document into a [`LinearProgram`] (minimization by MPS
 /// convention).
+///
+/// Names are resolved to row and column numbers once, as `&str` keys
+/// borrowed from `text`, so reading a coefficient allocates nothing beyond
+/// its slot in its column's entry list. Each row's coefficients come out in
+/// column first-appearance order, and within a column in reading order.
 pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
-    let mut name = String::from("mps");
+    let mut name = "mps";
     let mut section = Section::None;
-    let mut row_order: Vec<String> = Vec::new();
-    let mut rows: HashMap<String, RowDecl> = HashMap::new();
-    let mut obj_row: Option<String> = None;
-    let mut obj_coeffs: Vec<(String, f64)> = Vec::new(); // by column name
-    let mut col_order: Vec<String> = Vec::new();
-    let mut col_entries: HashMap<String, Vec<(String, f64)>> = HashMap::new(); // col -> (row, val)
-    let mut bounds: HashMap<String, (f64, f64)> = HashMap::new();
+    let mut row_ids: HashMap<&str, usize> = HashMap::new();
+    let mut row_names: Vec<&str> = Vec::new();
+    let mut rows: Vec<RowDecl> = Vec::new();
+    let mut row_order: Vec<usize> = Vec::new();
+    let mut obj_row: Option<usize> = None;
+    let mut col_ids: HashMap<&str, usize> = HashMap::new();
+    let mut cols: Vec<ColumnDecl> = Vec::new();
+    let mut bounds: HashMap<&str, (f64, f64)> = HashMap::new();
+    let mut fields: Vec<&str> = Vec::new();
 
     for (ln, raw) in text.lines().enumerate() {
         let lineno = ln + 1;
-        if raw.trim().is_empty() || raw.starts_with('*') {
+        fields.clear();
+        fields.extend(raw.split_whitespace());
+        if fields.is_empty() || raw.starts_with('*') {
             continue;
         }
         let is_header = !raw.starts_with(' ') && !raw.starts_with('\t');
-        let fields: Vec<&str> = raw.split_whitespace().collect();
         if is_header {
             match fields[0].to_ascii_uppercase().as_str() {
                 "NAME" => {
                     if fields.len() > 1 {
-                        name = fields[1].to_string();
+                        name = fields[1];
                     }
                 }
                 "ROWS" => section = Section::Rows,
@@ -96,6 +114,17 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
             }
             continue;
         }
+        // The `(row, value)` pair at fields `k`, `k + 1`, resolved: the
+        // value's text is checked before the row's name.
+        let row_value = |k: usize| -> Result<(usize, f64), MpsError> {
+            let val: f64 = fields[k + 1]
+                .parse()
+                .map_err(|_| MpsError::Parse(lineno, fields[k + 1].to_string()))?;
+            let row = *row_ids
+                .get(fields[k])
+                .ok_or_else(|| MpsError::Unknown(lineno, fields[k].to_string()))?;
+            Ok((row, val))
+        };
         match section {
             Section::None => return Err(MpsError::UnexpectedLine(lineno, raw.to_string())),
             Section::Rows => {
@@ -109,23 +138,25 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
                     "E" => Some(Rel::Eq),
                     other => return Err(MpsError::Parse(lineno, other.to_string())),
                 };
-                let rname = fields[1].to_string();
+                let decl = RowDecl {
+                    rel,
+                    rhs: 0.0,
+                    range: None,
+                };
+                let id = *row_ids.entry(fields[1]).or_insert(rows.len());
+                if id == rows.len() {
+                    row_names.push(fields[1]);
+                    rows.push(decl);
+                } else {
+                    rows[id] = decl;
+                }
                 if rel.is_none() && obj_row.is_none() {
-                    obj_row = Some(rname.clone());
+                    obj_row = Some(id);
                 }
                 // Extra N rows are ignored (free rows), NETLIB-style.
                 if rel.is_some() {
-                    row_order.push(rname.clone());
+                    row_order.push(id);
                 }
-                rows.insert(
-                    rname,
-                    RowDecl {
-                        rel,
-                        coeffs: Vec::new(),
-                        rhs: 0.0,
-                        range: None,
-                    },
-                );
             }
             Section::Columns => {
                 if fields.iter().any(|f| f.eq_ignore_ascii_case("'MARKER'")) {
@@ -134,64 +165,44 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
                 if fields.len() < 3 || fields.len().is_multiple_of(2) {
                     return Err(MpsError::Parse(lineno, raw.to_string()));
                 }
-                let col = fields[0].to_string();
-                if !col_entries.contains_key(&col) {
-                    col_order.push(col.clone());
-                    col_entries.insert(col.clone(), Vec::new());
-                }
-                let mut k = 1;
-                while k + 1 < fields.len() + 1 && k < fields.len() {
-                    let rname = fields[k];
-                    let val: f64 = fields[k + 1]
-                        .parse()
-                        .map_err(|_| MpsError::Parse(lineno, fields[k + 1].to_string()))?;
-                    if !rows.contains_key(rname) {
-                        return Err(MpsError::Unknown(lineno, rname.to_string()));
-                    }
-                    if Some(rname) == obj_row.as_deref() {
-                        obj_coeffs.push((col.clone(), val));
-                    } else if rows[rname].rel.is_some() {
-                        col_entries
-                            .get_mut(&col)
-                            .expect("column registered")
-                            .push((rname.to_string(), val));
+                // Consecutive lines usually continue one column.
+                let col = match cols.last() {
+                    Some(c) if c.name == fields[0] => cols.len() - 1,
+                    _ => *col_ids.entry(fields[0]).or_insert_with(|| {
+                        cols.push(ColumnDecl {
+                            name: fields[0],
+                            obj: 0.0,
+                            entries: Vec::new(),
+                        });
+                        cols.len() - 1
+                    }),
+                };
+                for k in (1..fields.len() - 1).step_by(2) {
+                    let (row, val) = row_value(k)?;
+                    if Some(row) == obj_row {
+                        cols[col].obj = val;
+                    } else if rows[row].rel.is_some() {
+                        cols[col].entries.push((row, val));
                     }
                     // Coefficients on extra free rows are dropped.
-                    k += 2;
                 }
             }
             Section::Rhs => {
                 if fields.len() < 3 || fields.len().is_multiple_of(2) {
                     return Err(MpsError::Parse(lineno, raw.to_string()));
                 }
-                let mut k = 1;
-                while k < fields.len() - 1 {
-                    let rname = fields[k];
-                    let val: f64 = fields[k + 1]
-                        .parse()
-                        .map_err(|_| MpsError::Parse(lineno, fields[k + 1].to_string()))?;
-                    let row = rows
-                        .get_mut(rname)
-                        .ok_or_else(|| MpsError::Unknown(lineno, rname.to_string()))?;
-                    row.rhs = val;
-                    k += 2;
+                for k in (1..fields.len() - 1).step_by(2) {
+                    let (row, val) = row_value(k)?;
+                    rows[row].rhs = val;
                 }
             }
             Section::Ranges => {
                 if fields.len() < 3 {
                     return Err(MpsError::Parse(lineno, raw.to_string()));
                 }
-                let mut k = 1;
-                while k < fields.len() - 1 {
-                    let rname = fields[k];
-                    let val: f64 = fields[k + 1]
-                        .parse()
-                        .map_err(|_| MpsError::Parse(lineno, fields[k + 1].to_string()))?;
-                    let row = rows
-                        .get_mut(rname)
-                        .ok_or_else(|| MpsError::Unknown(lineno, rname.to_string()))?;
-                    row.range = Some(val);
-                    k += 2;
+                for k in (1..fields.len() - 1).step_by(2) {
+                    let (row, val) = row_value(k)?;
+                    rows[row].range = Some(val);
                 }
             }
             Section::Bounds => {
@@ -199,8 +210,7 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
                     return Err(MpsError::Parse(lineno, raw.to_string()));
                 }
                 let btype = fields[0].to_ascii_uppercase();
-                let col = fields[2].to_string();
-                let entry = bounds.entry(col).or_insert((0.0, f64::INFINITY));
+                let entry = bounds.entry(fields[2]).or_insert((0.0, f64::INFINITY));
                 let val = || -> Result<f64, MpsError> {
                     fields
                         .get(3)
@@ -229,61 +239,54 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
         }
     }
 
-    let obj_row = obj_row.ok_or(MpsError::NoObjective)?;
-    let _ = &obj_row;
-
-    // Assemble the program.
-    let mut lp = LinearProgram::new(name).with_sense(Sense::Min);
-    let mut var_ids: HashMap<&str, VarId> = HashMap::with_capacity(col_order.len());
-    let obj_by_col: HashMap<&str, f64> = obj_coeffs.iter().map(|(c, v)| (c.as_str(), *v)).collect();
-    for col in &col_order {
-        let (lo, hi) = bounds.get(col).copied().unwrap_or((0.0, f64::INFINITY));
-        let obj = obj_by_col.get(col.as_str()).copied().unwrap_or(0.0);
-        let id = lp.add_var(col.clone(), lo, hi, obj);
-        var_ids.insert(col.as_str(), id);
+    if obj_row.is_none() {
+        return Err(MpsError::NoObjective);
     }
-    for col in &col_order {
-        let id = var_ids[col.as_str()];
-        for (rname, val) in &col_entries[col.as_str()] {
-            rows.get_mut(rname.as_str())
-                .expect("row exists")
-                .coeffs
-                .push((id, *val));
+
+    // Assemble the program: column `j` is variable `j`, and each row's
+    // coefficients are gathered column by column.
+    let mut lp = LinearProgram::new(name).with_sense(Sense::Min);
+    let mut row_len = vec![0usize; rows.len()];
+    for col in &cols {
+        let (lo, hi) = bounds
+            .get(col.name)
+            .copied()
+            .unwrap_or((0.0, f64::INFINITY));
+        lp.add_var(col.name, lo, hi, col.obj);
+        for &(row, _) in &col.entries {
+            row_len[row] += 1;
         }
     }
-    for rname in &row_order {
-        let row = &rows[rname.as_str()];
+    let mut coeffs: Vec<Vec<(VarId, f64)>> =
+        row_len.iter().map(|&len| Vec::with_capacity(len)).collect();
+    for (j, col) in cols.iter().enumerate() {
+        for &(row, val) in &col.entries {
+            coeffs[row].push((VarId(j), val));
+        }
+    }
+    for &id in &row_order {
+        let (row, rname, coeffs) = (&rows[id], row_names[id], &coeffs[id]);
         let rel = row.rel.expect("constraint rows have a relation");
         match (rel, row.range) {
             (_, None) => {
-                lp.add_constraint(rname.clone(), &row.coeffs, rel, row.rhs);
+                lp.add_constraint(rname, coeffs, rel, row.rhs);
             }
             // RANGES: a row becomes two-sided. Semantics per the MPS spec.
             (Rel::Le, Some(r)) => {
-                lp.add_constraint(rname.clone(), &row.coeffs, Rel::Le, row.rhs);
-                lp.add_constraint(
-                    format!("{rname}__lo"),
-                    &row.coeffs,
-                    Rel::Ge,
-                    row.rhs - r.abs(),
-                );
+                lp.add_constraint(rname, coeffs, Rel::Le, row.rhs);
+                lp.add_constraint(format!("{rname}__lo"), coeffs, Rel::Ge, row.rhs - r.abs());
             }
             (Rel::Ge, Some(r)) => {
-                lp.add_constraint(rname.clone(), &row.coeffs, Rel::Ge, row.rhs);
-                lp.add_constraint(
-                    format!("{rname}__hi"),
-                    &row.coeffs,
-                    Rel::Le,
-                    row.rhs + r.abs(),
-                );
+                lp.add_constraint(rname, coeffs, Rel::Ge, row.rhs);
+                lp.add_constraint(format!("{rname}__hi"), coeffs, Rel::Le, row.rhs + r.abs());
             }
             (Rel::Eq, Some(r)) => {
                 if r >= 0.0 {
-                    lp.add_constraint(rname.clone(), &row.coeffs, Rel::Ge, row.rhs);
-                    lp.add_constraint(format!("{rname}__hi"), &row.coeffs, Rel::Le, row.rhs + r);
+                    lp.add_constraint(rname, coeffs, Rel::Ge, row.rhs);
+                    lp.add_constraint(format!("{rname}__hi"), coeffs, Rel::Le, row.rhs + r);
                 } else {
-                    lp.add_constraint(rname.clone(), &row.coeffs, Rel::Le, row.rhs);
-                    lp.add_constraint(format!("{rname}__lo"), &row.coeffs, Rel::Ge, row.rhs + r);
+                    lp.add_constraint(rname, coeffs, Rel::Le, row.rhs);
+                    lp.add_constraint(format!("{rname}__lo"), coeffs, Rel::Ge, row.rhs + r);
                 }
             }
         }
@@ -294,7 +297,9 @@ pub fn parse(text: &str) -> Result<LinearProgram, MpsError> {
 /// Serialize a [`LinearProgram`] to MPS text.
 ///
 /// Maximization programs are emitted negated (MPS is minimize-only) with a
-/// comment noting the flip; bounds are emitted per variable as needed.
+/// comment noting the flip; bounds are emitted per variable as needed. Each
+/// variable's coefficients are listed in constraint order, gathered in one
+/// pass over the constraints.
 pub fn write(lp: &LinearProgram) -> String {
     let mut out = String::new();
     let flip = match lp.sense {
@@ -304,7 +309,8 @@ pub fn write(lp: &LinearProgram) -> String {
     if flip < 0.0 {
         out.push_str("* maximization model emitted negated (MPS minimizes)\n");
     }
-    out.push_str(&format!("NAME {}\n", lp.name));
+    // Writing to a `String` cannot fail.
+    let _ = writeln!(out, "NAME {}", lp.name);
     out.push_str("ROWS\n N OBJ\n");
     for c in lp.constraints() {
         let tag = match c.rel {
@@ -312,25 +318,29 @@ pub fn write(lp: &LinearProgram) -> String {
             Rel::Ge => 'G',
             Rel::Eq => 'E',
         };
-        out.push_str(&format!(" {tag} {}\n", c.name));
+        let _ = writeln!(out, " {tag} {}", c.name);
+    }
+    let mut by_var: Vec<Vec<(&str, f64)>> = vec![Vec::new(); lp.num_vars()];
+    for c in lp.constraints() {
+        for &(vid, a) in &c.coeffs {
+            if a != 0.0 {
+                by_var[vid.0].push((&c.name, a));
+            }
+        }
     }
     out.push_str("COLUMNS\n");
-    for (j, v) in lp.vars().iter().enumerate() {
+    for (v, entries) in lp.vars().iter().zip(&by_var) {
         if v.obj != 0.0 {
-            out.push_str(&format!("    {} OBJ {}\n", v.name, v.obj * flip));
+            let _ = writeln!(out, "    {} OBJ {}", v.name, v.obj * flip);
         }
-        for c in lp.constraints() {
-            for &(vid, a) in &c.coeffs {
-                if vid.0 == j && a != 0.0 {
-                    out.push_str(&format!("    {} {} {}\n", v.name, c.name, a));
-                }
-            }
+        for (cname, a) in entries {
+            let _ = writeln!(out, "    {} {cname} {a}", v.name);
         }
     }
     out.push_str("RHS\n");
     for c in lp.constraints() {
         if c.rhs != 0.0 {
-            out.push_str(&format!("    RHS {} {}\n", c.name, c.rhs));
+            let _ = writeln!(out, "    RHS {} {}", c.name, c.rhs);
         }
     }
     out.push_str("BOUNDS\n");
@@ -340,20 +350,20 @@ pub fn write(lp: &LinearProgram) -> String {
             continue; // MPS default
         }
         if lo == hi {
-            out.push_str(&format!(" FX BND {} {}\n", v.name, lo));
+            let _ = writeln!(out, " FX BND {} {lo}", v.name);
             continue;
         }
         if lo == f64::NEG_INFINITY && hi == f64::INFINITY {
-            out.push_str(&format!(" FR BND {}\n", v.name));
+            let _ = writeln!(out, " FR BND {}", v.name);
             continue;
         }
         if lo == f64::NEG_INFINITY {
-            out.push_str(&format!(" MI BND {}\n", v.name));
+            let _ = writeln!(out, " MI BND {}", v.name);
         } else if lo != 0.0 {
-            out.push_str(&format!(" LO BND {} {}\n", v.name, lo));
+            let _ = writeln!(out, " LO BND {} {lo}", v.name);
         }
         if hi != f64::INFINITY {
-            out.push_str(&format!(" UP BND {} {}\n", v.name, hi));
+            let _ = writeln!(out, " UP BND {} {hi}", v.name);
         }
     }
     out.push_str("ENDATA\n");
@@ -514,6 +524,148 @@ COLUMNS
 ENDATA
 ";
         assert!(matches!(parse(bad_ref), Err(MpsError::Unknown(5, _))));
+    }
+
+    /// A column split across non-adjacent lines, RANGES on every row type,
+    /// every BOUNDS type, a second `N` row and comments.
+    const MIXED: &str = "\
+* every feature the reader supports, in one model
+NAME mixed
+ROWS
+ N COST
+ L LIM1
+ G LIM2
+ E EQ1
+ N FREE
+ E EQ2
+COLUMNS
+    X1 COST 1.0 LIM1 1.0
+    X2 COST 2.0 LIM1 1.0
+    X2 LIM2 -2.0
+* X1 continues after X2: its entries stay in X1's column
+    X1 LIM2 1.0 EQ1 -3.5
+    X1 FREE 9.0
+    X2 EQ1 -1.0 EQ2 2.0
+    X3 COST -1.0 LIM2 1.0
+    X3 EQ1 1.0
+    X4 LIM1 0.5 EQ2 1.0
+    X5 COST 0.25 EQ2 -1.0
+    X6 LIM2 2.0
+    X7 EQ1 1.0
+RHS
+    RHS LIM1 4.0 LIM2 1.0
+    RHS EQ1 7.0 EQ2 -2.0
+RANGES
+    RNG LIM1 2.5 LIM2 1.5
+    RNG EQ1 3.0 EQ2 -1.0
+BOUNDS
+ UP BND X1 4.0
+ LO BND X2 -1.0
+ FX BND X3 2.5
+ FR BND X4
+ MI BND X5
+ PL BND X5
+ UP BND X6 -2.0
+ LO BND X7 1.0
+ UP BND X7 3.0
+ENDATA
+";
+
+    /// `MIXED` built through the model API: variables in column
+    /// first-appearance order, each row's coefficients in column order,
+    /// ranged rows expanded, the free row's coefficient dropped.
+    fn mixed_expected() -> LinearProgram {
+        let inf = f64::INFINITY;
+        let mut lp = LinearProgram::new("mixed").with_sense(Sense::Min);
+        let x1 = lp.add_var("X1", 0.0, 4.0, 1.0);
+        let x2 = lp.add_var("X2", -1.0, inf, 2.0);
+        let x3 = lp.add_var("X3", 2.5, 2.5, -1.0);
+        let x4 = lp.add_var("X4", -inf, inf, 0.0);
+        let x5 = lp.add_var("X5", -inf, inf, 0.25);
+        let x6 = lp.add_var("X6", -inf, -2.0, 0.0);
+        let x7 = lp.add_var("X7", 1.0, 3.0, 0.0);
+        let lim1 = [(x1, 1.0), (x2, 1.0), (x4, 0.5)];
+        let lim2 = [(x1, 1.0), (x2, -2.0), (x3, 1.0), (x6, 2.0)];
+        let eq1 = [(x1, -3.5), (x2, -1.0), (x3, 1.0), (x7, 1.0)];
+        let eq2 = [(x2, 2.0), (x4, 1.0), (x5, -1.0)];
+        lp.add_constraint("LIM1", &lim1, Rel::Le, 4.0);
+        lp.add_constraint("LIM1__lo", &lim1, Rel::Ge, 1.5);
+        lp.add_constraint("LIM2", &lim2, Rel::Ge, 1.0);
+        lp.add_constraint("LIM2__hi", &lim2, Rel::Le, 2.5);
+        lp.add_constraint("EQ1", &eq1, Rel::Ge, 7.0);
+        lp.add_constraint("EQ1__hi", &eq1, Rel::Le, 10.0);
+        lp.add_constraint("EQ2", &eq2, Rel::Le, -2.0);
+        lp.add_constraint("EQ2__lo", &eq2, Rel::Ge, -3.0);
+        lp
+    }
+
+    #[test]
+    fn mixed_fixture_matches_the_model_built_by_hand() {
+        // Debug output spells every name, coefficient order and value
+        // (including the sign of zero), so equal text is an exact match.
+        let parsed = parse(MIXED).unwrap();
+        let expected = mixed_expected();
+        assert_eq!(format!("{parsed:?}"), format!("{expected:?}"));
+        // The writer's text of either reads back to the same model.
+        assert_eq!(write(&parsed), write(&expected));
+        let again = parse(&write(&parsed)).unwrap();
+        assert_eq!(format!("{again:?}"), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn errors_report_their_line_and_text() {
+        let with_columns = |columns: &str| {
+            format!("NAME e\nROWS\n N OBJ\n L R1\nCOLUMNS\n{columns}RHS\n    RHS R1 1.0\nENDATA\n")
+        };
+        let cases = [
+            (
+                with_columns("    X R1 1.0 R1\n"),
+                MpsError::Parse(6, "    X R1 1.0 R1".into()),
+            ),
+            (
+                with_columns("    X R1 1.x\n"),
+                MpsError::Parse(6, "1.x".into()),
+            ),
+            (
+                with_columns("    X R1 1.0 R2 2.0\n"),
+                MpsError::Unknown(6, "R2".into()),
+            ),
+            (
+                with_columns("    M 'MARKER' 'INTORG'\n"),
+                MpsError::Unsupported(6, "integer markers".into()),
+            ),
+            (
+                "NAME e\nROWS\n N OBJ\n Q R1\nENDATA\n".into(),
+                MpsError::Parse(4, "Q".into()),
+            ),
+            (
+                "NAME e\nROWS\n N OBJ\nRHS\n    RHS R9 1.0\nENDATA\n".into(),
+                MpsError::Unknown(5, "R9".into()),
+            ),
+            (
+                "NAME e\nROWS\n N OBJ\nRANGES\n    RNG OBJ x\nENDATA\n".into(),
+                MpsError::Parse(5, "x".into()),
+            ),
+            (
+                "NAME e\nROWS\n N OBJ\nBOUNDS\n BV BND X\nENDATA\n".into(),
+                MpsError::Unsupported(5, "BV".into()),
+            ),
+            (
+                "NAME e\nROWS\n N OBJ\nBOUNDS\n UP BND X\nENDATA\n".into(),
+                MpsError::Parse(5, " UP BND X".into()),
+            ),
+            (
+                "NAME e\nOBJSENSE\n".into(),
+                MpsError::Unsupported(2, "OBJSENSE".into()),
+            ),
+            (
+                "    X\n".into(),
+                MpsError::UnexpectedLine(1, "    X".into()),
+            ),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(parse(&text).unwrap_err(), expected, "{text}");
+        }
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! families when a backend is hosed.
 
 use gplex::pdhg::PdhgOptions;
+use std::sync::Arc;
+
 use gplex::{
-    AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveRequest, SolverOptions,
-    Status,
+    verify, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveRequest,
+    SolverOptions, Status,
 };
 use gplex_suite::rel_err;
-use gpu_sim::{DeviceSpec, FaultConfig};
+use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
 use lp::generator::{self, fixtures};
 
 fn backends() -> Vec<(&'static str, BackendKind)> {
@@ -81,6 +83,50 @@ fn random_sparse_models_agree_on_every_backend() {
                 sol.objective,
                 golden.objective
             );
+        }
+    }
+}
+
+#[test]
+fn an_optimal_pdhg_point_is_projected_and_passes_the_checker() {
+    // The reflected Halpern iterate `λ(2T(z) − z) + (1−λ)z₀` is neither
+    // projected nor the point the residual check measured. The solver must
+    // return the PDHG output `T(z)` it checked, whose primal part is a
+    // projection onto `x ≥ 0`. Every variable of these models is
+    // nonnegative, so each returned coordinate must be ≥ 0 exactly, and
+    // the point must pass the independent checker. On the transportation
+    // model, the Halpern iterate of the last check misses a row by
+    // 1.1e-6, about twice what `T(z)` misses it by.
+    let models = [
+        generator::transportation(
+            &[120.0, 80.0, 95.0, 60.0],
+            &[70.0, 90.0, 65.0, 80.0, 50.0],
+            33,
+        ),
+        fixtures::diet().0,
+        generator::sparse_random(48, 64, 0.1, 3),
+    ];
+    let mut kinds = backends();
+    kinds.push((
+        "gpu-shared",
+        BackendKind::GpuShared(Arc::new(Gpu::new(DeviceSpec::gtx280()))),
+    ));
+    for model in &models {
+        assert!(model.vars().iter().all(|v| v.lower == 0.0));
+        for (label, kind) in &kinds {
+            let sol = SolveRequest::model(model, &PdhgOptions::default())
+                .on(kind)
+                .run::<f64>()
+                .unwrap_or_else(|e| panic!("{} on {label}: {e}", model.name));
+            assert_eq!(sol.status, Status::Optimal, "{} on {label}", model.name);
+            let negative: Vec<f64> = sol.x.iter().copied().filter(|v| *v < 0.0).collect();
+            assert!(
+                negative.is_empty(),
+                "{} on {label}: negative coordinates {negative:?}",
+                model.name
+            );
+            verify::check_solution(model, &sol, 1e-6)
+                .unwrap_or_else(|e| panic!("{} on {label}: {e}", model.name));
         }
     }
 }
