@@ -18,20 +18,31 @@
 //! block of chains fuses into a single launch. The P1 experiment measures
 //! exactly this regime split.
 //!
+//! ## Preconditioning
+//!
+//! The iteration runs on `Ã′ = D_r Ã D_c`, `b′ = D_r b̃`, `c′ = D_c c̃`,
+//! with positive diagonal factors from cuPDLP's defaults: `RUIZ_SWEEPS`
+//! (10) Ruiz ∞-norm sweeps, then Pock–Chambolle with `α = 1`, which leaves
+//! `‖Ã′‖₂ ≤ 1`. A point `(x′, y′)` of the preconditioned problem is the
+//! point `x = D_c x′`, `y = D_r y′` of the original one. Step sizes, the
+//! primal weight, the fixed-point residual and the restarts live in the
+//! preconditioned space; termination and the returned point live in the
+//! unpreconditioned one, so the residual check below is unchanged.
+//!
 //! ## The iteration
 //!
-//! With primal step `τ = 0.9·ω/‖A‖₂` and dual step `σ = 0.9/(ω·‖A‖₂)`
+//! With primal step `τ = 0.9·ω/‖Ã′‖₂` and dual step `σ = 0.9/(ω·‖Ã′‖₂)`
 //! (`ω` the primal weight), let `T(z) = (x⁺, y⁺)` be one PDHG step from
 //! `z = (x, y)`. The iterate moves by the reflected Halpern step
 //! `z ← λ(2T(z) − z) + (1−λ)z₀`:
 //!
 //! ```text
-//!     g  = Ãᵀy                                   (CSC gather)
-//!     x⁺ = max(0, x − τ(c̃ − g))                  (projection)
+//!     g  = Ã′ᵀy                                  (CSC gather)
+//!     x⁺ = max(0, x − τ(c′ − g))                 (projection)
 //!     x̄  = 2x⁺ − x                                (reflection)
 //!     x  = λx̄ + (1−λ)x₀                           (Halpern anchor pull)
-//!     a  = Ãx̄                                     (CSR product)
-//!     y⁺ = y + σ(b̃ − a)
+//!     a  = Ã′x̄                                    (CSR product)
+//!     y⁺ = y + σ(b′ − a)
 //!     y  = λ(2y⁺ − y) + (1−λ)y₀
 //! ```
 //!
@@ -41,15 +52,16 @@
 //! output `T(z)`. On a block's last iteration the kernels write `x⁺` over
 //! `g` and `y⁺` over `a`, and every `CHECK_INTERVAL` (32) iterations the
 //! driver downloads `g‖a` together with the iterate (the two halves of one
-//! device buffer) and evaluates normalized residuals of `T(z)` in f64:
+//! device buffer), unscales `T(z)` to `(x, y) = (D_c x⁺, D_r y⁺)` and
+//! evaluates its normalized residuals in f64:
 //!
 //! ```text
-//!     rp  = ‖Ãx⁺ − b̃‖ / (1 + ‖b̃‖)
-//!     rd  = ‖min(c̃ − Ãᵀy⁺, 0)‖ / (1 + ‖c̃‖)
-//!     gap = |c̃ᵀx⁺ − b̃ᵀy⁺| / (1 + |c̃ᵀx⁺| + |b̃ᵀy⁺|)
+//!     rp  = ‖Ãx − b̃‖ / (1 + ‖b̃‖)
+//!     rd  = ‖min(c̃ − Ãᵀy, 0)‖ / (1 + ‖c̃‖)
+//!     gap = |c̃ᵀx − b̃ᵀy| / (1 + |c̃ᵀx| + |b̃ᵀy|)
 //! ```
 //!
-//! terminating with `T(z)` when all three fall below the tolerance. It
+//! terminating with that point when all three fall below the tolerance. It
 //! *restarts* (iterate ← anchor ← `T(z)`, `k ← 0`) on cuPDLPx's conditions
 //! on the fixed-point residual `r = ‖z − T(z)‖_P` (the norm in which `T` is
 //! nonexpansive): `r` fell to `BETA_SUFFICIENT` (0.2) of its value at the
@@ -68,7 +80,7 @@
 //! [`SolveStats::pivot_fingerprint`]).
 //!
 //! Artificial columns are excluded from the active matrix: PDHG needs no
-//! phase 1, so the artificials' only effect would be to pollute `‖A‖₂`.
+//! phase 1, so the artificials' only effect would be to pollute `‖Ã‖₂`.
 
 use std::time::Instant;
 
@@ -189,9 +201,16 @@ pub fn model_density(model: &LinearProgram) -> f64 {
 // Problem data
 // ---------------------------------------------------------------------------
 
-/// Host-side problem data shared by every backend: the active submatrix
-/// (artificial columns dropped) in both CSR and CSC plus an f64 shadow for
-/// residual checks, and the norms the step sizes derive from.
+/// Ruiz ∞-norm equilibration sweeps before the Pock–Chambolle step, as in
+/// cuPDLP and cuPDLPx (Lu & Yang, arXiv 2506.02174).
+const RUIZ_SWEEPS: usize = 10;
+
+/// Host-side problem data shared by every backend. The iteration runs on
+/// the preconditioned operator `Ã′ = D_r Ã D_c` (artificial columns
+/// dropped), held in both CSR and CSC with `b′ = D_r b̃` and `c′ = D_c c̃`.
+/// The one f64 matrix is the unpreconditioned `Ã`, the check operator:
+/// residuals are evaluated on `x = D_c x′`, `y = D_r y′` against it, and
+/// products with `Ã′` apply `D_r` and `D_c` to the vectors.
 struct PdhgProblem<T: Scalar> {
     csr: CsrMatrix<T>,
     csc: CscMatrix<T>,
@@ -200,10 +219,17 @@ struct PdhgProblem<T: Scalar> {
     csr64: CsrMatrix<f64>,
     b64: Vec<f64>,
     c64: Vec<f64>,
+    /// `D_r` and `D_c`: positive row and column factors.
+    dr: Vec<f64>,
+    dc: Vec<f64>,
     m: usize,
     n: usize,
+    /// `‖b̃‖` and `‖c̃‖`, the residual normalizers.
     norm_b: f64,
     norm_c: f64,
+    /// Initial primal weight, from `‖b′‖ / ‖c′‖`.
+    omega: f64,
+    /// `‖Ã′‖₂`.
     a_norm: f64,
 }
 
@@ -221,52 +247,110 @@ fn distance<T: Scalar>(a: &[T], b: &[T]) -> f64 {
         .sqrt()
 }
 
+/// One coordinate of the unpreconditioned point: `x_j = d_j x′_j` or
+/// `y_i = d_i y′_i`. A positive factor keeps `x′ ≥ 0` exactly.
+fn unscale<T: Scalar>(v: T, d: f64) -> T {
+    T::from_f64(v.to_f64() * d)
+}
+
 impl<T: Scalar> PdhgProblem<T> {
     fn build(sf: &StandardForm<T>) -> Self {
         let m = sf.num_rows();
         let n = sf.num_cols() - sf.num_artificials;
-        let mut coo = CooMatrix::<T>::new(m, n);
-        let mut coo64 = CooMatrix::<f64>::new(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let v = sf.a.get(i, j);
-                if v != T::ZERO {
-                    coo.push(i, j, v);
-                    coo64.push(i, j, v.to_f64());
+        let csr64 = {
+            let mut coo64 = CooMatrix::<f64>::new(m, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let v = sf.a.get(i, j);
+                    if v != T::ZERO {
+                        coo64.push(i, j, v.to_f64());
+                    }
                 }
             }
-        }
-        let csr = coo.to_csr();
+            coo64.to_csr()
+        };
+        let (dr, dc) = precondition(&csr64);
+        let csr = {
+            let mut coo = CooMatrix::<T>::new(m, n);
+            for i in 0..m {
+                for k in csr64.row_ptr[i] as usize..csr64.row_ptr[i + 1] as usize {
+                    let j = csr64.col_idx[k] as usize;
+                    coo.push(i, j, T::from_f64(dr[i] * csr64.values[k] * dc[j]));
+                }
+            }
+            coo.to_csr()
+        };
         let csc = csr.to_csc();
-        let csr64 = coo64.to_csr();
-        let b: Vec<T> = sf.b.clone();
-        let c: Vec<T> = sf.c[..n].to_vec();
-        let b64: Vec<f64> = b.iter().map(|v| v.to_f64()).collect();
-        let c64: Vec<f64> = c.iter().map(|v| v.to_f64()).collect();
-        let norm_b = l2(&b64);
-        let norm_c = l2(&c64);
-        let a_norm = spectral_norm(&csr64);
+        let b64: Vec<f64> = sf.b.iter().map(|v| v.to_f64()).collect();
+        let c64: Vec<f64> = sf.c[..n].iter().map(|v| v.to_f64()).collect();
+        let scaled =
+            |v: &[f64], d: &[f64]| -> Vec<f64> { v.iter().zip(d).map(|(v, d)| v * d).collect() };
+        let (b_pre, c_pre) = (scaled(&b64, &dr), scaled(&c64, &dc));
+        let (nb, nc) = (l2(&b_pre), l2(&c_pre));
+        let omega = if nb > 0.0 && nc > 0.0 {
+            (nb / nc).clamp(1e-4, 1e4)
+        } else {
+            1.0
+        };
         PdhgProblem {
             csr,
             csc,
-            b,
-            c,
+            b: b_pre.iter().map(|v| T::from_f64(*v)).collect(),
+            c: c_pre.iter().map(|v| T::from_f64(*v)).collect(),
+            a_norm: spectral_norm(&csr64, &dr, &dc),
+            norm_b: l2(&b64),
+            norm_c: l2(&c64),
             csr64,
             b64,
             c64,
+            dr,
+            dc,
             m,
             n,
-            norm_b,
-            norm_c,
-            a_norm,
+            omega,
         }
     }
 }
 
-/// Deterministic power-iteration estimate of `‖A‖₂` (host, f64): 24 rounds
-/// of `v ← AᵀAv` from an all-ones start. No randomness — the estimate (and
-/// therefore the whole step-size schedule) is a pure function of the data.
-fn spectral_norm(a: &CsrMatrix<f64>) -> f64 {
+/// Row and column factors `(D_r, D_c)` of the diagonal preconditioner:
+/// [`RUIZ_SWEEPS`] Ruiz sweeps, each dividing every row and every column
+/// by the square root of its ∞-norm in the current matrix, then
+/// Pock–Chambolle with `α = 1`, dividing by the square roots of the row
+/// and column 1-norms of the post-Ruiz matrix. After the last step
+/// `‖D_r Ã D_c‖₂ ≤ 1`. An empty row or column keeps the factor 1.
+fn precondition(a: &CsrMatrix<f64>) -> (Vec<f64>, Vec<f64>) {
+    let (mut dr, mut dc) = (vec![1.0; a.rows()], vec![1.0; a.cols()]);
+    let (mut rn, mut cn) = (vec![0.0; a.rows()], vec![0.0; a.cols()]);
+    let mut sweep = |dr: &mut Vec<f64>, dc: &mut Vec<f64>, fold: fn(f64, f64) -> f64| {
+        rn.fill(0.0);
+        cn.fill(0.0);
+        for (i, r) in rn.iter_mut().enumerate() {
+            for k in a.row_ptr[i] as usize..a.row_ptr[i + 1] as usize {
+                let j = a.col_idx[k] as usize;
+                let v = (dr[i] * a.values[k] * dc[j]).abs();
+                *r = fold(*r, v);
+                cn[j] = fold(cn[j], v);
+            }
+        }
+        for (d, s) in dr.iter_mut().zip(&rn).chain(dc.iter_mut().zip(&cn)) {
+            if *s > 0.0 {
+                *d /= s.sqrt();
+            }
+        }
+    };
+    for _ in 0..RUIZ_SWEEPS {
+        sweep(&mut dr, &mut dc, f64::max);
+    }
+    sweep(&mut dr, &mut dc, |s, v| s + v);
+    (dr, dc)
+}
+
+/// Deterministic power-iteration estimate of `‖D_r A D_c‖₂` (host, f64):
+/// 24 rounds of `v ← (D_r A D_c)ᵀ(D_r A D_c)v` from an all-ones start,
+/// applying the diagonal factors to the vectors. No randomness — the
+/// estimate (and therefore the whole step-size schedule) is a pure function
+/// of the data.
+fn spectral_norm(a: &CsrMatrix<f64>, dr: &[f64], dc: &[f64]) -> f64 {
     let (m, n) = (a.rows(), a.cols());
     if m == 0 || n == 0 {
         return 1.0;
@@ -280,11 +364,17 @@ fn spectral_norm(a: &CsrMatrix<f64>) -> f64 {
         if nv == 0.0 || !nv.is_finite() {
             break;
         }
-        for x in v.iter_mut() {
-            *x /= nv;
+        for (x, d) in v.iter_mut().zip(dc) {
+            *x = *x / nv * d;
         }
         a.spmv(&v, &mut u);
+        for (x, d) in u.iter_mut().zip(dr) {
+            *x *= d * d;
+        }
         a.spmv_t(&u, &mut w);
+        for (x, d) in w.iter_mut().zip(dc) {
+            *x *= d;
+        }
         sigma2 = l2(&w);
         std::mem::swap(&mut v, &mut w);
     }
@@ -296,7 +386,8 @@ fn spectral_norm(a: &CsrMatrix<f64>) -> f64 {
     }
 }
 
-/// Normalized residuals of a point, evaluated on the f64 shadow.
+/// Normalized residuals of a point, evaluated in the unpreconditioned
+/// space on the f64 check operator.
 struct Residuals {
     rp: f64,
     rd: f64,
@@ -324,17 +415,19 @@ impl ResidualScratch {
     }
 }
 
+/// The residuals of the unscaled point `(D_c x′, D_r y′)` of a
+/// preconditioned `(x′, y′)`: exactly the point the solver returns.
 fn residuals<T: Scalar>(
     prob: &PdhgProblem<T>,
     x: &[T],
     y: &[T],
     s: &mut ResidualScratch,
 ) -> Residuals {
-    for (d, v) in s.xf.iter_mut().zip(x) {
-        *d = v.to_f64();
+    for ((d, v), dc) in s.xf.iter_mut().zip(x).zip(&prob.dc) {
+        *d = unscale(*v, *dc).to_f64();
     }
-    for (d, v) in s.yf.iter_mut().zip(y) {
-        *d = v.to_f64();
+    for ((d, v), dr) in s.yf.iter_mut().zip(y).zip(&prob.dr) {
+        *d = unscale(*v, *dr).to_f64();
     }
     let ResidualScratch { xf, yf, ax, g } = s;
     prob.csr64.spmv(xf, ax);
@@ -362,8 +455,9 @@ fn residuals<T: Scalar>(
 }
 
 /// The fixed-point residual `‖z_k − T(z_k)‖_P` of a block's last iterate,
-/// in the norm `‖(dx, dy)‖²_P = ‖dx‖²/τ + ‖dy‖²/σ − 2dyᵀÃdx` in which `T`
-/// is nonexpansive. The block ended on
+/// in the norm `‖(dx, dy)‖²_P = ‖dx‖²/τ + ‖dy‖²/σ − 2dyᵀÃ′dx` in which `T`
+/// is nonexpansive, all in the preconditioned space (`Ã′dx` is
+/// `D_r Ã (D_c dx)` on the check operator). The block ended on
 /// `z_{k+1} = λ(2T(z_k) − z_k) + (1−λ)z₀`, so
 /// `z_k − T(z_k) = T(z_k) − (z_{k+1} − (1−λ)z₀)/λ` needs no extra state.
 fn fixed_point_residual<T: Scalar>(
@@ -383,10 +477,15 @@ fn fixed_point_residual<T: Scalar>(
     for (i, d) in s.yf.iter_mut().enumerate() {
         *d = diff(end.y[i], end.zy[i], y0[i]);
     }
-    prob.csr64.spmv(&s.xf, &mut s.ax);
+    for ((u, d), dc) in s.g.iter_mut().zip(&s.xf).zip(&prob.dc) {
+        *u = d * dc;
+    }
+    prob.csr64.spmv(&s.g, &mut s.ax);
     let dx2: f64 = s.xf.iter().map(|d| d * d).sum();
     let dy2: f64 = s.yf.iter().map(|d| d * d).sum();
-    let cross: f64 = s.yf.iter().zip(&s.ax).map(|(d, a)| d * a).sum();
+    let cross: f64 = (s.yf.iter().zip(&s.ax).zip(&prob.dr))
+        .map(|((d, a), dr)| d * (dr * a))
+        .sum();
     (dx2 / tau + dy2 / sigma - 2.0 * cross).max(0.0).sqrt()
 }
 
@@ -762,14 +861,10 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     let wall_start = Instant::now();
 
     // Primal weight ω scales the primal step up and the dual step down
-    // (τ = 0.9ω/‖A‖, σ = 0.9/(ω‖A‖)). Initialize from the data's own
-    // scale — a large ‖c‖ means steep primal gradients, so shrink τ —
+    // (τ = 0.9ω/‖Ã′‖, σ = 0.9/(ω‖Ã′‖)). Initialize from the data's own
+    // scale — a large ‖c′‖ means steep primal gradients, so shrink τ —
     // then adapt at restarts from observed movement.
-    let mut omega = if prob.norm_b > 0.0 && prob.norm_c > 0.0 {
-        (prob.norm_b / prob.norm_c).clamp(1e-4, 1e4)
-    } else {
-        1.0
-    };
+    let mut omega = prob.omega;
     let a_norm = prob.a_norm.max(1e-12);
     let step_scale = 0.9;
     let mut tau = T::from_f64(step_scale * omega / a_norm);
@@ -948,13 +1043,18 @@ pub(crate) fn solve_standard<T: Scalar, R: Recorder>(
         |core| &mut core.stats,
     )?;
     // Expand the active point to the full standard-form width (artificial
-    // columns are identically zero in PDHG's formulation).
+    // columns are identically zero in PDHG's formulation), unscaled
+    // exactly as `residuals` unscaled the point it checked.
     let mut x_std = vec![T::ZERO; sf.num_cols()];
-    x_std[..prob.n].copy_from_slice(&core.x);
+    for ((x, v), dc) in x_std.iter_mut().zip(&core.x).zip(&prob.dc) {
+        *x = unscale(*v, *dc);
+    }
     Ok(PdhgStdResult {
         status: core.status,
         x_std,
-        y_std: core.y.iter().map(|v| v.to_f64()).collect(),
+        y_std: (core.y.iter().zip(&prob.dr))
+            .map(|(v, dr)| unscale(*v, *dr).to_f64())
+            .collect(),
         stats: core.stats,
     })
 }
@@ -1188,13 +1288,10 @@ mod tests {
     fn fixed_point_residual_recovers_the_last_iterate() {
         // The device overwrites z_k with z_{k+1}; the residual recovered
         // from z_{k+1}, T(z_k) and the anchor must equal ‖z_k − T(z_k)‖_P
-        // computed from a snapshot of z_k.
+        // computed from a snapshot of z_k, on the preconditioned operator
+        // Ã′ the iteration runs on.
         let model = generator::dense_random(12, 16, 9);
-        let sf = match prepare::<f64>(&model, true, true) {
-            Prepared::Ready { sf, .. } => sf,
-            Prepared::Early(_) => panic!("presolve decided the model"),
-        };
-        let prob = PdhgProblem::build(&sf);
+        let prob = PdhgProblem::build(&standard_form(&model));
         let mut ops = CpuOps::new(&prob, false);
         let (tau, sigma) = (0.9 / prob.a_norm, 0.9 / prob.a_norm);
         ops.block(tau, sigma, 0, 4).unwrap();
@@ -1206,7 +1303,7 @@ mod tests {
             before.zy.iter().zip(&end.y).map(|(z, t)| z - t).collect(),
         );
         let mut adx = vec![0.0; prob.m];
-        prob.csr64.spmv(&dx, &mut adx);
+        prob.csr.spmv(&dx, &mut adx);
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>();
         let direct = (dot(&dx, &dx) / tau + dot(&dy, &dy) / sigma - 2.0 * dot(&dy, &adx)).sqrt();
         let anchor = (vec![0.0; prob.n], vec![0.0; prob.m]);
@@ -1226,16 +1323,112 @@ mod tests {
         );
     }
 
+    fn standard_form(model: &LinearProgram) -> StandardForm<f64> {
+        match prepare::<f64>(model, true, true) {
+            Prepared::Ready { sf, .. } => *sf,
+            Prepared::Early(_) => panic!("presolve decided {}", model.name),
+        }
+    }
+
+    #[test]
+    fn preconditioner_factors_are_pinned_on_a_hand_written_matrix() {
+        // One Ruiz sweep takes the top-left block [[4, 4], [0, 4]] to
+        // [[1, 1], [0, 1]] and the lone 1/16 to 1; every later sweep sees
+        // unit ∞-norms and changes nothing. Pock–Chambolle then divides
+        // row 0 and column 1 (1-norm 2) by √2. The empty row and column
+        // keep the factor 1.
+        let a = CooMatrix::from_triplets(
+            4,
+            4,
+            &[(0, 0, 4.0), (0, 1, 4.0), (1, 1, 4.0), (2, 2, 1.0 / 16.0)],
+        )
+        .to_csr();
+        let (dr, dc) = precondition(&a);
+        let h = 0.5 / 2f64.sqrt();
+        let close = |got: &[f64], want: &[f64]| {
+            got.iter()
+                .zip(want)
+                .all(|(g, w)| (g - w).abs() <= 1e-15 * w)
+        };
+        assert!(close(&dr, &[h, 0.5, 4.0, 1.0]), "D_r = {dr:?}");
+        assert!(close(&dc, &[0.5, h, 4.0, 1.0]), "D_c = {dc:?}");
+    }
+
+    #[test]
+    fn pock_chambolle_bounds_the_preconditioned_norm_by_one() {
+        // ‖B‖₂ ≤ ‖|B|‖₂ for B = D_r Ã D_c, and for any positive v the
+        // Collatz–Wielandt ratio max_j (|B|ᵀ|B|v)_j / v_j bounds the
+        // Perron root ‖|B|‖₂² from above. The v used is |B|ᵀ|B|'s power
+        // iterate, so the bound is tight.
+        let models = [
+            generator::sparse_random(48, 64, 0.1, 3),
+            generator::dense_random(12, 16, 9),
+            generator::klee_minty(6),
+            generator::multi_period_production(12, 5),
+        ];
+        for model in &models {
+            let prob = PdhgProblem::build(&standard_form(model));
+            let mut abs = prob.csr64.clone();
+            for i in 0..prob.m {
+                for k in abs.row_ptr[i] as usize..abs.row_ptr[i + 1] as usize {
+                    let j = abs.col_idx[k] as usize;
+                    abs.values[k] = (prob.dr[i] * abs.values[k] * prob.dc[j]).abs();
+                }
+            }
+            let gram = |v: &[f64], out: &mut Vec<f64>| {
+                let mut u = vec![0.0; prob.m];
+                abs.spmv(v, &mut u);
+                abs.spmv_t(&u, out);
+            };
+            let (mut v, mut w) = (vec![1.0; prob.n], vec![0.0; prob.n]);
+            for _ in 0..5000 {
+                gram(&v, &mut w);
+                let norm = l2(&w);
+                v.iter_mut().zip(&w).for_each(|(v, w)| *v = w / norm);
+            }
+            gram(&v, &mut w);
+            assert!(v.iter().all(|v| *v > 0.0), "{}", model.name);
+            let bound = w.iter().zip(&v).map(|(w, v)| w / v).fold(0.0, f64::max);
+            assert!(bound <= 1.0 + 1e-9, "{}: ‖|B|‖₂² ≤ {bound}", model.name);
+            assert!(
+                prob.a_norm <= 1.0 + 1e-12,
+                "{}: {}",
+                model.name,
+                prob.a_norm
+            );
+        }
+    }
+
+    #[test]
+    fn unscaling_keeps_every_returned_coordinate_nonnegative() {
+        // Klee–Minty's column factors differ by a factor above 4; both a
+        // mid-run point (iteration cap) and the optimal one must come back
+        // with every coordinate ≥ +0, the projection's sign kept exactly.
+        let sf = standard_form(&generator::klee_minty(6));
+        let prob = PdhgProblem::build(&sf);
+        let spread = prob.dc.iter().fold(0.0, |a: f64, d| a.max(*d))
+            / prob.dc.iter().fold(f64::INFINITY, |a: f64, d| a.min(*d));
+        assert!(spread > 2.0, "column factors spread only {spread}");
+        for max_iterations in [Some(64), None] {
+            let opts = PdhgOptions {
+                max_iterations,
+                ..Default::default()
+            };
+            let kind = BackendKind::CpuSparse;
+            let res = solve_standard(&sf, &opts, &kind, None::<&mut NoopRecorder>).unwrap();
+            let negative: Vec<f64> = (res.x_std.iter().copied())
+                .filter(|v| !v.is_sign_positive())
+                .collect();
+            assert!(negative.is_empty(), "{max_iterations:?}: {negative:?}");
+        }
+    }
+
     #[test]
     fn stats_charge_every_tick_of_the_backend_clock() {
         // Blocks, downloads and restart rebases all advance the backend's
         // clock; the driver must charge each of them to `SolveStats`.
         let model = generator::dense_random(12, 16, 9);
-        let sf = match prepare::<f64>(&model, true, true) {
-            Prepared::Ready { sf, .. } => sf,
-            Prepared::Early(_) => panic!("presolve decided the model"),
-        };
-        let prob = PdhgProblem::build(&sf);
+        let prob = PdhgProblem::build(&standard_form(&model));
         fn check<O: FirstOrderOps<f64>>(label: &str, prob: &PdhgProblem<f64>, mut ops: O) {
             let opts = PdhgOptions::default();
             let stats = drive(prob, &opts, &mut ops, None::<&mut NoopRecorder>)
