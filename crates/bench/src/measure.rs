@@ -9,7 +9,7 @@ use gplex::trace::{NoopRecorder, Recorder};
 use gplex::{RevisedSimplex, SolverOptions, Start, Status, Step};
 use gpu_sim::{DeviceSpec, Gpu, TimeCategory};
 use linalg::gpu::{GemvTStrategy, Layout};
-use linalg::{CsrMatrix, Scalar};
+use linalg::Scalar;
 use lp::{LinearProgram, StandardForm};
 
 /// GPU run configuration.
@@ -215,8 +215,7 @@ fn run_standard_impl<T: Scalar, R: Recorder>(
             (m, res)
         }
         Target::CpuSparse => {
-            let csr = CsrMatrix::from_dense(&sf.a, T::ZERO);
-            let mut be = CpuSparseBackend::new(&csr, &sf.b, n_active, &sf.basis0);
+            let mut be = CpuSparseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
             let res = solve_with(&mut be, sf, opts, rec);
             let m = Measurement::from_result(sf, &res, wall.elapsed().as_secs_f64(), None);
             (m, res)

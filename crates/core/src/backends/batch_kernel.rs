@@ -28,7 +28,7 @@ use linalg::gpu::{
     BatchBookK, BatchBtranK, BatchFtranK, BatchObjK, BatchPivotK, BatchPriceK, BatchRatioK,
     BatchSelectK, LaneGatherK, LaneRebaseK, LaneScatterK, SelectRule,
 };
-use linalg::{DenseMatrix, Scalar};
+use linalg::{CscMatrix, Scalar};
 
 use crate::backend::{Backend, RatioOutcome};
 use crate::basis::BasisFactor;
@@ -66,7 +66,7 @@ fn poison_lane_if_corrupted<T: Scalar>(
 /// One member of a same-shape family, borrowed from its standard form.
 pub struct BatchMember<'a, T: Scalar> {
     /// Full constraint matrix (active columns then artificials).
-    pub a: &'a DenseMatrix<T>,
+    pub a: &'a CscMatrix<T>,
     /// Right-hand side.
     pub b: &'a [T],
     /// Columns eligible for pricing.
@@ -105,7 +105,7 @@ pub struct BatchKernelBackend<'g, T: Scalar> {
     theta: DeviceBuffer<T>,
     obj: DeviceBuffer<T>,
     /// Host mirror of each lane's full matrix (refactorization input).
-    a_host: Vec<DenseMatrix<T>>,
+    a_host: Vec<CscMatrix<T>>,
     b_host: Vec<Vec<T>>,
     /// The host reinversion every lane's refactorize runs through; its
     /// `B⁻¹` holds the last lane reinverted.
@@ -137,7 +137,14 @@ impl<'g, T: Scalar> BatchKernelBackend<'g, T> {
             b_host.push(mem.b.to_vec());
             basic_of_row_host.push(mem.basis0.to_vec());
         }
-        let soa = DenseBatchLayout::pack(&a_host);
+        let mut soa = DenseBatchLayout::zeros(m, ncols, width);
+        for (b, a) in a_host.iter().enumerate() {
+            for j in 0..ncols {
+                for (i, v) in a.col(j) {
+                    soa.set(b, i, j, v);
+                }
+            }
+        }
         let a = gpu.try_htod(soa.as_slice())?;
         let mut binv_h = vec![T::ZERO; m * m * width];
         for b in 0..width {

@@ -18,7 +18,7 @@
 use gpu_sim::SimTime;
 use linalg::blas;
 use linalg::cpu_model::{CpuClock, CpuModel};
-use linalg::{CscMatrix, CsrMatrix, DenseMatrix, Scalar};
+use linalg::{CscMatrix, DenseMatrix, Scalar};
 
 use crate::backend::{Backend, LuReport, RatioOutcome};
 use crate::basis::{BasisFactor, ColumnStore, EtaFile};
@@ -57,23 +57,12 @@ pub type CpuDenseBackend<T> = CpuBackend<T, DenseMatrix<T>>;
 /// Sparse-pricing (CSC) serial CPU backend.
 pub type CpuSparseBackend<T> = CpuBackend<T, CscMatrix<T>>;
 
-impl<T: Scalar> CpuBackend<T, DenseMatrix<T>> {
-    /// Build from standard-form data. `basis0` must be an identity basis
-    /// (slacks/artificials), which standard-form construction guarantees.
-    pub fn new(a: &DenseMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
-        CpuBackend::over(a.clone(), b, n_active, basis0)
-    }
-}
-
-impl<T: Scalar> CpuBackend<T, CscMatrix<T>> {
-    /// Build from a sparse matrix (CSR, converted internally to CSC).
-    pub fn new(a: &CsrMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
-        CpuBackend::over(a.to_csc(), b, n_active, basis0)
-    }
-}
-
 impl<T: Scalar, C: ColumnStore<T>> CpuBackend<T, C> {
-    fn over(a: C, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
+    /// Build from standard-form data, storing `A` as `C`. `basis0` must be
+    /// an identity basis (slacks/artificials), which standard-form
+    /// construction guarantees.
+    pub fn new(a: &CscMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
+        let a = C::from_csc(a);
         let m = a.rows();
         assert_eq!(b.len(), m, "rhs length mismatch");
         assert!(n_active <= a.cols(), "n_active exceeds column count");
@@ -370,12 +359,13 @@ mod tests {
 
     /// Standard form of: min −3x −5y s.t. x + s1 = 4, 2y + s2 = 12,
     /// 3x + 2y + s3 = 18 (the Wyndor problem, already standardized).
-    fn wyndor_std() -> (DenseMatrix<f64>, Vec<f64>, Vec<f64>, Vec<usize>) {
+    fn wyndor_std() -> (CscMatrix<f64>, Vec<f64>, Vec<f64>, Vec<usize>) {
         let a = DenseMatrix::from_rows(&[
             vec![1.0, 0.0, 1.0, 0.0, 0.0],
             vec![0.0, 2.0, 0.0, 1.0, 0.0],
             vec![3.0, 2.0, 0.0, 0.0, 1.0],
         ]);
+        let a = linalg::CsrMatrix::from_dense(&a, 0.0).to_csc();
         let b = vec![4.0, 12.0, 18.0];
         let c = vec![-3.0, -5.0, 0.0, 0.0, 0.0];
         let basis0 = vec![2, 3, 4];
@@ -416,8 +406,7 @@ mod tests {
         let mut de = CpuDenseBackend::new(&a, &b, 5, &basis0);
         de.refactorize(&basis0).unwrap();
         assert_eq!(de.beta().unwrap(), b);
-        let csr = CsrMatrix::from_dense(&a, 0.0);
-        let mut sp = CpuSparseBackend::new(&csr, &b, 5, &basis0);
+        let mut sp = CpuSparseBackend::new(&a, &b, 5, &basis0);
         sp.refactorize(&basis0).unwrap();
         assert_eq!(sp.beta().unwrap(), b);
     }
@@ -436,8 +425,7 @@ mod tests {
     #[test]
     fn singular_sparse_lu_reinversion_clears_the_eta_chain() {
         let (a, b, c, basis0) = wyndor_std();
-        let csr = CsrMatrix::from_dense(&a, 0.0);
-        let mut sp = CpuSparseBackend::new(&csr, &b, 5, &basis0);
+        let mut sp = CpuSparseBackend::new(&a, &b, 5, &basis0);
         let mut de = CpuDenseBackend::new(&a, &b, 5, &basis0);
         for be in [
             &mut sp as &mut dyn Backend<f64>,
@@ -469,8 +457,7 @@ mod tests {
     #[test]
     fn sparse_backend_tracks_dense_backend_exactly() {
         let (a, b, c, basis0) = wyndor_std();
-        let csr = CsrMatrix::from_dense(&a, 0.0);
-        let mut sp = CpuSparseBackend::new(&csr, &b, 5, &basis0);
+        let mut sp = CpuSparseBackend::new(&a, &b, 5, &basis0);
         let mut de = CpuDenseBackend::new(&a, &b, 5, &basis0);
         assert_eq!((sp.name(), de.name()), ("cpu-sparse", "cpu-dense"));
         for be in [

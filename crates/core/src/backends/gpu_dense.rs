@@ -21,7 +21,7 @@ use gpu_sim::{
     BufferPool, DeviceBuffer, FusedLaunch, Gpu, LaunchConfig, Launcher, SimTime, TimeCategory,
 };
 use linalg::gpu::{self as gblas, DeviceMatrix, GemvTStrategy, Layout};
-use linalg::{DenseMatrix, Scalar};
+use linalg::{CscMatrix, Scalar};
 
 use super::gpu_kernels::{
     BasisBookK, BuildEtaK, EtaBtranK, EtaFtranK, GatherAtK, GuardedClampK, MapNegIdxK, MaskBasicK,
@@ -38,7 +38,7 @@ const BLOCK: u32 = 128;
 pub struct GpuDenseBackend<'g, T: Scalar> {
     gpu: &'g Gpu,
     /// Host copy of the *full* matrix (refactorization needs artificials).
-    a_host: DenseMatrix<T>,
+    a_host: CscMatrix<T>,
     b_host: Vec<T>,
     /// Device copy of the active columns only.
     a_dev: DeviceMatrix<T>,
@@ -102,13 +102,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
     /// Build with the paper's configuration: col-major device matrices and
     /// the coalesced two-pass transposed gemv. Panics on a device fault
     /// during setup; prefer [`Self::try_new`] where faults are in play.
-    pub fn new(
-        gpu: &'g Gpu,
-        a: &DenseMatrix<T>,
-        b: &[T],
-        n_active: usize,
-        basis0: &[usize],
-    ) -> Self {
+    pub fn new(gpu: &'g Gpu, a: &CscMatrix<T>, b: &[T], n_active: usize, basis0: &[usize]) -> Self {
         Self::try_new(gpu, a, b, n_active, basis0)
             .unwrap_or_else(|e| panic!("{e} while building GPU backend"))
     }
@@ -118,7 +112,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
     /// so the solver reports it as a device error, not a crash.
     pub fn try_new(
         gpu: &'g Gpu,
-        a: &DenseMatrix<T>,
+        a: &CscMatrix<T>,
         b: &[T],
         n_active: usize,
         basis0: &[usize],
@@ -138,7 +132,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
     /// Panicking wrapper around [`Self::try_with_layout`].
     pub fn with_layout(
         gpu: &'g Gpu,
-        a: &DenseMatrix<T>,
+        a: &CscMatrix<T>,
         b: &[T],
         n_active: usize,
         basis0: &[usize],
@@ -154,7 +148,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
     /// [`BackendError::Device`].
     pub fn try_with_layout(
         gpu: &'g Gpu,
-        a: &DenseMatrix<T>,
+        a: &CscMatrix<T>,
         b: &[T],
         n_active: usize,
         basis0: &[usize],
@@ -171,8 +165,7 @@ impl<'g, T: Scalar> GpuDenseBackend<'g, T> {
                 "two-pass gemv_t requires col-major storage"
             );
         }
-        let a_active = a.select_cols(&(0..n_active).collect::<Vec<_>>());
-        let a_dev = DeviceMatrix::upload(gpu, &a_active, layout)?;
+        let a_dev = DeviceMatrix::upload(gpu, &a.to_dense_cols(n_active), layout)?;
         let binv = DeviceMatrix::identity(gpu, m, layout)?;
         let beta = gpu.try_htod(b)?;
         let pi = gpu.try_alloc(m, T::ZERO)?;
@@ -795,18 +788,14 @@ fn launcher<'a, 'g>(gpu: &'g Gpu, fl: &'a mut Option<FusedLaunch<'g>>) -> Launch
     }
 }
 
-/// Row carrying the single +1 of an identity (artificial) column, found by
-/// scanning the host copy; `None` when the column is not a unit column.
-fn basis_artificial_row<T: Scalar>(a: &DenseMatrix<T>, j: usize) -> Option<usize> {
-    let mut row = None;
-    for (i, &v) in a.col(j).iter().enumerate() {
-        if v == T::ONE && row.is_none() {
-            row = Some(i);
-        } else if v != T::ZERO && v != T::ONE {
-            return None;
-        }
+/// Row carrying the single +1 of an identity (artificial) column; `None`
+/// when the column is not a unit column.
+fn basis_artificial_row<T: Scalar>(a: &CscMatrix<T>, j: usize) -> Option<usize> {
+    let mut col = a.col(j);
+    match (col.next(), col.next()) {
+        (Some((i, v)), None) if v == T::ONE => Some(i),
+        _ => None,
     }
-    row
 }
 
 /// Column extraction from a row-major device matrix (strided, uncoalesced —
@@ -846,8 +835,14 @@ mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
 
-    fn wyndor_std() -> (DenseMatrix<f64>, Vec<f64>, Vec<f64>, Vec<usize>) {
-        let a = DenseMatrix::from_rows(&[
+    /// The CSC image of a dense matrix given by rows.
+    fn csc(rows: &[Vec<f64>]) -> CscMatrix<f64> {
+        let dense = linalg::DenseMatrix::from_rows(rows);
+        linalg::CsrMatrix::from_dense(&dense, 0.0).to_csc()
+    }
+
+    fn wyndor_std() -> (CscMatrix<f64>, Vec<f64>, Vec<f64>, Vec<usize>) {
+        let a = csc(&[
             vec![1.0, 0.0, 1.0, 0.0, 0.0],
             vec![0.0, 2.0, 0.0, 1.0, 0.0],
             vec![3.0, 2.0, 0.0, 0.0, 1.0],
@@ -918,7 +913,7 @@ mod tests {
     fn device_refactorization_handles_artificial_columns() {
         // Basis mixing a structural column with artificials (unit columns
         // beyond n_active) — the device path must assemble e_r correctly.
-        let a = DenseMatrix::from_rows(&[
+        let a = csc(&[
             vec![2.0, 1.0, 1.0, 0.0], // cols: x, y | artificials u1, u2
             vec![1.0, 3.0, 0.0, 1.0],
         ]);
@@ -940,7 +935,7 @@ mod tests {
 
     #[test]
     fn device_and_host_refactorization_agree() {
-        let a = DenseMatrix::from_rows(&[
+        let a = csc(&[
             vec![4.0, 1.0, 0.5, 1.0, 0.0, 0.0],
             vec![1.0, 5.0, 1.0, 0.0, 1.0, 0.0],
             vec![0.5, 1.0, 6.0, 0.0, 0.0, 1.0],
@@ -1093,8 +1088,9 @@ mod tests {
         );
         // The final basis cannot be inverted without row exchanges: plain
         // Gauss–Jordan meets a zero pivot on it.
+        let a = sf.a.to_dense();
         let mut bmat: Vec<Vec<f64>> = (0..m)
-            .map(|i| res.basis.iter().map(|&j| sf.a.get(i, j)).collect())
+            .map(|i| res.basis.iter().map(|&j| a.get(i, j)).collect())
             .collect();
         let needs_exchange = (0..m).any(|k| {
             let piv = bmat[k][k];

@@ -54,6 +54,8 @@ pub trait ColumnStore<T: Scalar> {
     const NAME: &'static str;
     /// Bytes of index data the store reads per stored entry.
     const INDEX_BYTES: u64;
+    /// The store's image of the standard form's `A`.
+    fn from_csc(a: &CscMatrix<T>) -> Self;
     /// Row count `m`.
     fn rows(&self) -> usize;
     /// Column count.
@@ -74,6 +76,10 @@ pub trait ColumnStore<T: Scalar> {
 impl<T: Scalar> ColumnStore<T> for DenseMatrix<T> {
     const NAME: &'static str = "cpu-dense";
     const INDEX_BYTES: u64 = 0;
+
+    fn from_csc(a: &CscMatrix<T>) -> Self {
+        a.to_dense()
+    }
 
     fn rows(&self) -> usize {
         DenseMatrix::rows(self)
@@ -111,6 +117,10 @@ impl<T: Scalar> ColumnStore<T> for DenseMatrix<T> {
 impl<T: Scalar> ColumnStore<T> for CscMatrix<T> {
     const NAME: &'static str = "cpu-sparse";
     const INDEX_BYTES: u64 = 4;
+
+    fn from_csc(a: &CscMatrix<T>) -> Self {
+        a.clone()
+    }
 
     fn rows(&self) -> usize {
         CscMatrix::rows(self)
@@ -377,7 +387,6 @@ impl<T: Scalar> EtaFile<T> {
 mod tests {
     use super::*;
     use crate::{SolveRequest, SolverOptions, Status};
-    use linalg::CsrMatrix;
     use lp::{generator, StandardForm};
 
     /// A sparse standard form and the optimal basis of its solve: a
@@ -416,12 +425,13 @@ mod tests {
     /// same matrix, under `rep`.
     fn factor_both_stores(rep: BasisRepresentation) -> (Built, Built) {
         let (sf, basis) = sparse_fixture();
-        let csc = CsrMatrix::from_dense(&sf.a, 0.0).to_csc();
+        let dense = sf.a.to_dense();
+        let csc = &sf.a;
         assert!(csc.values.iter().all(|&v| v != 0.0), "no stored zeros");
-        assert!(csc.values.len() < sf.a.rows() * sf.a.cols());
+        assert!(csc.values.len() < dense.rows() * dense.cols());
         (
-            build(&sf.a, &sf, &basis, rep),
-            build(&csc, &sf, &basis, rep),
+            build(&dense, &sf, &basis, rep),
+            build(csc, &sf, &basis, rep),
         )
     }
 

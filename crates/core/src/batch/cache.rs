@@ -70,13 +70,11 @@ pub fn cache_key<T: Scalar>(sf: &StandardForm<T>, policy: &WarmStartPolicy) -> O
         };
         mix(tag);
     }
-    for i in 0..m {
-        for j in 0..n {
-            let v = sf.a.get(i, j).to_f64();
-            if v != 0.0 {
-                mix(j as u64);
-                mix((v / tol).round() as i64 as u64);
-            }
+    for j in 0..n {
+        for (i, v) in sf.a.col(j) {
+            mix(i as u64);
+            mix(j as u64);
+            mix((v.to_f64() / tol).round() as i64 as u64);
         }
     }
     Some(h)

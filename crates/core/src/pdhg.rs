@@ -84,10 +84,10 @@
 
 use std::time::Instant;
 
-use gpu_sim::{DeviceBuffer, FaultConfig, Gpu, Launcher, SimTime};
+use gpu_sim::{DeviceBuffer, DeviceError, FaultConfig, Gpu, Launcher, SimTime};
 use linalg::cpu_model::{CpuClock, CpuModel};
 use linalg::gpu as gblas;
-use linalg::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DeviceCsc, DeviceCsr, Scalar};
+use linalg::{CscMatrix, CsrMatrix, DenseMatrix, DeviceCsc, DeviceCsr, Scalar};
 use lp::{LinearProgram, StandardForm};
 
 use crate::error::SolveError;
@@ -257,30 +257,10 @@ impl<T: Scalar> PdhgProblem<T> {
     fn build(sf: &StandardForm<T>) -> Self {
         let m = sf.num_rows();
         let n = sf.num_cols() - sf.num_artificials;
-        let csr64 = {
-            let mut coo64 = CooMatrix::<f64>::new(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let v = sf.a.get(i, j);
-                    if v != T::ZERO {
-                        coo64.push(i, j, v.to_f64());
-                    }
-                }
-            }
-            coo64.to_csr()
-        };
+        let csr64 = active(&sf.a, n, |_, _, v| v.to_f64()).to_csr();
         let (dr, dc) = precondition(&csr64);
-        let csr = {
-            let mut coo = CooMatrix::<T>::new(m, n);
-            for i in 0..m {
-                for k in csr64.row_ptr[i] as usize..csr64.row_ptr[i + 1] as usize {
-                    let j = csr64.col_idx[k] as usize;
-                    coo.push(i, j, T::from_f64(dr[i] * csr64.values[k] * dc[j]));
-                }
-            }
-            coo.to_csr()
-        };
-        let csc = csr.to_csc();
+        let csc = active(&sf.a, n, |i, j, v| T::from_f64(dr[i] * v.to_f64() * dc[j]));
+        let csr = csc.to_csr();
         let b64: Vec<f64> = sf.b.iter().map(|v| v.to_f64()).collect();
         let c64: Vec<f64> = sf.c[..n].iter().map(|v| v.to_f64()).collect();
         let scaled =
@@ -310,6 +290,22 @@ impl<T: Scalar> PdhgProblem<T> {
             omega,
         }
     }
+}
+
+/// The active columns of `a` (its leading `n`, artificials dropped), each
+/// entry `(i, j, v)` mapped by `f`.
+fn active<T: Scalar, U: Scalar>(
+    a: &CscMatrix<T>,
+    n: usize,
+    f: impl Fn(usize, usize, T) -> U,
+) -> CscMatrix<U> {
+    let col_ptr = a.col_ptr[..=n].to_vec();
+    let nnz = col_ptr[n] as usize;
+    let values = (0..n)
+        .flat_map(|j| a.col(j).map(move |(i, v)| (i, j, v)))
+        .map(|(i, j, v)| f(i, j, v))
+        .collect();
+    CscMatrix::from_parts(a.rows(), n, col_ptr, a.row_idx[..nnz].to_vec(), values)
 }
 
 /// Row and column factors `(D_r, D_c)` of the diagonal preconditioner:
@@ -586,7 +582,7 @@ struct CpuOps<T: Scalar> {
 impl<T: Scalar> CpuOps<T> {
     fn new(prob: &PdhgProblem<T>, dense: bool) -> Self {
         let mat = if dense {
-            CpuMat::Dense(prob.csr.to_dense())
+            CpuMat::Dense(prob.csc.to_dense())
         } else {
             CpuMat::Sparse {
                 csr: prob.csr.clone(),
@@ -723,23 +719,22 @@ impl<'g, T: Scalar> GpuOps<'g, T> {
         self.xy0.len() - self.iterate_at()
     }
 
-    fn new(gpu: &'g Gpu, prob: &PdhgProblem<T>, fuse: bool) -> Self {
-        let dcsr = DeviceCsr::upload(gpu, &prob.csr);
-        let dcsc = DeviceCsc::upload(gpu, &prob.csc);
-        GpuOps {
+    /// Upload the problem; a device fault during setup is returned.
+    fn new(gpu: &'g Gpu, prob: &PdhgProblem<T>, fuse: bool) -> Result<Self, DeviceError> {
+        Ok(GpuOps {
             gpu,
-            dcsr,
-            dcsc,
-            db: gpu.htod(&prob.b),
-            dc: gpu.htod(&prob.c),
-            halves: gpu.alloc(2 * (prob.n + prob.m), T::ZERO),
+            dcsr: DeviceCsr::upload(gpu, &prob.csr)?,
+            dcsc: DeviceCsc::upload(gpu, &prob.csc)?,
+            db: gpu.try_htod(&prob.b)?,
+            dc: gpu.try_htod(&prob.c)?,
+            halves: gpu.try_alloc(2 * (prob.n + prob.m), T::ZERO)?,
             flip: false,
-            xy0: gpu.alloc(prob.n + prob.m, T::ZERO),
-            xbar: gpu.alloc(prob.n, T::ZERO),
+            xy0: gpu.try_alloc(prob.n + prob.m, T::ZERO)?,
+            xbar: gpu.try_alloc(prob.n, T::ZERO)?,
             n: prob.n,
             fuse,
             t0: gpu.elapsed(),
-        }
+        })
     }
 
     fn chain(
@@ -1036,7 +1031,7 @@ pub(crate) fn solve_standard<T: Scalar, R: Recorder>(
             Target::CpuDense => drive(&prob, opts, &mut CpuOps::new(&prob, true), rec),
             Target::CpuSparse => drive(&prob, opts, &mut CpuOps::new(&prob, false), rec),
             Target::Gpu(gpu) => {
-                let mut ops = GpuOps::new(gpu, &prob, opts.fuse_launches);
+                let mut ops = GpuOps::new(gpu, &prob, opts.fuse_launches)?;
                 drive(&prob, opts, &mut ops, rec)
             }
         },
@@ -1337,7 +1332,7 @@ mod tests {
         // unit ∞-norms and changes nothing. Pock–Chambolle then divides
         // row 0 and column 1 (1-norm 2) by √2. The empty row and column
         // keep the factor 1.
-        let a = CooMatrix::from_triplets(
+        let a = linalg::CooMatrix::from_triplets(
             4,
             4,
             &[(0, 0, 4.0), (0, 1, 4.0), (1, 1, 4.0), (2, 2, 1.0 / 16.0)],
@@ -1448,8 +1443,12 @@ mod tests {
         let gpu = Gpu::new(DeviceSpec::gtx280());
         let stream = Stream::on(&Arc::new(Gpu::new(DeviceSpec::gtx280())));
         for fuse in [true, false] {
-            check("gpu-dense", &prob, GpuOps::new(&gpu, &prob, fuse));
-            check("gpu-shared", &prob, GpuOps::new(&stream, &prob, fuse));
+            check("gpu-dense", &prob, GpuOps::new(&gpu, &prob, fuse).unwrap());
+            check(
+                "gpu-shared",
+                &prob,
+                GpuOps::new(&stream, &prob, fuse).unwrap(),
+            );
         }
     }
 

@@ -299,7 +299,6 @@ impl ResilientSolver {
                 } else {
                     None
                 };
-                let fault_armed = attempt_faults.is_some();
                 let deadline = self.options.deadline_seconds;
 
                 let outcome = match rung {
@@ -377,14 +376,9 @@ impl ResilientSolver {
                     }
                     Err(e) => {
                         wasted_iterations += slot.wasted_on_failure();
-                        if matches!(e, SolveError::Device(_))
-                            || (fault_armed && matches!(e, SolveError::Panicked(_)))
-                        {
+                        if matches!(e, SolveError::Device(_)) {
                             // The plan died with its stream; count at least
-                            // the fault that surfaced (a panic on a
-                            // fault-armed GPU rung is fault-induced too —
-                            // construction-time faults unwind rather than
-                            // return).
+                            // the fault that surfaced.
                             faults += 1;
                         }
                         final_backend = rung.label();

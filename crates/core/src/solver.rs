@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, Gpu, Stream};
 use linalg::blas::DenseLu;
-use linalg::{CsrMatrix, Scalar};
+use linalg::Scalar;
 use lp::presolve::{presolve, PresolveResult, Presolved};
 use lp::scaling::scale;
 use lp::{LinearProgram, StandardForm};
@@ -377,8 +377,7 @@ impl<'a, T: Scalar, R: Recorder> SolveRequest<'a, StandardInput<'a, T>, R> {
                     RevisedSimplex::new(&mut be, sf, opts, start, slot, rec).try_solve()
                 }
                 Target::CpuSparse => {
-                    let csr = CsrMatrix::from_dense(&sf.a, T::ZERO);
-                    let mut be = CpuSparseBackend::new(&csr, &sf.b, n_active, &sf.basis0);
+                    let mut be = CpuSparseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
                     RevisedSimplex::new(&mut be, sf, opts, start, slot, rec).try_solve()
                 }
                 Target::Gpu(gpu) => {
@@ -499,7 +498,7 @@ pub(crate) fn prepare<T: Scalar>(
     };
     let mut sf = StandardForm::<T>::from_lp(&work).expect("model must standardize");
     if scale_on {
-        let _ = scale(&mut sf);
+        scale(&mut sf);
     }
     Prepared::Ready {
         sf: Box::new(sf),

@@ -30,8 +30,8 @@ pub fn solve_standard<T: Scalar>(sf: &StandardForm<T>, opts: &SolverOptions) -> 
     // Tableau: m rows of [A | b] plus bookkeeping vectors.
     let mut tab = DenseMatrix::<T>::zeros(m, n + 1);
     for j in 0..n {
-        for i in 0..m {
-            tab.set(i, j, sf.a.get(i, j));
+        for (i, v) in sf.a.col(j) {
+            tab.set(i, j, v);
         }
     }
     for i in 0..m {

@@ -68,8 +68,8 @@ pub fn solve_standard_gpu<T: Scalar>(
     // cost row is installed per phase below.
     let mut tab_h = DenseMatrix::<T>::zeros(m + 1, n + 1);
     for j in 0..n {
-        for i in 0..m {
-            tab_h.set(i, j, sf.a.get(i, j));
+        for (i, v) in sf.a.col(j) {
+            tab_h.set(i, j, v);
         }
     }
     for i in 0..m {

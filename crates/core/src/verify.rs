@@ -194,12 +194,14 @@ pub fn certify_optimal<T: Scalar>(
             });
         }
     }
-    for i in 0..m {
-        let mut lhs = 0.0;
-        for j in 0..n {
-            lhs += sf.a.get(i, j).to_f64() * res.x_std[j].to_f64();
+    let mut ax = vec![0.0; m];
+    for (j, xj) in res.x_std.iter().enumerate() {
+        for (i, v) in sf.a.col(j) {
+            ax[i] += v.to_f64() * xj.to_f64();
         }
-        let rhs = sf.b[i].to_f64();
+    }
+    for (i, (&lhs, rhs)) in ax.iter().zip(&sf.b).enumerate() {
+        let rhs = rhs.to_f64();
         if (lhs - rhs).abs() > tol * (1.0 + rhs.abs()) {
             return Err(VerifyError::RowMismatch { row: i, lhs, rhs });
         }
@@ -208,8 +210,8 @@ pub fn certify_optimal<T: Scalar>(
     // Dual feasibility via a fresh f64 factorization of the final basis.
     let mut bmat = DenseMatrix::<f64>::zeros(m, m);
     for (r, &j) in res.basis.iter().enumerate() {
-        for i in 0..m {
-            bmat.set(i, r, sf.a.get(i, j).to_f64());
+        for (i, v) in sf.a.col(j) {
+            bmat.set(i, r, v.to_f64());
         }
     }
     let binv = blas::gauss_jordan_invert(&bmat).ok_or(VerifyError::SingularBasis)?;
@@ -219,8 +221,8 @@ pub fn certify_optimal<T: Scalar>(
     let n_active = n - sf.num_artificials;
     for j in 0..n_active {
         let mut d = sf.c[j].to_f64();
-        for i in 0..m {
-            d -= pi[i] * sf.a.get(i, j).to_f64();
+        for (i, v) in sf.a.col(j) {
+            d -= pi[i] * v.to_f64();
         }
         if d < -tol {
             return Err(VerifyError::ReducedCost { index: j, value: d });

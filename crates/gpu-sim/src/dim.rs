@@ -86,11 +86,6 @@ impl LaunchConfig {
         self.grid.count()
     }
 
-    /// Threads per block.
-    pub fn threads_per_block(&self) -> u64 {
-        self.block.count()
-    }
-
     /// Number of warps in the launch, given the device warp size.
     pub fn total_warps(&self, warp_size: u32) -> u64 {
         let warps_per_block = self.block.count().div_ceil(warp_size as u64);

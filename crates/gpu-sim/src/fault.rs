@@ -160,15 +160,6 @@ impl FaultConfig {
         c.seed = splitmix64(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         c
     }
-
-    /// Whether any fault kind has nonzero probability.
-    pub fn any_enabled(&self) -> bool {
-        self.alloc_oom > 0.0
-            || self.transfer_timeout > 0.0
-            || self.kernel_fault > 0.0
-            || self.kernel_corrupt > 0.0
-            || self.stream_death > 0.0
-    }
 }
 
 /// Counts of injected faults, by kind.

@@ -130,15 +130,6 @@ impl<T: Scalar> DenseMatrix<T> {
         t
     }
 
-    /// New matrix keeping only the columns in `keep`, in order.
-    pub fn select_cols(&self, keep: &[usize]) -> DenseMatrix<T> {
-        let mut m = DenseMatrix::zeros(self.rows, keep.len());
-        for (out_j, &j) in keep.iter().enumerate() {
-            m.col_mut(out_j).copy_from_slice(self.col(j));
-        }
-        m
-    }
-
     /// Maximum absolute element (∞-norm of the storage).
     pub fn max_abs(&self) -> T {
         self.data.iter().fold(T::ZERO, |acc, &x| acc.maxs(x.abs()))
@@ -182,14 +173,6 @@ mod tests {
     fn row_major_conversion_matches_rows() {
         let m = DenseMatrix::from_rows(&[vec![1.0f64, 2.0], vec![3.0, 4.0]]);
         assert_eq!(m.to_row_major(), vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn select_cols_reorders() {
-        let m = DenseMatrix::from_rows(&[vec![1.0f64, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let s = m.select_cols(&[2, 0]);
-        assert_eq!(s.col(0), &[3.0, 6.0]);
-        assert_eq!(s.col(1), &[1.0, 4.0]);
     }
 
     #[test]

@@ -33,7 +33,6 @@ mod algo;
 mod batch_kernels;
 mod blas;
 mod first_order;
-mod gemm;
 mod invert;
 mod kernels;
 mod mat;
@@ -52,7 +51,6 @@ pub use blas::{
     GemvTStrategy, GEMV_N_STRIP_CANDIDATES, GEMV_N_STRIP_TIE,
 };
 pub use first_order::{pdhg_dual_on, pdhg_primal_on, PdhgDualK, PdhgPrimalK};
-pub use gemm::{gemm, GEMM_TILE};
 pub use invert::{invert_basis_on, BasisColumns, INVERT_OK};
 pub use kernels::{CopyK, EtaK, RowExtractK};
 pub use mat::{DeviceMatrix, Layout};

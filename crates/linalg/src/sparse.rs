@@ -233,33 +233,9 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Convert to CSC.
     pub fn to_csc(&self) -> CscMatrix<T> {
-        let mut col_ptr = vec![0u32; self.cols + 1];
-        for &c in &self.col_idx {
-            col_ptr[c as usize + 1] += 1;
-        }
-        for j in 0..self.cols {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let nnz = self.nnz();
-        let mut row_idx = vec![0u32; nnz];
-        let mut values = vec![T::ZERO; nnz];
-        let mut cursor = col_ptr.clone();
-        for i in 0..self.rows {
-            for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
-                let c = self.col_idx[k] as usize;
-                let dst = cursor[c] as usize;
-                row_idx[dst] = i as u32;
-                values[dst] = self.values[k];
-                cursor[c] += 1;
-            }
-        }
-        CscMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            col_ptr,
-            row_idx,
-            values,
-        }
+        let (col_ptr, row_idx, values) =
+            transpose(self.cols, &self.row_ptr, &self.col_idx, &self.values);
+        CscMatrix::from_parts(self.rows, self.cols, col_ptr, row_idx, values)
     }
 
     /// Dense copy.
@@ -288,6 +264,31 @@ pub struct CscMatrix<T: Scalar> {
 }
 
 impl<T: Scalar> CscMatrix<T> {
+    /// Assemble from compressed columns. Panics when the parts disagree on
+    /// the shape or the nonzero count.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        col_ptr: Vec<u32>,
+        row_idx: Vec<u32>,
+        values: Vec<T>,
+    ) -> Self {
+        assert_eq!(col_ptr.len(), cols + 1, "col_ptr length mismatch");
+        assert_eq!(
+            col_ptr[cols] as usize,
+            values.len(),
+            "nonzero count mismatch"
+        );
+        assert_eq!(row_idx.len(), values.len(), "row_idx length mismatch");
+        CscMatrix {
+            rows,
+            cols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -352,16 +353,66 @@ impl<T: Scalar> CscMatrix<T> {
         }
     }
 
-    /// Dense copy.
-    pub fn to_dense(&self) -> DenseMatrix<T> {
-        let mut d = DenseMatrix::zeros(self.rows, self.cols);
-        for j in 0..self.cols {
+    /// Convert to CSR; within a row the columns ascend.
+    pub fn to_csr(&self) -> CsrMatrix<T> {
+        let (row_ptr, col_idx, values) =
+            transpose(self.rows, &self.col_ptr, &self.row_idx, &self.values);
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Dense copy of the leading `n` columns, in one pass over their
+    /// nonzeros.
+    pub fn to_dense_cols(&self, n: usize) -> DenseMatrix<T> {
+        let mut d = DenseMatrix::zeros(self.rows, n);
+        for j in 0..n {
+            let col = d.col_mut(j);
             for (i, v) in self.col(j) {
-                d.set(i, j, v);
+                col[i] = v;
             }
         }
         d
     }
+
+    /// Dense copy.
+    pub fn to_dense(&self) -> DenseMatrix<T> {
+        self.to_dense_cols(self.cols)
+    }
+}
+
+/// Transpose compressed storage: `(ptr, idx, vals)` over the major slots
+/// becomes the same entries compressed over the `minor` slots named by
+/// `idx`, each minor slot holding its entries in ascending major order.
+fn transpose<T: Scalar>(
+    minor: usize,
+    ptr: &[u32],
+    idx: &[u32],
+    vals: &[T],
+) -> (Vec<u32>, Vec<u32>, Vec<T>) {
+    let mut out_ptr = vec![0u32; minor + 1];
+    for &k in idx {
+        out_ptr[k as usize + 1] += 1;
+    }
+    for k in 0..minor {
+        out_ptr[k + 1] += out_ptr[k];
+    }
+    let mut out_idx = vec![0u32; vals.len()];
+    let mut out_vals = vec![T::ZERO; vals.len()];
+    let mut cursor = out_ptr.clone();
+    for (major, w) in ptr.windows(2).enumerate() {
+        for k in w[0] as usize..w[1] as usize {
+            let dst = &mut cursor[idx[k] as usize];
+            out_idx[*dst as usize] = major as u32;
+            out_vals[*dst as usize] = vals[k];
+            *dst += 1;
+        }
+    }
+    (out_ptr, out_idx, out_vals)
 }
 
 // --------------------------------------------------------------------------
@@ -379,15 +430,16 @@ pub struct DeviceCsr<T: Scalar> {
 }
 
 impl<T: Scalar> DeviceCsr<T> {
-    /// Upload a host CSR matrix.
-    pub fn upload(gpu: &Gpu, m: &CsrMatrix<T>) -> Self {
-        DeviceCsr {
-            row_ptr: gpu.htod(&m.row_ptr),
-            col_idx: gpu.htod(&m.col_idx),
-            values: gpu.htod(&m.values),
+    /// Upload a host CSR matrix; an allocation or transfer fault is
+    /// returned.
+    pub fn upload(gpu: &Gpu, m: &CsrMatrix<T>) -> Result<Self, gpu_sim::DeviceError> {
+        Ok(DeviceCsr {
+            row_ptr: gpu.try_htod(&m.row_ptr)?,
+            col_idx: gpu.try_htod(&m.col_idx)?,
+            values: gpu.try_htod(&m.values)?,
             rows: m.rows(),
             cols: m.cols(),
-        }
+        })
     }
 
     /// Row count.
@@ -403,12 +455,6 @@ impl<T: Scalar> DeviceCsr<T> {
     /// Nonzero count.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// `y ← Ax` on the device.
-    pub fn spmv(&self, gpu: &Gpu, x: DView<T>, y: DViewMut<T>) {
-        self.spmv_on(&mut Launcher::Direct(gpu), x, y)
-            .expect("device spmv faulted");
     }
 
     /// `y ← Ax` through a [`Launcher`], so the product can join a fused
@@ -515,15 +561,16 @@ pub struct DeviceCsc<T: Scalar> {
 }
 
 impl<T: Scalar> DeviceCsc<T> {
-    /// Upload a host CSC matrix.
-    pub fn upload(gpu: &Gpu, m: &CscMatrix<T>) -> Self {
-        DeviceCsc {
-            col_ptr: gpu.htod(&m.col_ptr),
-            row_idx: gpu.htod(&m.row_idx),
-            values: gpu.htod(&m.values),
+    /// Upload a host CSC matrix; an allocation or transfer fault is
+    /// returned.
+    pub fn upload(gpu: &Gpu, m: &CscMatrix<T>) -> Result<Self, gpu_sim::DeviceError> {
+        Ok(DeviceCsc {
+            col_ptr: gpu.try_htod(&m.col_ptr)?,
+            row_idx: gpu.try_htod(&m.row_idx)?,
+            values: gpu.try_htod(&m.values)?,
             rows: m.rows(),
             cols: m.cols(),
-        }
+        })
     }
 
     /// Row count.
@@ -539,12 +586,6 @@ impl<T: Scalar> DeviceCsc<T> {
     /// Nonzero count.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// `y ← Aᵀx` on the device.
-    pub fn spmv_t(&self, gpu: &Gpu, x: DView<T>, y: DViewMut<T>) {
-        self.spmv_t_on(&mut Launcher::Direct(gpu), x, y)
-            .expect("device spmv_t faulted");
     }
 
     /// `y ← Aᵀx` through a [`Launcher`] (fusable per-column gather).
@@ -793,12 +834,13 @@ mod tests {
         let gpu = Gpu::new(DeviceSpec::gtx280());
         let csr = example().to_csr();
         let csc = csr.to_csc();
-        let d = DeviceCsc::upload(&gpu, &csc);
+        let d = DeviceCsc::upload(&gpu, &csc).unwrap();
         let x = vec![1.0, -2.0, 0.5];
         let dx = gpu.htod(&x);
         // Pre-poison the device output: the gather must overwrite it.
         let mut dy = gpu.alloc(3, f64::NAN);
-        d.spmv_t(&gpu, dx.view(), dy.view_mut());
+        d.spmv_t_on(&mut Launcher::Direct(&gpu), dx.view(), dy.view_mut())
+            .unwrap();
         let mut expect = vec![0.0; 3];
         csc.spmv_t(&x, &mut expect);
         assert_eq!(gpu.dtoh(&dy), expect);
@@ -972,14 +1014,16 @@ mod tests {
                 // One x‖y buffer: each product reads one part and writes
                 // the other, as the PDHG iterate's subviews do.
                 let (xa, xt) = (x_of(cols), x_of(rows));
-                let d_csr = DeviceCsr::upload(&gpu, &csr);
+                let d_csr = DeviceCsr::upload(&gpu, &csr).unwrap();
                 let mut xy = gpu.htod(&[xa.clone(), vec![f64::NAN; rows]].concat());
                 let v = xy.view_mut();
-                d_csr.spmv(
-                    &gpu,
-                    v.subview_mut(0, cols).as_view(),
-                    v.subview_mut(cols, rows),
-                );
+                d_csr
+                    .spmv_on(
+                        &mut Launcher::Direct(&gpu),
+                        v.subview_mut(0, cols).as_view(),
+                        v.subview_mut(cols, rows),
+                    )
+                    .unwrap();
                 let sweep_y = gpu.dtoh(&xy)[cols..].to_vec();
                 let mut xy_ref = gpu.htod(&[xa.clone(), vec![f64::NAN; rows]].concat());
                 let v = xy_ref.view_mut();
@@ -999,14 +1043,16 @@ mod tests {
                     "csr {rows}×{cols}"
                 );
 
-                let d_csc = DeviceCsc::upload(&gpu, &csc);
+                let d_csc = DeviceCsc::upload(&gpu, &csc).unwrap();
                 let mut xy = gpu.htod(&[xt.clone(), vec![f64::NAN; cols]].concat());
                 let v = xy.view_mut();
-                d_csc.spmv_t(
-                    &gpu,
-                    v.subview_mut(0, rows).as_view(),
-                    v.subview_mut(rows, cols),
-                );
+                d_csc
+                    .spmv_t_on(
+                        &mut Launcher::Direct(&gpu),
+                        v.subview_mut(0, rows).as_view(),
+                        v.subview_mut(rows, cols),
+                    )
+                    .unwrap();
                 let sweep_y = gpu.dtoh(&xy)[rows..].to_vec();
                 let mut xy_ref = gpu.htod(&[xt.clone(), vec![f64::NAN; cols]].concat());
                 let v = xy_ref.view_mut();
@@ -1042,7 +1088,10 @@ mod tests {
                 ragged(rows, cols)
             };
             let csc = csr.to_csc();
-            let (d_csr, d_csc) = (DeviceCsr::upload(&gpu, &csr), DeviceCsc::upload(&gpu, &csc));
+            let (d_csr, d_csc) = (
+                DeviceCsr::upload(&gpu, &csr).unwrap(),
+                DeviceCsc::upload(&gpu, &csc).unwrap(),
+            );
             let (x, mut y) = (
                 gpu.alloc(rows.max(cols), 1.0f64),
                 gpu.alloc(rows.max(cols), 0.0f64),
@@ -1103,11 +1152,12 @@ mod tests {
     fn device_spmv_matches_cpu() {
         let gpu = Gpu::new(DeviceSpec::gtx280());
         let csr = example().to_csr();
-        let d = DeviceCsr::upload(&gpu, &csr);
+        let d = DeviceCsr::upload(&gpu, &csr).unwrap();
         let x = vec![1.0, 2.0, 3.0];
         let dx = gpu.htod(&x);
         let mut dy = gpu.alloc(3, 0.0f64);
-        d.spmv(&gpu, dx.view(), dy.view_mut());
+        d.spmv_on(&mut Launcher::Direct(&gpu), dx.view(), dy.view_mut())
+            .unwrap();
         let mut expect = vec![0.0; 3];
         csr.spmv(&x, &mut expect);
         assert_eq!(gpu.dtoh(&dy), expect);

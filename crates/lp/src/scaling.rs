@@ -6,35 +6,19 @@
 //! `√(min|aᵢⱼ|·max|aᵢⱼ|)`, and the pair of sweeps runs twice.
 //!
 //! Row scaling multiplies `bᵢ` along; column scaling multiplies `cⱼ` and is
-//! recorded in `StandardForm::col_scale` so solutions map back. Artificial
-//! and slack columns keep scale 1 so the initial identity basis stays an
+//! recorded in `StandardForm::col_scale` so solutions map back. Only the
+//! structural columns drive and take the factors: the slack, surplus and
+//! artificial columns keep their ±1 so the initial identity basis stays an
 //! identity.
 
 use linalg::Scalar;
 
 use crate::standard::{ColKind, StandardForm};
 
-/// Summary statistics of a scaling run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleReport {
-    /// max|a| / min-nonzero|a| before scaling.
-    pub spread_before: f64,
-    /// Same after scaling.
-    pub spread_after: f64,
-}
-
-fn spread<T: Scalar>(sf: &StandardForm<T>) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for j in 0..sf.num_cols() {
-        for i in 0..sf.num_rows() {
-            let v = sf.a.get(i, j).to_f64().abs();
-            if v > 0.0 {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-    }
+/// max|a| / min-nonzero|a| over the stored entries of `A` (1 for an
+/// empty matrix): how far scaling has to pull the coefficients together.
+pub fn spread<T: Scalar>(sf: &StandardForm<T>) -> f64 {
+    let (lo, hi) = extent(sf.a.values.iter().copied());
     if hi == 0.0 {
         1.0
     } else {
@@ -43,89 +27,70 @@ fn spread<T: Scalar>(sf: &StandardForm<T>) -> f64 {
 }
 
 /// Geometric-mean scale a standard form in place (two row-then-column
-/// sweeps). Returns before/after spread statistics.
-pub fn scale<T: Scalar>(sf: &mut StandardForm<T>) -> ScaleReport {
-    let before = spread(sf);
+/// sweeps).
+pub fn scale<T: Scalar>(sf: &mut StandardForm<T>) {
     for _ in 0..2 {
         scale_rows(sf);
         scale_cols(sf);
     }
-    ScaleReport {
-        spread_before: before,
-        spread_after: spread(sf),
-    }
 }
 
-fn row_factor<T: Scalar>(sf: &StandardForm<T>, i: usize) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for j in 0..sf.num_cols() {
-        // Only structural columns drive the factor; identity columns are
-        // already ±1 and must stay usable as a starting basis.
-        if !matches!(sf.col_kinds[j], ColKind::Structural) {
-            continue;
-        }
-        let v = sf.a.get(i, j).to_f64().abs();
-        if v > 0.0 {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    if hi == 0.0 {
-        return 1.0;
-    }
+/// Geometric-mean factor `√(lo·hi)` of the nonzero magnitudes `lo..=hi`
+/// with its reciprocal in `T`, or `None` when there are none or the factor
+/// is unusable or already 1.
+fn factor<T: Scalar>(lo: f64, hi: f64) -> Option<(f64, T)> {
     let f = (lo * hi).sqrt();
-    if f > 0.0 && f.is_finite() {
-        f
-    } else {
-        1.0
-    }
+    (hi > 0.0 && f > 0.0 && f.is_finite() && (f - 1.0).abs() >= 1e-12)
+        .then(|| (f, T::from_f64(1.0 / f)))
+}
+
+/// Smallest and largest nonzero magnitude of `values`.
+fn extent<T: Scalar>(values: impl Iterator<Item = T>) -> (f64, f64) {
+    (values.map(|v| v.to_f64().abs()).filter(|&v| v > 0.0))
+        .fold((f64::INFINITY, 0.0), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 fn scale_rows<T: Scalar>(sf: &mut StandardForm<T>) {
-    for i in 0..sf.num_rows() {
-        let f = row_factor(sf, i);
-        if (f - 1.0).abs() < 1e-12 {
-            continue;
-        }
-        let inv = T::from_f64(1.0 / f);
-        for j in 0..sf.num_cols() {
-            if !matches!(sf.col_kinds[j], ColKind::Structural) {
-                continue; // keep identity/slack coefficients at ±1
+    let m = sf.num_rows();
+    let (a, kinds) = (&mut sf.a, &sf.col_kinds);
+    let (mut lo, mut hi) = (vec![f64::INFINITY; m], vec![0.0f64; m]);
+    for j in (0..a.cols()).filter(|&j| kinds[j] == ColKind::Structural) {
+        for (i, v) in a.col(j) {
+            let v = v.to_f64().abs();
+            if v > 0.0 {
+                lo[i] = lo[i].min(v);
+                hi[i] = hi[i].max(v);
             }
-            let v = sf.a.get(i, j) * inv;
-            sf.a.set(i, j, v);
         }
-        sf.b[i] *= inv;
-        sf.row_scale[i] *= f;
+    }
+    let factors: Vec<Option<(f64, T)>> = lo.iter().zip(&hi).map(|(&l, &h)| factor(l, h)).collect();
+    for j in (0..a.cols()).filter(|&j| kinds[j] == ColKind::Structural) {
+        for k in a.col_ptr[j] as usize..a.col_ptr[j + 1] as usize {
+            if let Some((_, inv)) = factors[a.row_idx[k] as usize] {
+                a.values[k] *= inv;
+            }
+        }
+    }
+    for (i, fi) in factors.iter().enumerate() {
+        if let Some((f, inv)) = *fi {
+            sf.b[i] *= inv;
+            sf.row_scale[i] *= f;
+        }
     }
 }
 
 fn scale_cols<T: Scalar>(sf: &mut StandardForm<T>) {
     for j in 0..sf.num_cols() {
-        if !matches!(sf.col_kinds[j], ColKind::Structural) {
+        if sf.col_kinds[j] != ColKind::Structural {
             continue;
         }
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for i in 0..sf.num_rows() {
-            let v = sf.a.get(i, j).to_f64().abs();
-            if v > 0.0 {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        if hi == 0.0 {
+        let (lo, hi) = extent(sf.a.col(j).map(|(_, v)| v));
+        let Some((f, inv)) = factor::<T>(lo, hi) else {
             continue;
-        }
-        let f = (lo * hi).sqrt();
-        if !(f > 0.0) || !f.is_finite() || (f - 1.0).abs() < 1e-12 {
-            continue;
-        }
-        let inv = T::from_f64(1.0 / f);
-        for i in 0..sf.num_rows() {
-            let v = sf.a.get(i, j) * inv;
-            sf.a.set(i, j, v);
+        };
+        let range = sf.a.col_ptr[j] as usize..sf.a.col_ptr[j + 1] as usize;
+        for v in &mut sf.a.values[range] {
+            *v *= inv;
         }
         // Column scaled by 1/f means x̃_j = f·x_j … i.e. x_j = x̃_j / f.
         // recover_x multiplies by col_scale, so col_scale picks up 1/f.
@@ -152,13 +117,10 @@ mod tests {
     #[test]
     fn geometric_mean_reduces_spread() {
         let mut sf = badly_scaled();
-        let rep = scale(&mut sf);
-        assert!(
-            rep.spread_after < rep.spread_before / 100.0,
-            "spread {} -> {}",
-            rep.spread_before,
-            rep.spread_after
-        );
+        let before = spread(&sf);
+        scale(&mut sf);
+        let after = spread(&sf);
+        assert!(after < before / 100.0, "spread {before} -> {after}");
     }
 
     #[test]
@@ -168,7 +130,7 @@ mod tests {
         // Slack columns still exactly ±1 in their row.
         for (j, kind) in sf.col_kinds.clone().iter().enumerate() {
             if let ColKind::Slack(i) = kind {
-                assert_eq!(sf.a.get(*i, j), 1.0);
+                assert_eq!(sf.a.to_dense().get(*i, j), 1.0);
             }
         }
     }

@@ -21,7 +21,7 @@
 //! All bookkeeping needed to map a standard-form point back to the original
 //! variables (shifts, flips, splits, scaling) is retained.
 
-use linalg::{DenseMatrix, Scalar};
+use linalg::{CscMatrix, Scalar};
 
 use crate::model::{LinearProgram, Rel, Sense};
 
@@ -74,8 +74,10 @@ impl std::error::Error for StandardizeError {}
 /// The standard-form program plus everything needed to undo the transform.
 #[derive(Debug, Clone)]
 pub struct StandardForm<T: Scalar> {
-    /// Constraint matrix, `m × n` (structural + slack/surplus + artificial).
-    pub a: DenseMatrix<T>,
+    /// Constraint matrix, `m × n` (structural + slack/surplus + artificial),
+    /// compressed by column with ascending row indices and no stored zero.
+    /// Each slack, surplus and artificial column holds its one ±1 entry.
+    pub a: CscMatrix<T>,
     /// Right-hand side, all non-negative.
     pub b: Vec<T>,
     /// Phase-2 objective (zero on slack/surplus/artificial columns).
@@ -174,17 +176,17 @@ impl<T: Scalar> StandardForm<T> {
         }
 
         // ---- step 2: transform rows into structural-column space ---------
-        struct Row {
-            coeffs: Vec<(usize, f64)>, // by structural column, merged
+        struct Row<T> {
+            coeffs: Vec<(usize, T)>, // by structural column, merged, nonzero
             rel: Rel,
             rhs: f64,
         }
-        let mut rows: Vec<Row> = Vec::with_capacity(lp.num_constraints() + bound_rows.len());
+        let mut rows: Vec<Row<T>> = Vec::with_capacity(lp.num_constraints() + bound_rows.len());
         for con in lp.constraints() {
             if !con.rhs.is_finite() {
                 return Err(StandardizeError::InfiniteRhs(con.name.clone()));
             }
-            let mut dense: Vec<f64> = vec![0.0; n_struct];
+            let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(con.coeffs.len());
             let mut rhs = con.rhs;
             for &(vid, a) in &con.coeffs {
                 if !a.is_finite() {
@@ -192,34 +194,41 @@ impl<T: Scalar> StandardForm<T> {
                 }
                 match var_maps[vid.0] {
                     VarMap::Shifted { col, shift } => {
-                        dense[col] += a;
+                        coeffs.push((col, a));
                         rhs -= a * shift;
                     }
                     VarMap::NegShifted { col, shift } => {
-                        dense[col] -= a;
+                        coeffs.push((col, -a));
                         rhs -= a * shift;
                     }
                     VarMap::Split { pos, neg } => {
-                        dense[pos] += a;
-                        dense[neg] -= a;
+                        coeffs.push((pos, a));
+                        coeffs.push((neg, -a));
                     }
                 }
             }
-            let coeffs: Vec<(usize, f64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0.0)
-                .map(|(j, &v)| (j, v))
-                .collect();
+            // Merge repeated columns, summing in declaration order (the
+            // sort is stable), and keep the entries that are nonzero in `T`.
+            coeffs.sort_by_key(|&(j, _)| j);
+            coeffs.dedup_by(|(j, v), (kept, sum)| {
+                let repeat = j == kept;
+                if repeat {
+                    *sum += *v;
+                }
+                repeat
+            });
             rows.push(Row {
-                coeffs,
+                coeffs: (coeffs.into_iter())
+                    .map(|(j, v)| (j, T::from_f64(v)))
+                    .filter(|&(_, v)| v != T::ZERO)
+                    .collect(),
                 rel: con.rel,
                 rhs,
             });
         }
         for &(col, ub) in &bound_rows {
             rows.push(Row {
-                coeffs: vec![(col, 1.0)],
+                coeffs: vec![(col, T::ONE)],
                 rel: Rel::Le,
                 rhs: ub,
             });
@@ -248,46 +257,66 @@ impl<T: Scalar> StandardForm<T> {
         let n_artificial = rows.iter().filter(|r| r.rel != Rel::Le).count();
         let n_total = n_struct + n_slack_surplus + n_artificial;
 
-        let mut a = DenseMatrix::<T>::zeros(m, n_total);
         let mut c = vec![T::ZERO; n_total];
         let mut col_kinds = vec![ColKind::Structural; n_total];
         let mut basis0 = vec![usize::MAX; m];
-
         for (j, &cj) in c_struct.iter().enumerate() {
             c[j] = T::from_f64(cj);
         }
+
+        // Count each column's entries: the structural ones, then one for
+        // each unit column.
+        let mut col_ptr = vec![0u32; n_total + 1];
+        for &(j, _) in rows.iter().flat_map(|r| &r.coeffs) {
+            col_ptr[j + 1] += 1;
+        }
+        col_ptr[n_struct + 1..].fill(1);
+        for j in 0..n_total {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n_total] as usize;
+        let mut row_idx = vec![0u32; nnz];
+        let mut values = vec![T::ZERO; nnz];
+        let mut cursor = col_ptr.clone();
+        let mut put = |i: usize, j: usize, v: T| {
+            let k = cursor[j] as usize;
+            row_idx[k] = i as u32;
+            values[k] = v;
+            cursor[j] += 1;
+        };
         let mut b = vec![T::ZERO; m];
         let mut next_ss = n_struct;
         let mut next_art = n_struct + n_slack_surplus;
         for (i, row) in rows.iter().enumerate() {
             b[i] = T::from_f64(row.rhs);
             for &(j, v) in &row.coeffs {
-                a.set(i, j, T::from_f64(v));
+                put(i, j, v);
             }
             match row.rel {
                 Rel::Le => {
-                    a.set(i, next_ss, T::ONE);
+                    put(i, next_ss, T::ONE);
                     col_kinds[next_ss] = ColKind::Slack(i);
                     basis0[i] = next_ss;
                     next_ss += 1;
                 }
                 Rel::Ge => {
-                    a.set(i, next_ss, -T::ONE);
+                    put(i, next_ss, -T::ONE);
                     col_kinds[next_ss] = ColKind::Surplus(i);
                     next_ss += 1;
-                    a.set(i, next_art, T::ONE);
+                    put(i, next_art, T::ONE);
                     col_kinds[next_art] = ColKind::Artificial(i);
                     basis0[i] = next_art;
                     next_art += 1;
                 }
                 Rel::Eq => {
-                    a.set(i, next_art, T::ONE);
+                    put(i, next_art, T::ONE);
                     col_kinds[next_art] = ColKind::Artificial(i);
                     basis0[i] = next_art;
                     next_art += 1;
                 }
             }
         }
+        let a = CscMatrix::from_parts(m, n_total, col_ptr, row_idx, values);
         debug_assert_eq!(next_ss, n_struct + n_slack_surplus);
         debug_assert_eq!(next_art, n_total);
         debug_assert!(basis0.iter().all(|&j| j != usize::MAX));
@@ -410,9 +439,9 @@ mod tests {
         assert!(sf.is_artificial(3) && sf.is_artificial(4));
         assert_eq!(sf.first_artificial(), Some(3));
         assert_eq!(sf.basis0, vec![3, 4]);
-        assert_eq!(sf.a.get(0, 2), -1.0); // surplus
-        assert_eq!(sf.a.get(0, 3), 1.0);
-        assert_eq!(sf.a.get(1, 4), 1.0);
+        assert_eq!(sf.a.to_dense().get(0, 2), -1.0); // surplus
+        assert_eq!(sf.a.to_dense().get(0, 3), 1.0);
+        assert_eq!(sf.a.to_dense().get(1, 4), 1.0);
     }
 
     #[test]
@@ -423,7 +452,7 @@ mod tests {
         let sf = StandardForm::<f64>::from_lp(&lp).unwrap();
         assert!(sf.row_negated[0]);
         assert_eq!(sf.b[0], 4.0);
-        assert_eq!(sf.a.get(0, 0), 2.0);
+        assert_eq!(sf.a.to_dense().get(0, 0), 2.0);
         assert_eq!(sf.num_artificials, 1); // became a ≥ row
     }
 
@@ -457,7 +486,7 @@ mod tests {
         assert_eq!(sf.c[0], -1.0);
         // Row: x ≤ 2 → −x' ≤ 0.
         assert_eq!(sf.b[0], 0.0);
-        assert_eq!(sf.a.get(0, 0), -1.0);
+        assert_eq!(sf.a.to_dense().get(0, 0), -1.0);
         // Columns: x' and the row's slack.
         let x_std = vec![1.5, 0.0];
         assert_eq!(sf.recover_x(&x_std)[0], 0.5);
@@ -511,12 +540,90 @@ mod tests {
         assert_eq!(sf.b, vec![4.0f32, 12.0, 18.0]);
     }
 
+    /// The CSC layout of `A`, column by column, on a model with every row
+    /// relation, a negative right-hand side, every bound shape and a
+    /// repeated (and a cancelling) variable in a row.
+    #[test]
+    fn csc_layout_of_every_column_kind() {
+        let mut lp = LinearProgram::new("layout");
+        let x = lp.add_var_nonneg("x", 1.0);
+        let f = lp.add_var("f", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        let u = lp.add_var("u", f64::NEG_INFINITY, 5.0, 0.0);
+        let t = lp.add_var("t", 1.0, 4.0, 0.0);
+        let r0 = [(x, 1.0), (f, 2.0), (u, 1.0), (t, 1.0), (t, -1.0)];
+        lp.add_constraint("r0", &r0, Rel::Le, 10.0);
+        lp.add_constraint("r1", &[(x, 3.0), (x, 1.0), (t, 1.0)], Rel::Ge, 2.0);
+        lp.add_constraint("r2", &[(f, 1.0), (t, -1.0)], Rel::Eq, -6.0);
+        lp.add_constraint("r3", &[(x, -1.0), (u, 1.0)], Rel::Le, -7.0);
+        let sf = StandardForm::<f64>::from_lp(&lp).unwrap();
+
+        // Columns x, f⁺, f⁻, u' = 5 − u, t' = t − 1, then the unit
+        // columns; rows r0..r3 and the bound row t' ≤ 3. r2 and r3 are
+        // negated, which turns r3 into a ≥ row.
+        use ColKind::*;
+        let table: [(ColKind, [f64; 5]); 12] = [
+            (Structural, [1.0, 4.0, 0.0, 1.0, 0.0]),
+            (Structural, [2.0, 0.0, -1.0, 0.0, 0.0]),
+            (Structural, [-2.0, 0.0, 1.0, 0.0, 0.0]),
+            (Structural, [-1.0, 0.0, 0.0, 1.0, 0.0]),
+            (Structural, [0.0, 1.0, 1.0, 0.0, 1.0]),
+            (Slack(0), [1.0, 0.0, 0.0, 0.0, 0.0]),
+            (Surplus(1), [0.0, -1.0, 0.0, 0.0, 0.0]),
+            (Surplus(3), [0.0, 0.0, 0.0, -1.0, 0.0]),
+            (Slack(4), [0.0, 0.0, 0.0, 0.0, 1.0]),
+            (Artificial(1), [0.0, 1.0, 0.0, 0.0, 0.0]),
+            (Artificial(2), [0.0, 0.0, 1.0, 0.0, 0.0]),
+            (Artificial(3), [0.0, 0.0, 0.0, 1.0, 0.0]),
+        ];
+        assert_eq!(sf.b, vec![5.0, 1.0, 5.0, 12.0, 3.0]);
+        assert_eq!(sf.row_negated, vec![false, false, true, true, false]);
+        assert_eq!(sf.basis0, vec![5, 9, 10, 11, 8]);
+        assert_eq!(sf.num_artificials, 3);
+        let dense = sf.a.to_dense();
+        assert_eq!((dense.rows(), dense.cols()), (5, table.len()));
+        for (j, (kind, col)) in table.iter().enumerate() {
+            assert_eq!(sf.col_kinds[j], *kind, "kind of column {j}");
+            for (i, &v) in col.iter().enumerate() {
+                assert_eq!(dense.get(i, j), v, "A[{i}, {j}]");
+            }
+            let entries: Vec<(usize, f64)> = sf.a.col(j).collect();
+            assert!(
+                entries.windows(2).all(|w| w[0].0 < w[1].0),
+                "column {j} rows unsorted"
+            );
+            assert!(
+                entries.iter().all(|&(_, v)| v != 0.0),
+                "column {j} stores a zero"
+            );
+            let unit = match *kind {
+                Structural => continue,
+                Slack(i) | Artificial(i) => (i, 1.0),
+                Surplus(i) => (i, -1.0),
+            };
+            assert_eq!(entries, vec![unit], "unit column {j}");
+            if !matches!(kind, Surplus(_)) {
+                assert_eq!(sf.basis0[unit.0], j, "basis0 of row {}", unit.0);
+            }
+        }
+
+        // Zero is tested after the conversion: an entry that underflows
+        // in f32 is not stored.
+        let mut tiny = LinearProgram::new("tiny");
+        let y = tiny.add_var_nonneg("y", 1.0);
+        let z = tiny.add_var_nonneg("z", 1.0);
+        tiny.add_constraint("c", &[(y, 1e-60), (z, 1.0)], Rel::Le, 1.0);
+        assert_eq!(StandardForm::<f64>::from_lp(&tiny).unwrap().a.nnz(), 3);
+        let sf32 = StandardForm::<f32>::from_lp(&tiny).unwrap();
+        assert_eq!(sf32.a.nnz(), 2);
+        assert_eq!(sf32.a.col(0).count(), 0);
+    }
+
     #[test]
     fn repeated_variable_coefficients_merge() {
         let mut lp = LinearProgram::new("merge");
         let x = lp.add_var_nonneg("x", 1.0);
         lp.add_constraint("c", &[(x, 1.0), (x, 2.0)], Rel::Le, 6.0);
         let sf = StandardForm::<f64>::from_lp(&lp).unwrap();
-        assert_eq!(sf.a.get(0, 0), 3.0);
+        assert_eq!(sf.a.to_dense().get(0, 0), 3.0);
     }
 }

@@ -8,8 +8,8 @@ use gplex::pdhg::PdhgOptions;
 use std::sync::Arc;
 
 use gplex::{
-    verify, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveRequest,
-    SolverOptions, Status,
+    verify, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveError,
+    SolveRequest, SolverOptions, Status,
 };
 use gplex_suite::rel_err;
 use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
@@ -228,6 +228,35 @@ fn hosed_gpu_degrades_across_the_pdhg_ladder_and_verifies() {
         sol.objective,
         golden.objective
     );
+}
+
+#[test]
+fn a_device_fault_during_pdhg_setup_is_a_device_error() {
+    // The first device op of a GPU PDHG solve is the upload of `A`; an
+    // allocation or transfer fault there ends the solve as a device error,
+    // not a panic.
+    let (model, _) = fixtures::wyndor();
+    let off = FaultConfig::off(4);
+    for faults in [
+        FaultConfig {
+            alloc_oom: 1.0,
+            ..off.clone()
+        },
+        FaultConfig {
+            transfer_timeout: 1.0,
+            ..off.clone()
+        },
+    ] {
+        let opts = PdhgOptions {
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let err = SolveRequest::model(&model, &opts)
+            .on(&BackendKind::GpuDense(DeviceSpec::gtx280()))
+            .run::<f64>()
+            .unwrap_err();
+        assert!(matches!(err, SolveError::Device(_)), "{err:?}");
+    }
 }
 
 #[test]
